@@ -18,7 +18,9 @@ each access latency they *expose* as stall time:
 
 Cores are event-driven entities with a local clock; the machine interleaves
 them through a global priority queue so shared-L2 bank contention sees a
-consistent time order.
+consistent time order.  ``step()`` processes one event and returns the
+time of the core's next one, which is also what ``next_time()`` reports
+until the core's state next changes.
 """
 
 from __future__ import annotations
@@ -28,12 +30,9 @@ from dataclasses import dataclass
 
 from .breakdown import Breakdown
 from .hierarchy import COH, L1, L1X, L2, MEM
-from .replay import kernels_enabled
-from .trace import (FLAG_CODE_JUMP, FLAG_DEPENDENT, FLAG_STREAM,
-                    FLAG_WRITE, Trace)
+from .trace import FLAG_DEPENDENT, FLAG_STREAM, FLAG_WRITE, Trace
 
 _EPS = 1e-9
-_INSTR_PER_LINE = 16
 
 #: Events a context executes from one client trace before the scheduler
 #: rotates to the next queued client (the OS time-slice, in trace events).
@@ -206,21 +205,16 @@ class _Context:
             self.rate = params.effective_rate(self.trace)
         else:
             self.rate = float(params.issue_width)
-        # Precomputed per-event work columns (jumped, n_lines, compute,
-        # branch) — pure functions of the trace and (rate, branch_penalty),
-        # shared through the trace's derived-column cache (DESIGN.md §14).
-        # None when the replay kernels are disabled: the step loops then
-        # evaluate the identical expressions inline, event by event.
-        if traces and kernels_enabled():
-            self.col_sets = [
-                (t.kernel_cols()[1], t.kernel_cols()[2],
-                 *t.work_cols(self.rate, params.branch_penalty))
-                for t in traces
-            ]
-            self.cols = self.col_sets[0]
-        else:
-            self.col_sets = None
-            self.cols = None
+        # Per-event work columns (jumped, n_lines, compute, branch): pure
+        # functions of the trace and (rate, branch_penalty), shared through
+        # the trace's derived-column cache (DESIGN.md §14).  An idle
+        # context (no traces) never reads them.
+        self.col_sets = [
+            (t.kernel_cols()[1], t.kernel_cols()[2],
+             *t.work_cols(self.rate, params.branch_penalty))
+            for t in traces
+        ]
+        self.cols = self.col_sets[0] if traces else None
 
     def advance(self) -> tuple[int, int, int, int]:
         """Move to the next trace event; returns (icount, addr, flags, region).
@@ -238,8 +232,7 @@ class _Context:
             self.pos = self.positions[self.trace_idx]
             self.quantum_left = self.quantum
             self.last_region = -1
-            if self.col_sets is not None:
-                self.cols = self.col_sets[self.trace_idx]
+            self.cols = self.col_sets[self.trace_idx]
         self.pos += 1
         if self.pos >= self.n:
             self.passes += 1
@@ -288,11 +281,14 @@ class FatCore:
         """Time of the next event, or +inf if this core has no work."""
         return self.t if self.ctx.state != _Context.IDLE else math.inf
 
-    def step(self) -> None:
-        """Process one trace block (compute + fetch + data reference)."""
+    def step(self) -> float:
+        """Process one trace block (compute + fetch + data reference).
+
+        Returns the time of the next block, or +inf once the core is idle.
+        """
         ctx = self.ctx
         if ctx.state == _Context.IDLE:
-            return
+            return math.inf
         p = self.params
         bd = self.breakdown
         hier = self.hier
@@ -316,21 +312,13 @@ class FatCore:
             pos = ctx.pos
         cols = ctx.cols
         fp = trace.footprints[region]
-        if cols is not None:
-            # Precomputed block-work columns (identical expressions,
-            # evaluated once per trace — DESIGN.md §14).  A fresh cursor
-            # (last_region < 0) always jumps; otherwise the previous
-            # event was pos-1 of this trace, which is exactly what the
-            # jumped column encodes.
-            jumped = True if ctx.last_region < 0 else cols[0][pos]
-            n_lines = cols[1][pos]
-            compute = cols[2][pos]
-            branch = cols[3][pos]
-        else:
-            jumped = region != ctx.last_region or bool(flags & FLAG_CODE_JUMP)
-            n_lines = max(1, icount // _INSTR_PER_LINE)
-            compute = icount / ctx.rate
-            branch = icount * trace.branch_mpki / 1000.0 * p.branch_penalty
+        # A fresh cursor (last_region < 0) always jumps; otherwise the
+        # previous event was pos-1 of this trace, which is exactly what
+        # the jumped column encodes.
+        jumped = True if ctx.last_region < 0 else cols[0][pos]
+        n_lines = cols[1][pos]
+        compute = cols[2][pos]
+        branch = cols[3][pos]
         ctx.last_region = region
         i_exposed, i_level = hier.instr_block(
             core_id, fp.base, fp.n_lines, n_lines, jumped, self.t
@@ -373,6 +361,8 @@ class FatCore:
             if ctx.passes + 1 >= self.pass_target:
                 ctx.finished_at = self.t
                 ctx.state = _Context.IDLE
+                return math.inf
+        return self.t
 
     def settle(self, horizon: float) -> None:
         """End-of-window hook: nothing to flush on a fat core.
@@ -392,6 +382,11 @@ class LeanCore:
     while the core keeps running the others.  Core-level stall time is
     accounted only when *all* contexts are stalled, attributed to the
     category of the context that wakes first (DESIGN.md decision 6).
+
+    Every state transition (construction, :meth:`step`, :meth:`settle`)
+    leaves behind the next event time, the number of runnable contexts
+    and the first-waking stalled context, so :meth:`next_time` is a read
+    and the next interval's accounting needs no extra scan.
     """
 
     def __init__(self, core_id: int, params: CoreParams, hierarchy,
@@ -417,6 +412,7 @@ class LeanCore:
         for ctx in self.contexts:
             if ctx.state == _Context.RUNNABLE:
                 self._load_next_block(ctx)
+        self._schedule()
 
     @property
     def retired(self) -> int:
@@ -427,20 +423,27 @@ class LeanCore:
     # Event machinery                                                     #
     # ------------------------------------------------------------------ #
 
-    def _runnable(self) -> list[_Context]:
-        return [c for c in self.contexts if c.state == _Context.RUNNABLE]
-
     def next_time(self) -> float:
         """Earliest of: next wake-up, next processor-sharing completion."""
+        return self._next
+
+    def _schedule(self) -> None:
+        """Recompute the next event time, runnable count and waker.
+
+        The from-scratch form of :meth:`step`'s second pass, for the
+        transitions that complete no block (construction, settle).  The
+        waker is the *first* stalled context with the minimum wake time.
+        """
         nxt = math.inf
         n_run = 0
         min_work = math.inf
-        stalled = _Context.STALLED
-        runnable = _Context.RUNNABLE
+        waker = None
         for c in self.contexts:
-            if c.state == stalled and c.wake_time < nxt:
-                nxt = c.wake_time
-            elif c.state == runnable:
+            if c.state == _Context.STALLED:
+                if c.wake_time < nxt:
+                    nxt = c.wake_time
+                    waker = c
+            elif c.state == _Context.RUNNABLE:
                 n_run += 1
                 if c.work_left < min_work:
                     min_work = c.work_left
@@ -448,36 +451,33 @@ class LeanCore:
             completion = self.t + min_work * n_run
             if completion < nxt:
                 nxt = completion
-        return nxt
+        self._next = nxt
+        self._n_run = n_run
+        self._waker = waker
 
-    def _advance_to(self, t: float) -> None:
-        """Progress runnable work and attribute the elapsed interval."""
+    def _elapse(self, t: float) -> float:
+        """Move the clock to ``t``; return each runnable context's share.
+
+        The runnable contexts split the interval equally and the caller
+        charges each its share.  With none runnable the whole interval is
+        core-level stall time, attributed to the category of the context
+        that wakes first, or idle time when no context is stalled.
+        """
         dt = t - self.t
-        if dt <= 0:
-            self.t = t
-            return
-        runnable = self._runnable()
-        bd = self.breakdown
-        if runnable:
-            share = dt / len(runnable)
-            for c in runnable:
-                c.work_left -= share
-                bd.computation += share * c.comp_frac
-                bd.other += share * (1.0 - c.comp_frac)
-        else:
-            waker = None
-            for c in self.contexts:
-                if c.state == _Context.STALLED and (
-                    waker is None or c.wake_time < waker.wake_time
-                ):
-                    waker = c
-            if waker is None:
-                bd.idle += dt
-            elif waker.wake_is_instr:
-                _account_instr(bd, waker.wake_level, dt)
-            else:
-                _account_data(bd, waker.wake_level, dt)
         self.t = t
+        if dt <= 0:
+            return 0.0
+        if self._n_run:
+            return dt / self._n_run
+        waker = self._waker
+        bd = self.breakdown
+        if waker is None:
+            bd.idle += dt
+        elif waker.wake_is_instr:
+            _account_instr(bd, waker.wake_level, dt)
+        else:
+            _account_data(bd, waker.wake_level, dt)
+        return 0.0
 
     def _load_next_block(self, ctx: _Context) -> None:
         """Fetch the context's next trace event and set up its work.
@@ -502,17 +502,10 @@ class LeanCore:
             pos = ctx.pos
         cols = ctx.cols
         fp = trace.footprints[region]
-        if cols is not None:
-            jumped = True if ctx.last_region < 0 else cols[0][pos]
-            n_lines = cols[1][pos]
-            compute = cols[2][pos]
-            branch = cols[3][pos]
-        else:
-            jumped = region != ctx.last_region or bool(flags & FLAG_CODE_JUMP)
-            n_lines = max(1, icount // _INSTR_PER_LINE)
-            compute = icount / ctx.rate
-            branch = (icount * trace.branch_mpki / 1000.0
-                      * self.params.branch_penalty)
+        jumped = True if ctx.last_region < 0 else cols[0][pos]
+        n_lines = cols[1][pos]
+        compute = cols[2][pos]
+        branch = cols[3][pos]
         ctx.last_region = region
         i_exposed, i_level = self.hier.instr_block(
             self.core_id, fp.base, fp.n_lines, n_lines, jumped, self.t
@@ -586,29 +579,79 @@ class LeanCore:
         uniformly for both camps; :meth:`FatCore.settle` documents why
         the fat camp's is a no-op.
         """
-        if self.t < horizon and self.next_time() >= horizon:
-            self._advance_to(horizon)
+        if self.t < horizon and self._next >= horizon:
+            share = self._elapse(horizon)
+            bd = self.breakdown
+            for c in self.contexts:
+                if c.state == _Context.RUNNABLE:
+                    c.work_left -= share
+                    bd.computation += share * c.comp_frac
+                    bd.other += share * (1.0 - c.comp_frac)
+            self._schedule()
 
-    def step(self) -> None:
-        """Advance to the next event and process every due transition."""
-        t = self.next_time()
+    def step(self) -> float:
+        """Advance to the next event and process every due transition.
+
+        Returns the time of the event after it (+inf when the core has
+        no work left), which :meth:`next_time` then reports.  Two passes
+        over the contexts (DESIGN.md §14.4):
+
+        1. charge each context runnable since the last event its share of
+           the interval, and wake the stalled contexts now due;
+        2. complete the due blocks, and fold every context into the next
+           event time, runnable count and waker.
+
+        Every wake precedes every completion, each in context order, so
+        the hierarchy sees its accesses in the same order as ever.
+        """
+        t = self._next
         if t is math.inf:
-            return
-        self._advance_to(t)
-        stalled = _Context.STALLED
+            return t
+        share = self._elapse(t)
         runnable = _Context.RUNNABLE
+        stalled = _Context.STALLED
+        contexts = self.contexts
+        bd = self.breakdown
+        computation = bd.computation
+        other = bd.other
         deadline = t + _EPS
-        for ctx in self.contexts:
-            if ctx.state == stalled and ctx.wake_time <= deadline:
+        for ctx in contexts:
+            state = ctx.state
+            if state == runnable:
+                ctx.work_left -= share
+                frac = ctx.comp_frac
+                computation += share * frac
+                other += share * (1.0 - frac)
+            elif state == stalled and ctx.wake_time <= deadline:
                 ctx.wake_time = math.inf
                 ctx.state = runnable
                 if not ctx.wake_is_instr:
                     # The data stall ended the block; move to the next one.
                     self._load_next_block(ctx)
-        for ctx in self.contexts:
-            if (
-                ctx.state == runnable
-                and ctx.has_pending
-                and ctx.work_left <= _EPS
-            ):
+        bd.computation = computation
+        bd.other = other
+        nxt = math.inf
+        n_run = 0
+        min_work = math.inf
+        waker = None
+        for ctx in contexts:
+            if (ctx.state == runnable and ctx.has_pending
+                    and ctx.work_left <= _EPS):
                 self._complete_block(ctx, t)
+            state = ctx.state
+            if state == stalled:
+                if ctx.wake_time < nxt:
+                    nxt = ctx.wake_time
+                    waker = ctx
+            elif state == runnable:
+                n_run += 1
+                if ctx.work_left < min_work:
+                    min_work = ctx.work_left
+        if n_run:
+            completion = t + min_work * n_run
+            if completion < nxt:
+                nxt = completion
+        self._next = nxt
+        self._n_run = n_run
+        self._waker = waker
+        return nxt

@@ -59,6 +59,9 @@ DEFAULT_MEASURE_CYCLES = 400_000
 _WARM_MEMO: dict = {}
 _WARM_MEMO_CAP = 4
 
+#: References each warm walker issues per round-robin turn of the warm walk.
+_WARM_CHUNK = 64
+
 #: Negative memo: warm-memo keys whose kernel attempt already bailed
 #: (e.g. too much cross-core write sharing), so repeat runs go straight
 #: to the interpreted warm walk.  Purely a perf cache — a stale entry
@@ -367,6 +370,34 @@ class Machine:
     # Warm phase                                                          #
     # ------------------------------------------------------------------ #
 
+    def _warm_plan(self, slots: list[list[list[Trace]]], passes: int,
+                   warm_len_of) -> tuple[list[tuple[int, Trace, int]],
+                                         tuple | None]:
+        """The warm walkers and warm-memo key of one warm schedule.
+
+        Walkers are ``(core_id, trace, warm_len)`` in slot order, the
+        order the interpreted walk visits them.  The key covers all the
+        post-warm state depends on besides the L2 itself, so both
+        :meth:`_warm` and :meth:`prewarm` derive it here and cannot
+        disagree.  ``warm_identity()`` is ``()`` on single-socket
+        machines, so their keys stay byte-identical to pre-island builds;
+        islands machines key on topology + line tags (placement-dependent).
+        The key is None off the shared-L2 hierarchy, which never memoizes.
+        """
+        walkers = [(core_id, tr, warm_len_of(tr))
+                   for core_id, core_slots in enumerate(slots)
+                   for ctx_traces in core_slots
+                   for tr in ctx_traces]
+        hier = self.hierarchy
+        if not isinstance(hier, SharedL2Hierarchy):
+            return walkers, None
+        p = hier.params
+        memo_key = (p.n_cores, p.l1d_kb, p.l1_assoc, passes, _WARM_CHUNK,
+                    tuple((core_id, id(tr), warm_len)
+                          for core_id, tr, warm_len in walkers)
+                    ) + hier.warm_identity()
+        return walkers, memo_key
+
     def _warm(self, slots: list[list[list[Trace]]], passes: int,
               warm_len_of) -> None:
         """Functionally warm caches over each trace's warm prefix.
@@ -382,23 +413,9 @@ class Machine:
         replayed for sweeps that vary only the L2 — bit-identical to a
         full re-warm at a fraction of the cost.
         """
-        chunk = 64
-        walkers: list[tuple[int, Trace, int]] = []
-        for core_id, core_slots in enumerate(slots):
-            for ctx_traces in core_slots:
-                for tr in ctx_traces:
-                    walkers.append((core_id, tr, warm_len_of(tr)))
+        walkers, memo_key = self._warm_plan(slots, passes, warm_len_of)
         hier = self.hierarchy
-        memo_key = None
-        if isinstance(hier, SharedL2Hierarchy):
-            p = hier.params
-            # warm_identity() is () on single-socket machines, so their
-            # memo keys stay byte-identical to pre-island builds; islands
-            # machines key on topology + line tags (placement-dependent).
-            memo_key = (p.n_cores, p.l1d_kb, p.l1_assoc, passes, chunk,
-                        tuple((core_id, id(tr), warm_len)
-                              for core_id, tr, warm_len in walkers)
-                        ) + hier.warm_identity()
+        if memo_key is not None:
             entry = _WARM_MEMO.get(memo_key)
             if entry is not None:
                 hier.restore_warm_state(entry.state)
@@ -414,7 +431,7 @@ class Machine:
             if memo_key not in _WARM_KERNEL_BAILS \
                     and not hier.islands_active:
                 computed = replay.compute_warm_state(
-                    hier, walkers, passes, chunk)
+                    hier, walkers, passes, _WARM_CHUNK)
                 if computed is not None:
                     state, suspects = computed
                     self._warm_entry = self._memoize(
@@ -436,7 +453,7 @@ class Machine:
                 for w in pending:
                     core_id, tr, warm_len = walkers[w]
                     pos = cursors[w]
-                    end = min(pos + chunk, warm_len)
+                    end = min(pos + _WARM_CHUNK, warm_len)
                     warm_block(core_id, tr.addrs, tr.meta, pos, end)
                     cursors[w] = end
                     if end < warm_len:
@@ -488,24 +505,15 @@ class Machine:
         live = [tr for tr in workload.traces if len(tr)]
         if not live:
             return False
-        slots = self._assign(live)
-        chunk = 64
-        walkers: list[tuple[int, Trace, int]] = []
-        for core_id, core_slots in enumerate(slots):
-            for ctx_traces in core_slots:
-                for tr in ctx_traces:
-                    walkers.append(
-                        (core_id, tr, int(len(tr) * warm_fraction) % len(tr)))
-        p = hier.params
-        memo_key = (p.n_cores, p.l1d_kb, p.l1_assoc, warm_passes, chunk,
-                    tuple((core_id, id(tr), warm_len)
-                          for core_id, tr, warm_len in walkers))
+        walkers, memo_key = self._warm_plan(
+            self._assign(live), warm_passes,
+            lambda tr: int(len(tr) * warm_fraction) % len(tr))
         if memo_key in _WARM_MEMO:
             return True
         if memo_key in _WARM_KERNEL_BAILS:
             return False
         computed = replay.compute_warm_state(hier, walkers, warm_passes,
-                                             chunk)
+                                             _WARM_CHUNK)
         if computed is None:
             self._record_bail(memo_key)
             return False
@@ -705,7 +713,6 @@ class Machine:
         seq = 0
         self._batched_steps = 0
         batched = 0
-        batch = replay.kernels_enabled()
         for idx, core in enumerate(self._cores):
             t = core.next_time()
             if t < math.inf:
@@ -716,25 +723,21 @@ class Machine:
             if t > horizon:
                 break
             core = self._cores[idx]
-            core.step()
-            nt = core.next_time()
-            if batch:
-                # Keep stepping this core while its next event precedes
-                # the rest of the heap, skipping the pop/push round trip.
-                # Strictly precedes: on a timestamp tie the earlier-queued
-                # heap entry (smaller seq) must run first, exactly as the
-                # unbatched loop would order it.
-                if heap:
-                    top = heap[0][0]
-                    while nt < top and nt <= horizon:
-                        core.step()
-                        nt = core.next_time()
-                        batched += 1
-                else:
-                    while nt <= horizon:
-                        core.step()
-                        nt = core.next_time()
-                        batched += 1
+            nt = core.step()
+            # Keep stepping this core while its next event precedes the
+            # rest of the heap, skipping the pop/push round trip.
+            # Strictly precedes: on a timestamp tie the earlier-queued heap
+            # entry (smaller seq) must run first, exactly as a pop/push
+            # per event would order it.
+            if heap:
+                top = heap[0][0]
+                while nt < top and nt <= horizon:
+                    nt = core.step()
+                    batched += 1
+            else:
+                while nt <= horizon:
+                    nt = core.step()
+                    batched += 1
             if nt < math.inf:
                 heapq.heappush(heap, (nt, seq, idx))
                 seq += 1
@@ -774,14 +777,13 @@ class Machine:
         while heap and pending:
             _, _, idx = heapq.heappop(heap)
             core = cores[idx]
-            core.step()
+            nt = core.step()
             mine = unfinished[idx]
             if mine:
                 still = [ctx for ctx in mine if ctx.finished_at is math.inf]
                 if len(still) != len(mine):
                     pending -= len(mine) - len(still)
                     unfinished[idx] = still
-            nt = core.next_time()
             if nt is not math.inf:
                 heapq.heappush(heap, (nt, seq, idx))
                 seq += 1

@@ -1,9 +1,11 @@
 """Unit tests for the fat/lean core timing models."""
 
 import math
+import random
 
 import pytest
 
+from repro.simulator import trace as trace_mod
 from repro.simulator.cores import (
     CLIENT_QUANTUM_EVENTS,
     FatCore,
@@ -12,8 +14,15 @@ from repro.simulator.cores import (
     fat_core_params,
     lean_core_params,
 )
-from repro.simulator.hierarchy import HierarchyParams, SharedL2Hierarchy
+from repro.simulator.hierarchy import (
+    L1,
+    L2,
+    MEM,
+    HierarchyParams,
+    SharedL2Hierarchy,
+)
 from repro.simulator.trace import (
+    FLAG_CODE_JUMP,
     FLAG_DEPENDENT,
     FLAG_STREAM,
     FLAG_WRITE,
@@ -223,3 +232,137 @@ class TestContextRotation:
         # Starts at offset 2 (icount 3) through end, then wraps to offset.
         assert icounts == [3, 4, 5, 6, 3, 4]
         assert ctx.passes == 1
+
+
+def mixed_trace(name, seed, n_events=150):
+    """A randomized trace mixing L1 hits, cold misses and code jumps.
+
+    Four 512-line code regions overflow the 32 KB L1I, so jumps between
+    them expose instruction stalls; a few hot data lines hit in the L1
+    while the rest go to the L2 or memory.
+    """
+    rng = random.Random(seed)
+    tb = TraceBuilder(name, ilp=2.0, branch_mpki=4.0, ilp_inorder=1.2)
+    regions = [tb.register_code(f"m{i}", 0x10_0000 * (i + 1), 512)
+               for i in range(4)]
+    hot = [0x100 + 64 * i for i in range(4)]
+    for _ in range(n_events):
+        if rng.random() < 0.5:
+            addr = rng.choice(hot)
+        else:
+            addr = 0x4000_0000 + rng.randrange(1 << 16) * 64
+        flags = rng.choice([0, FLAG_DEPENDENT, FLAG_WRITE, FLAG_CODE_JUMP,
+                            FLAG_DEPENDENT | FLAG_STREAM])
+        tb.event(rng.randrange(1, 200), addr, flags, rng.choice(regions))
+    return tb.build()
+
+
+def recomputed_next_time(core):
+    """The earliest wake or processor-sharing completion, from scratch."""
+    wakes = [c.wake_time for c in core.contexts
+             if c.state == _Context.STALLED]
+    work = [c.work_left for c in core.contexts
+            if c.state == _Context.RUNNABLE]
+    nxt = min(wakes, default=math.inf)
+    if work:
+        nxt = min(nxt, core.t + min(work) * len(work))
+    return nxt
+
+
+class TestLeanLoopInvariants:
+    def test_cached_next_time_and_time_conservation(self):
+        """At every step the returned next time is the cached one and the
+        from-scratch one, and the breakdown partitions the elapsed time."""
+        hier = make_hier(mem_latency=300)
+        ctx_traces = [[mixed_trace(f"c{c}q{q}", seed=10 * c + q)
+                       for q in range(2)] for c in range(4)]
+        core = LeanCore(0, lean_core_params(), hier, ctx_traces)
+        for ctx in core.contexts:
+            # Rotate queued clients every few events instead of 2048.
+            ctx.quantum = ctx.quantum_left = 7
+        assert core.next_time() == recomputed_next_time(core)
+        rotated = set()
+        saw_instr_stall = saw_all_stalled = False
+        for _ in range(3000):
+            nxt = core.step()
+            assert nxt == core.next_time() == recomputed_next_time(core)
+            assert core.breakdown.total == pytest.approx(core.t, rel=1e-9)
+            rotated.update(ctx.trace_idx for ctx in core.contexts)
+            states = [ctx.state for ctx in core.contexts]
+            saw_instr_stall |= any(
+                ctx.state == _Context.STALLED and ctx.wake_is_instr
+                for ctx in core.contexts)
+            saw_all_stalled |= _Context.RUNNABLE not in states
+        # The run exercised every mechanism the loop handles.
+        assert rotated == {0, 1}
+        assert saw_instr_stall and saw_all_stalled
+        counts = hier.stats.data_level_counts
+        assert counts[L1] > 0 and sum(counts) > counts[L1]
+        # settle closes the trailing interval and refreshes the cache.
+        horizon = core.t + (core.next_time() - core.t) / 3
+        core.settle(horizon)
+        assert core.t == horizon
+        assert core.next_time() == recomputed_next_time(core)
+        assert core.breakdown.total == pytest.approx(core.t, rel=1e-9)
+
+    @pytest.mark.parametrize("via_step", [False, True])
+    def test_all_stalled_interval_goes_to_first_waker_on_a_tie(self,
+                                                              via_step):
+        """With every context stalled, the interval takes the category of
+        the *first* context with the earliest wake, whether construction
+        (via_step=False) or a step's fold found the tie."""
+        traces = [[make_trace([(20, 0x100 + 64 * c, 0)] * 4, name=f"c{c}")]
+                  for c in range(3)]
+        core = LeanCore(0, lean_core_params(), make_hier(), traces)
+        a, b, c = core.contexts
+        for ctx, is_instr, level in ((a, False, MEM), (b, True, L2)):
+            ctx.state = _Context.STALLED
+            ctx.wake_time = 100.0
+            ctx.wake_is_instr = is_instr
+            ctx.wake_level = level
+        if via_step:
+            # c completes the last block of its pass at t=1 and goes
+            # idle; that step's fold is what finds the tie.  (Its first
+            # block's jump bubble left it stalled at construction.)
+            c.state = _Context.RUNNABLE
+            c.wake_time = math.inf
+            c.work_left = 1.0
+            c.pos = c.n - 1
+            core.pass_target = 1
+        else:
+            c.state = _Context.IDLE
+        core._schedule()
+        if via_step:
+            assert core.step() == 100.0
+            assert c.state == _Context.IDLE
+        start = core.t
+        assert core.step() == core.next_time()
+        assert core.breakdown.d_mem == 100.0 - start
+        assert core.breakdown.i_l2 == 0.0
+
+
+class TestWorkColumns:
+    """The per-event work columns against the expressions the step loops
+    once evaluated inline, event by event and bit for bit."""
+
+    @pytest.mark.parametrize("numpy_path", [True, False])
+    def test_columns_match_inline_expressions(self, numpy_path,
+                                              monkeypatch):
+        if not numpy_path:
+            monkeypatch.setattr(trace_mod, "_np", None)
+        trace = mixed_trace("r", seed=3, n_events=2000)
+        for params in (fat_core_params(), lean_core_params()):
+            ctx = _Context([trace], params)
+            jumped_col, n_lines_col, compute_col, branch_col = ctx.cols
+            last_region = -1
+            for pos in range(len(trace)):
+                icount, _, flags, region = trace.access_at(pos)
+                jumped = (region != last_region
+                          or bool(flags & FLAG_CODE_JUMP))
+                last_region = region
+                assert bool(jumped_col[pos]) == jumped
+                assert n_lines_col[pos] == max(1, icount // 16)
+                assert compute_col[pos] == icount / ctx.rate
+                assert branch_col[pos] == (
+                    icount * trace.branch_mpki / 1000.0
+                    * params.branch_penalty)

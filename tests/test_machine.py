@@ -132,6 +132,42 @@ class TestWarmEffect:
             assert bd.total <= 25_000 * 1.1  # within one block overshoot
 
 
+class TestWarmPlan:
+    @pytest.mark.parametrize("camp", [fc_cmp, lc_cmp])
+    def test_prewarm_then_run_derives_warm_state_once(self, camp,
+                                                      monkeypatch):
+        """prewarm and run share one memo key: run restores the state
+        prewarm derived instead of deriving it again."""
+        from repro.core.parallel import WARM_FRACTIONS
+        from repro.simulator import machine as machine_mod
+        from repro.simulator import replay
+        from repro.workloads.driver import workload_for
+
+        monkeypatch.delenv("REPRO_SIM_KERNELS", raising=False)
+        calls = []
+        derive = replay.compute_warm_state
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(replay, "compute_warm_state", counting)
+        machine_mod._WARM_MEMO.clear()
+        machine_mod._WARM_KERNEL_BAILS.clear()
+        try:
+            wl = workload_for("dss", "saturated", 0.01)
+            frac = WARM_FRACTIONS["dss"]
+            config = camp(n_cores=4, scale=0.01)
+            assert Machine(config).prewarm(wl, warm_fraction=frac)
+            result = Machine(config).run(wl, measure_cycles=5_000,
+                                         warm_fraction=frac)
+        finally:
+            machine_mod._WARM_MEMO.clear()
+            machine_mod._WARM_KERNEL_BAILS.clear()
+        assert len(calls) == 1
+        assert result.retired > 0
+
+
 class TestSmpMachine:
     def test_smp_runs_and_reports_coherence(self):
         wl = Workload("w", [

@@ -1,7 +1,7 @@
 """Oracle for the replay kernels: kernels on == kernels off, bit for bit.
 
-The measurement-path kernels (DESIGN.md §14) — closed-form warm state,
-L1-filtered miss-stream replay, batched event dispatch — promise
+The measurement-path kernels (DESIGN.md §14) — closed-form warm state
+and L1-filtered miss-stream replay — promise
 *bit-exact* results: every field of :class:`MachineResult`, including
 per-core cycle breakdowns and hierarchy counters, must be identical with
 ``REPRO_SIM_KERNELS=1`` and ``=0``.  This suite is that promise's oracle:
@@ -152,8 +152,8 @@ def test_lean_trailing_interval_is_attributed(kernels, monkeypatch):
     the per-core sums fall short of the window by that trailing slice.
     (Fat cores account whole ROB blocks at completion and legitimately
     overshoot the horizon, so the exact-sum invariant is lean-only.)
-    Parametrized over the kill switch so the batched dispatch path and
-    the interpreted loop both honour the invariant.
+    Parametrized over the kill switch, so the invariant holds in both
+    kernel modes.
     """
     monkeypatch.setenv("REPRO_SIM_KERNELS", kernels)
     _reset_warm_memos()
