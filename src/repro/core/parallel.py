@@ -56,12 +56,6 @@ from collections import deque
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
-from multiprocessing import shared_memory
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy-less fallback
-    _np = None
 
 from ..simulator.machine import (
     DEFAULT_MEASURE_CYCLES,
@@ -77,7 +71,6 @@ from ..simulator.topology import (
     as_topology,
     validate_placement,
 )
-from ..simulator.trace import CodeFootprint, Trace, Workload
 from ..workloads import driver as _driver
 from ..workloads.contention import SkewSpec, as_skew
 from ..workloads.driver import workload_for
@@ -367,11 +360,12 @@ def prebuild_workloads(specs, scale: float, indices=None) -> int:
     """Build each distinct workload bundle once, in the calling process.
 
     Called before a pool fan-out so no worker pays the engine-execution
-    cost: on fork platforms workers inherit the parent's in-process
-    memoization, and with ``REPRO_TRACE_DIR`` set the parent's build also
-    lands in the cross-process trace store, which covers spawn platforms
-    and later processes.  Building is deterministic, so this cannot change
-    any result — only where the build time is spent.
+    cost: fork-started workers inherit the parent's bundle registry, and
+    non-fork workers adopt its entries through the pool initializer
+    (:func:`_adopt_worker_init`).  With ``REPRO_TRACE_DIR`` set the build
+    also lands in the cross-process trace store for later processes.
+    Building is deterministic, so this cannot change any result — only
+    where the build time is spent.
 
     With the replay kernels enabled this also warms each bundle's derived
     columns (``kernel_cols``/``line_sets`` and the specs' ``work_cols``)
@@ -394,9 +388,7 @@ def prebuild_workloads(specs, scale: float, indices=None) -> int:
     derive = kernels_enabled()
     it = specs if indices is None else (specs[i] for i in indices)
     for spec in it:
-        coord = (spec.kind, spec.regime, spec.n_clients)
-        if spec.contended:
-            coord += (as_skew(spec.skew).key(), spec.cc_mode)
+        coord = _bundle_coord(spec, scale)
         fresh = coord not in seen
         seen.add(coord)
         core = spec.config.core
@@ -429,317 +421,24 @@ def prebuild_workloads(specs, scale: float, indices=None) -> int:
     return len(seen)
 
 
-# ---------------------------------------------------------------------- #
-# Shared-memory bundle arena (zero-copy worker fan-out)                    #
-# ---------------------------------------------------------------------- #
-
-#: Tri-state knob for the shared-memory bundle export: ``REPRO_SHM=0``
-#: forces it off, ``REPRO_SHM=1`` forces it on, and unset/auto exports
-#: only when the pool start method does not already share the parent's
-#: bundles.  Platforms without usable ``/dev/shm`` degrade silently.
-ENV_SHM = "REPRO_SHM"
+def _bundle_coord(spec: RunSpec, scale: float) -> tuple:
+    """The driver-registry coordinate of ``spec``'s workload bundle."""
+    return _driver.bundle_coord(spec.kind, spec.regime, scale,
+                                spec.n_clients, spec.skew, spec.cc_mode)
 
 
-def shm_enabled() -> bool:
-    """Whether sweeps export bundles over shared memory.
-
-    Auto (the default) keys off the multiprocessing start method: a
-    ``fork``-started pool inherits every built column copy-on-write —
-    already one physical copy shared by all workers — so exporting an
-    arena there would *add* a redundant second copy plus per-sweep setup
-    cost.  Spawn/forkserver workers inherit nothing; for them the arena
-    is what makes bundle hand-off zero-copy.  ``REPRO_SHM=1`` forces the
-    export (the lifecycle/chaos suites use this to exercise the arena on
-    fork platforms too); ``REPRO_SHM=0`` disables it outright.
-    """
-    raw = os.environ.get(ENV_SHM, "").strip().lower()
-    if raw in ("0", "false", "no", "off"):
-        return False
-    if raw in ("1", "true", "yes", "on", "force"):
-        return True
-    return multiprocessing.get_start_method(allow_none=False) != "fork"
-
-
-#: Per-process registry of attached (non-owned) segments:
-#: ``name -> [SharedMemory, refcount]``.  Attaching an already-mapped
-#: segment bumps the count instead of re-mapping; releasing decrements and
-#: closes the mapping only when the count reaches zero, so several
-#: consumers in one process (bundle provider, tests) can share a mapping
-#: without double-close hazards.
-_ATTACHED_SEGMENTS: dict[str, list] = {}
-
-
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Map segment ``name`` (refcounted); raises ``FileNotFoundError`` if
-    the owner already unlinked it."""
-    entry = _ATTACHED_SEGMENTS.get(name)
-    if entry is None:
-        seg = shared_memory.SharedMemory(name=name, create=False)
-        entry = _ATTACHED_SEGMENTS[name] = [seg, 0]
-    entry[1] += 1
-    return entry[0]
-
-
-def release_segment(name: str) -> bool:
-    """Drop one reference on ``name``; close the mapping at zero.
-
-    Returns False (instead of double-closing) for a segment this process
-    never attached or already fully released — release is always safe to
-    call, and the chaos tests assert it stays that way.
-    """
-    entry = _ATTACHED_SEGMENTS.get(name)
-    if entry is None:
-        return False
-    entry[1] -= 1
-    if entry[1] > 0:
-        return True
-    del _ATTACHED_SEGMENTS[name]
-    try:
-        entry[0].close()
-    except BufferError:
-        # Column views exported from the mapping are still alive; the
-        # mapping then simply lives until the process exits.  Parking the
-        # handle keeps its __del__ from re-attempting the close during a
-        # garbage-collection pass while views still exist.
-        _ZOMBIE_MAPPINGS.append(entry[0])
-    return True
-
-
-#: Mappings whose close failed because column views were still exported;
-#: kept alive so they are never re-closed mid-process (see
-#: :func:`release_segment`).
-_ZOMBIE_MAPPINGS: list = []
-
-
-def attached_segments() -> dict[str, int]:
-    """Snapshot of this process's attached segments (name -> refcount)."""
-    return {name: entry[1] for name, entry in _ATTACHED_SEGMENTS.items()}
-
-
-class SharedBundleArena:
-    """Owner handle for one sweep's bundles frozen into a shm segment.
-
-    The parent packs every distinct workload bundle's trace columns,
-    back-to-back, into a single ``multiprocessing.shared_memory`` segment
-    and keeps this owner handle; the picklable ``manifest`` (segment name
-    plus per-bundle column offsets and metadata) travels to pool workers
-    through their initializer, where :func:`_shm_worker_init` reconstructs
-    each bundle as ``memoryview`` column slices — zero copies, one shared
-    physical mapping regardless of worker count (DESIGN.md §11).
-
-    Lifecycle: the parent (and only the parent) unlinks, exactly once, in
-    ``run_specs``'s ``finally`` — after the pool is gone — so a worker
-    crash, a pool rebuild, or a failed sweep can never leak the segment.
-    Workers only ever close their own mapping (:func:`release_segment`);
-    a mapping dies with its process anyway, which is what makes crashed
-    workers safe.
-    """
-
-    def __init__(self, shm: shared_memory.SharedMemory, manifest: dict,
-                 n_bundles: int):
-        self.shm = shm
-        self.manifest = manifest
-        self.n_bundles = n_bundles
-        self.nbytes = shm.size
-        self._released = False
-
-    @property
-    def segment(self) -> str:
-        return self.manifest["segment"]
-
-    @classmethod
-    def create(cls, bundles: dict[tuple, Workload],
-               scale: float) -> "SharedBundleArena | None":
-        """Freeze ``bundles`` (coord -> workload) into a fresh segment.
-
-        Returns None when shared memory is unavailable (sandboxed
-        ``/dev/shm``, size limits): the sweep then runs exactly as before,
-        workers rebuilding or store-loading bundles themselves.
-
-        With the replay kernels enabled the derived kernel columns ride
-        along (``kcols_offset``): the parent derives ``(lw, n_lines,
-        jumped)`` once and every worker adopts them as views over the
-        same mapping instead of re-deriving per process.
-        """
-        derive = kernels_enabled()
-        docs = []
-        blobs: list[bytes] = []
-        offset = 0
-        for coord, wl in bundles.items():
-            tds = []
-            for tr in wl.traces:
-                addr_blob = tr.addrs.tobytes()
-                meta_blob = tr.meta.tobytes()
-                tds.append({
-                    "name": tr.name,
-                    "ilp": tr.ilp,
-                    "ilp_inorder": tr.ilp_inorder,
-                    "branch_mpki": tr.branch_mpki,
-                    "footprints": [(fp.name, fp.base, fp.n_lines)
-                                   for fp in tr.footprints],
-                    "n_events": len(tr),
-                    "offset": offset,
-                })
-                blobs.append(addr_blob)
-                blobs.append(meta_blob)
-                offset += len(addr_blob) + len(meta_blob)
-                if derive and len(tr):
-                    lw, jumped, n_lines = tr.kernel_cols()
-                    if lw is not None:
-                        # lw (8n) + n_lines (4n) + jumped (n), padded so
-                        # the next trace's columns stay 8-byte aligned.
-                        kblob = (lw.tobytes() + n_lines.tobytes()
-                                 + jumped.tobytes())
-                        kblob += b"\x00" * ((-len(kblob)) % 8)
-                        tds[-1]["kcols_offset"] = offset
-                        blobs.append(kblob)
-                        offset += len(kblob)
-            docs.append({
-                "coord": coord,
-                "name": wl.name,
-                "kind": wl.kind,
-                "saturated": wl.saturated,
-                "metadata": wl.metadata,
-                "traces": tds,
-            })
-        try:
-            # A shm segment cannot be empty; a bundle set with no events
-            # still gets a minimal segment so the lifecycle (and its
-            # telemetry) is identical either way.
-            shm = shared_memory.SharedMemory(create=True,
-                                             size=max(offset, 8))
-        except (OSError, ValueError):
-            return None
-        try:
-            buf = shm.buf
-            pos = 0
-            for blob in blobs:
-                buf[pos:pos + len(blob)] = blob
-                pos += len(blob)
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        manifest = {"segment": shm.name, "scale": scale, "bundles": docs}
-        return cls(shm, manifest, len(docs))
-
-    def cleanup(self) -> bool:
-        """Close and unlink the segment; idempotent.
-
-        Returns True the one time this call actually released it.
-        """
-        if self._released:
-            return False
-        self._released = True
-        try:
-            self.shm.close()
-        except BufferError:
-            pass
-        try:
-            self.shm.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        return True
-
-
-def _attach_bundles(manifest: dict) -> dict[tuple, Workload]:
-    """Reconstruct every bundle in ``manifest`` over the mapped segment.
-
-    Columns are ``memoryview`` slices cast to 64-bit words — no bytes are
-    copied; the :class:`~repro.simulator.trace.Trace` accessors and the
-    replay loops index them exactly like ``array('Q')`` columns.
-    """
-    seg = attach_segment(manifest["segment"])
-    buf = seg.buf
-    bundles: dict[tuple, Workload] = {}
-    for doc in manifest["bundles"]:
-        traces = []
-        for td in doc["traces"]:
-            lo = td["offset"]
-            nb = td["n_events"] * 8
-            tr = Trace(
-                name=td["name"],
-                addrs=buf[lo:lo + nb].cast("Q"),
-                meta=buf[lo + nb:lo + 2 * nb].cast("Q"),
-                footprints=[CodeFootprint(name=n, base=b, n_lines=nl)
-                            for n, b, nl in td["footprints"]],
-                ilp=td["ilp"],
-                branch_mpki=td["branch_mpki"],
-                ilp_inorder=td["ilp_inorder"],
-            )
-            ko = td.get("kcols_offset")
-            if ko is not None and kernels_enabled():
-                n = td["n_events"]
-                tr.install_kernel_cols(
-                    _np.frombuffer(buf[ko:ko + 8 * n], dtype=_np.uint64),
-                    buf[ko + 12 * n:ko + 13 * n].cast("B"),
-                    buf[ko + 8 * n:ko + 12 * n].cast("I"),
-                )
-            traces.append(tr)
-        bundles[tuple(doc["coord"])] = Workload(
-            name=doc["name"],
-            traces=traces,
-            kind=doc["kind"],
-            saturated=doc["saturated"],
-            metadata=doc["metadata"],
-        )
-    return bundles
-
-
-def _make_provider(bundles: dict[tuple, Workload], scale: float):
-    """A ``workload_for`` provider serving arena bundles by coordinate."""
-    def provider(kind: str, regime: str, req_scale: float,
-                 n_clients: int | None) -> Workload | None:
-        if req_scale != scale:
-            return None
-        return bundles.get((kind, regime, n_clients))
-    return provider
-
-
-def _shm_worker_init(manifest: dict, telem_path: str | None = None) -> None:
-    """Pool-worker initializer: map the parent's arena, install the
-    bundle provider.
+def _adopt_worker_init(bundles: dict) -> None:
+    """Non-fork pool-worker initializer: adopt the parent's built bundles.
 
     Must never raise: an initializer exception breaks every pool built
     with it, and the scheduling loop would tear down and rebuild forever.
-    Any failure just leaves this worker without a provider — it rebuilds
-    (or store-loads) bundles itself, results identical.
+    A worker whose adoption failed just builds (or store-loads) bundles
+    itself, results identical.
     """
     try:
-        bundles = _attach_bundles(manifest)
-        _driver.set_workload_provider(
-            _make_provider(bundles, manifest["scale"]))
-        worker_recorder(telem_path).emit(
-            "shm_attach", segment=manifest["segment"], bundles=len(bundles))
+        _driver.adopt_bundles(bundles)
     except Exception:
         pass
-
-
-def _export_arena(specs, scale: float, indices, telem,
-                  sweep: str) -> SharedBundleArena | None:
-    """Build the pending specs' distinct bundles and freeze them into an
-    arena (None when disabled or shared memory is unusable)."""
-    if not shm_enabled():
-        return None
-    bundles: dict[tuple, Workload] = {}
-    for i in indices:
-        spec = specs[i]
-        if spec.contended:
-            # The arena provider serves bundles by the default
-            # (kind, regime, n_clients) coordinate only; contention
-            # bundles fall through to the builders in each worker.
-            continue
-        coord = (spec.kind, spec.regime, spec.n_clients)
-        if coord not in bundles:
-            bundles[coord] = workload_for(spec.kind, spec.regime, scale,
-                                          n_clients=spec.n_clients)
-    if not bundles:
-        return None
-    arena = SharedBundleArena.create(bundles, scale)
-    if arena is not None:
-        telem.emit("shm_create", sweep=sweep, segment=arena.segment,
-                   bytes=arena.nbytes, bundles=arena.n_bundles)
-    return arena
 
 
 # ---------------------------------------------------------------------- #
@@ -1063,24 +762,25 @@ def _run_serial(specs, scale, default_cycles, indices, retries, backoff,
 
 def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
               backoff, fail_fast, attempts, failures, finish,
-              telem=NULL_RECORDER, sweep: str | None = None,
-              arena: SharedBundleArena | None = None) -> None:
+              telem=NULL_RECORDER, sweep: str | None = None) -> None:
     """Fan ``pending`` spec indices across a process pool, resiliently.
 
     Specs are submitted one future at a time into a window of at most
     ``jobs`` in-flight futures, so a submitted spec starts (nearly)
-    immediately and its timeout clock measures actual runtime.  With an
-    ``arena``, every pool (including rebuilds after crashes/timeouts)
-    starts its workers with the shm attach initializer.  Raises
+    immediately and its timeout clock measures actual runtime.  When the
+    start method is not ``fork``, every pool (including rebuilds after
+    crashes/timeouts) starts its workers with :func:`_adopt_worker_init`
+    over the parent's built bundles for ``pending``.  Raises
     :class:`_PoolUnavailable` if a pool cannot be created at all.
     """
     max_workers = min(jobs, len(pending))
+    kwargs = {}
+    if multiprocessing.get_start_method() != "fork":
+        bundles = _driver.built_bundles(
+            {_bundle_coord(specs[i], scale) for i in pending})
+        kwargs = dict(initializer=_adopt_worker_init, initargs=(bundles,))
 
     def new_pool():
-        kwargs = {}
-        if arena is not None:
-            kwargs = dict(initializer=_shm_worker_init,
-                          initargs=(arena.manifest, telem_path))
         try:
             return futures.ProcessPoolExecutor(max_workers=max_workers,
                                                **kwargs)
@@ -1317,17 +1017,14 @@ def run_specs(
                    wall_s=round(wall, 6))
 
     if jobs > 1 and len(pending) > 1:
-        # Build every distinct workload in the parent first: fork-started
-        # workers inherit the built bundles, spawn-started ones load the
-        # frozen bytes from the trace store instead of re-running the
-        # engine once per worker — and, when shared memory is usable, all
-        # workers attach the parent's frozen columns directly (zero-copy).
+        # Build every distinct workload in the parent first, so no worker
+        # re-runs the engine: fork-started workers inherit the built
+        # bundles, non-fork ones adopt them in the pool initializer.
         prebuild_workloads(specs, scale, pending)
-        arena = _export_arena(specs, scale, pending, telem, sweep)
         try:
             _run_pool(specs, scale, default_cycles, pending, jobs, timeout,
                       retries, backoff, fail_fast, attempts, failures,
-                      finish, telem, sweep, arena)
+                      finish, telem, sweep)
         except _PoolUnavailable:
             # No usable multiprocessing (sandboxed /dev/shm, fork
             # limits...): degrade to the serial path, retries intact.
@@ -1338,13 +1035,6 @@ def run_specs(
             _run_serial(specs, scale, default_cycles, remaining, retries,
                         backoff, fail_fast, attempts, failures, finish,
                         telem, sweep)
-        finally:
-            # The parent is the sole owner: exactly one unlink, after the
-            # pool (and any rebuilds) are gone, no matter how the sweep
-            # ended — crashes and chaos runs cannot leak the segment.
-            if arena is not None and arena.cleanup():
-                telem.emit("shm_cleanup", sweep=sweep,
-                           segment=arena.segment)
     else:
         _run_serial(specs, scale, default_cycles, pending, retries, backoff,
                     fail_fast, attempts, failures, finish, telem, sweep)

@@ -91,14 +91,6 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "spec_finished": (("sweep", "index", "attempts", "source", "wall_s"),
                       ()),
     "spec_failed": (("sweep", "index", "kind", "attempts", "message"), ()),
-    # Shared-memory bundle arena lifecycle (DESIGN.md §11): the sweep
-    # parent emits one ``shm_create``/``shm_cleanup`` pair per exported
-    # arena; each pool worker emits ``shm_attach`` when its initializer
-    # maps the segment.  Counting creates against cleanups in the log is
-    # how the chaos suite proves crashes never leak a segment.
-    "shm_create": (("sweep", "segment", "bytes", "bundles"), ()),
-    "shm_attach": (("segment",), ("bundles",)),
-    "shm_cleanup": (("sweep", "segment"), ()),
     # Result-cache provenance; ``source`` attributes the call site
     # ("run", "sweep", "salvage", ...), which the plain
     # ``ResultCache.stats()`` totals cannot.

@@ -7,13 +7,10 @@ instructions from code region ``region``, then perform one data reference to
 
 Traces are **columnar**: each trace is two flat 64-bit columns (DESIGN.md
 §11).  ``addrs[i]`` is the byte address of reference ``i``; ``meta[i]``
-packs the rest of the event as ``icount << 24 | region << 8 | flags``.
-Columns are ``array('Q')`` when built in-process and may be zero-copy
-``memoryview`` slices over a shared-memory segment when a bundle is shared
-across pool workers; both index and slice identically, so the replay loops
-never care.  Packing keeps the append path one integer op plus one
-``list.append`` per column, and lets the hot replay loops decode an event
-with two shifts instead of four array reads.
+packs the rest of the event as ``icount << 24 | region << 8 | flags``;
+both columns are ``array('Q')``.  Packing keeps the append path one
+integer op plus one ``list.append`` per column, and lets the hot replay
+loops decode an event with two shifts instead of four array reads.
 
 Traces are cyclic: steady-state workloads (a client submitting transactions
 forever) are represented by a finite trace replayed in a loop, mirroring
@@ -110,8 +107,8 @@ class Trace:
         branch_mpki: Branch mispredictions per kilo-instruction (drives the
             "other stalls" component).
         footprints: Code regions indexed by the region field of ``meta``.
-        addrs: Flat address column (``array('Q')`` or a ``memoryview``).
-        meta: Flat packed-event column (same container kind as ``addrs``).
+        addrs: Flat address column (``array('Q')``).
+        meta: Flat packed-event column (``array('Q')``).
     """
 
     __slots__ = (
@@ -282,16 +279,13 @@ class Trace:
         block's instruction-line count ``max(1, icount // 16)``.  The
         latter two are plain ``array`` columns indexable from the
         pure-Python step loops.  Built lazily once per trace and cached;
-        shared-memory bundles ship them pre-built (repro.core.parallel).
+        a bundle that crosses a process boundary drops them and re-derives
+        on arrival (``repro.workloads.tracestore.derive_replay_cols``).
         """
         cols = self._kernel_cols
         if cols is None:
             cols = self._kernel_cols = _build_kernel_cols(self.addrs, self.meta)
         return cols
-
-    def install_kernel_cols(self, lw, jumped, n_lines) -> None:
-        """Adopt pre-built derived columns (shared-memory attach path)."""
-        self._kernel_cols = (lw, jumped, n_lines)
 
     def line_sets(self):
         """Sorted unique ``(accessed, written)`` line-index arrays.
@@ -351,8 +345,8 @@ class Trace:
         return cols
 
     # Derived columns are caches over the physical columns: drop them when
-    # a trace crosses a process boundary (numpy views over shared memory
-    # don't pickle, and the receiver rebuilds lazily anyway).
+    # a trace crosses a process boundary (the receiver re-derives them,
+    # lazily or in ``tracestore.derive_replay_cols``).
     def __getstate__(self):
         skip = ("_kernel_cols", "_work_cols", "_line_sets")
         return {s: getattr(self, s) for s in self.__slots__ if s not in skip}
@@ -366,11 +360,8 @@ class Trace:
     # -- views ---------------------------------------------------------- #
 
     def sliced(self, lo: int = 0, hi: int | None = None) -> "Trace":
-        """The events ``[lo:hi)`` as a new trace sharing this metadata.
-
-        Slicing ``array`` columns copies; slicing ``memoryview`` columns
-        (shared-memory bundles) is zero-copy.
-        """
+        """The events ``[lo:hi)`` as a new trace sharing this metadata
+        (the column slices are copies)."""
         if hi is None:
             hi = len(self.addrs)
         return Trace(

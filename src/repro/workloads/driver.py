@@ -46,29 +46,12 @@ DSS_SATURATED_CHUNKS = 4
 DSS_UNSAT_CHUNKS = 16
 
 
-#: Optional bundle provider consulted by :func:`workload_for` after the
-#: in-process registry but before the builders.  A pool worker whose
-#: parent exported the sweep's bundles into a shared-memory arena
-#: installs one here (:func:`repro.core.parallel._shm_worker_init`) so a
-#: worker *without* an inherited bundle replays zero-copy column views
-#: instead of re-building or re-loading traces.  The provider returns a
-#: :class:`Workload` or None (fall through).
-_provider = None
-
-
-def set_workload_provider(provider) -> None:
-    """Install (or with None, remove) the bundle provider hook."""
-    global _provider
-    _provider = provider
-
-
-#: Bundles already materialized in this process, by ``workload_for``
-#: coordinate.  Preferred over the shared-memory provider: a fork-started
-#: worker inherits these exact objects — columns shared copy-on-write,
-#: and the simulator's warm-state memo entries are keyed by their ids —
-#: so serving them is strictly cheaper than remapping arena columns.
-#: Spawn-started workers (and anything else with a cold registry) fall
-#: through to the arena.
+#: Bundles already materialized in this process, by :func:`bundle_coord`.
+#: A fork-started pool worker inherits these exact objects (columns
+#: shared copy-on-write, and the simulator's warm-state memo entries are
+#: keyed by their ids); a spawn- or forkserver-started worker inherits
+#: nothing, so its pool initializer adopts the parent's entries for the
+#: sweep's coordinates (:func:`adopt_bundles`).
 _BUILT: dict[tuple, Workload] = {}
 _BUILT_CAP = 32
 
@@ -79,6 +62,36 @@ def clear_workload_caches() -> None:
                  dss_unsaturated, dss_parallel_query):
         memo.cache_clear()
     _BUILT.clear()
+
+
+def bundle_coord(kind: str, regime: str, scale: float,
+                 n_clients: int | None = None, skew: SkewSpec | None = None,
+                 cc_mode: str = "2pl") -> tuple:
+    """The registry key of the default-seed bundle :func:`workload_for`
+    returns; contention knobs extend it only when non-default."""
+    skew_spec = as_skew(skew)
+    coord = (kind, regime, scale, n_clients)
+    if skew_spec.active or cc_mode != "2pl":
+        coord += (skew_spec.key(), cc_mode)
+    return coord
+
+
+def built_bundles(coords) -> dict[tuple, Workload]:
+    """This process's registry entries for ``coords`` (unbuilt ones are
+    skipped)."""
+    return {c: _BUILT[c] for c in coords if c in _BUILT}
+
+
+def adopt_bundles(bundles: dict[tuple, Workload]) -> None:
+    """Install another process's built bundles into this registry.
+
+    The bundles arrive pickled, which drops their derived replay columns
+    (:meth:`Trace.__getstate__`); they are re-derived here, exactly as a
+    trace-store load does, so the cost lands before the first run.
+    """
+    for coord, workload in bundles.items():
+        tracestore.derive_replay_cols(workload)
+        _BUILT[coord] = workload
 
 
 def _contention_tag(skew: SkewSpec, cc_mode: str) -> str:
@@ -322,19 +335,11 @@ def workload_for(kind: str, regime: str, scale: float, seed: int | None = None,
         raise ValueError(
             "skew/cc_mode apply to kind='oltp' only (DSS has no "
             "transaction contention model)")
-    coord = (kind, regime, scale, n_clients)
-    if contended:
-        coord += (skew_spec.key(), cc_mode)
+    coord = bundle_coord(kind, regime, scale, n_clients, skew_spec, cc_mode)
     if seed is None:
         local = _BUILT.get(coord)
         if local is not None:
             return local
-        # The shared-memory arena only exports default bundles; opted-in
-        # contention bundles fall through to the builders.
-        if _provider is not None and not contended:
-            workload = _provider(kind, regime, scale, n_clients)
-            if workload is not None:
-                return workload
     if kind == "oltp":
         contention_kwargs = (
             {"skew": skew_spec, "cc_mode": cc_mode} if contended else {})

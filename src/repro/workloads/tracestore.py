@@ -204,16 +204,7 @@ class TraceStore:
                 pass
             return None
         self.stats.hits += 1
-        if kernels_enabled():
-            # A store hit is a pool worker (or a later process) about to
-            # simulate: derive the replay kernels' packed base columns
-            # here so the cost lands with the load, not inside the first
-            # measured run.  Pure functions of the columns just thawed —
-            # skipping this (kernels off) changes nothing but timing.
-            for tr in workload.traces:
-                if len(tr):
-                    tr.kernel_cols()
-                    tr.line_sets()
+        derive_replay_cols(workload)
         return workload
 
     def put(self, key, workload: Workload) -> None:
@@ -240,6 +231,23 @@ class TraceStore:
             self.stats.errors += 1
             return
         self.stats.stores += 1
+
+
+def derive_replay_cols(workload: Workload) -> None:
+    """Derive each trace's replay-kernel columns now (kernels on only).
+
+    A bundle that just crossed a process boundary — a store load, or a
+    pool worker adopting its parent's bundles — is about to simulate:
+    deriving the packed base columns here lands their cost with the
+    hand-off, not inside the first measured run.  Pure functions of the
+    trace columns, so skipping this (kernels off) changes only timing.
+    """
+    if not kernels_enabled():
+        return
+    for tr in workload.traces:
+        if len(tr):
+            tr.kernel_cols()
+            tr.line_sets()
 
 
 #: Per-root store instances, so stats accumulate across call sites.

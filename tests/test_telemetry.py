@@ -178,8 +178,7 @@ class TestEventSchema:
         assert set(EVENT_SCHEMA) == {
             "sweep_start", "sweep_end", "checkpoint_resume", "spec_queued",
             "spec_started", "spec_exec", "spec_retry", "spec_finished",
-            "spec_failed", "shm_create", "shm_attach", "shm_cleanup",
-            "cache_hit", "cache_miss", "cache_store",
+            "spec_failed", "cache_hit", "cache_miss", "cache_store",
             "svc_request", "svc_answer", "svc_shed", "svc_coalesce",
             "svc_sim_fail", "svc_breaker", "contention_point",
             "island_point"}
@@ -246,6 +245,32 @@ class TestAggregation:
         assert summary["cache_by_source"]["salvage"]["stores"] == 1
         # The report renders without error and names the salvage source.
         assert "salvage" in telemetry.format_summary(summary)
+
+    def test_legacy_log_with_retired_events_still_summarizes(
+            self, tmp_path, capsys):
+        """Logs written while sweeps could export a shared-memory bundle
+        arena carry event kinds the schema no longer has.  Reading
+        and summarizing such a log — and ``repro stats`` on it — must
+        give exactly what the same log gives without those lines."""
+        from repro.cli import main
+
+        legacy = os.path.join(os.path.dirname(__file__), "data",
+                              "telemetry_shm_legacy.jsonl")
+        with open(legacy, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        kept = [ln for ln in lines if json.loads(ln)["ev"] in EVENT_SCHEMA]
+        assert len(lines) - len(kept) == 4  # the retired arena events
+        stripped = tmp_path / "stripped.jsonl"
+        stripped.write_text("".join(kept), encoding="utf-8")
+
+        summary = summarize(load_events(legacy))
+        assert summary == summarize(load_events(str(stripped)))
+        assert summary["simulated"] == 3
+
+        assert main(["stats", legacy]) == 0
+        legacy_out = capsys.readouterr().out
+        assert main(["stats", str(stripped)]) == 0
+        assert legacy_out == capsys.readouterr().out
 
     def test_summary_of_empty_log(self):
         summary = summarize([])
