@@ -1,13 +1,12 @@
-"""Microbenchmark: filtered replay kernels vs the full interpreted path.
+"""Microbenchmark: replay kernels vs the full interpreted path.
 
 Times the pinned bench sweep (``repro.core.bench`` QUICK grid, serial)
-twice — once with the replay kernels enabled (L1-filtered miss-stream
-replay, closed-form warm state, batched dispatch) and once with the
-``REPRO_SIM_KERNELS=0`` kill switch — and prints per-L2-size wall times
-plus the speedup.  Each pass sweeps the L2 sizes *in sequence over one
-warm-state memo*, the production pattern the kernels target: the first
-size pays the one-time warm derivation and records the L1 outcome
-streams, the later sizes replay only the filtered miss substream.  The
+twice — once with the replay kernels enabled (closed-form warm state
+and final L2 sets) and once with the ``REPRO_SIM_KERNELS=0`` kill
+switch — and prints per-L2-size wall times plus the speedup.  Each pass
+sweeps the L2 sizes *in sequence over one warm-state memo*, the
+production pattern the kernels target: the first size pays the one-time
+warm derivation, the later sizes restore it from the memo.  The
 two passes' result sets are checked field-for-field equal (the kernels'
 bit-exactness contract; the full oracle lives in
 ``tests/test_simulate_kernel_oracle.py``)::
@@ -109,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         print("MISMATCH: kernels-on results differ from kernels-off",
               file=sys.stderr)
         return 1
-    print(f"{'L2 size':>8}  {'filtered':>10}  {'full':>10}  {'speedup':>8}")
+    print(f"{'L2 size':>8}  {'kernels':>10}  {'full':>10}  {'speedup':>8}")
     for size in SIZES_MB:
         on, off = on_times[size], off_times[size]
         ratio = off / on if on > 0 else float("inf")

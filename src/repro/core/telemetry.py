@@ -332,9 +332,9 @@ def summarize(events: list[dict]) -> dict:
       jobs), and their ratio ``worker_utilization``,
     - ``accesses`` and ``accesses_per_sec`` from worker profile
       snapshots,
-    - ``kernel_counters`` (replay-kernel engagement: ``l1_filter_hits``
-      / ``l1_filter_bypass`` / ``batched_steps``) summed over the same
-      snapshots,
+    - ``kernel_counters`` (``batched_steps``, event-loop steps
+      dispatched without a heap round-trip) summed over the same
+      snapshots; counters retired from older logs are ignored,
     - ``cache`` totals and per-call-site ``cache_by_source``.
     """
     jobs_by_sweep: dict[str, int] = {}
@@ -346,8 +346,7 @@ def summarize(events: list[dict]) -> dict:
     counts = {"sweeps": 0, "specs": 0, "simulated": 0,
               "checkpoint_recalled": 0, "failed": 0, "retries": 0}
     accesses = 0
-    kernel = {"l1_filter_hits": 0, "l1_filter_bypass": 0,
-              "batched_steps": 0}
+    kernel = {"batched_steps": 0}
     exec_wall = 0.0
     for event in events:
         ev = event.get("ev")
@@ -578,8 +577,6 @@ def format_summary(summary: dict) -> str:
     if any(kernel.values()):
         lines.append(
             "replay kernels:     "
-            f"filter hits {kernel.get('l1_filter_hits', 0)}, "
-            f"bypass exits {kernel.get('l1_filter_bypass', 0)}, "
             f"batched steps {kernel.get('batched_steps', 0)}")
     cache_rows = [
         [source, per["hits"], per["misses"], per["stores"]]

@@ -188,17 +188,16 @@ class SetAssocCache:
         """Copies of the per-set dicts (insertion order = LRU..MRU)."""
         return [s.copy() for s in self._sets]
 
-    def load_sets(self, sets: list[dict[int, int]], copy: bool = True) -> None:
-        """Install set dicts from :meth:`snapshot_sets`.
+    def load_sets(self, sets: list[dict[int, int]]) -> None:
+        """Install copies of set dicts from :meth:`snapshot_sets`.
 
-        ``copy=False`` adopts the dicts directly (caller must not reuse
-        them); stats are untouched either way.
+        Stats are untouched.
         """
         if len(sets) != self.n_sets:
             raise ValueError(
                 f"{self.name}: snapshot has {len(sets)} sets, "
                 f"cache has {self.n_sets}")
-        self._sets = [s.copy() for s in sets] if copy else list(sets)
+        self._sets = [s.copy() for s in sets]
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #

@@ -65,13 +65,8 @@ class PrivateL2Hierarchy:
         l1i_lines = params.l1i_kb * 1024 // 64
         self._code_pressure = [_CodePressure(l1i_lines) for i in range(n)]
         self.stats = HierarchyStats()
-        # Replay-kernel counters (see SharedL2Hierarchy): the SMP never
-        # runs the kernels (L2 -> L1 invalidation feedback), so only
-        # ``l1_filter_bypass`` — the forced-fallback marker bumped by the
-        # machine — ever goes nonzero here.
-        self.kernel_counters = {"l1_filter_hits": 0,
-                                "l1_filter_bypass": 0,
-                                "batched_steps": 0}
+        #: Event-loop counters drained by :meth:`observe`.
+        self.kernel_counters = {"batched_steps": 0}
 
     # ------------------------------------------------------------------ #
     # Directory bookkeeping                                               #
@@ -314,10 +309,9 @@ class PrivateL2Hierarchy:
         probe.count("l2_queue_delay", self.stats.l2_queue_delay)
         probe.count("l2_queued_accesses", self.stats.l2_queued_accesses)
         kc = self.kernel_counters
-        for name in ("l1_filter_hits", "l1_filter_bypass", "batched_steps"):
-            if kc[name]:
-                probe.count(name, kc[name])
-                kc[name] = 0
+        if kc["batched_steps"]:
+            probe.count("batched_steps", kc["batched_steps"])
+            kc["batched_steps"] = 0
 
     @property
     def l2_caches(self) -> list[SetAssocCache]:

@@ -225,13 +225,8 @@ class SharedL2Hierarchy:
         #: When set (a list), warm_block appends every L2 access it makes,
         #: so the warm machinery can capture a replayable warm state.
         self._warm_log: list[tuple[int, int]] | None = None
-        #: Measure-phase L1 outcome replay session (DESIGN.md §14), or
-        #: None for the plain path.  Installed by the machine only for
-        #: runs whose warm memo entry carries recordings.
-        self._l1_filter = None
         #: Kernel engagement counters drained by :meth:`observe`.
-        self.kernel_counters = {
-            "l1_filter_hits": 0, "l1_filter_bypass": 0, "batched_steps": 0}
+        self.kernel_counters = {"batched_steps": 0}
         # Hardware islands (DESIGN.md section 15).  An inactive topology
         # (None or 1 socket) leaves every hot path on its pre-island
         # code; the single `self._topo is None` test is the only cost.
@@ -304,10 +299,6 @@ class SharedL2Hierarchy:
             return ()
         return (self._topo.key(), tuple(self._line_tag))
 
-    def set_l1_filter(self, session) -> None:
-        """Attach (or detach with None) a measure-phase replay session."""
-        self._l1_filter = session
-
     # ------------------------------------------------------------------ #
     # L2 bank port model                                                  #
     # ------------------------------------------------------------------ #
@@ -353,17 +344,10 @@ class SharedL2Hierarchy:
         line = addr >> 6
         if self._topo is not None:
             line |= self._line_tag[core]
-        fil = self._l1_filter
-        if fil is not None:
-            served = fil.pre(core, line, write, now)
-            if served is not None:
-                return served
         stats = self.stats
         counts = stats.data_level_counts
         stats.data_accesses += 1
         hit, victim = self._l1d[core].access(line, write)
-        if fil is not None:
-            fil.post(core, line, write, hit)
         if hit:
             counts[L1] += 1
             return p.l1_latency, L1
@@ -453,44 +437,6 @@ class SharedL2Hierarchy:
             # The prefetcher fetched the line ahead of use: the demand access
             # finds it arriving on chip and pays only the L2 round trip.
             stats.prefetch_covered += 1
-            counts[L2] += 1
-            return int(self.l2_latency + qdelay), L2
-        counts[MEM] += 1
-        return int(self.l2_latency + qdelay + p.mem_latency), MEM
-
-    def filtered_miss(
-        self, core: int, line: int, write: bool, now: float, counts
-    ) -> tuple[int, int]:
-        """The L2 side of :meth:`data_access` for a replayed L1 miss.
-
-        Mirrors the tail of :meth:`data_access` below the sibling scan —
-        stride-prefetch training, bank-port occupancy, the L2 lookup and
-        every counter they bump — with no L1, owner, or sibling
-        maintenance (the replay session owns those outcomes).  Any edit
-        to the tail of :meth:`data_access` must land here too; the
-        differential oracle (tests/test_simulate_kernel_oracle.py) pins
-        the two paths equal.
-        """
-        p = self.params
-        predicted = False
-        if p.stride_prefetch:
-            stride = line - self._pf_last[core]
-            if stride == self._pf_stride[core] and stride != 0:
-                if self._pf_conf[core] >= 2:
-                    predicted = True
-                else:
-                    self._pf_conf[core] += 1
-            else:
-                self._pf_stride[core] = stride
-                self._pf_conf[core] = 0
-            self._pf_last[core] = line
-        qdelay = self._l2_port(line, now)
-        l2_hit, _ = self.l2.access(line, write)
-        if l2_hit:
-            counts[L2] += 1
-            return int(self.l2_latency + qdelay), L2
-        if predicted:
-            self.stats.prefetch_covered += 1
             counts[L2] += 1
             return int(self.l2_latency + qdelay), L2
         counts[MEM] += 1
@@ -761,10 +707,9 @@ class SharedL2Hierarchy:
             probe.count("remote_l1x", stats.remote_l1x)
             probe.count("remote_extra_cycles", stats.remote_extra_cycles)
         kc = self.kernel_counters
-        for name in ("l1_filter_hits", "l1_filter_bypass", "batched_steps"):
-            if kc[name]:
-                probe.count(name, kc[name])
-                kc[name] = 0
+        if kc["batched_steps"]:
+            probe.count("batched_steps", kc["batched_steps"])
+            kc["batched_steps"] = 0
         if elapsed > 0:
             busy = self.l2.stats.accesses * p.l2_occupancy
             probe.gauge("l2_port_occupancy",

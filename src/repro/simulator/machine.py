@@ -54,8 +54,9 @@ DEFAULT_MEASURE_CYCLES = 400_000
 
 #: Memoized post-warm states for the shared-L2 hierarchy, keyed by the
 #: warm schedule and L1 geometry (everything the warm state can depend on
-#: besides the L2 itself).  Each entry pins its traces so the object ids
-#: in the key cannot be recycled while the entry is alive.
+#: besides the L2 itself).  Each value is a ``(state, traces)`` pair: the
+#: traces pin the object ids in the key so they cannot be recycled while
+#: the entry is alive.
 _WARM_MEMO: dict = {}
 _WARM_MEMO_CAP = 4
 
@@ -296,7 +297,6 @@ class Machine:
             self.hierarchy = SharedL2Hierarchy(config.hierarchy,
                                                config.topology)
         self._cores: list = []
-        self._warm_entry: replay.WarmEntry | None = None
         self._batched_steps = 0
 
     # ------------------------------------------------------------------ #
@@ -418,9 +418,8 @@ class Machine:
         if memo_key is not None:
             entry = _WARM_MEMO.get(memo_key)
             if entry is not None:
-                hier.restore_warm_state(entry.state)
+                hier.restore_warm_state(entry[0])
                 hier.reset_stats()
-                self._warm_entry = entry
                 return
             # Vectorized warm kernel (DESIGN.md §14): computes the same
             # (L1 sets, owners, L2 log) state in closed form, or None
@@ -430,12 +429,10 @@ class Machine:
             # remote homes) and always warm interpretively.
             if memo_key not in _WARM_KERNEL_BAILS \
                     and not hier.islands_active:
-                computed = replay.compute_warm_state(
+                state = replay.compute_warm_state(
                     hier, walkers, passes, _WARM_CHUNK)
-                if computed is not None:
-                    state, suspects = computed
-                    self._warm_entry = self._memoize(
-                        memo_key, state, walkers, suspects)
+                if state is not None:
+                    self._memoize(memo_key, state, walkers)
                     hier.restore_warm_state(state)
                     hier.reset_stats()
                     return
@@ -460,21 +457,16 @@ class Machine:
                         nxt.append(w)
                 pending = nxt
         if memo_key is not None:
-            self._warm_entry = self._memoize(
-                memo_key, hier.capture_warm_state(), walkers)
+            self._memoize(memo_key, hier.capture_warm_state(), walkers)
         self.hierarchy.reset_stats()
 
     @staticmethod
-    def _memoize(memo_key, state, walkers,
-                 suspects=None) -> replay.WarmEntry:
+    def _memoize(memo_key, state, walkers) -> None:
         if len(_WARM_MEMO) >= _WARM_MEMO_CAP:
             _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
         # The entry holds the walkers' traces so the ids in the key stay
         # pinned to these exact objects for the entry's lifetime.
-        entry = replay.WarmEntry(state, tuple(tr for _, tr, _ in walkers),
-                                 suspects)
-        _WARM_MEMO[memo_key] = entry
-        return entry
+        _WARM_MEMO[memo_key] = (state, tuple(tr for _, tr, _ in walkers))
 
     @staticmethod
     def _record_bail(memo_key) -> None:
@@ -512,13 +504,12 @@ class Machine:
             return True
         if memo_key in _WARM_KERNEL_BAILS:
             return False
-        computed = replay.compute_warm_state(hier, walkers, warm_passes,
-                                             _WARM_CHUNK)
-        if computed is None:
+        state = replay.compute_warm_state(hier, walkers, warm_passes,
+                                          _WARM_CHUNK)
+        if state is None:
             self._record_bail(memo_key)
             return False
-        state, suspects = computed
-        self._memoize(memo_key, state, walkers, suspects)
+        self._memoize(memo_key, state, walkers)
         return True
 
     # ------------------------------------------------------------------ #
@@ -625,27 +616,6 @@ class Machine:
                     "warm_refs",
                     warm_passes * sum(warm_len_of(tr)
                                       for tr in live_traces))
-        # L1-filtered replay (DESIGN.md §14): when the warm state came
-        # from the memo/kernel path and every core runs a single context,
-        # serve measured L1 lookups from the recorded filter outcome
-        # stream; only misses walk the L2/banking model.  Multi-context
-        # cores and SMP (L2 -> L1 feedback) never attach a session.
-        fil = None
-        entry = self._warm_entry
-        if (entry is not None and mode == "throughput"
-                and self.config.core.n_contexts == 1
-                and not self.config.islands
-                and replay.kernels_enabled()):
-            core_traces = {core_id: core_slots[0]
-                           for core_id, core_slots in enumerate(slots)
-                           if core_slots[0]}
-            if entry.ensure_filter(self.config.hierarchy.n_cores,
-                                   core_traces):
-                fil = replay.L1FilterSession(entry, self.hierarchy)
-                if fil.active():
-                    self.hierarchy.set_l1_filter(fil)
-                else:
-                    fil = None
         probe.phase_start("measure")
         if mode == "response":
             response = self._run_response()
@@ -655,8 +625,6 @@ class Machine:
             elapsed = float(measure_cycles)
             self._run_throughput(elapsed)
         probe.phase_end("measure")
-        if fil is not None:
-            self.hierarchy.set_l1_filter(None)
         active = [c for c in self._cores if c.retired > 0 or
                   any(ctx.trace is not None for ctx in c.contexts)]
         per_core = [c.breakdown for c in active]
@@ -678,14 +646,6 @@ class Machine:
             probe.gauge("active_cores", len(active))
             kc = self.hierarchy.kernel_counters
             kc["batched_steps"] += self._batched_steps
-            if fil is not None:
-                kc["l1_filter_hits"] += fil.l1_filter_hits
-                kc["l1_filter_bypass"] += fil.l1_filter_bypass
-            elif replay.kernels_enabled():
-                # Kernels on but no session attached (SMP, multi-context,
-                # cold warm state): count the whole run as one bypass so
-                # forced-fallback cells stay visible in `repro stats`.
-                kc["l1_filter_bypass"] += 1
             self.hierarchy.observe(probe, elapsed)
         return MachineResult(
             config_name=self.config.name,

@@ -74,14 +74,9 @@ class RunProbe:
     wall clock, which the bench-harness tests lock down.
 
     Besides the hierarchy's event counters (``data_accesses`` etc.), a
-    run with the replay kernels enabled reports their engagement:
-    ``l1_filter_hits`` (measured accesses served from a recorded L1
-    outcome stream), ``l1_filter_bypass`` (filter exits back to the full
-    path — recording exhaustion, a suspect-line break-glass, or the
-    whole-run marker on kernel-ineligible configurations), and
-    ``batched_steps`` (event-loop steps dispatched without a heap
-    round-trip).  All are observability only; DESIGN.md §14 explains why
-    they cannot affect any simulated result.
+    run reports ``batched_steps`` (event-loop steps dispatched without a
+    heap round-trip).  It is observability only; DESIGN.md §14 explains
+    why it cannot affect any simulated result.
     """
 
     __slots__ = ("phases", "gauges", "counters", "_open")

@@ -1,29 +1,23 @@
 """Sweep-invariant replay kernels for the simulate phase (DESIGN.md §14).
 
 The paper's central experiment sweeps the L2 dimension while everything on
-the L1 side of the hierarchy stays fixed.  Two expensive per-run loops are
-therefore recomputing sweep-invariant work:
+the L1 side of the hierarchy stays fixed.  Warm-up walks every trace's
+warm prefix through the private L1s; with no L2->L1 feedback, each core's
+L1 hit/miss stream is a pure function of its own reference stream, so the
+post-warm state can be computed *vectorially* (numpy) instead of
+interpreting the stream event by event: classify per-core L1 hits with an
+exact LRU law, derive the final set contents/dirty bits/owner map in
+closed form (:func:`compute_warm_state`), and emit the merged L2 access
+log, whose final L2 sets have a closed form too (:func:`final_l2_sets`).
+Both are bit-identical to the interpreted warm.
 
-1. **Warm-up** walks every trace's warm prefix through the private L1s.
-   With no L2->L1 feedback, each core's L1 hit/miss stream is a pure
-   function of its own reference stream, so the post-warm state can be
-   computed *vectorially* (numpy) instead of interpreting the stream
-   event by event: classify per-core L1 hits with an exact LRU law,
-   derive the final set contents/dirty bits/owner map in closed form, and
-   emit the merged L2 access log for the usual replay.  Bit-identical to
-   the interpreted warm (:func:`compute_warm_state`).
-2. **Measurement** re-filters the same per-context reference streams
-   through the same L1s at every swept L2 size.  The first run records
-   each core's L1 outcome stream; later runs with the same warm memo key
-   replay the recorded outcomes and send only the miss substream through
-   the L2/banking/queueing model (:class:`L1FilterSession`).
-
-Both kernels fall back to the untouched interpreted path — automatically
+The kernels fall back to the untouched interpreted path — automatically
 and bit-exactly — whenever L2->L1 feedback can exist: SMP/MESI machines,
-multithreaded (lean) cores sharing an L1, cross-core write-shared lines
-(realized L1 invalidations), or a machine whose caches are not pristine.
-``REPRO_SIM_KERNELS=0`` disables them outright; the differential oracle
-(tests/test_simulate_kernel_oracle.py) pins equality both ways.
+cross-core write-shared lines (realized L1 invalidations), or a machine
+whose caches are not pristine.  Measurement always runs the full
+interpreted access path.  ``REPRO_SIM_KERNELS=0`` disables the kernels
+outright; the differential oracle (tests/test_simulate_kernel_oracle.py)
+pins equality both ways.
 
 Exact LRU classification law (associativity A): a line ``l`` referenced at
 position ``q`` and next at position ``p`` of a set's access subsequence is
@@ -241,7 +235,7 @@ def _realized_invalidations(per_core, suspects, n_sets, assoc):
     suspect_sets = {line % n_sets for line in suspects}
     intervals: dict[int, dict[int, list]] = {}   # line -> core -> [s, e]*
     wmiss = []                                   # (gpos, core, line)
-    for core, (lines, writes, gpos, _hits) in per_core.items():
+    for core, (lines, writes, gpos) in per_core.items():
         sets_arr = lines % n_sets
         mask = _np.isin(sets_arr, _np.fromiter(
             suspect_sets, dtype=_np.int64, count=len(suspect_sets)))
@@ -316,14 +310,12 @@ def shared_suspects(core_traces) -> set[int] | None:
 def compute_warm_state(hier, walkers, passes: int, chunk: int):
     """Vectorized equivalent of the interpreted warm loop.
 
-    Returns ``(state, suspects)`` where ``state`` is the ``(l1_sets,
-    owners, l2_log)`` tuple exactly as
+    Returns the ``(l1_sets, owners, l2_log)`` state tuple exactly as
     :meth:`SharedL2Hierarchy.capture_warm_state` would produce after the
-    full walk and ``suspects`` is the static write-shared line set (for
-    the entry's measure filter; may be None), or ``None`` when the kernel
-    cannot guarantee bit-exactness (kill switch, no numpy, non-2-way
-    L1s, non-pristine machine, missing derived columns, or a realized
-    cross-core invalidation).
+    full walk, or ``None`` when the kernel cannot guarantee bit-exactness
+    (kill switch, no numpy, non-2-way L1s, non-pristine machine, missing
+    derived columns, too many statically write-shared lines, or a
+    realized cross-core invalidation).
     """
     if not kernels_enabled():
         return None
@@ -340,7 +332,7 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     empty_state = ([[dict() for _ in range(n_sets)] for _ in l1d],
                    {}, array("Q"))
     if not sched:
-        return empty_state, None
+        return empty_state
     parts = []
     part_core = []
     part_len = []
@@ -364,13 +356,11 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
         lw_c = glw[gidx]
         lines = (lw_c >> _np.uint64(1)).astype(_np.int64)
         writes = (lw_c & _np.uint64(1)).astype(_np.int64)
-        per_core[core_id] = (lines, writes, gidx, None)
+        per_core[core_id] = (lines, writes, gidx)
 
     # Statically write-shared lines: some core writes, another accesses.
     # The per-trace line sets cover the *full* traces, a superset of the
-    # warm prefixes — conservative (can only over-suspect, never miss),
-    # and exactly the set the entry's measure filter needs (every walker
-    # counts, even zero-warm-length ones the measure phase still runs).
+    # warm prefixes — conservative (can only over-suspect, never miss).
     core_traces: dict[int, list] = {}
     for core_id, tr, _warm_len in walkers:
         core_traces.setdefault(core_id, []).append(tr)
@@ -385,7 +375,7 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     owners: dict[int, int] = {}
     miss_gpos = []
     miss_lw = []
-    for core_id, (lines, writes, gidx, _) in per_core.items():
+    for core_id, (lines, writes, gidx) in per_core.items():
         sets_arr = lines % n_sets
         (hits, order, s_sorted, v, lorder, lv, lfirst,
          hits_l) = _classify_assoc2(lines, sets_arr)
@@ -406,7 +396,7 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
         log.frombytes(log_sorted.tobytes())
     else:
         log = array("Q")
-    return (l1_sets, owners, log), suspects
+    return l1_sets, owners, log
 
 
 # --------------------------------------------------------------------- #
@@ -526,177 +516,3 @@ def final_l2_sets(log, n_sets: int, assoc: int):
     for sid, line, state in zip(res_sets, res_lines, states):
         sets_out[sid][line] = state
     return sets_out
-
-
-# --------------------------------------------------------------------- #
-# Measure-phase L1 filter                                                #
-# --------------------------------------------------------------------- #
-
-class WarmEntry:
-    """One warm-memo entry: state snapshot plus the measure recordings.
-
-    ``recordings[core]`` is a packed outcome stream ``line << 2 |
-    write << 1 | hit`` of the core's measured data accesses, appended
-    while runs execute the full path and replayed by later runs with the
-    same memo key.  ``sealed`` flips permanently once a suspect (cross-
-    core write-shared) line is touched: recorded prefixes stay valid —
-    every access strictly before the seal point ran interference-free —
-    but nothing may extend past it.
-    """
-
-    __slots__ = ("state", "traces", "recordings", "suspects", "sealed",
-                 "blocked")
-
-    def __init__(self, state, traces, suspects=None):
-        self.state = state
-        self.traces = traces
-        self.recordings = None
-        self.suspects = frozenset(suspects) if suspects is not None else None
-        self.sealed = False
-        self.blocked = False
-
-    def ensure_filter(self, n_cores: int, core_traces) -> bool:
-        """Lazily build recordings + suspect set; False if ineligible.
-
-        Ineligibility (too many statically write-shared lines for the
-        filter to possibly stay engaged) is a property of the traces, so
-        it is remembered: later runs over the same entry skip the
-        sharing analysis instead of re-deriving the same bail-out.
-        """
-        if self.blocked:
-            return False
-        if self.recordings is None:
-            if _np is None:
-                return False
-            if self.suspects is None:
-                suspects = shared_suspects(core_traces)
-                if suspects is None:
-                    self.blocked = True
-                    return False
-                self.suspects = frozenset(suspects)
-            self.recordings = [array("Q") for _ in range(n_cores)]
-        return True
-
-
-class L1FilterSession:
-    """Per-run driver of the recorded L1 outcome streams.
-
-    Attached to a :class:`SharedL2Hierarchy` for the measurement window of
-    one eligible run (single-context cores, shared L2, kernels on).  Each
-    core is either *bypassing* — its accesses answered from the recording,
-    no L1/owner maintenance — or on the *full* path, optionally extending
-    its recording.  Any access to a suspect line, by any core, first
-    break-glasses every bypassing core back to exact state (reconstructed
-    by replaying its recorded prefix over the post-warm snapshot) and
-    seals the entry; recording exhaustion break-glasses the same way.
-    Mixed bypass/full states are safe because, with no suspect line
-    touched, no full-path access can read or invalidate a stale sibling
-    entry in any way that changes an outcome (DESIGN.md §14).
-    """
-
-    __slots__ = ("entry", "hier", "bypass", "extend", "cnt",
-                 "l1_filter_hits", "l1_filter_bypass")
-
-    def __init__(self, entry: WarmEntry, hier):
-        self.entry = entry
-        self.hier = hier
-        n = len(entry.recordings)
-        sealed = entry.sealed
-        self.cnt = [0] * n
-        self.bypass = [len(entry.recordings[c]) > 0 for c in range(n)]
-        # A core may extend its recording only while appends stay
-        # contiguous with the recorded prefix and the entry is unsealed.
-        self.extend = [not sealed] * n
-        self.l1_filter_hits = 0
-        self.l1_filter_bypass = 0
-
-    def active(self) -> bool:
-        return any(self.bypass) or any(self.extend)
-
-    # -- full-path hooks (called from SharedL2Hierarchy.data_access) ---- #
-
-    def pre(self, core: int, line: int, write: bool, now: float):
-        """Intercept one access; returns ``(latency, level)`` if served."""
-        if line in self.entry.suspects:
-            if not self.entry.sealed:
-                self.entry.sealed = True
-            self._break_glass()
-            return None
-        if not self.bypass[core]:
-            return None
-        i = self.cnt[core]
-        rec = self.entry.recordings[core]
-        if i >= len(rec) or (rec[i] >> 2) != line:
-            # Exhausted (or a determinism violation, which the oracle
-            # suite would catch): rebuild this core and run fully.
-            self._exit_core(core)
-            self._rebuild_owners()
-            self.l1_filter_bypass += 1
-            return None
-        self.cnt[core] = i + 1
-        hier = self.hier
-        stats = hier.stats
-        stats.data_accesses += 1
-        l1 = hier._l1d[core]
-        if rec[i] & 1:
-            stats.data_level_counts[0] += 1
-            l1.stats.hits += 1
-            self.l1_filter_hits += 1
-            return hier.params.l1_latency, 0
-        l1.stats.misses += 1
-        return hier.filtered_miss(core, line, write, now,
-                                  stats.data_level_counts)
-
-    def post(self, core: int, line: int, write: bool, hit: bool) -> None:
-        """Record a full-path outcome (only while extension is legal)."""
-        if self.extend[core]:
-            rec = self.entry.recordings[core]
-            if self.cnt[core] == len(rec) and not self.entry.sealed:
-                rec.append(line << 2 | write << 1 | hit)
-                self.cnt[core] += 1
-            else:
-                self.extend[core] = False
-
-    # -- break-glass machinery ----------------------------------------- #
-
-    def _exit_core(self, core: int) -> None:
-        """Reconstruct the core's exact L1 by replaying its prefix."""
-        self.bypass[core] = False
-        base = self.entry.state[0][core]
-        sets = [d.copy() for d in base]
-        n_sets = len(sets)
-        rec = self.entry.recordings[core]
-        for k in range(self.cnt[core]):
-            packed = rec[k]
-            line = packed >> 2
-            sdict = sets[line % n_sets]
-            state = sdict.pop(line, -1)
-            if state >= 0:
-                sdict[line] = DIRTY if packed & 2 else state
-                continue
-            if len(sdict) >= 2:
-                del sdict[next(iter(sdict))]
-            sdict[line] = DIRTY if packed & 2 else CLEAN
-        self.hier._l1d[core].load_sets(sets, copy=False)
-
-    def _rebuild_owners(self) -> None:
-        owners: dict[int, int] = {}
-        for core_id, cache in enumerate(self.hier._l1d):
-            bit = 1 << core_id
-            for d in cache._sets:
-                for line in d:
-                    owners[line] = owners.get(line, 0) | bit
-        self.hier._l1_owners = owners
-
-    def _break_glass(self) -> None:
-        """Return every bypassing core to exact state (suspect touched)."""
-        fired = False
-        for core, by in enumerate(self.bypass):
-            if by:
-                self._exit_core(core)
-                fired = True
-        for core in range(len(self.extend)):
-            self.extend[core] = False
-        if fired:
-            self._rebuild_owners()
-            self.l1_filter_bypass += 1

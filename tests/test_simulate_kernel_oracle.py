@@ -1,17 +1,18 @@
 """Oracle for the replay kernels: kernels on == kernels off, bit for bit.
 
-The measurement-path kernels (DESIGN.md §14) — closed-form warm state
-and L1-filtered miss-stream replay — promise
-*bit-exact* results: every field of :class:`MachineResult`, including
-per-core cycle breakdowns and hierarchy counters, must be identical with
-``REPRO_SIM_KERNELS=1`` and ``=0``.  This suite is that promise's oracle:
+The replay kernels (DESIGN.md §14) — the closed-form warm state and the
+closed-form final L2 sets — promise *bit-exact* results: every field of
+:class:`MachineResult`, including per-core cycle breakdowns and hierarchy
+counters, must be identical with ``REPRO_SIM_KERNELS=1`` and ``=0``.
+Measurement always runs the full interpreted access path, so the
+kernels-off run is the reference.  This suite is that promise's oracle:
 
 * the full (kind × regime × camp) cell grid, each cell replaying at
   least 50k cache accesses (warm references + measured data accesses +
   measured instruction-block accesses), compared field-for-field;
-* a forced-fallback case — the SMP config's private MESI L2s feed
-  invalidations back into the L1s, so the L1-filter must refuse to
-  engage (``l1_filter_bypass`` fires) while results stay identical;
+* the SMP config, whose private MESI L2s feed invalidations back into
+  the L1s, so the kernels never engage — results must still be
+  identical in both modes;
 * the camp-uniform trailing-interval regression: lean cores' per-core
   breakdowns must attribute the measurement window *exactly*, which
   only holds if ``_run_throughput`` settles the open interval between
@@ -33,7 +34,6 @@ from repro.core.parallel import WARM_FRACTIONS, RunSpec, execute
 from repro.simulator import machine as machine_mod
 from repro.simulator.configs import fc_cmp, fc_smp, lc_cmp
 from repro.simulator.machine import Machine
-from repro.simulator.profiling import RunProbe
 from repro.workloads.driver import workload_for
 
 CYCLES = 5_000
@@ -108,37 +108,27 @@ def test_kernels_bit_exact_per_cell(kind, regime, camp, monkeypatch):
     )
 
 
-def test_smp_forces_filter_bypass_with_identical_results(monkeypatch):
-    """Coherent private L2s (SMP) must bypass the L1 filter, bit-exact.
+def test_smp_kernels_on_off_identical(monkeypatch):
+    """Coherent private L2s (SMP): kernels on and off agree, bit-exact.
 
     The MESI L2s invalidate L1 lines from *outside* the local access
-    stream, so a recorded L1 outcome stream is not replayable — the
-    kernels must fall back to the full interpreted path for the whole
-    run and say so through ``l1_filter_bypass``.
+    stream, so the SMP hierarchy never takes a kernel path; flipping the
+    kill switch must not change a single result field.
     """
     scale = 0.01
     workload = workload_for("oltp", "saturated", scale)
-    results, counters = {}, {}
+    results = {}
     for mode in ("1", "0"):
         monkeypatch.setenv("REPRO_SIM_KERNELS", mode)
         _reset_warm_memos()
-        probe = RunProbe()
         machine = Machine(fc_smp(n_nodes=4, scale=scale))
         result = machine.run(workload, measure_cycles=CYCLES,
-                             warm_fraction=WARM_FRACTIONS["oltp"],
-                             probe=probe)
+                             warm_fraction=WARM_FRACTIONS["oltp"])
         results[mode] = result.to_dict()
-        counters[mode] = dict(probe.counters)
     _reset_warm_memos()
 
     assert results["1"] == results["0"]
-    # Kernels on: the whole-run bypass marker fired and nothing was
-    # served from a recorded outcome stream.
-    assert counters["1"].get("l1_filter_bypass", 0) >= 1
-    assert counters["1"].get("l1_filter_hits", 0) == 0
-    # Kernels off: the marker is a kernel artifact and must not appear.
-    assert counters["0"].get("l1_filter_bypass", 0) == 0
-    # The fallback really was the coherent case, not an empty run.
+    # The comparison covered a real coherent run, not an empty one.
     assert results["1"]["hier_stats"]["data_accesses"] > 0
 
 

@@ -249,9 +249,12 @@ class TestAggregation:
     def test_legacy_log_with_retired_events_still_summarizes(
             self, tmp_path, capsys):
         """Logs written while sweeps could export a shared-memory bundle
-        arena carry event kinds the schema no longer has.  Reading
-        and summarizing such a log — and ``repro stats`` on it — must
-        give exactly what the same log gives without those lines."""
+        arena carry event kinds the schema no longer has, and profile
+        counters of the retired measure-phase L1 filter
+        (``l1_filter_hits``/``l1_filter_bypass``).  Reading and
+        summarizing such a log — and ``repro stats`` on it — must give
+        exactly what the same log gives without those lines, and the
+        retired counters must be ignored."""
         from repro.cli import main
 
         legacy = os.path.join(os.path.dirname(__file__), "data",
@@ -266,11 +269,17 @@ class TestAggregation:
         summary = summarize(load_events(legacy))
         assert summary == summarize(load_events(str(stripped)))
         assert summary["simulated"] == 3
+        # The log does carry the retired filter counters; only the live
+        # event-loop counter is summed.
+        assert '"l1_filter_hits":97' in "".join(kept)
+        assert summary["kernel_counters"] == {"batched_steps": 270}
 
         assert main(["stats", legacy]) == 0
         legacy_out = capsys.readouterr().out
         assert main(["stats", str(stripped)]) == 0
         assert legacy_out == capsys.readouterr().out
+        assert "replay kernels:     batched steps 270\n" in legacy_out
+        assert "filter" not in legacy_out
 
     def test_summary_of_empty_log(self):
         summary = summarize([])
