@@ -2,8 +2,9 @@
 
 Times the pinned bench sweep (``repro.core.bench`` QUICK grid, serial)
 twice — once with the replay kernels enabled (closed-form warm state
-and final L2 sets) and once with the ``REPRO_SIM_KERNELS=0`` kill
-switch — and prints per-L2-size wall times plus the speedup.  Each pass
+and final L2 sets) and once with them off (``replay._np`` set to None,
+the path a numpy-less host runs) — and prints per-L2-size wall times
+plus the speedup.  Each pass
 sweeps the L2 sizes *in sequence over one warm-state memo*, the
 production pattern the kernels target: the first size pays the one-time
 warm derivation, the later sizes restore it from the memo.  The
@@ -27,6 +28,7 @@ from repro.core.bench import QUICK_CONFIG
 from repro.core.experiment import Experiment
 from repro.core.parallel import RunSpec, prebuild_workloads
 from repro.simulator import machine as machine_mod
+from repro.simulator import replay
 from repro.simulator.configs import fc_cmp
 from repro.workloads import driver
 from repro.workloads.tracestore import ENV_TRACE_DIR
@@ -41,15 +43,14 @@ def _specs_for(size_mb: float, scale: float) -> list[RunSpec]:
             for kind in KINDS]
 
 
-def _timed_pass(kernels: str, scale: float, cycles: int, repeat: int):
+def _timed_pass(scale: float, cycles: int, repeat: int):
     """Serial L2-size sweeps over one shared memo; returns (times, results).
 
     Per repeat: cold workload caches and a cold warm-state memo, one
-    prebuild for the whole grid, then the sizes run in order — so the
-    kernels-on pass measures exactly what a sweep pays per size once the
-    L2-invariant work has been hoisted.  Best-of-``repeat`` per size.
+    prebuild of the grid's bundles, then the sizes run in order — so the
+    first size pays the warm derivation and the later sizes restore it
+    from the memo.  Best-of-``repeat`` per size.
     """
-    os.environ["REPRO_SIM_KERNELS"] = kernels
     times: dict[float, float] = {}
     results: dict[float, list] = {}
     all_specs = [spec for size in SIZES_MB
@@ -57,7 +58,6 @@ def _timed_pass(kernels: str, scale: float, cycles: int, repeat: int):
     for _ in range(repeat):
         driver.clear_workload_caches()
         machine_mod._WARM_MEMO.clear()
-        machine_mod._WARM_KERNEL_BAILS.clear()
         exp = Experiment(scale=scale, measure_cycles=cycles,
                          use_cache=False)
         prebuild_workloads(all_specs, scale)
@@ -75,7 +75,7 @@ def _timed_pass(kernels: str, scale: float, cycles: int, repeat: int):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="Time the serial pinned sweep per L2 size with the "
-                    "replay kernels on vs off (REPRO_SIM_KERNELS=0).")
+                    "replay kernels on vs off.")
     parser.add_argument("--repeat", type=int, default=3,
                         help="timing repeats per cell; best-of is "
                              "reported (default: 3)")
@@ -87,22 +87,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="measurement window (default: quick grid)")
     args = parser.parse_args(argv)
 
-    saved_kernels = os.environ.get("REPRO_SIM_KERNELS")
+    numpy = replay._np
     saved_trace_dir = os.environ.get(ENV_TRACE_DIR)
     with tempfile.TemporaryDirectory(prefix="repro-kbench-") as scratch:
         os.environ[ENV_TRACE_DIR] = os.path.join(scratch, "traces")
         try:
             on_times, on_results = _timed_pass(
-                "1", args.scale, args.measure_cycles, args.repeat)
+                args.scale, args.measure_cycles, args.repeat)
+            replay._np = None
             off_times, off_results = _timed_pass(
-                "0", args.scale, args.measure_cycles, args.repeat)
+                args.scale, args.measure_cycles, args.repeat)
         finally:
-            for name, saved in ((ENV_TRACE_DIR, saved_trace_dir),
-                                ("REPRO_SIM_KERNELS", saved_kernels)):
-                if saved is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = saved
+            replay._np = numpy
+            if saved_trace_dir is None:
+                os.environ.pop(ENV_TRACE_DIR, None)
+            else:
+                os.environ[ENV_TRACE_DIR] = saved_trace_dir
 
     if on_results != off_results:
         print("MISMATCH: kernels-on results differ from kernels-off",

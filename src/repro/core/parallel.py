@@ -64,7 +64,6 @@ from ..simulator.machine import (
     MachineResult,
 )
 from ..simulator.profiling import NULL_PROBE, RunProbe
-from ..simulator.replay import kernels_enabled
 from ..simulator.topology import (
     DEFAULT_PLACEMENT,
     IslandTopology,
@@ -365,15 +364,8 @@ def prebuild_workloads(specs, scale: float, indices=None) -> int:
     (:func:`_adopt_worker_init`).  With ``REPRO_TRACE_DIR`` set the build
     also lands in the cross-process trace store for later processes.
     Building is deterministic, so this cannot change any result — only
-    where the build time is spent.
-
-    With the replay kernels enabled this also warms each bundle's derived
-    columns (``kernel_cols``/``line_sets`` and the specs' ``work_cols``)
-    and pre-populates the shared warm-state memo
-    (:meth:`Machine.prewarm`): both are pure functions of the trace
-    columns and machine parameters, so deriving them here just moves
-    their cost into the build phase the callers already attribute to
-    workload construction.
+    where the build time is spent.  Derived replay columns and warm
+    state are not prepared here: each run derives them at first use.
 
     Args:
         specs: The sweep batch.
@@ -384,40 +376,15 @@ def prebuild_workloads(specs, scale: float, indices=None) -> int:
         The number of distinct bundles built (or found already built).
     """
     seen = set()
-    warmed = set()
-    derive = kernels_enabled()
     it = specs if indices is None else (specs[i] for i in indices)
     for spec in it:
         coord = _bundle_coord(spec, scale)
-        fresh = coord not in seen
-        seen.add(coord)
-        core = spec.config.core
-        hcfg = spec.config.hierarchy
-        # The warm-memo key is L2-size-invariant: specs that differ only
-        # in swept L2 geometry collapse onto one entry here.
-        camp_key = coord + (core.issue_width, core.inorder_issue,
-                            core.branch_penalty, core.n_contexts,
-                            hcfg.n_cores, hcfg.l1d_kb, hcfg.l1_assoc,
-                            spec.config.smp)
-        if not fresh and (not derive or camp_key in warmed):
+        if coord in seen:
             continue
-        wl = workload_for(spec.kind, spec.regime, scale,
-                          n_clients=spec.n_clients, skew=spec.skew,
-                          cc_mode=spec.cc_mode)
-        if derive and camp_key not in warmed:
-            warmed.add(camp_key)
-            for tr in wl.traces:
-                if not len(tr):
-                    continue
-                tr.kernel_cols()
-                tr.line_sets()
-                tr.work_cols(core.effective_rate(tr), core.branch_penalty)
-            if not spec.config.smp and not spec.islands:
-                # Islands machines never take the kernel prewarm path
-                # (Machine.prewarm would return False after building the
-                # hierarchy), so skip the construction outright.
-                Machine(spec.config).prewarm(
-                    wl, warm_fraction=WARM_FRACTIONS[spec.kind])
+        seen.add(coord)
+        workload_for(spec.kind, spec.regime, scale,
+                     n_clients=spec.n_clients, skew=spec.skew,
+                     cc_mode=spec.cc_mode)
     return len(seen)
 
 

@@ -8,8 +8,8 @@ streaming or hashed tail, and scan→filter⋈scan→aggregate) in single flat
 loops that append precomputed packed meta words straight onto the trace
 columns via :meth:`~repro.db.tracer.MemoryTracer.emitters`.
 
-Equivalence contract (enforced by ``tests/test_trace_columnar_oracle.py``
-and the ``REPRO_FUSED=0`` differential switch): for the supported plan
+Equivalence contract (enforced by ``tests/test_fused_oracle.py``, which
+runs every call site against the generic operators): for the supported plan
 shapes the fused drain produces the *bit-identical* event stream — the
 same addresses, icounts, flags and region ids in the same order — and the
 same float-identical result rows as the generic operators.  Every event
@@ -29,24 +29,16 @@ precomputed "head" words selected by what the previous row did (page
 start / predicate fail / pass).  Code regions must also *register* in the
 same order the generic operators first enter them — hence the lazy
 ``region_bits`` resolution at exactly those points.
-
-The fused paths are on by default and disabled by ``REPRO_FUSED=0`` (the
-differential-testing switch).
 """
 
 from __future__ import annotations
 
-import os
 from itertools import chain
 
 from .. import costs
 from ..heap import HeapFile
 from ..page import PageLayout
 from .base import QueryContext
-
-#: Environment switch: set to ``0`` to force the generic operator paths
-#: (used by the differential tests to cross-check fused output).
-ENV_FUSED = "REPRO_FUSED"
 
 #: Scan-event head icount: SCAN_NEXT + the access instruction.
 _SCAN_IC = costs.SCAN_NEXT + 1
@@ -90,11 +82,6 @@ def _dep_mask(phase: int, n: int) -> tuple:
     return mask
 
 
-def enabled() -> bool:
-    """Whether fused drains are switched on (default yes)."""
-    return os.environ.get(ENV_FUSED, "1") != "0"
-
-
 def usable(ctx: QueryContext, *heaps: HeapFile) -> bool:
     """Whether the fused drains can replicate this plan exactly.
 
@@ -103,8 +90,6 @@ def usable(ctx: QueryContext, *heaps: HeapFile) -> bool:
     cache lines (one optional extra reference), which covers every table
     the DSS workloads scan.
     """
-    if not enabled():
-        return False
     tracer = ctx.tracer
     if not getattr(tracer, "enabled", False) or not hasattr(tracer, "emitters"):
         return False
@@ -746,29 +731,3 @@ def scan_filter_join_agg(ctx, build_heap, b_start, b_stop, build_pred,
         out.append(k2 + finals if isinstance(k2, tuple)
                    else (k2,) + finals)
     return out
-
-
-# --------------------------------------------------------------------- #
-# OLTP helper: fused full-record read (TPC-C's hottest tracer loop)      #
-# --------------------------------------------------------------------- #
-
-def read_record(tracer, pool, heap, rid, dependent=True):
-    """Emit the fetch + per-line read events of one full-record access.
-
-    Replicates the ``_read_row`` sequence of the TPC-C driver: a generic
-    buffer fetch, a ``storage.heap`` enter, then EMIT_TUPLE + one
-    reference per cache line the record spans (the first dependent).
-    """
-    page_no = rid // heap.format.capacity
-    pool.fetch(heap, page_no, tracer)
-    rb = tracer.region_bits("storage.heap")
-    ma, aa = tracer.emitters()
-    line_ic = costs.EMIT_TUPLE + 1
-    ev = (line_ic << 24) | rb
-    lines = heap.record_lines(rid)
-    ma(ev | (0x2 if dependent else 0))
-    aa(lines[0])
-    for la in lines[1:]:
-        ma(ev)
-        aa(la)
-    tracer.sync(0, rb)

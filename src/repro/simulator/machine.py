@@ -63,13 +63,6 @@ _WARM_MEMO_CAP = 4
 #: References each warm walker issues per round-robin turn of the warm walk.
 _WARM_CHUNK = 64
 
-#: Negative memo: warm-memo keys whose kernel attempt already bailed
-#: (e.g. too much cross-core write sharing), so repeat runs go straight
-#: to the interpreted warm walk.  Purely a perf cache — a stale entry
-#: (recycled trace id) only skips an optimization, never changes state.
-_WARM_KERNEL_BAILS: set = set()
-_WARM_BAILS_CAP = 64
-
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -370,34 +363,6 @@ class Machine:
     # Warm phase                                                          #
     # ------------------------------------------------------------------ #
 
-    def _warm_plan(self, slots: list[list[list[Trace]]], passes: int,
-                   warm_len_of) -> tuple[list[tuple[int, Trace, int]],
-                                         tuple | None]:
-        """The warm walkers and warm-memo key of one warm schedule.
-
-        Walkers are ``(core_id, trace, warm_len)`` in slot order, the
-        order the interpreted walk visits them.  The key covers all the
-        post-warm state depends on besides the L2 itself, so both
-        :meth:`_warm` and :meth:`prewarm` derive it here and cannot
-        disagree.  ``warm_identity()`` is ``()`` on single-socket
-        machines, so their keys stay byte-identical to pre-island builds;
-        islands machines key on topology + line tags (placement-dependent).
-        The key is None off the shared-L2 hierarchy, which never memoizes.
-        """
-        walkers = [(core_id, tr, warm_len_of(tr))
-                   for core_id, core_slots in enumerate(slots)
-                   for ctx_traces in core_slots
-                   for tr in ctx_traces]
-        hier = self.hierarchy
-        if not isinstance(hier, SharedL2Hierarchy):
-            return walkers, None
-        p = hier.params
-        memo_key = (p.n_cores, p.l1d_kb, p.l1_assoc, passes, _WARM_CHUNK,
-                    tuple((core_id, id(tr), warm_len)
-                          for core_id, tr, warm_len in walkers)
-                    ) + hier.warm_identity()
-        return walkers, memo_key
-
     def _warm(self, slots: list[list[list[Trace]]], passes: int,
               warm_len_of) -> None:
         """Functionally warm caches over each trace's warm prefix.
@@ -411,11 +376,26 @@ class Machine:
         L2 access sequence do not depend on the L2 configuration, so the
         post-warm state is memoized per (warm schedule, L1 geometry) and
         replayed for sweeps that vary only the L2 — bit-identical to a
-        full re-warm at a fraction of the cost.
+        full re-warm at a fraction of the cost.  The memo key covers all
+        the post-warm state depends on besides the L2 itself.
+        ``warm_identity()`` is ``()`` on single-socket machines, so their
+        keys stay byte-identical to pre-island builds; islands machines
+        key on topology + line tags (placement-dependent).
         """
-        walkers, memo_key = self._warm_plan(slots, passes, warm_len_of)
+        # Walkers are (core_id, trace, warm_len) in slot order, the order
+        # the interpreted walk visits them.
+        walkers = [(core_id, tr, warm_len_of(tr))
+                   for core_id, core_slots in enumerate(slots)
+                   for ctx_traces in core_slots
+                   for tr in ctx_traces]
         hier = self.hierarchy
-        if memo_key is not None:
+        memo_key = None
+        if isinstance(hier, SharedL2Hierarchy):
+            p = hier.params
+            memo_key = (p.n_cores, p.l1d_kb, p.l1_assoc, passes, _WARM_CHUNK,
+                        tuple((core_id, id(tr), warm_len)
+                              for core_id, tr, warm_len in walkers)
+                        ) + hier.warm_identity()
             entry = _WARM_MEMO.get(memo_key)
             if entry is not None:
                 hier.restore_warm_state(entry[0])
@@ -424,11 +404,11 @@ class Machine:
             # Vectorized warm kernel (DESIGN.md §14): computes the same
             # (L1 sets, owners, L2 log) state in closed form, or None
             # whenever it cannot guarantee bit-exactness — then the
-            # interpreted walk below runs exactly as before.  Islands
-            # machines skip the kernel (it knows nothing of line tags or
-            # remote homes) and always warm interpretively.
-            if memo_key not in _WARM_KERNEL_BAILS \
-                    and not hier.islands_active:
+            # interpreted walk below runs exactly as before, and its
+            # memoized state keeps this key from retrying the kernel.
+            # Islands machines skip the kernel (it knows nothing of line
+            # tags or remote homes) and always warm interpretively.
+            if not hier.islands_active:
                 state = replay.compute_warm_state(
                     hier, walkers, passes, _WARM_CHUNK)
                 if state is not None:
@@ -436,7 +416,6 @@ class Machine:
                     hier.restore_warm_state(state)
                     hier.reset_stats()
                     return
-                self._record_bail(memo_key)
             hier.begin_warm_log()
         warm_block = hier.warm_block
         for _ in range(passes):
@@ -458,7 +437,7 @@ class Machine:
                 pending = nxt
         if memo_key is not None:
             self._memoize(memo_key, hier.capture_warm_state(), walkers)
-        self.hierarchy.reset_stats()
+        hier.reset_stats()
 
     @staticmethod
     def _memoize(memo_key, state, walkers) -> None:
@@ -467,50 +446,6 @@ class Machine:
         # The entry holds the walkers' traces so the ids in the key stay
         # pinned to these exact objects for the entry's lifetime.
         _WARM_MEMO[memo_key] = (state, tuple(tr for _, tr, _ in walkers))
-
-    @staticmethod
-    def _record_bail(memo_key) -> None:
-        if len(_WARM_KERNEL_BAILS) >= _WARM_BAILS_CAP:
-            _WARM_KERNEL_BAILS.clear()
-        _WARM_KERNEL_BAILS.add(memo_key)
-
-    def prewarm(self, workload: Workload, warm_passes: int = 1,
-                warm_fraction: float = 0.5) -> bool:
-        """Populate the shared warm memo without running a measurement.
-
-        Mirrors exactly the slot assignment, warm lengths, and memo key
-        :meth:`run` would derive for the same arguments, but only the
-        closed-form kernel path executes: on a memo miss the warm state
-        is computed and stored, and on kernel bail-out nothing happens
-        (the next :meth:`run` warms interpretively, exactly as before).
-        Sweep drivers call this during workload prebuild so warm-state
-        derivation is charged to the build phase rather than the first
-        measured run.  Returns True when a memo entry covers the pair.
-        """
-        hier = self.hierarchy
-        if (not warm_passes or not isinstance(hier, SharedL2Hierarchy)
-                or hier.islands_active or not replay.kernels_enabled()):
-            # Islands machines never take the closed-form kernel path
-            # (line tags / remote homes are interpreter-only), so there
-            # is nothing to prebuild.
-            return False
-        live = [tr for tr in workload.traces if len(tr)]
-        if not live:
-            return False
-        walkers, memo_key = self._warm_plan(
-            self._assign(live), warm_passes,
-            lambda tr: int(len(tr) * warm_fraction) % len(tr))
-        if memo_key in _WARM_MEMO:
-            return True
-        if memo_key in _WARM_KERNEL_BAILS:
-            return False
-        state = replay.compute_warm_state(hier, walkers, warm_passes,
-                                          _WARM_CHUNK)
-        if state is None:
-            self._record_bail(memo_key)
-            return False
-        self._memoize(memo_key, state, walkers)
-        return True
 
     # ------------------------------------------------------------------ #
     # Measurement                                                         #

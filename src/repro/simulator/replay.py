@@ -15,9 +15,10 @@ The kernels fall back to the untouched interpreted path — automatically
 and bit-exactly — whenever L2->L1 feedback can exist: SMP/MESI machines,
 cross-core write-shared lines (realized L1 invalidations), or a machine
 whose caches are not pristine.  Measurement always runs the full
-interpreted access path.  ``REPRO_SIM_KERNELS=0`` disables the kernels
-outright; the differential oracle (tests/test_simulate_kernel_oracle.py)
-pins equality both ways.
+interpreted access path.  The kernels run exactly when numpy imports; a
+numpy-less host runs the interpreted path, and the differential oracle
+(tests/test_simulate_kernel_oracle.py) pins equality both ways by
+patching ``_np`` to None.
 
 Exact LRU classification law (associativity A): a line ``l`` referenced at
 position ``q`` and next at position ``p`` of a set's access subsequence is
@@ -33,7 +34,6 @@ other line* — one change-point cumsum per core.
 
 from __future__ import annotations
 
-import os
 from array import array
 
 try:
@@ -64,11 +64,6 @@ if _np is not None:
 #: check would simulate most sets in Python anyway — bail to the full path
 #: immediately instead (the check must stay much cheaper than what it saves).
 _MAX_SUSPECT_LINES = 512
-
-
-def kernels_enabled() -> bool:
-    """Replay kernels are on unless killed by env or numpy is missing."""
-    return _np is not None and os.environ.get("REPRO_SIM_KERNELS") != "0"
 
 
 # --------------------------------------------------------------------- #
@@ -313,11 +308,11 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     Returns the ``(l1_sets, owners, l2_log)`` state tuple exactly as
     :meth:`SharedL2Hierarchy.capture_warm_state` would produce after the
     full walk, or ``None`` when the kernel cannot guarantee bit-exactness
-    (kill switch, no numpy, non-2-way L1s, non-pristine machine, missing
+    (no numpy, non-2-way L1s, non-pristine machine, missing
     derived columns, too many statically write-shared lines, or a
     realized cross-core invalidation).
     """
-    if not kernels_enabled():
+    if _np is None:
         return None
     p = hier.params
     if p.l1_assoc != 2:
@@ -422,10 +417,10 @@ def final_l2_sets(log, n_sets: int, assoc: int):
     ``#distinct other lines in (q, p) < assoc`` — evaluated as one numpy
     count over the set's window.
 
-    Returns ``None`` (caller runs the interpreted replay) when kernels
-    are off or the dirty-bit queries would outweigh the loop.
+    Returns ``None`` (caller runs the interpreted replay) without numpy
+    or when the dirty-bit queries would outweigh the loop.
     """
-    if not kernels_enabled():
+    if _np is None:
         return None
     m = len(log)
     sets_out = [dict() for _ in range(n_sets)]

@@ -278,9 +278,9 @@ class Trace:
         always a jump) or carries ``FLAG_CODE_JUMP``; ``n_lines`` is the
         block's instruction-line count ``max(1, icount // 16)``.  The
         latter two are plain ``array`` columns indexable from the
-        pure-Python step loops.  Built lazily once per trace and cached;
-        a bundle that crosses a process boundary drops them and re-derives
-        on arrival (``repro.workloads.tracestore.derive_replay_cols``).
+        pure-Python step loops.  Built lazily at first use and cached; a
+        bundle that crosses a process boundary drops them, and the first
+        use on the other side rebuilds them.
         """
         cols = self._kernel_cols
         if cols is None:
@@ -345,8 +345,8 @@ class Trace:
         return cols
 
     # Derived columns are caches over the physical columns: drop them when
-    # a trace crosses a process boundary (the receiver re-derives them,
-    # lazily or in ``tracestore.derive_replay_cols``).
+    # a trace crosses a process boundary (the receiver re-derives them
+    # lazily).
     def __getstate__(self):
         skip = ("_kernel_cols", "_work_cols", "_line_sets")
         return {s: getattr(self, s) for s in self.__slots__ if s not in skip}

@@ -86,12 +86,9 @@ def adopt_bundles(bundles: dict[tuple, Workload]) -> None:
     """Install another process's built bundles into this registry.
 
     The bundles arrive pickled, which drops their derived replay columns
-    (:meth:`Trace.__getstate__`); they are re-derived here, exactly as a
-    trace-store load does, so the cost lands before the first run.
+    (:meth:`Trace.__getstate__`); the first run re-derives them lazily.
     """
-    for coord, workload in bundles.items():
-        tracestore.derive_replay_cols(workload)
-        _BUILT[coord] = workload
+    _BUILT.update(bundles)
 
 
 def _contention_tag(skew: SkewSpec, cc_mode: str) -> str:

@@ -32,7 +32,6 @@ from ..db import Database, LockMode, Schema
 from ..db.computed_index import ComputedDenseIndex
 from ..db.btree import BTreeIndex
 from ..db import costs
-from ..db.exec import fused
 from ..db.txn import PartitionLockManager, validate_cc_mode
 from ..db.types import char, date, float64, int64
 from .contention import SkewSpec, ZipfGenerator, as_skew
@@ -289,11 +288,6 @@ class TpccDatabase:
 
     def _read_row(self, sess, heap, rid: int, dependent: bool = True) -> tuple:
         tracer = sess.tracer
-        if fused.enabled() and tracer.enabled:
-            # Fused line loop: same fetch, enter and per-line events,
-            # emitted as precomputed packed columns.
-            fused.read_record(tracer, self.db.pool, heap, rid, dependent)
-            return heap.get(rid)
         page_no, _ = heap.locate(rid)
         self.db.pool.fetch(heap, page_no, tracer)
         tracer.enter("storage.heap")

@@ -37,7 +37,6 @@ from pathlib import Path
 
 from array import array
 
-from ..simulator.replay import kernels_enabled
 from ..simulator.trace import CodeFootprint, Trace, Workload
 
 #: Engine/format version salt.  Part of every hashed key: bump on any
@@ -204,7 +203,6 @@ class TraceStore:
                 pass
             return None
         self.stats.hits += 1
-        derive_replay_cols(workload)
         return workload
 
     def put(self, key, workload: Workload) -> None:
@@ -231,23 +229,6 @@ class TraceStore:
             self.stats.errors += 1
             return
         self.stats.stores += 1
-
-
-def derive_replay_cols(workload: Workload) -> None:
-    """Derive each trace's replay-kernel columns now (kernels on only).
-
-    A bundle that just crossed a process boundary — a store load, or a
-    pool worker adopting its parent's bundles — is about to simulate:
-    deriving the packed base columns here lands their cost with the
-    hand-off, not inside the first measured run.  Pure functions of the
-    trace columns, so skipping this (kernels off) changes only timing.
-    """
-    if not kernels_enabled():
-        return
-    for tr in workload.traces:
-        if len(tr):
-            tr.kernel_cols()
-            tr.line_sets()
 
 
 #: Per-root store instances, so stats accumulate across call sites.

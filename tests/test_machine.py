@@ -133,39 +133,50 @@ class TestWarmEffect:
 
 
 class TestWarmPlan:
+    #: (kind, scale, whether the closed-form kernel engages there).  DSS
+    #: at 0.05 takes the kernel on both camps; OLTP makes it bail, and
+    #: the interpreted walk runs instead.
+    CELLS = [("dss", 0.05, True), ("oltp", 0.01, False)]
+
     @pytest.mark.parametrize("camp", [fc_cmp, lc_cmp])
-    def test_prewarm_then_run_derives_warm_state_once(self, camp,
-                                                      monkeypatch):
-        """prewarm and run share one memo key: run restores the state
-        prewarm derived instead of deriving it again."""
+    @pytest.mark.parametrize("kind,scale,engages", CELLS,
+                             ids=[kind for kind, _, _ in CELLS])
+    def test_run_then_run_derives_warm_state_once(self, kind, scale,
+                                                  engages, camp,
+                                                  monkeypatch):
+        """Two runs on fresh machines derive the warm state once.
+
+        The first run derives it (kernel, or walk after a bail) and
+        memoizes it; the second restores it.  A bailed key is never
+        retried, because the walked state is memoized under that key.
+        """
         from repro.core.parallel import WARM_FRACTIONS
         from repro.simulator import machine as machine_mod
         from repro.simulator import replay
         from repro.workloads.driver import workload_for
 
-        monkeypatch.delenv("REPRO_SIM_KERNELS", raising=False)
-        calls = []
+        outcomes = []
         derive = replay.compute_warm_state
 
         def counting(*args, **kwargs):
-            calls.append(args)
-            return derive(*args, **kwargs)
+            state = derive(*args, **kwargs)
+            outcomes.append(state is not None)
+            return state
 
         monkeypatch.setattr(replay, "compute_warm_state", counting)
         machine_mod._WARM_MEMO.clear()
-        machine_mod._WARM_KERNEL_BAILS.clear()
         try:
-            wl = workload_for("dss", "saturated", 0.01)
-            frac = WARM_FRACTIONS["dss"]
-            config = camp(n_cores=4, scale=0.01)
-            assert Machine(config).prewarm(wl, warm_fraction=frac)
-            result = Machine(config).run(wl, measure_cycles=5_000,
-                                         warm_fraction=frac)
+            wl = workload_for(kind, "saturated", scale)
+            config = camp(n_cores=4, scale=scale)
+            results = [
+                Machine(config).run(wl, measure_cycles=5_000,
+                                    warm_fraction=WARM_FRACTIONS[kind])
+                for _ in range(2)]
         finally:
             machine_mod._WARM_MEMO.clear()
-            machine_mod._WARM_KERNEL_BAILS.clear()
-        assert len(calls) == 1
-        assert result.retired > 0
+        assert outcomes == [engages]
+        assert results[0].to_dict() == results[1].to_dict()
+        assert results[0].retired > 0
 
 
 class TestSmpMachine:

@@ -7,7 +7,8 @@ modes share, such as the lean processor-sharing loop, the fat core's
 overlap rules or the hierarchy.  This suite pins the SHA-256 of
 ``MachineResult.to_dict()`` for {oltp, dss} x {fc, lc} x {saturated
 throughput, unsaturated response} at a reduced scale, with the replay
-kernels on and off.  A digest moves only when a simulated number moves,
+kernels on and off (off is what a numpy-less host runs: ``replay._np``
+patched to None).  A digest moves only when a simulated number moves,
 which is a ``CODE_VERSION`` bump, never a refactor.
 
 After a deliberate ``CODE_VERSION`` bump, re-record the pins with::
@@ -25,6 +26,7 @@ import pytest
 
 from repro.core.parallel import CODE_VERSION, RunSpec, execute
 from repro.simulator import machine as machine_mod
+from repro.simulator import replay
 from repro.simulator.configs import fc_cmp, lc_cmp
 
 DIGESTS = Path(__file__).parent / "data" / "result_digests.json"
@@ -44,14 +46,13 @@ def _cell_id(kind: str, regime: str, camp: str, kernels: str) -> str:
 
 def _reset_warm_memos() -> None:
     machine_mod._WARM_MEMO.clear()
-    machine_mod._WARM_KERNEL_BAILS.clear()
 
 
 def digest(kind: str, regime: str, camp: str) -> str:
     """SHA-256 of one cell's canonical ``MachineResult`` document.
 
-    The warm-state memo and its negative cache start cold, so the digest
-    covers the warm derivation of the current kernel mode too.
+    The warm-state memo starts cold, so the digest covers the warm
+    derivation of the current kernel mode too.
     """
     _reset_warm_memos()
     spec = RunSpec(CAMPS[camp](n_cores=4, scale=SCALE), kind, regime=regime)
@@ -76,7 +77,8 @@ def test_pins_match_this_code_version():
 @pytest.mark.parametrize("kernels", ["1", "0"])
 @pytest.mark.parametrize("kind,regime,camp", CELLS)
 def test_result_digest(kind, regime, camp, kernels, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_KERNELS", kernels)
+    if kernels == "0":
+        monkeypatch.setattr(replay, "_np", None)
     expected = _pinned()["digests"][_cell_id(kind, regime, camp, kernels)]
     assert digest(kind, regime, camp) == expected, (
         f"{kind}/{regime}/{camp} (kernels={kernels}) no longer reproduces "
@@ -85,14 +87,15 @@ def test_result_digest(kind, regime, camp, kernels, monkeypatch):
 
 
 def _record() -> None:
-    import os
-
+    numpy = replay._np
     digests = {}
-    for kernels in "10":
-        os.environ["REPRO_SIM_KERNELS"] = kernels
-        for cell in CELLS:
-            digests[_cell_id(*cell, kernels)] = digest(*cell)
-    del os.environ["REPRO_SIM_KERNELS"]
+    try:
+        for kernels in "10":
+            replay._np = numpy if kernels == "1" else None
+            for cell in CELLS:
+                digests[_cell_id(*cell, kernels)] = digest(*cell)
+    finally:
+        replay._np = numpy
     doc = {"code_version": CODE_VERSION, "scale": SCALE, "cycles": CYCLES,
            "digests": dict(sorted(digests.items()))}
     DIGESTS.write_text(json.dumps(doc, indent=2) + "\n")

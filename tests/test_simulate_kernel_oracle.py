@@ -3,9 +3,11 @@
 The replay kernels (DESIGN.md §14) — the closed-form warm state and the
 closed-form final L2 sets — promise *bit-exact* results: every field of
 :class:`MachineResult`, including per-core cycle breakdowns and hierarchy
-counters, must be identical with ``REPRO_SIM_KERNELS=1`` and ``=0``.
-Measurement always runs the full interpreted access path, so the
-kernels-off run is the reference.  This suite is that promise's oracle:
+counters, must be identical with the kernels on and off.  The kernels
+run exactly when numpy imports, so "off" is ``replay._np`` patched to
+None: the path a numpy-less host runs.  Measurement always runs the
+full interpreted access path, so the kernels-off run is the reference.
+This suite is that promise's oracle:
 
 * the full (kind × regime × camp) cell grid, each cell replaying at
   least 50k cache accesses (warm references + measured data accesses +
@@ -18,10 +20,10 @@ kernels-off run is the reference.  This suite is that promise's oracle:
   only holds if ``_run_throughput`` settles the open interval between
   each core's last event and the horizon.
 
-``kernels_enabled()`` reads the environment per call, so the toggle is
-a plain ``monkeypatch.setenv`` — no subprocesses.  The warm-state memo
-and its negative cache are cleared around every run so each mode
-derives its own state from scratch.
+The kernels read ``replay._np`` per call, so the toggle is a plain
+``monkeypatch.setattr`` — no subprocesses.  The warm-state memo is
+cleared around every run so each mode derives its own state from
+scratch.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import pytest
 
 from repro.core.parallel import WARM_FRACTIONS, RunSpec, execute
 from repro.simulator import machine as machine_mod
+from repro.simulator import replay
 from repro.simulator.configs import fc_cmp, fc_smp, lc_cmp
 from repro.simulator.machine import Machine
 from repro.workloads.driver import workload_for
@@ -57,10 +60,18 @@ CAMPS = {"fc": fc_cmp, "lc": lc_cmp}
 ACCESS_FLOOR = 50_000
 
 
+#: The numpy module the kernels run on; ``None`` switches them off.
+NUMPY = replay._np
+
+
 def _reset_warm_memos() -> None:
-    """Cold warm-state memo + negative cache, so each mode re-derives."""
+    """Cold warm-state memo, so each mode re-derives."""
     machine_mod._WARM_MEMO.clear()
-    machine_mod._WARM_KERNEL_BAILS.clear()
+
+
+def _set_kernels(monkeypatch, mode: str) -> None:
+    """Kernels on (``"1"``) or off (``"0"``, the numpy-less path)."""
+    monkeypatch.setattr(replay, "_np", NUMPY if mode == "1" else None)
 
 
 def _accesses(workload, kind: str, result) -> int:
@@ -89,7 +100,7 @@ def test_kernels_bit_exact_per_cell(kind, regime, camp, monkeypatch):
                    regime=regime)
     results = {}
     for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_SIM_KERNELS", mode)
+        _set_kernels(monkeypatch, mode)
         _reset_warm_memos()
         results[mode] = execute(spec, scale, CYCLES)
     _reset_warm_memos()
@@ -112,14 +123,14 @@ def test_smp_kernels_on_off_identical(monkeypatch):
     """Coherent private L2s (SMP): kernels on and off agree, bit-exact.
 
     The MESI L2s invalidate L1 lines from *outside* the local access
-    stream, so the SMP hierarchy never takes a kernel path; flipping the
-    kill switch must not change a single result field.
+    stream, so the SMP hierarchy never takes a kernel path; switching
+    the kernels off must not change a single result field.
     """
     scale = 0.01
     workload = workload_for("oltp", "saturated", scale)
     results = {}
     for mode in ("1", "0"):
-        monkeypatch.setenv("REPRO_SIM_KERNELS", mode)
+        _set_kernels(monkeypatch, mode)
         _reset_warm_memos()
         machine = Machine(fc_smp(n_nodes=4, scale=scale))
         result = machine.run(workload, measure_cycles=CYCLES,
@@ -142,10 +153,10 @@ def test_lean_trailing_interval_is_attributed(kernels, monkeypatch):
     the per-core sums fall short of the window by that trailing slice.
     (Fat cores account whole ROB blocks at completion and legitimately
     overshoot the horizon, so the exact-sum invariant is lean-only.)
-    Parametrized over the kill switch, so the invariant holds in both
-    kernel modes.
+    Parametrized over the kernels on and off, so the invariant holds in
+    both kernel modes.
     """
-    monkeypatch.setenv("REPRO_SIM_KERNELS", kernels)
+    _set_kernels(monkeypatch, kernels)
     _reset_warm_memos()
     workload = workload_for("oltp", "saturated", 0.01)
     machine = Machine(lc_cmp(n_cores=4, scale=0.01))

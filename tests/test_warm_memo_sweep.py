@@ -7,7 +7,8 @@ The digest and kernel-oracle suites clear the memo around every run, so
 they never take that hit path; this suite does.  Each cell runs three
 L2 sizes in order, each on a fresh ``Machine`` sharing one memo, and
 every result must equal the same size run from cold memos, in both
-kernel modes.
+kernel modes (off is ``replay._np`` patched to None, the path a
+numpy-less host runs).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 from repro.core.parallel import RunSpec, execute
 from repro.simulator import machine as machine_mod
+from repro.simulator import replay
 from repro.simulator.configs import fc_cmp, lc_cmp
 
 SCALE = 0.01
@@ -26,7 +28,6 @@ L2_SIZES_MB = (1.0, 4.0, 16.0)
 
 def _reset_warm_memos() -> None:
     machine_mod._WARM_MEMO.clear()
-    machine_mod._WARM_KERNEL_BAILS.clear()
 
 
 def _run(kind: str, camp: str, l2_mb: float) -> dict:
@@ -38,7 +39,8 @@ def _run(kind: str, camp: str, l2_mb: float) -> dict:
 @pytest.mark.parametrize("camp", sorted(CAMPS))
 @pytest.mark.parametrize("kind", ["dss", "oltp"])
 def test_sweep_reuses_warm_memo_bit_exact(kind, camp, kernels, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_KERNELS", kernels)
+    if kernels == "0":
+        monkeypatch.setattr(replay, "_np", None)
     cold = {}
     for l2_mb in L2_SIZES_MB:
         _reset_warm_memos()
