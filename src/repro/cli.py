@@ -21,7 +21,6 @@ Observability (see DESIGN.md §7)::
 
     python -m repro --telemetry .telemetry --jobs 4 fig6   # JSONL events
     python -m repro stats .telemetry                       # sweep summary
-    python -m repro bench --quick                          # BENCH_*.json
 
 Analytical model + design-space explorer (see DESIGN.md §10)::
 
@@ -44,7 +43,9 @@ Design-space-as-a-service (see DESIGN.md §12)::
     python -m repro serve                             # TCP JSON-lines API
     python -m repro serve --host 0.0.0.0 --port 9000
     python -m repro --scale 0.05 serve --self-test    # CI smoke probe
-    python -m repro bench --load                      # latency percentiles
+    python -m repro bench                             # load test percentiles
+
+Host-time benchmarking lives in ``perf/`` (see perf/README.md).
 
 Parallelism, caching, and resilience can also be driven from the
 environment: ``REPRO_JOBS`` sets the default worker count,
@@ -223,44 +224,18 @@ def run_islands_sweep_cmd(args) -> int:
     return 0
 
 
-def run_bench_cmd(quick: bool, out_path: str | None,
-                  compare: str | None = None,
-                  load: bool = False,
-                  fail_below: float | None = None) -> int:
-    """Time the pinned mini-sweep and write a ``BENCH_*.json`` snapshot.
+def run_bench_cmd(out_path: str | None) -> int:
+    """The ``repro bench`` target: the service load test.
 
-    With ``load``, run the service load test (``repro bench --load``)
-    instead: closed-loop concurrent clients against an in-process
-    :class:`~repro.serve.service.DesignService`, latency percentiles
-    out (see DESIGN.md §12.5).  ``fail_below`` turns ``--compare`` into
-    a gate: exit nonzero when the total speedup over the baseline falls
-    below the factor (the snapshot is still written first).
+    Closed-loop concurrent clients against an in-process
+    :class:`~repro.serve.service.DesignService`, latency percentiles out
+    (see DESIGN.md §12.5).
     """
-    if load:
-        from .serve import loadtest
+    from .serve import loadtest
 
-        out = out_path or loadtest.DEFAULT_LOAD_OUT
-        record = loadtest.run_load(out_path=out)
-        print(loadtest.format_load(record))
-        print(f"wrote {out}")
-        return 0
-    from .core import bench
-
-    out = out_path or bench.DEFAULT_OUT
-    try:
-        record = bench.run_bench(quick=quick, out_path=out, compare=compare,
-                                 fail_below=fail_below)
-    except SweepError as err:
-        print(f"bench: sweep failed — {err}", file=sys.stderr)
-        return 1
-    except bench.BenchRegressionError as err:
-        print(f"wrote {out}")
-        print(f"bench: regression gate failed — {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
-        print(f"bench: invalid arguments — {err}", file=sys.stderr)
-        return 2
-    print(bench.format_bench(record))
+    out = out_path or loadtest.DEFAULT_LOAD_OUT
+    record = loadtest.run_load(out_path=out)
+    print(loadtest.format_load(record))
     print(f"wrote {out}")
     return 0
 
@@ -438,26 +413,11 @@ def main(argv: list[str] | None = None) -> int:
                              "summarize later with 'repro stats DIR' "
                              "(default: REPRO_TELEMETRY, or off)")
     parser.add_argument("--quick", action="store_true",
-                        help="with 'bench': run the small pinned grid "
+                        help="with 'explore': the small candidate budget "
                              "(the CI configuration)")
     parser.add_argument("--bench-out", metavar="PATH", default=None,
-                        help="with 'bench': output JSON path (default: "
-                             "BENCH_PR9.json)")
-    parser.add_argument("--compare", metavar="PATH", default=None,
-                        help="with 'bench': annotate timing deltas against "
-                             "an earlier BENCH_*.json snapshot (never fails "
-                             "on a missing or old-schema baseline)")
-    parser.add_argument("--fail-below", metavar="FACTOR", type=float,
-                        default=None,
-                        help="with 'bench --compare': exit nonzero when the "
-                             "total speedup over the baseline is below "
-                             "FACTOR (the snapshot is still written); use a "
-                             "tolerant factor well under 1 to catch real "
-                             "regressions, not timing noise")
-    parser.add_argument("--load", action="store_true",
-                        help="with 'bench': run the service load test "
-                             "(latency percentiles under concurrent "
-                             "clients) instead of the sweep bench")
+                        help="with 'bench': the load test's output JSON "
+                             "path (default: BENCH_LOAD.json)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="with 'serve': bind address")
     parser.add_argument("--port", type=int, default=8642,
@@ -561,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
         print("  validate   (Fig. 3 comparison, report only)")
         print("  profile <oltp|dss>")
         print("  stats <telemetry-dir-or-.jsonl>")
-        print("  bench      (perf-regression snapshot; see --quick)")
+        print("  bench      (service load test; see --bench-out)")
         print("  explore    (equal-area design-space exploration; "
               "see --quick/--budget/--islands)")
         print("  serve      (async design-query service; "
@@ -585,12 +545,9 @@ def main(argv: list[str] | None = None) -> int:
         return run_stats(source)
     if targets[0] == "bench":
         if len(targets) != 1:
-            print("usage: repro bench [--quick] [--load] "
-                  "[--bench-out PATH] [--compare PATH] "
-                  "[--fail-below FACTOR]", file=sys.stderr)
+            print("usage: repro bench [--bench-out PATH]", file=sys.stderr)
             return 2
-        return run_bench_cmd(args.quick, args.bench_out, args.compare,
-                             load=args.load, fail_below=args.fail_below)
+        return run_bench_cmd(args.bench_out)
     if targets[0] == "serve":
         if len(targets) != 1:
             print("usage: repro serve [--host HOST] [--port PORT] "

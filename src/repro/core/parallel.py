@@ -738,7 +738,8 @@ def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
     start method is not ``fork``, every pool (including rebuilds after
     crashes/timeouts) starts its workers with :func:`_adopt_worker_init`
     over the parent's built bundles for ``pending``.  Raises
-    :class:`_PoolUnavailable` if a pool cannot be created at all.
+    :class:`_PoolUnavailable` if a pool cannot be created, or cannot
+    spawn a worker while it is not broken.
     """
     max_workers = min(jobs, len(pending))
     kwargs = {}
@@ -824,6 +825,24 @@ def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
                     fut = pool.submit(_pool_worker, payload)
                 except BrokenProcessPool:
                     queue.appendleft(index)
+                    rebuild = True
+                    break
+                except (OSError, ValueError) as exc:
+                    # Under a non-fork start, submit() spawns a worker and
+                    # pickles the call queue's descriptors into it.  If a
+                    # worker dies meanwhile, the pool's manager thread
+                    # closes that queue, the spawn's own pipes reuse the
+                    # freed numbers, and the spawn fails (e.g. "bad
+                    # value(s) in fds_to_keep") instead of raising
+                    # BrokenProcessPool.  The manager flags the pool broken
+                    # (a private attribute) before it closes anything.
+                    if not getattr(pool, "_broken", False):
+                        raise _PoolUnavailable from exc
+                    # submit() queued this spec before spawning, so it is
+                    # lost with the pool and charged like any in-flight
+                    # spec; uncharged, a crash on it could recur forever.
+                    attempt_failed(index, "crash",
+                                   f"{type(exc).__name__}: {exc}")
                     rebuild = True
                     break
                 except RuntimeError as exc:

@@ -16,7 +16,7 @@ Layers:
   async API the tests drive;
 - :mod:`~repro.serve.server` — the ``repro serve`` TCP JSON-lines front
   end and its ``--self-test`` smoke mode;
-- :mod:`~repro.serve.loadtest` — ``repro bench --load``, the
+- :mod:`~repro.serve.loadtest` — ``repro bench``, the
   latency-percentile harness.
 """
 

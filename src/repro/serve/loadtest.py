@@ -1,18 +1,17 @@
-"""`repro bench --load`: latency percentiles for the service under load.
+"""`repro bench`: latency percentiles for the service under load.
 
-The batch bench (:mod:`repro.core.bench`) asks "how fast is the
-sweep?"; this harness asks the service-tier question the paper would
-ask of a database server: *what latency distribution do concurrent
-clients see, and does the service keep shedding/degrading instead of
-collapsing?*  It drives an in-process :class:`DesignService` with N
+This harness asks the service-tier question the paper would ask of a
+database server: *what latency distribution do concurrent clients see,
+and does the service keep shedding/degrading instead of collapsing?*
+It drives an in-process :class:`DesignService` with N
 concurrent closed-loop clients over a fixed query mix derived from the
 design-space enumeration (:func:`repro.explore.space.enumerate_candidates`
 coordinates — the same entry points the explorer uses), records every
 request's wall time, and reports p50/p95/p99 per outcome.
 
 The query mix, client count, and per-client request count are pinned —
-like the batch bench, the load config is a contract; the snapshot is
-written as ``BENCH_PR7.json`` (schema ``repro-load-v1``) and validated
+the load config is a contract; the snapshot is written as
+``BENCH_LOAD.json`` by default (schema ``repro-load-v1``) and validated
 by :func:`validate_load` before any write.  Absolute latencies vary
 with the host, so CI treats this as a smoke test; the invariants the
 schema *does* gate are structural: every request is answered or shed
@@ -26,10 +25,10 @@ import asyncio
 import json
 import os
 import platform
+import subprocess
 import tempfile
 import time
 
-from ..core.bench import _git_commit
 from ..core.experiment import Experiment
 from ..core.parallel import CODE_VERSION
 from ..explore.space import enumerate_candidates, quick_budget_mm2
@@ -47,8 +46,8 @@ __all__ = [
 #: Schema version stamped into every load snapshot.
 LOAD_SCHEMA = "repro-load-v1"
 
-#: Default output filename (repo root).
-DEFAULT_LOAD_OUT = "BENCH_PR7.json"
+#: Default output filename (current directory; not a committed file).
+DEFAULT_LOAD_OUT = "BENCH_LOAD.json"
 
 #: Pinned load configuration — the load-test contract.  The mix is the
 #: quick-budget candidate enumeration, so the clients ask exactly the
@@ -61,6 +60,19 @@ LOAD_CONFIG = {
     "max_pending": 6,
     "sim_queue_depth": 2,
 }
+
+
+def _git_commit() -> str | None:
+    """The current commit hash, or None outside a usable git checkout."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)))
+    except (OSError, subprocess.SubprocessError):
+        return None
+    commit = proc.stdout.strip()
+    return commit if proc.returncode == 0 and commit else None
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -166,7 +178,7 @@ async def _run_load_async(config: dict, exp: Experiment,
 def run_load(out_path: str | None = DEFAULT_LOAD_OUT,
              config: dict | None = None,
              exp: Experiment | None = None, model=None) -> dict:
-    """Run the pinned closed-loop load test; write ``BENCH_PR7.json``.
+    """Run the pinned closed-loop load test; write the JSON snapshot.
 
     Args:
         out_path: Where to write the JSON snapshot; None skips writing.

@@ -71,7 +71,7 @@ class RunProbe:
     ``phase_end("warm")`` bracket the functional warm loop, and repeated
     brackets of the same name accumulate.  All timing is
     ``time.perf_counter`` (monotonic); recorded deltas never depend on the
-    wall clock, which the bench-harness tests lock down.
+    wall clock, which ``tests/test_telemetry.py`` locks down.
 
     Besides the hierarchy's event counters (``data_accesses`` etc.), a
     run reports ``batched_steps`` (event-loop steps dispatched without a

@@ -30,6 +30,26 @@ class TestCli:
         assert main(["profile"]) == 2
         assert main(["profile", "olap"]) == 2
 
+    def test_bench_runs_the_load_test(self, monkeypatch, tmp_path, capsys):
+        from repro.serve import loadtest
+
+        written = []
+        monkeypatch.setattr(loadtest, "run_load",
+                            lambda out_path: written.append(out_path) or {})
+        monkeypatch.setattr(loadtest, "format_load", lambda record: "load")
+        out = str(tmp_path / "LOAD.json")
+        assert main(["bench", "--bench-out", out]) == 0
+        assert main(["bench"]) == 0
+        assert written == [out, loadtest.DEFAULT_LOAD_OUT]
+        assert f"wrote {out}" in capsys.readouterr().out
+
+    def test_bench_usage_error(self, capsys):
+        assert main(["bench", "extra"]) == 2
+        assert "usage: repro bench" in capsys.readouterr().err
+        for flag in ("--load", "--compare=BENCH.json", "--fail-below=0.5"):
+            with pytest.raises(SystemExit):
+                main(["bench", flag])
+
     def test_table1_runs(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out

@@ -15,12 +15,21 @@ over a mixed batch (DSS, OLTP, one skewed TPC-C spec) and check that:
   adoption would have built and stored its bundle there;
 - with a worker crash injected, the rebuilt pool's workers adopt too
   and the sweep still recovers bit-identically.
+
+A non-fork pool spawns each worker inside ``submit``.  When a worker
+dies during that spawn, the pool's manager thread closes the call queue
+whose descriptors the spawn has just pickled, and the spawn fails with
+``ValueError: bad value(s) in fds_to_keep``.  A stub pool replays that
+sequence deterministically: the sweep must rebuild the broken pool, and
+fall back to serial when the pool is not broken.
 """
 
 import os
 import pickle
 import subprocess
 import sys
+from concurrent import futures
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 
 import pytest
@@ -158,3 +167,52 @@ def test_adoption_round_trip_replays_bit_identical(clean_env, serial):
 def test_initializer_never_raises():
     # An initializer exception would break every pool built with it.
     parallel._adopt_worker_init(object())
+
+
+@pytest.mark.parametrize("broken", [True, False], ids=["broken", "healthy"])
+def test_spawn_failure_in_submit(clean_env, serial, broken):
+    pools = []
+
+    class RacedPool:
+        """The first pool's second ``submit`` fails its spawn; with
+        ``broken`` its first worker died meanwhile, as in the race.
+        Later pools run their specs in-process.  Each pool records the
+        (spec index, attempt) of every submit."""
+
+        def __init__(self, max_workers, **kwargs):
+            self.racy = not pools
+            self.submitted = []
+            self.futures = []
+            self._broken = False
+            pools.append(self)
+
+        def submit(self, fn, payload):
+            self.submitted.append((payload[3], payload[4]))
+            fut = futures.Future()
+            if self.racy and self.futures:
+                if broken:
+                    self.futures[0].set_exception(
+                        BrokenProcessPool("worker died"))
+                    self._broken = "A child process terminated abruptly"
+                raise ValueError("bad value(s) in fds_to_keep")
+            if not self.racy:
+                fut.set_result(fn(payload))
+            self.futures.append(fut)
+            return fut
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    clean_env.setattr(futures, "ProcessPoolExecutor", RacedPool)
+    pooled = run_specs(_specs(), SCALE, CYCLES, jobs=2, retries=1,
+                       backoff=0.0)
+    _assert_identical(serial, pooled)
+    assert pools[0].submitted == [(0, 0), (1, 0)]
+    if broken:
+        # Rebuilt, with both lost specs charged one crash attempt.
+        assert len(pools) == 2
+        assert sorted(pools[1].submitted) == [(0, 1), (1, 1), (2, 0),
+                                              (3, 0)]
+    else:
+        # A pool that cannot spawn is abandoned for the serial path.
+        assert len(pools) == 1

@@ -13,11 +13,13 @@ Four invariants keep the observability layer trustworthy:
 
 The per-source cache attribution regression (salvage stores after a
 ``SweepError`` were previously indistinguishable from normal stores) is
-locked down here too.
+locked down here too, and so is the clock rule: every recorded duration
+comes from a monotonic clock, never from ``time.time``.
 """
 
 import json
 import os
+import time
 from concurrent import futures
 
 import pytest
@@ -37,6 +39,7 @@ from repro.core.telemetry import (
     validate_event,
 )
 from repro.simulator.configs import fc_cmp
+from repro.workloads import driver
 
 SCALE = 0.01
 CYCLES = 5_000
@@ -411,3 +414,42 @@ class TestCacheProvenance:
         bare = Experiment(scale=SCALE, measure_cycles=CYCLES,
                           use_cache=False)
         assert bare.telemetry_summary() is None
+
+
+# ---------------------------------------------------------------------- #
+# Clocks                                                                  #
+# ---------------------------------------------------------------------- #
+
+@pytest.mark.slow
+def test_monotonic_clocks_only(clean_env, tmp_path):
+    """Poison the wall clock for a telemetered sweep run three ways:
+    serial from cold workload caches, a two-worker pool into an empty
+    result cache, and a warm rerun from that cache.  Every duration must
+    come from time.monotonic/perf_counter, so nothing notices."""
+    def _no_wall_clock():
+        raise AssertionError("the sweep path read the wall clock")
+
+    clean_env.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+    clean_env.setattr(time, "time", _no_wall_clock)
+    driver.clear_workload_caches()
+    specs = _specs(3)
+    cache_dir = str(tmp_path / "cache")
+    runs = {}
+    for mode, jobs, cache in (("serial", 1, None), ("cold", 2, cache_dir),
+                              ("warm", 2, cache_dir)):
+        log = telemetry_path(str(tmp_path / mode))
+        exp = Experiment(scale=SCALE, measure_cycles=CYCLES,
+                         cache_dir=cache, use_cache=cache is not None,
+                         telemetry=log)
+        results = exp.run_many(specs, jobs=jobs)
+        events = load_events(log)
+        for event in events:
+            validate_event(event)
+        runs[mode] = (exp.sim_runs, results, summarize(events))
+    assert runs["serial"][1] == runs["cold"][1] == runs["warm"][1]
+    assert runs["serial"][0] == runs["cold"][0] == len(specs)
+    # The warm rerun is served entirely by the cache, and telemetry
+    # attributes every cold store and warm hit to the sweep path.
+    assert runs["warm"][0] == 0
+    assert runs["cold"][2]["cache_by_source"]["sweep"]["stores"] == len(specs)
+    assert runs["warm"][2]["cache_by_source"]["sweep"]["hits"] == len(specs)
