@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 from .breakdown import Breakdown
 from .hierarchy import COH, L1, L1X, L2, MEM
-from .trace import FLAG_DEPENDENT, FLAG_STREAM, FLAG_WRITE, Trace
+from .trace import (
+    FLAG_CODE_JUMP, FLAG_DEPENDENT, FLAG_STREAM, FLAG_WRITE, Trace)
 
 _EPS = 1e-9
 
@@ -148,12 +149,40 @@ def _account_instr(bd: Breakdown, level: int, cycles: float) -> None:
         bd.i_l2 += cycles
 
 
+class _BlockWork(dict):
+    """``icount -> (compute, branch, n_lines)`` for one context's trace.
+
+    ``compute`` and ``branch`` are the block's cycles at the context's
+    issue rate and the trace's misprediction cost; ``n_lines`` is its
+    instruction-line count.  A trace carries a few dozen distinct icounts
+    at most, so each entry is computed once, on first lookup.
+    """
+
+    __slots__ = ("rate", "branch_mpki", "branch_penalty")
+
+    def __init__(self, rate: float, branch_mpki: float, branch_penalty: int):
+        super().__init__()
+        self.rate = rate
+        self.branch_mpki = branch_mpki
+        self.branch_penalty = branch_penalty
+
+    def __missing__(self, icount: int) -> tuple[float, float, int]:
+        work = self[icount] = (
+            icount / self.rate,
+            icount * self.branch_mpki / 1000.0 * self.branch_penalty,
+            icount >> 4 or 1,
+        )
+        return work
+
+
 class _Context:
     """One hardware context: a cursor over (possibly several) client traces.
 
     When a saturated workload has more clients than hardware contexts, the
     surplus clients queue: each context round-robins over its assigned
     client traces, completing a full pass of one before starting the next.
+    Per-block work comes from one :class:`_BlockWork` table per queued
+    trace; ``work`` is the current trace's and switches at each rotation.
     """
 
     __slots__ = (
@@ -162,7 +191,7 @@ class _Context:
         "retired", "passes", "state", "work_left", "comp_frac",
         "pending_addr", "pending_flags", "pending_icount", "has_pending",
         "wake_time", "wake_level", "wake_is_instr", "rate", "finished_at",
-        "col_sets", "cols",
+        "work_tables", "work",
     )
 
     RUNNABLE = 0
@@ -205,16 +234,12 @@ class _Context:
             self.rate = params.effective_rate(self.trace)
         else:
             self.rate = float(params.issue_width)
-        # Per-event work columns (jumped, n_lines, compute, branch): pure
-        # functions of the trace and (rate, branch_penalty), shared through
-        # the trace's derived-column cache (DESIGN.md §14).  An idle
-        # context (no traces) never reads them.
-        self.col_sets = [
-            (t.kernel_cols()[1], t.kernel_cols()[2],
-             *t.work_cols(self.rate, params.branch_penalty))
+        # An idle context (no traces) never reads a work table.
+        self.work_tables = [
+            _BlockWork(self.rate, t.branch_mpki, params.branch_penalty)
             for t in traces
         ]
-        self.cols = self.col_sets[0] if traces else None
+        self.work = self.work_tables[0] if traces else None
 
     def advance(self) -> tuple[int, int, int, int]:
         """Move to the next trace event; returns (icount, addr, flags, region).
@@ -232,7 +257,7 @@ class _Context:
             self.pos = self.positions[self.trace_idx]
             self.quantum_left = self.quantum
             self.last_region = -1
-            self.cols = self.col_sets[self.trace_idx]
+            self.work = self.work_tables[self.trace_idx]
         self.pos += 1
         if self.pos >= self.n:
             self.passes += 1
@@ -309,16 +334,11 @@ class FatCore:
         else:
             icount, addr, flags, region = ctx.advance()
             trace = ctx.trace
-            pos = ctx.pos
-        cols = ctx.cols
         fp = trace.footprints[region]
-        # A fresh cursor (last_region < 0) always jumps; otherwise the
-        # previous event was pos-1 of this trace, which is exactly what
-        # the jumped column encodes.
-        jumped = True if ctx.last_region < 0 else cols[0][pos]
-        n_lines = cols[1][pos]
-        compute = cols[2][pos]
-        branch = cols[3][pos]
+        # A fresh cursor (last_region -1) always jumps; otherwise the
+        # previous block was pos-1 of this trace.
+        jumped = region != ctx.last_region or flags & FLAG_CODE_JUMP
+        compute, branch, n_lines = ctx.work[icount]
         ctx.last_region = region
         i_exposed, i_level = hier.instr_block(
             core_id, fp.base, fp.n_lines, n_lines, jumped, self.t
@@ -499,13 +519,9 @@ class LeanCore:
         else:
             icount, addr, flags, region = ctx.advance()
             trace = ctx.trace
-            pos = ctx.pos
-        cols = ctx.cols
         fp = trace.footprints[region]
-        jumped = True if ctx.last_region < 0 else cols[0][pos]
-        n_lines = cols[1][pos]
-        compute = cols[2][pos]
-        branch = cols[3][pos]
+        jumped = region != ctx.last_region or flags & FLAG_CODE_JUMP
+        compute, branch, n_lines = ctx.work[icount]
         ctx.last_region = region
         i_exposed, i_level = self.hier.instr_block(
             self.core_id, fp.base, fp.n_lines, n_lines, jumped, self.t

@@ -267,22 +267,32 @@ def _realized_invalidations(per_core, suspects, n_sets, assoc):
     return False
 
 
-def shared_suspects(core_traces) -> set[int] | None:
-    """Statically write-shared lines across cores, from memoized per-trace
-    line sets; ``None`` when sets are unavailable or the suspect count
-    exceeds :data:`_MAX_SUSPECT_LINES` (caller falls back).
+def _lw_column(trace):
+    """``trace``'s references in the warm-log encoding ``(addr >> 6) << 1 |
+    write``, as a numpy ``uint64`` array."""
+    a = _np.frombuffer(trace.addrs, dtype=_np.uint64)
+    m = _np.frombuffer(trace.meta, dtype=_np.uint64)
+    return ((a >> _np.uint64(6)) << _np.uint64(1)) | (m & _np.uint64(1))
+
+
+def shared_suspects(core_traces, lws) -> set[int] | None:
+    """Statically write-shared lines across cores.
+
+    ``lws`` maps each trace in ``core_traces`` to its
+    :func:`_lw_column`; each trace's sorted unique (accessed, written)
+    line sets are derived once per call.  Returns ``None`` when the
+    suspect count exceeds :data:`_MAX_SUSPECT_LINES` (caller falls back).
     """
+    line_sets = {}
+    for tr, lw in lws.items():
+        lines = (lw >> _np.uint64(1)).astype(_np.int64)
+        line_sets[tr] = (_np.unique(lines),
+                         _np.unique(lines[(lw & _np.uint64(1)) == 1]))
     acc = {}
     wr = {}
     for core_id, traces in core_traces.items():
-        a_parts = []
-        w_parts = []
-        for tr in traces:
-            ls = tr.line_sets()
-            if ls is None:
-                return None
-            a_parts.append(ls[0])
-            w_parts.append(ls[1])
+        a_parts = [line_sets[tr][0] for tr in traces]
+        w_parts = [line_sets[tr][1] for tr in traces]
         acc[core_id] = (a_parts[0] if len(a_parts) == 1
                         else _np.unique(_np.concatenate(a_parts)))
         wr[core_id] = (w_parts[0] if len(w_parts) == 1
@@ -308,9 +318,10 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     Returns the ``(l1_sets, owners, l2_log)`` state tuple exactly as
     :meth:`SharedL2Hierarchy.capture_warm_state` would produce after the
     full walk, or ``None`` when the kernel cannot guarantee bit-exactness
-    (no numpy, non-2-way L1s, non-pristine machine, missing
-    derived columns, too many statically write-shared lines, or a
-    realized cross-core invalidation).
+    (no numpy, non-2-way L1s, non-pristine machine, too many statically
+    write-shared lines, or a realized cross-core invalidation).  Each
+    distinct trace's :func:`_lw_column` is derived once per call and
+    dropped on return.
     """
     if _np is None:
         return None
@@ -328,15 +339,16 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
                    {}, array("Q"))
     if not sched:
         return empty_state
+    lws = {}
+    for _core_id, tr, _warm_len in walkers:
+        if tr not in lws:
+            lws[tr] = _lw_column(tr)
     parts = []
     part_core = []
     part_len = []
     for w, lo, hi in sched:
         core_id, tr, _ = walkers[w]
-        lw = tr.kernel_cols()[0]
-        if lw is None:
-            return None
-        parts.append(lw[lo:hi])
+        parts.append(lws[tr][lo:hi])
         part_core.append(core_id)
         part_len.append(hi - lo)
     glw = _np.concatenate(parts)
@@ -359,7 +371,7 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     core_traces: dict[int, list] = {}
     for core_id, tr, _warm_len in walkers:
         core_traces.setdefault(core_id, []).append(tr)
-    suspects = shared_suspects(core_traces)
+    suspects = shared_suspects(core_traces, lws)
     if suspects is None:
         return None
     if suspects and _realized_invalidations(

@@ -22,11 +22,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-try:  # numpy accelerates derived-column builds; the container may lack it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less hosts
-    _np = None
-
 #: The reference writes the line (dirty it; relevant to coherence/writeback).
 FLAG_WRITE = 0x1
 #: The reference is data-dependent on the previous one (pointer chasing):
@@ -96,7 +91,9 @@ class Trace:
     and packed ``meta``); everything else — per-event field reads, the
     decoded ``icounts``/``flags``/``regions`` views, slicing — is part of
     the public accessor API so the storage format can evolve without test
-    churn (DESIGN.md §11).
+    churn (DESIGN.md §11).  A trace keeps no per-event derived state: the
+    cores and the replay kernels derive what they need from the packed
+    meta word where they use it (DESIGN.md §14).
 
     Attributes:
         name: Debug label, e.g. ``"tpcc-client-3"``.
@@ -120,9 +117,6 @@ class Trace:
         "addrs",
         "meta",
         "_stats",
-        "_kernel_cols",
-        "_work_cols",
-        "_line_sets",
     )
 
     def __init__(
@@ -147,9 +141,6 @@ class Trace:
         # Aggregate scans run lazily, once, on first use: workload build
         # never pays for statistics an experiment may not ask for.
         self._stats = None
-        self._kernel_cols = None
-        self._work_cols = {}
-        self._line_sets = None
 
     @classmethod
     def from_columns(
@@ -265,98 +256,6 @@ class Trace:
         """Decoded per-event region column (fresh copy; analysis only)."""
         return array("H", ((m >> 8) & 0xFFFF for m in self.meta))
 
-    # -- derived replay columns (DESIGN.md §14) ------------------------- #
-
-    def kernel_cols(self):
-        """Params-independent derived columns ``(lw, jumped, n_lines)``.
-
-        ``lw`` packs each reference as ``(addr >> 6) << 1 | write`` — the
-        exact encoding of the hierarchy's warm log — as a numpy ``uint64``
-        array (``None`` without numpy; only the numpy replay kernels
-        consume it).  ``jumped`` marks events whose compute block starts in
-        a new code region relative to the previous event (position 0 is
-        always a jump) or carries ``FLAG_CODE_JUMP``; ``n_lines`` is the
-        block's instruction-line count ``max(1, icount // 16)``.  The
-        latter two are plain ``array`` columns indexable from the
-        pure-Python step loops.  Built lazily at first use and cached; a
-        bundle that crosses a process boundary drops them, and the first
-        use on the other side rebuilds them.
-        """
-        cols = self._kernel_cols
-        if cols is None:
-            cols = self._kernel_cols = _build_kernel_cols(self.addrs, self.meta)
-        return cols
-
-    def line_sets(self):
-        """Sorted unique ``(accessed, written)`` line-index arrays.
-
-        Numpy int64 arrays (``None`` without numpy), memoized: the replay
-        kernels' cross-core sharing analysis intersects these per-trace
-        sets instead of re-deriving them from the streams on every run.
-        """
-        sets = self._line_sets
-        if sets is None:
-            if _np is None:
-                return None
-            lw = self.kernel_cols()[0]
-            if lw is None:
-                return None
-            lines = (lw >> _np.uint64(1)).astype(_np.int64)
-            sets = self._line_sets = (
-                _np.unique(lines),
-                _np.unique(lines[(lw & _np.uint64(1)) == 1]),
-            )
-        return sets
-
-    def work_cols(self, rate: float, branch_penalty: float):
-        """Per-event ``(compute, branch)`` cycle columns for one core camp.
-
-        Pure functions of the meta column and ``(rate, branch_penalty)``:
-        ``compute[i] = icount / rate`` and ``branch[i] = icount *
-        branch_mpki / 1000 * branch_penalty`` — the exact expressions the
-        step loops used inline, evaluated in the same operand order so the
-        doubles are bit-identical.  Memoized per (rate, penalty) pair; a
-        camp sweep touches at most two pairs per trace.
-        """
-        key = (rate, branch_penalty)
-        cols = self._work_cols.get(key)
-        if cols is not None:
-            return cols
-        mpki = self.branch_mpki
-        if _np is not None:
-            m = _np.frombuffer(self.meta, dtype=_np.uint64)
-            ic = m >> _np.uint64(24)
-            comp = ic / rate
-            br = ic * mpki
-            br = br / 1000.0
-            br = br * branch_penalty
-            compute_col = array("d")
-            compute_col.frombytes(comp.tobytes())
-            branch_col = array("d")
-            branch_col.frombytes(br.tobytes())
-        else:  # pragma: no cover - numpy-less fallback, same arithmetic
-            compute_col = array("d", ((m >> 24) / rate for m in self.meta))
-            branch_col = array(
-                "d",
-                ((m >> 24) * mpki / 1000.0 * branch_penalty
-                 for m in self.meta))
-        cols = (compute_col, branch_col)
-        self._work_cols[key] = cols
-        return cols
-
-    # Derived columns are caches over the physical columns: drop them when
-    # a trace crosses a process boundary (the receiver re-derives them
-    # lazily).
-    def __getstate__(self):
-        skip = ("_kernel_cols", "_work_cols", "_line_sets")
-        return {s: getattr(self, s) for s in self.__slots__ if s not in skip}
-
-    def __setstate__(self, state):
-        for s in self.__slots__:
-            setattr(self, s, state.get(s))
-        if self._work_cols is None:
-            self._work_cols = {}
-
     # -- views ---------------------------------------------------------- #
 
     def sliced(self, lo: int = 0, hi: int | None = None) -> "Trace":
@@ -373,45 +272,6 @@ class Trace:
             branch_mpki=self.branch_mpki,
             ilp_inorder=self.ilp_inorder,
         )
-
-
-def _build_kernel_cols(addrs, meta):
-    """Build the ``(lw, jumped, n_lines)`` derived columns for one trace.
-
-    numpy path when available (one vector pass over the columns); the
-    pure-Python path computes the same values for ``jumped``/``n_lines``
-    and omits ``lw`` (no consumer without numpy — the replay kernels that
-    read it are themselves numpy-gated).
-    """
-    n = len(addrs)
-    if _np is not None:
-        a = _np.frombuffer(addrs, dtype=_np.uint64)
-        m = _np.frombuffer(meta, dtype=_np.uint64)
-        lw = ((a >> _np.uint64(6)) << _np.uint64(1)) | (m & _np.uint64(1))
-        regions = (m >> _np.uint64(8)) & _np.uint64(0xFFFF)
-        jumped_b = _np.empty(n, dtype=bool)
-        if n:
-            jumped_b[0] = True
-            jumped_b[1:] = regions[1:] != regions[:-1]
-            jumped_b |= (m & _np.uint64(FLAG_CODE_JUMP)) != 0
-        jumped = array("B")
-        jumped.frombytes(jumped_b.astype(_np.uint8).tobytes())
-        nl = _np.maximum(
-            _np.uint64(1), m >> _np.uint64(24 + 4)).astype(_np.uint32)
-        n_lines = array("I")
-        n_lines.frombytes(nl.tobytes())
-        return lw, jumped, n_lines
-    jumped = array("B", bytes(n))  # pragma: no cover - numpy-less fallback
-    n_lines = array("I", bytes(4 * n))
-    prev_region = -1
-    for i in range(n):
-        mi = meta[i]
-        region = (mi >> 8) & 0xFFFF
-        jumped[i] = 1 if (i == 0 or region != prev_region
-                          or mi & FLAG_CODE_JUMP) else 0
-        prev_region = region
-        n_lines[i] = max(1, (mi >> 24) >> 4)
-    return None, jumped, n_lines
 
 
 class TraceBuilder:

@@ -85,8 +85,8 @@ def built_bundles(coords) -> dict[tuple, Workload]:
 def adopt_bundles(bundles: dict[tuple, Workload]) -> None:
     """Install another process's built bundles into this registry.
 
-    The bundles arrive pickled, which drops their derived replay columns
-    (:meth:`Trace.__getstate__`); the first run re-derives them lazily.
+    The bundles arrive pickled; a trace's pickle is its physical columns
+    and metadata, which is all the state it has.
     """
     _BUILT.update(bundles)
 

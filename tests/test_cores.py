@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.simulator import trace as trace_mod
 from repro.simulator.cores import (
     CLIENT_QUANTUM_EVENTS,
     FatCore,
@@ -234,7 +233,7 @@ class TestContextRotation:
         assert ctx.passes == 1
 
 
-def mixed_trace(name, seed, n_events=150):
+def mixed_trace(name, seed, n_events=150, branch_mpki=4.0):
     """A randomized trace mixing L1 hits, cold misses and code jumps.
 
     Four 512-line code regions overflow the 32 KB L1I, so jumps between
@@ -242,7 +241,8 @@ def mixed_trace(name, seed, n_events=150):
     while the rest go to the L2 or memory.
     """
     rng = random.Random(seed)
-    tb = TraceBuilder(name, ilp=2.0, branch_mpki=4.0, ilp_inorder=1.2)
+    tb = TraceBuilder(name, ilp=2.0, branch_mpki=branch_mpki,
+                      ilp_inorder=1.2)
     regions = [tb.register_code(f"m{i}", 0x10_0000 * (i + 1), 512)
                for i in range(4)]
     hot = [0x100 + 64 * i for i in range(4)]
@@ -341,28 +341,68 @@ class TestLeanLoopInvariants:
         assert core.breakdown.i_l2 == 0.0
 
 
-class TestWorkColumns:
-    """The per-event work columns against the expressions the step loops
-    once evaluated inline, event by event and bit for bit."""
+class TestBlockWork:
+    """The per-block work a core derives from the event's icount and meta
+    word, against the expressions the step loops once evaluated inline,
+    block by block and bit for bit."""
 
-    @pytest.mark.parametrize("numpy_path", [True, False])
-    def test_columns_match_inline_expressions(self, numpy_path,
-                                              monkeypatch):
-        if not numpy_path:
-            monkeypatch.setattr(trace_mod, "_np", None)
-        trace = mixed_trace("r", seed=3, n_events=2000)
-        for params in (fat_core_params(), lean_core_params()):
-            ctx = _Context([trace], params)
-            jumped_col, n_lines_col, compute_col, branch_col = ctx.cols
-            last_region = -1
-            for pos in range(len(trace)):
-                icount, _, flags, region = trace.access_at(pos)
-                jumped = (region != last_region
-                          or bool(flags & FLAG_CODE_JUMP))
-                last_region = region
-                assert bool(jumped_col[pos]) == jumped
-                assert n_lines_col[pos] == max(1, icount // 16)
-                assert compute_col[pos] == icount / ctx.rate
-                assert branch_col[pos] == (
-                    icount * trace.branch_mpki / 1000.0
-                    * params.branch_penalty)
+    @pytest.mark.parametrize("camp", ["fc", "lc"])
+    def test_work_and_jump_match_inline_expressions(self, camp):
+        traces = [mixed_trace(f"q{q}", seed=20 + q, n_events=300,
+                              branch_mpki=mpki)
+                  for q, mpki in enumerate((4.0, 7.5, 1.3))]
+        hier = make_hier()
+        if camp == "fc":
+            params = fat_core_params()
+            core = FatCore(0, params, hier, traces)
+        else:
+            params = lean_core_params()
+            core = LeanCore(0, params, hier, [traces])
+        ctx = core.contexts[0]
+        # Rotate queued clients every few events instead of 2048.
+        ctx.quantum = ctx.quantum_left = 7
+        # The last block loaded so far: a lean core loads its first one
+        # at construction, a fat core none (position -1).
+        prev = (ctx.trace_idx, ctx.pos)
+        blocks = []
+        instr_block = hier.instr_block
+
+        def recording_instr_block(core_id, base, fp_lines, n_lines,
+                                  jumped, now):
+            # The context looks work up in the current trace's table.
+            assert ctx.work is ctx.work_tables[ctx.trace_idx]
+            blocks.append((ctx.trace_idx, ctx.pos, n_lines, bool(jumped)))
+            return instr_block(core_id, base, fp_lines, n_lines, jumped,
+                               now)
+
+        hier.instr_block = recording_instr_block
+        n_events = sum(len(t) for t in traces)
+        while len(blocks) < 2 * n_events:
+            core.step()
+        computation = other = 0.0
+        for idx, pos, n_lines, jumped in blocks:
+            trace = traces[idx]
+            icount, _, flags, region = trace.access_at(pos)
+            if pos and prev == (idx, pos - 1):
+                ref_jumped = (region != trace.region_at(pos - 1)
+                              or bool(flags & FLAG_CODE_JUMP))
+            else:
+                ref_jumped = True  # first block, rotation or wrap
+            prev = (idx, pos)
+            assert jumped == ref_jumped
+            assert n_lines == max(1, icount // 16)
+            compute = icount / ctx.rate
+            branch = (icount * trace.branch_mpki / 1000.0
+                      * params.branch_penalty)
+            assert ctx.work_tables[idx][icount] == (
+                compute, branch, max(1, icount // 16))
+            computation += compute
+            other += branch
+        # The walk rotated over every trace and covered every event.
+        assert {(i, p) for i, p, _, _ in blocks} == {
+            (i, p) for i, t in enumerate(traces) for p in range(len(t))}
+        if camp == "fc":
+            # A fat core accounts each block's work as it completes it,
+            # so its sums replay the reference values in the same order.
+            assert core.breakdown.computation == computation
+            assert core.breakdown.other == other

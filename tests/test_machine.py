@@ -1,5 +1,7 @@
 """Unit tests for the Machine warm/measure loop."""
 
+import pickle
+
 import pytest
 
 from repro.simulator.configs import fc_cmp, fc_smp, lc_cmp
@@ -8,15 +10,15 @@ from repro.simulator.trace import TraceBuilder, Workload
 
 
 def make_trace(name, n_events=200, footprint_lines=512, seed=1,
-               write_every=5):
+               write_every=5, base=0x4000_0000):
     import random
     rng = random.Random(seed)
     tb = TraceBuilder(name, ilp=2.0, branch_mpki=2.0, ilp_inorder=1.2)
     rid = tb.register_code("mod", 0x10_0000, 32)
-    base = 0x4000_0000
     for i in range(n_events):
         addr = base + rng.randrange(footprint_lines) * 64
-        tb.event(30, addr, 1 if i % write_every == 0 else 0, rid)
+        tb.event(30, addr, 1 if write_every and i % write_every == 0 else 0,
+                 rid)
     return tb.build()
 
 
@@ -177,6 +179,81 @@ class TestWarmPlan:
         assert outcomes == [engages]
         assert results[0].to_dict() == results[1].to_dict()
         assert results[0].retired > 0
+
+
+class TestTraceState:
+    """A trace holds only its physical columns and metadata: the cores
+    and the replay kernels derive per-event work where they use it."""
+
+    #: Every slot a trace has: metadata, the two physical columns, and
+    #: the lazily computed aggregate statistics.
+    SLOTS = {"name", "ilp", "ilp_inorder", "branch_mpki", "footprints",
+             "addrs", "meta", "_stats"}
+
+    @staticmethod
+    def _sized(value):
+        """``value`` and every sized object nested in its containers."""
+        if isinstance(value, (str, bytes)):
+            return
+        if hasattr(value, "__len__"):
+            yield value
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, (tuple, list)):
+            for item in value:
+                yield from TestTraceState._sized(item)
+
+    def test_runs_leave_no_per_event_state(self):
+        wl = make_workload(4, n_events=333)
+        for camp in (fc_cmp, lc_cmp):
+            Machine(camp(n_cores=2, l2_nominal_mb=1, scale=1.0)).run(
+                wl, measure_cycles=20_000)
+        for tr in wl.traces:
+            assert not hasattr(tr, "__dict__")
+            assert set(type(tr).__slots__) == self.SLOTS
+            for slot in self.SLOTS - {"addrs", "meta"}:
+                for value in self._sized(getattr(tr, slot)):
+                    assert len(value) != len(tr), slot
+
+    @pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+    def test_pickle_round_trips_exactly_the_fields(self, protocol):
+        tr = make_trace("c0")
+        assert tr.total_instructions == 30 * len(tr)  # fills _stats
+        clone = pickle.loads(pickle.dumps(tr, protocol=protocol))
+        for slot in self.SLOTS:
+            assert getattr(clone, slot) == getattr(tr, slot), slot
+        assert not hasattr(clone, "__dict__")
+
+
+class TestWarmKernelDerivations:
+    def test_each_trace_is_derived_once_per_call(self, monkeypatch):
+        """The warm kernel derives each distinct trace's columns once per
+        call, however many warm chunks and walkers name the trace."""
+        from repro.simulator import replay
+
+        derived = []
+        lw_column = replay._lw_column
+
+        def counting(trace):
+            derived.append(trace.name)
+            return lw_column(trace)
+
+        monkeypatch.setattr(replay, "_lw_column", counting)
+        # Disjoint footprints, so no line is write-shared across cores;
+        # the read-only trace is walked by two cores.
+        traces = [make_trace(f"c{i}", n_events=500, seed=i,
+                             base=0x4000_0000 * (i + 1)) for i in range(3)]
+        shared = make_trace("ro", n_events=500, write_every=0,
+                            base=0x1_0000_0000)
+        walkers = [(0, traces[0], 500), (0, traces[1], 500),
+                   (1, traces[2], 480), (2, shared, 500), (3, shared, 300)]
+        hier = Machine(fc_cmp(n_cores=4, l2_nominal_mb=1,
+                              scale=1.0)).hierarchy
+        chunk = 16
+        assert len(replay.warm_schedule(walkers, 2, chunk)) > 100
+        state = replay.compute_warm_state(hier, walkers, 2, chunk)
+        assert state is not None  # the kernel engaged
+        assert sorted(derived) == ["c0", "c1", "c2", "ro"]
 
 
 class TestSmpMachine:
