@@ -14,7 +14,7 @@ Usage::
 Resilience (see DESIGN.md §6)::
 
     python -m repro --jobs 4 --timeout 600 --retries 3 all
-    python -m repro --jobs 4 --resume sweep.ckpt all   # resumable sweep
+    python -m repro --jobs 4 --cache-dir .repro-cache all  # rerun resumes
     python -m repro --fail-fast fig6                   # abort on first loss
 
 Observability (see DESIGN.md §7)::
@@ -50,9 +50,11 @@ Host-time benchmarking lives in ``perf/`` (see perf/README.md).
 Parallelism, caching, and resilience can also be driven from the
 environment: ``REPRO_JOBS`` sets the default worker count,
 ``REPRO_CACHE_DIR`` the persistent result-cache root,
-``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` /
-``REPRO_CHECKPOINT`` the sweep resilience knobs (see DESIGN.md §5-6),
-and ``REPRO_TELEMETRY`` the telemetry event-log target (DESIGN.md §7).
+``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` the sweep
+resilience knobs (see DESIGN.md §5-6), and ``REPRO_TELEMETRY`` the
+telemetry event-log target (DESIGN.md §7).  A sweep writes each finished
+point to the result cache, so rerunning a killed sweep with the same
+cache directory simulates only the points it had not finished.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ def run_figures(names: list[str], scale: float | None,
                 print(f"  spec {failure.index} [{failure.kind}] after "
                       f"{failure.attempts} attempt(s): {failure.message}",
                       file=sys.stderr)
-            print("completed results were cached/checkpointed; rerun "
-                  "(optionally with --retries/--timeout/--resume) to "
-                  "simulate only the remainder", file=sys.stderr)
+            print("completed results are in the result cache (when one "
+                  "is set); rerun with the same --cache-dir (optionally "
+                  "with --retries/--timeout) to simulate only the "
+                  "remainder", file=sys.stderr)
             _print_cache_stats(exp)
             return 1
         print(_banner(f"{name}  (scale {exp.scale:g}, "
@@ -398,11 +401,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--retries", type=int, default=None,
                         help="failed attempts each sweep point may retry "
                              "(default: REPRO_RETRIES or 2)")
-    parser.add_argument("--resume", metavar="CHECKPOINT", default=None,
-                        help="sweep checkpoint journal: completed points "
-                             "are recalled from it and new ones appended, "
-                             "so an interrupted run resumes where it "
-                             "stopped (default: REPRO_CHECKPOINT)")
     parser.add_argument("--fail-fast", action="store_true",
                         help="abort a sweep on the first point that "
                              "exhausts its retries (default: finish the "
@@ -505,8 +503,6 @@ def main(argv: list[str] | None = None) -> int:
             print("--retries must be >= 0", file=sys.stderr)
             return 2
         os.environ["REPRO_RETRIES"] = str(args.retries)
-    if args.resume is not None:
-        os.environ["REPRO_CHECKPOINT"] = args.resume
     if args.fail_fast:
         os.environ["REPRO_FAIL_FAST"] = "1"
     if args.telemetry is not None:

@@ -70,35 +70,6 @@ def cpi_stack_from_breakdown(breakdown: Breakdown,
     }
 
 
-#: Simulator self-measurement mnemonics (host-side, from a profiling
-#: probe snapshot — not architectural counters like the PM_* set above).
-SIM_WARM_SECONDS = "SIM_WARM_SECONDS"
-SIM_MEASURE_SECONDS = "SIM_MEASURE_SECONDS"
-SIM_ACCESSES_PER_SEC = "SIM_ACCESSES_PER_SEC"
-SIM_L2_PORT_OCCUPANCY = "SIM_L2_PORT_OCCUPANCY"
-SIM_WARM_REFS = "SIM_WARM_REFS"
-
-
-def profile_counters(snapshot: dict) -> dict[str, float]:
-    """Named counters from a :class:`repro.simulator.profiling.RunProbe`
-    snapshot (as carried by telemetry ``spec_exec`` events).
-
-    These measure the *simulator*, not the simulated machine: where its
-    wall time went (warm vs. measure), how fast it simulated, and how
-    occupied the modelled L2 ports were.
-    """
-    phases = snapshot.get("phase_seconds", {})
-    gauges = snapshot.get("gauges", {})
-    counters = snapshot.get("counters", {})
-    return {
-        SIM_WARM_SECONDS: float(phases.get("warm", 0.0)),
-        SIM_MEASURE_SECONDS: float(phases.get("measure", 0.0)),
-        SIM_ACCESSES_PER_SEC: float(snapshot.get("accesses_per_sec", 0.0)),
-        SIM_L2_PORT_OCCUPANCY: float(gauges.get("l2_port_occupancy", 0.0)),
-        SIM_WARM_REFS: float(counters.get("warm_refs", 0)),
-    }
-
-
 def miss_rates(result: MachineResult) -> dict[str, float]:
     """Derived per-reference miss ratios (post-processing-script style)."""
     c = extract(result)

@@ -12,8 +12,10 @@ Two layers back the memo (see :mod:`repro.core.parallel`):
   (``REPRO_CACHE_DIR`` or the ``cache_dir`` argument), so repeated
   benchmark *processes* recall results instead of re-simulating;
 - :meth:`run_many` / :meth:`prefetch`, which fan uncached measurements out
-  across a process pool (``REPRO_JOBS`` or the ``jobs`` argument) and fill
-  both caches with the results.
+  across a process pool (``REPRO_JOBS`` or the ``jobs`` argument); the
+  sweep writes each result to the disk cache the moment its spec
+  finishes, so rerunning a killed sweep on the same cache simulates only
+  the specs it had not finished.
 
 Warm fractions are workload-dependent (DESIGN.md §1): OLTP warms a short
 prefix (its cold row stream must stay cold — the secondary working set is
@@ -35,7 +37,6 @@ from .parallel import (
     WARM_FRACTIONS,
     ResultCache,
     RunSpec,
-    SweepCheckpoint,
     SweepError,
     config_key,
     execute,
@@ -48,7 +49,6 @@ __all__ = [
     "WARM_FRACTIONS",
     "Experiment",
     "RunSpec",
-    "SweepCheckpoint",
     "SweepError",
     "shared_experiment",
 ]
@@ -86,10 +86,9 @@ class Experiment:
             sweep lifecycle events flow through it.
 
     Attributes:
-        sim_runs: Number of specs this experiment resolved through the
-            sweep layer (memo and disk-cache hits do not count; sweep-
-            checkpoint recalls do) — the counter the determinism/cache
-            tests assert on.
+        sim_runs: Number of specs this experiment simulated (memo and
+            disk-cache hits do not count) — the counter the
+            determinism/cache tests assert on.
         telemetry: The resolved recorder (the inert null recorder when
             telemetry is off).
     """
@@ -147,11 +146,11 @@ class Experiment:
         return None
 
     def _store(self, key: tuple, result: MachineResult,
-               index: int | None = None, source: str = "run") -> None:
+               source: str = "run") -> None:
         self._results[key] = result
         if self.cache is not None:
-            self.cache.put(key, result, index=index)
-            self.telemetry.emit("cache_store", source=source, index=index)
+            self.cache.put(key, result)
+            self.telemetry.emit("cache_store", source=source, index=None)
 
     def cache_stats(self) -> dict | None:
         """Disk-cache accounting (hits/misses/stores/errors), or None."""
@@ -194,7 +193,6 @@ class Experiment:
                  retries: int | None = None,
                  backoff: float | None = None,
                  fail_fast: bool | None = None,
-                 checkpoint=None,
                  telemetry=None) -> list[MachineResult]:
         """Run (or recall) a batch of measurements, fanned across workers.
 
@@ -203,7 +201,7 @@ class Experiment:
                 arguments, ``(config, kind, ...)``).
             jobs: Worker processes for the uncached remainder; None reads
                 ``REPRO_JOBS`` (default 1 = serial in-process).
-            timeout/retries/backoff/fail_fast/checkpoint: Resilience knobs
+            timeout/retries/backoff/fail_fast: Resilience knobs
                 forwarded to :func:`repro.core.parallel.run_specs`; None
                 reads the matching ``REPRO_*`` environment default.
             telemetry: Recorder override for this batch; None uses the
@@ -218,8 +216,8 @@ class Experiment:
 
         Raises:
             SweepError: When a spec exhausts its retry budget.  Results
-                completed before the failure are still memoized, cached,
-                and checkpointed, so a fixed-up rerun only simulates the
+                completed before the failure are memoized and already in
+                the disk cache, so a fixed-up rerun only simulates the
                 remainder.
         """
         specs = [_as_spec(s) for s in specs]
@@ -240,22 +238,18 @@ class Experiment:
                                   self.measure_cycles, jobs=jobs,
                                   timeout=timeout, retries=retries,
                                   backoff=backoff, fail_fast=fail_fast,
-                                  checkpoint=checkpoint, telemetry=telem)
+                                  cache=self.cache, telemetry=telem)
             except SweepError as err:
-                # Salvage everything that completed: memo + disk cache
-                # (the sweep checkpoint, when set, already has them).
-                # Telemetry attributes these stores to the salvage path,
-                # which the lump-sum ResultCache.stats() counters cannot.
-                for pos, i in enumerate(todo):
-                    result = err.results[pos]
+                # The sweep already stored every completed result in the
+                # disk cache; keep them in the memo too.
+                for i, result in zip(todo, err.results):
                     if result is not None:
                         self.sim_runs += 1
-                        self._store(keys[i], result, index=pos,
-                                    source="salvage")
+                        self._results[keys[i]] = result
                 raise
             self.sim_runs += len(fresh)
-            for pos, (i, result) in enumerate(zip(todo, fresh)):
-                self._store(keys[i], result, index=pos, source="sweep")
+            for i, result in zip(todo, fresh):
+                self._results[keys[i]] = result
                 results[i] = result
             # Duplicate specs within the batch resolve off the memo.
             for i, (key, res) in enumerate(zip(keys, results)):
@@ -269,8 +263,7 @@ class Experiment:
         Figures and benchmark drivers call this with their whole grid up
         front, then keep their readable serial loops — every subsequent
         :meth:`run` is a memo hit.  ``resilience`` kwargs (timeout,
-        retries, backoff, fail_fast, checkpoint) forward to
-        :meth:`run_many`.
+        retries, backoff, fail_fast) forward to :meth:`run_many`.
         """
         specs = list(specs)
         before = self.sim_runs

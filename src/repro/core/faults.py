@@ -1,12 +1,12 @@
 """Deterministic fault injection for the resilient sweep executor.
 
 The recovery machinery in :mod:`repro.core.parallel` (retries, timeouts,
-crash isolation, checkpoint resume, corrupt-cache fallback) is only
-trustworthy if its failure paths are exercised on purpose.  This module is
-a seeded, environment-driven chaos harness: tests and the CI chaos job set
-``REPRO_FAULTS`` to a small fault plan and the executor's workers then
-crash, hang, raise, or corrupt cache entries at *chosen, reproducible*
-points.
+crash isolation, resume from the result cache, corrupt-cache fallback) is
+only trustworthy if its failure paths are exercised on purpose.  This
+module is a seeded, environment-driven chaos harness: tests and the CI
+chaos job set ``REPRO_FAULTS`` to a small fault plan and the executor's
+workers then crash, hang, raise, or corrupt cache entries at *chosen,
+reproducible* points.
 
 Grammar (directives separated by ``;``)::
 

@@ -9,11 +9,13 @@ wrappers over these functions.
 
 Every grid here flows through ``Experiment.prefetch``/``run_many`` and so
 inherits the resilient execution layer: the ``REPRO_TIMEOUT`` /
-``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` / ``REPRO_CHECKPOINT`` knobs (CLI:
-``--timeout/--retries/--fail-fast/--resume``) bound how long a figure may
-stall, retry transient worker failures, and resume an interrupted grid —
-without changing a single printed digit, since retried or fault-recovered
-points re-run the same deterministic simulation (DESIGN.md §6).
+``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` knobs (CLI:
+``--timeout/--retries/--fail-fast``) bound how long a figure may stall and
+retry transient worker failures, and each finished point lands in the
+result cache at once, so an interrupted grid rerun on the same cache
+resumes where it stopped — without changing a single printed digit, since
+retried or fault-recovered points re-run the same deterministic
+simulation (DESIGN.md §6).
 """
 
 from __future__ import annotations

@@ -14,10 +14,11 @@ the scaling substrate the rest of the study runs on:
 - :func:`run_specs` — fan a batch of specs across a process pool
   (``jobs`` workers, defaulting to the ``REPRO_JOBS`` environment knob)
   with per-spec timeouts, bounded retries with exponential backoff,
-  worker-crash isolation, structured :class:`SpecFailure` records, and an
-  optional :class:`SweepCheckpoint` journal so an interrupted sweep
-  resumes without re-simulating finished specs.  A graceful
-  single-process fallback covers platforms without multiprocessing.
+  worker-crash isolation, and structured :class:`SpecFailure` records.
+  Each result is written to the :class:`ResultCache` the moment its spec
+  finishes, so an interrupted sweep rerun on the same cache simulates
+  only the unfinished specs.  A graceful single-process fallback covers
+  platforms without multiprocessing.
 - :class:`ResultCache` — a content-addressed on-disk cache keyed by the
   normalized machine-config identity, the workload coordinates, and a
   code-version salt, so repeated benchmark runs recall results instead of
@@ -502,7 +503,7 @@ def default_cache_budget() -> int | None:
 
 
 # ---------------------------------------------------------------------- #
-# Failure records and the sweep checkpoint                                #
+# Failure records                                                         #
 # ---------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
@@ -546,81 +547,6 @@ class SweepError(RuntimeError):
         super().__init__(
             f"{len(self.failures)} of {len(results)} specs failed "
             f"({done} completed): {detail}{more}")
-
-
-class SweepCheckpoint:
-    """An append-only journal of completed sweep measurements.
-
-    Each record is one pickled ``(digest, MachineResult)`` pair, where the
-    digest hashes the spec's full measurement key plus the code-version
-    salt — so a checkpoint is content-addressed like the result cache: a
-    resumed sweep recalls exactly the specs whose identity matches, and a
-    checkpoint from a different grid, scale, or simulator version simply
-    produces no matches.  A sweep killed mid-append leaves a truncated
-    tail, which :meth:`load` tolerates by keeping every complete record
-    before it.  Writes are best-effort: an unwritable journal costs
-    resumability, never correctness.  Single sweep writer per file (the
-    scheduling loop appends; workers never touch it).
-
-    Attributes:
-        loaded: Records recovered by the last :meth:`load`.
-        recorded: Records appended through this instance.
-    """
-
-    def __init__(self, path: str, salt: str = CODE_VERSION):
-        self.path = str(path)
-        self.salt = salt
-        self.loaded = 0
-        self.recorded = 0
-
-    @classmethod
-    def from_env(cls) -> "SweepCheckpoint | None":
-        """A checkpoint at ``REPRO_CHECKPOINT``, or None when unset."""
-        path = os.environ.get("REPRO_CHECKPOINT", "").strip()
-        return cls(path) if path else None
-
-    def digest(self, key: tuple) -> str:
-        return hashlib.sha256(
-            repr((self.salt, key)).encode("utf-8")).hexdigest()
-
-    def load(self) -> dict[str, MachineResult]:
-        """Every complete record in the journal (empty when absent)."""
-        records: dict[str, MachineResult] = {}
-        try:
-            fh = open(self.path, "rb")
-        except OSError:
-            return records
-        with fh:
-            while True:
-                try:
-                    entry = pickle.load(fh)
-                except EOFError:
-                    break
-                except Exception:
-                    # Truncated tail from a killed sweep (or garbage):
-                    # keep everything before it.
-                    break
-                if (isinstance(entry, tuple) and len(entry) == 2
-                        and isinstance(entry[0], str)
-                        and isinstance(entry[1], MachineResult)):
-                    records[entry[0]] = entry[1]
-                else:
-                    break
-        self.loaded = len(records)
-        return records
-
-    def record(self, key: tuple, result: MachineResult) -> None:
-        """Append one completed measurement (flushed immediately)."""
-        try:
-            parent = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(parent, exist_ok=True)
-            with open(self.path, "ab") as fh:
-                pickle.dump((self.digest(key), result), fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-                fh.flush()
-            self.recorded += 1
-        except OSError:
-            pass
 
 
 # ---------------------------------------------------------------------- #
@@ -895,7 +821,7 @@ def run_specs(
     retries: int | None = None,
     backoff: float | None = None,
     fail_fast: bool | None = None,
-    checkpoint: "SweepCheckpoint | str | None" = None,
+    cache: "ResultCache | None" = None,
     telemetry=None,
 ) -> list[MachineResult]:
     """Simulate ``specs`` (in order) across up to ``jobs`` processes.
@@ -915,10 +841,11 @@ def run_specs(
             ``backoff * 2**(n-1)`` (None: ``REPRO_BACKOFF``, default 0.1).
         fail_fast: Abort the sweep on the first exhausted spec instead of
             finishing the rest (None: ``REPRO_FAIL_FAST``, default off).
-        checkpoint: A :class:`SweepCheckpoint` (or journal path) recording
-            completed specs; matching records are recalled instead of
-            re-simulated, and every fresh result is appended.  None reads
-            ``REPRO_CHECKPOINT`` (default: no journal).
+        cache: A :class:`ResultCache` that receives each result the
+            moment its spec finishes, so a sweep killed part way keeps
+            its finished specs.  Never read here: callers look keys up
+            before submitting (:meth:`Experiment.run_many` does).  None
+            stores nothing.
         telemetry: A :mod:`repro.core.telemetry` recorder (or an event-log
             path) receiving per-spec JSONL lifecycle events; None reads
             ``REPRO_TELEMETRY`` (default: telemetry off).  Observability
@@ -926,7 +853,7 @@ def run_specs(
 
     Returns:
         One :class:`MachineResult` per spec, bit-for-bit identical to a
-        fault-free serial run regardless of retries, crashes, or resume.
+        fault-free serial run regardless of retries or crashes.
 
     Raises:
         SweepError: When any spec exhausts its retries; carries the
@@ -947,10 +874,6 @@ def run_specs(
         timeout = None
     backoff = default_backoff() if backoff is None else max(0.0, float(backoff))
     fail_fast = default_fail_fast() if fail_fast is None else bool(fail_fast)
-    if checkpoint is None:
-        checkpoint = SweepCheckpoint.from_env()
-    elif isinstance(checkpoint, (str, os.PathLike)):
-        checkpoint = SweepCheckpoint(str(checkpoint))
     telem = as_recorder(telemetry)
 
     global _sweep_seq
@@ -962,21 +885,7 @@ def run_specs(
 
     results: list[MachineResult | None] = [None] * len(specs)
     keys = [s.key(scale, default_cycles) for s in specs]
-    if checkpoint is not None:
-        recorded = checkpoint.load()
-        for i, key in enumerate(keys):
-            prior = recorded.get(checkpoint.digest(key))
-            if prior is not None:
-                results[i] = prior
-        if telem.enabled:
-            recalled = [i for i, r in enumerate(results) if r is not None]
-            if recalled:
-                telem.emit("checkpoint_resume", sweep=sweep,
-                           recalled=len(recalled))
-                for i in recalled:
-                    telem.emit("spec_finished", sweep=sweep, index=i,
-                               attempts=0, source="checkpoint", wall_s=0.0)
-    pending = [i for i, r in enumerate(results) if r is None]
+    pending = list(range(len(specs)))
 
     def sweep_end() -> None:
         telem.emit("sweep_end", sweep=sweep,
@@ -996,8 +905,9 @@ def run_specs(
 
     def finish(i: int, result: MachineResult, wall: float) -> None:
         results[i] = result
-        if checkpoint is not None:
-            checkpoint.record(keys[i], result)
+        if cache is not None:
+            cache.put(keys[i], result, index=i)
+            telem.emit("cache_store", source="sweep", index=i)
         telem.emit("spec_finished", sweep=sweep, index=i,
                    attempts=attempts[i], source="simulated",
                    wall_s=round(wall, 6))

@@ -9,12 +9,12 @@ concurrently across a process pool; results are identical to the serial
 path either way (see ``tests/test_parallel_determinism.py``).
 
 Each sweep forwards the resilience knobs of the execution layer —
-per-spec ``timeout``, bounded ``retries``, ``fail_fast``, and a
-``checkpoint`` journal for resumable sweeps — to
+per-spec ``timeout``, bounded ``retries``, and ``fail_fast`` — to
 :func:`repro.core.parallel.run_specs`; left at None they read the
-``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` /
-``REPRO_CHECKPOINT`` environment defaults, so one CLI flag reaches every
-grid (see DESIGN.md §6).  A ``telemetry`` recorder (default:
+``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` environment
+defaults, so one CLI flag reaches every grid (see DESIGN.md §6).  Each
+finished point lands in the experiment's result cache at once, so a
+killed sweep rerun on the same cache simulates only the rest.  A ``telemetry`` recorder (default:
 ``REPRO_TELEMETRY``) receives per-spec JSONL lifecycle events for the
 whole grid — observability only, results are identical either way
 (DESIGN.md §7).
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..simulator import cacti
 from ..simulator.configs import FIG6_L2_SIZES_MB, fc_cmp, lc_cmp
 from ..simulator.machine import MachineResult
 from ..simulator.topology import PLACEMENTS, IslandTopology
@@ -55,7 +54,6 @@ def cache_size_sweep(
     timeout: float | None = None,
     retries: int | None = None,
     fail_fast: bool | None = None,
-    checkpoint=None,
     telemetry=None,
 ) -> list[SweepPoint]:
     """Fig. 6 sweep: saturated throughput vs. shared-L2 size on the FC CMP.
@@ -81,7 +79,7 @@ def cache_size_sweep(
     results = exp.run_many(
         [RunSpec(config, kind) for config in configs], jobs=jobs,
         timeout=timeout, retries=retries, fail_fast=fail_fast,
-        checkpoint=checkpoint, telemetry=telemetry)
+        telemetry=telemetry)
     return [SweepPoint(x=size, result=result)
             for size, result in zip(sizes_mb, results)]
 
@@ -95,7 +93,6 @@ def core_count_sweep(
     timeout: float | None = None,
     retries: int | None = None,
     fail_fast: bool | None = None,
-    checkpoint=None,
     telemetry=None,
 ) -> list[SweepPoint]:
     """Fig. 8 sweep: saturated throughput vs. core count at a fixed 16 MB
@@ -107,7 +104,7 @@ def core_count_sweep(
     results = exp.run_many(
         [RunSpec(config, kind) for config in configs], jobs=jobs,
         timeout=timeout, retries=retries, fail_fast=fail_fast,
-        checkpoint=checkpoint, telemetry=telemetry)
+        telemetry=telemetry)
     return [SweepPoint(x=float(n), result=result)
             for n, result in zip(core_counts, results)]
 
@@ -121,7 +118,6 @@ def client_count_sweep(
     timeout: float | None = None,
     retries: int | None = None,
     fail_fast: bool | None = None,
-    checkpoint=None,
     telemetry=None,
 ) -> list[SweepPoint]:
     """Fig. 2 sweep: throughput vs. concurrent clients on the FC CMP.
@@ -134,7 +130,7 @@ def client_count_sweep(
         [RunSpec(config, kind, "saturated", n_clients=n)
          for n in client_counts],
         jobs=jobs, timeout=timeout, retries=retries, fail_fast=fail_fast,
-        checkpoint=checkpoint, telemetry=telemetry,
+        telemetry=telemetry,
     )
     return [SweepPoint(x=float(n), result=result)
             for n, result in zip(client_counts, results)]
@@ -183,7 +179,6 @@ def contention_sweep(
     timeout: float | None = None,
     retries: int | None = None,
     fail_fast: bool | None = None,
-    checkpoint=None,
     telemetry=None,
 ) -> list[ContentionPoint]:
     """Where time goes as contention rises, per CC camp.
@@ -220,8 +215,7 @@ def contention_sweep(
                 skew=skew, cc_mode=cc_mode)))
     results = exp.run_many(
         [spec for _, _, _, spec in specs], jobs=jobs, timeout=timeout,
-        retries=retries, fail_fast=fail_fast, checkpoint=checkpoint,
-        telemetry=telemetry)
+        retries=retries, fail_fast=fail_fast, telemetry=telemetry)
     for (theta, cc_mode, skew, _), result in zip(specs, results):
         contention = simulate_contention(
             scale=exp.scale, skew=skew, cc_mode=cc_mode)
@@ -301,7 +295,6 @@ def islands_sweep(
     timeout: float | None = None,
     retries: int | None = None,
     fail_fast: bool | None = None,
-    checkpoint=None,
     telemetry=None,
 ) -> list[IslandPoint]:
     """The placement study: what each deployment costs at ``sockets``.
@@ -336,7 +329,7 @@ def islands_sweep(
     specs += [spec for _, _, _, spec in cells]
     results = exp.run_many(specs, jobs=jobs, timeout=timeout,
                            retries=retries, fail_fast=fail_fast,
-                           checkpoint=checkpoint, telemetry=telemetry)
+                           telemetry=telemetry)
     by_spec = dict(zip([id(s) for s in specs], results))
     baselines = {
         (camp, kind): by_spec[id(base_specs[camp][kind])]
@@ -356,22 +349,9 @@ def islands_sweep(
     return points
 
 
-def latency_for_size(size_mb: float, const_latency: int | None) -> int:
-    """The L2 hit latency a sweep point ran with (for reporting)."""
-    if const_latency is not None:
-        return const_latency
-    return cacti.l2_hit_latency(size_mb)
-
-
 def normalized_series(points: list[SweepPoint]) -> list[tuple[float, float]]:
     """(x, throughput normalized to the first point) pairs."""
     if not points:
         return []
     base = points[0].result.ipc
     return [(p.x, p.result.ipc / base if base else 0.0) for p in points]
-
-
-def speedup_series(points: list[SweepPoint]) -> list[tuple[float, float]]:
-    """(x, speedup vs. first point scaled by x ratio) — Fig. 8's view,
-    where the first point also defines the linear reference."""
-    return normalized_series(points)

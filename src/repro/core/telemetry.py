@@ -8,8 +8,7 @@ JSON object per line to a shared event log, and :func:`summarize` folds
 the log into the questions an operator actually asks: where did the wall
 time of a sweep go (p50/p95 spec latency, worker utilization), how often
 did recovery machinery fire (retries, faults, crashes), and where did
-each result come from (simulated, checkpoint recall, memo, disk cache —
-including the salvage path after a :class:`~repro.core.parallel.SweepError`).
+each result come from (simulated, memo, or disk cache, by call site).
 
 Design constraints, locked down by ``tests/test_telemetry*.py``:
 
@@ -21,8 +20,8 @@ Design constraints, locked down by ``tests/test_telemetry*.py``:
 - **Atomic appends.**  Every event is one ``os.write`` on an
   ``O_APPEND`` descriptor, so concurrent writers (the sweep scheduler in
   the parent, ``spec_exec`` events from pool workers) never interleave
-  partial lines.  A reader tolerates a truncated tail the same way the
-  sweep checkpoint does.
+  partial lines.  A reader tolerates a truncated tail left by a killed
+  process.
 - **Best-effort.**  An unwritable log costs observability, never
   correctness: write failures count in ``dropped`` and are otherwise
   swallowed.
@@ -79,8 +78,6 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "sweep_start": (("sweep", "n_specs", "jobs", "scale",
                      "default_cycles"), ()),
     "sweep_end": (("sweep", "completed", "failed", "wall_s"), ()),
-    # Checkpoint journal recalls performed before scheduling.
-    "checkpoint_resume": (("sweep", "recalled"), ()),
     # Per-spec lifecycle, in scheduling order.
     "spec_queued": (("sweep", "index"), ()),
     "spec_started": (("sweep", "index", "attempt"), ()),
@@ -88,11 +85,14 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     # fallback); ``profile`` is the simulator probe snapshot.
     "spec_exec": (("sweep", "index", "attempt", "wall_s"), ("profile",)),
     "spec_retry": (("sweep", "index", "attempt", "kind", "message"), ()),
+    # ``source`` is always "simulated" now; logs from before the result
+    # cache replaced the sweep checkpoint journal also carry
+    # "checkpoint" recalls, which summarize() skips.
     "spec_finished": (("sweep", "index", "attempts", "source", "wall_s"),
                       ()),
     "spec_failed": (("sweep", "index", "kind", "attempts", "message"), ()),
     # Result-cache provenance; ``source`` attributes the call site
-    # ("run", "sweep", "salvage", ...), which the plain
+    # ("run", "sweep", "serve"), which the plain
     # ``ResultCache.stats()`` totals cannot.
     "cache_hit": (("source",), ("index",)),
     "cache_miss": (("source",), ("index",)),
@@ -123,10 +123,6 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "island_point": (("sockets", "placement", "kind", "camp", "ipc"),
                      ("rel_ipc", "remote_frac", "remote_l1x")),
 }
-
-#: ``spec_finished.source`` values.
-FINISH_SOURCES = ("simulated", "checkpoint")
-
 
 def telemetry_path(target: str) -> str:
     """Resolve a CLI/env target to the event-log path.
@@ -277,9 +273,8 @@ def validate_event(event: dict) -> None:
 def load_events(path: str) -> list[dict]:
     """Parse a JSONL event log, keeping every complete line.
 
-    A killed process can leave a truncated final line; like the sweep
-    checkpoint, the reader keeps everything before it.  Missing files
-    read as empty logs.
+    A killed process can leave a truncated final line; the reader keeps
+    everything before it.  Missing files read as empty logs.
     """
     events: list[dict] = []
     try:
@@ -324,8 +319,9 @@ def summarize(events: list[dict]) -> dict:
 
     Returns a plain dict (JSON-ready) with:
 
-    - ``sweeps``/``specs``/``simulated``/``checkpoint_recalled``/
-      ``failed`` counts,
+    - ``sweeps``/``specs``/``simulated``/``failed`` counts (a spec is
+      one simulated finish or one failure; the journal recalls of older
+      logs count as neither),
     - ``retries`` total plus ``retry_kinds`` (error/crash/timeout),
     - ``spec_wall_p50``/``spec_wall_p95`` over simulated spec latencies,
     - ``busy_s`` (Σ simulated spec wall), ``capacity_s`` (Σ sweep wall ×
@@ -343,8 +339,8 @@ def summarize(events: list[dict]) -> dict:
     retry_kinds: dict[str, int] = {}
     cache_total = {"hits": 0, "misses": 0, "stores": 0}
     cache_by_source: dict[str, dict[str, int]] = {}
-    counts = {"sweeps": 0, "specs": 0, "simulated": 0,
-              "checkpoint_recalled": 0, "failed": 0, "retries": 0}
+    counts = {"sweeps": 0, "specs": 0, "simulated": 0, "failed": 0,
+              "retries": 0}
     accesses = 0
     kernel = {"batched_steps": 0}
     exec_wall = 0.0
@@ -357,13 +353,10 @@ def summarize(events: list[dict]) -> dict:
         elif ev == "sweep_end":
             sweep_wall[event.get("sweep", "?")] = float(
                 event.get("wall_s", 0.0))
-        elif ev == "spec_finished":
+        elif ev == "spec_finished" and event.get("source") == "simulated":
             counts["specs"] += 1
-            if event.get("source") == "checkpoint":
-                counts["checkpoint_recalled"] += 1
-            else:
-                counts["simulated"] += 1
-                finished_wall.append(float(event.get("wall_s", 0.0)))
+            counts["simulated"] += 1
+            finished_wall.append(float(event.get("wall_s", 0.0)))
         elif ev == "spec_failed":
             counts["specs"] += 1
             counts["failed"] += 1
@@ -561,7 +554,6 @@ def format_summary(summary: dict) -> str:
         f"sweeps:             {summary['sweeps']}",
         f"specs:              {summary['specs']} "
         f"(simulated {summary['simulated']}, "
-        f"checkpoint {summary['checkpoint_recalled']}, "
         f"failed {summary['failed']})",
         f"retries:            {summary['retries']}"
         + (f"  {summary['retry_kinds']}" if summary["retry_kinds"] else ""),

@@ -138,11 +138,6 @@ class Catalog:
             raise KeyError(f"no index {name!r}")
         return idx
 
-    @property
-    def index_names(self) -> list[str]:
-        """All registered index names."""
-        return sorted(self._indexes)
-
     def indexed_table(self, index_name: str) -> HeapFile:
         """The table an index was built over."""
         return self.table(self._index_table[index_name])

@@ -89,8 +89,3 @@ class Database:
         else:
             tracer = NullTracer()
         return Session(self, name, tracer)
-
-    @property
-    def data_footprint_bytes(self) -> int:
-        """Total table data in the address space."""
-        return self.catalog.total_data_bytes()

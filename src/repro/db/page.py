@@ -75,10 +75,6 @@ class PageFormat:
     # Address arithmetic                                                  #
     # ------------------------------------------------------------------ #
 
-    def header_addr(self, page_base: int) -> int:
-        """Address of the page header."""
-        return page_base
-
     def slot_addr(self, page_base: int, slot: int) -> int:
         """Address of the slot-directory entry (NSM) or of the record's
         first field (PAX — PAX has no slot directory)."""

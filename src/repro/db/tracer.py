@@ -120,11 +120,6 @@ class MemoryTracer(NullTracer):
             bits = self._region_bits[code_name] = rid << 8
         return bits
 
-    @property
-    def _current_region(self) -> int:
-        """The current code-region id (introspection/debugging)."""
-        return self._current_bits >> 8
-
     # ------------------------------------------------------------------ #
     # Recording interface                                                 #
     # ------------------------------------------------------------------ #

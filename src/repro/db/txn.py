@@ -252,10 +252,6 @@ class PartitionLockManager:
         """Transaction owning ``partition``, or None."""
         return self._owner.get(partition)
 
-    def partitions_held(self, txn_id: int) -> int:
-        """Number of partitions owned by ``txn_id``."""
-        return len(self._held.get(txn_id, ()))
-
 
 class LogManager:
     """Write-ahead log: a circular in-memory buffer with a hot tail pointer.

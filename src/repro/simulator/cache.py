@@ -211,10 +211,6 @@ class SetAssocCache:
         """Number of lines currently resident."""
         return sum(len(s) for s in self._sets)
 
-    def set_occupancy(self, line: int) -> int:
-        """Number of resident lines in the set that ``line`` maps to."""
-        return len(self._sets[line % self.n_sets])
-
     def flush_stats(self) -> CacheStats:
         """Return a copy of current stats and reset the live counters."""
         snapshot = CacheStats(

@@ -65,8 +65,6 @@ class PrivateL2Hierarchy:
         l1i_lines = params.l1i_kb * 1024 // 64
         self._code_pressure = [_CodePressure(l1i_lines) for i in range(n)]
         self.stats = HierarchyStats()
-        #: Event-loop counters drained by :meth:`observe`.
-        self.kernel_counters = {"batched_steps": 0}
 
     # ------------------------------------------------------------------ #
     # Directory bookkeeping                                               #
@@ -308,10 +306,6 @@ class PrivateL2Hierarchy:
         probe.count("coherence_misses", self.stats.coherence_misses)
         probe.count("l2_queue_delay", self.stats.l2_queue_delay)
         probe.count("l2_queued_accesses", self.stats.l2_queued_accesses)
-        kc = self.kernel_counters
-        if kc["batched_steps"]:
-            probe.count("batched_steps", kc["batched_steps"])
-            kc["batched_steps"] = 0
 
     @property
     def l2_caches(self) -> list[SetAssocCache]:

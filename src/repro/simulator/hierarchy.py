@@ -129,7 +129,7 @@ class HierarchyStats:
     def __setstate__(self, state: dict) -> None:
         # Pickles written before a counter existed restore with the
         # counter at its default instead of failing attribute lookups
-        # later (result caches and sweep checkpoints carry such objects).
+        # later (the result cache carries such objects).
         self.__dict__.update(state)
         for f in fields(self):
             if f.name not in state:
@@ -225,8 +225,6 @@ class SharedL2Hierarchy:
         #: When set (a list), warm_block appends every L2 access it makes,
         #: so the warm machinery can capture a replayable warm state.
         self._warm_log: list[tuple[int, int]] | None = None
-        #: Kernel engagement counters drained by :meth:`observe`.
-        self.kernel_counters = {"batched_steps": 0}
         # Hardware islands (DESIGN.md section 15).  An inactive topology
         # (None or 1 socket) leaves every hot path on its pre-island
         # code; the single `self._topo is None` test is the only cost.
@@ -706,10 +704,6 @@ class SharedL2Hierarchy:
             probe.count("remote_accesses", stats.remote_accesses)
             probe.count("remote_l1x", stats.remote_l1x)
             probe.count("remote_extra_cycles", stats.remote_extra_cycles)
-        kc = self.kernel_counters
-        if kc["batched_steps"]:
-            probe.count("batched_steps", kc["batched_steps"])
-            kc["batched_steps"] = 0
         if elapsed > 0:
             busy = self.l2.stats.accesses * p.l2_occupancy
             probe.gauge("l2_port_occupancy",

@@ -579,9 +579,9 @@ class Machine:
             probe.gauge("retired", retired)
             probe.gauge("elapsed_cycles", elapsed)
             probe.gauge("active_cores", len(active))
-            kc = self.hierarchy.kernel_counters
-            kc["batched_steps"] += self._batched_steps
             self.hierarchy.observe(probe, elapsed)
+            if self._batched_steps:
+                probe.count("batched_steps", self._batched_steps)
         return MachineResult(
             config_name=self.config.name,
             workload_name=workload.name,

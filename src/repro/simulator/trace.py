@@ -63,12 +63,6 @@ def pack_meta(icount: int, flags: int = 0, region: int = 0) -> int:
             | (flags & META_FLAGS_MASK))
 
 
-def unpack_meta(meta: int) -> tuple[int, int, int]:
-    """``meta`` -> ``(icount, flags, region)``."""
-    return (meta >> META_ICOUNT_SHIFT, meta & META_FLAGS_MASK,
-            (meta >> META_REGION_SHIFT) & META_REGION_MASK)
-
-
 @dataclass(frozen=True)
 class CodeFootprint:
     """Static description of one code region referenced by a trace.

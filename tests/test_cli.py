@@ -7,8 +7,7 @@ import pytest
 from repro.cli import FIGURES, main
 
 #: Environment knobs the resilience flags write through.
-RESILIENCE_VARS = ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_CHECKPOINT",
-                   "REPRO_FAIL_FAST")
+RESILIENCE_VARS = ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_FAIL_FAST")
 
 
 class TestCli:
@@ -74,13 +73,17 @@ class TestCli:
                                                     tmp_path, capsys):
         for var in RESILIENCE_VARS:
             monkeypatch.setenv(var, "")  # registers restore-on-teardown
-        ckpt = str(tmp_path / "sweep.ckpt")
         assert main(["--timeout", "600", "--retries", "3", "--fail-fast",
-                     "--resume", ckpt, "table1"]) == 0
+                     "table1"]) == 0
         assert float(os.environ["REPRO_TIMEOUT"]) == 600.0
         assert os.environ["REPRO_RETRIES"] == "3"
-        assert os.environ["REPRO_CHECKPOINT"] == ckpt
         assert os.environ["REPRO_FAIL_FAST"] == "1"
+        # Resuming is rerunning on the same --cache-dir; the journal
+        # flag is gone and argparse rejects it.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--resume", str(tmp_path / "sweep.ckpt"), "table1"])
+        assert exit_info.value.code == 2
+        assert "--resume" in capsys.readouterr().err
 
     def test_nonpositive_timeout_rejected(self, capsys):
         assert main(["--timeout", "0", "table1"]) == 2

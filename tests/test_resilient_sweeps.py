@@ -1,13 +1,12 @@
-"""The resilient sweep executor: validation, retries, checkpoints, resume.
+"""The resilient sweep executor: validation, retries, resume.
 
 ``run_specs`` must never lose completed work: failures are charged to
 individual specs (structured :class:`SpecFailure` records inside a
-:class:`SweepError`), the rest of the grid completes, and a checkpoint
-journal lets a killed sweep resume re-simulating only unfinished specs.
+:class:`SweepError`), the rest of the grid completes, and every finished
+spec is stored in the result cache at once, so a killed sweep rerun on
+the same cache re-simulates only unfinished specs.
 """
 
-import os
-import pickle
 import warnings
 
 import pytest
@@ -17,11 +16,11 @@ from repro.core.experiment import Experiment
 from repro.core.parallel import (
     RunSpec,
     SpecFailure,
-    SweepCheckpoint,
     SweepError,
     default_jobs,
     run_specs,
 )
+from repro.core.telemetry import load_events
 from repro.simulator.configs import fc_cmp
 
 SCALE = 0.01
@@ -40,8 +39,8 @@ def clean_env(monkeypatch):
     """Resilience knobs at their documented defaults, whatever the outer
     environment (the CI chaos job runs this suite with them set)."""
     for var in ("REPRO_FAULTS", "REPRO_RETRIES", "REPRO_TIMEOUT",
-                "REPRO_BACKOFF", "REPRO_FAIL_FAST", "REPRO_CHECKPOINT",
-                "REPRO_JOBS"):
+                "REPRO_BACKOFF", "REPRO_FAIL_FAST", "REPRO_JOBS",
+                "REPRO_CACHE_DIR", "REPRO_TELEMETRY"):
         monkeypatch.delenv(var, raising=False)
     return monkeypatch
 
@@ -90,87 +89,13 @@ class TestDefaultJobs:
         assert "REPRO_JOBS" in str(relevant[0].message)
 
 
-class TestCheckpointJournal:
-    def _key(self, i: int = 0) -> tuple:
-        return _specs(3)[i].key(SCALE, CYCLES)
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        ckpt = SweepCheckpoint(str(tmp_path / "none.ckpt"))
-        assert ckpt.load() == {}
-
-    @pytest.mark.slow
-    def test_record_then_load_roundtrip(self, tmp_path, clean_env):
-        results = run_specs(_specs(2), SCALE, CYCLES, jobs=1)
-        ckpt = SweepCheckpoint(str(tmp_path / "sweep.ckpt"))
-        for spec, result in zip(_specs(2), results):
-            ckpt.record(spec.key(SCALE, CYCLES), result)
-        loaded = SweepCheckpoint(str(tmp_path / "sweep.ckpt")).load()
-        assert len(loaded) == 2
-        assert loaded[ckpt.digest(self._key(0))] == results[0]
-
-    @pytest.mark.slow
-    def test_truncated_tail_keeps_complete_records(self, tmp_path, clean_env):
-        """A sweep killed mid-append leaves a partial record; every record
-        before it must survive."""
-        path = str(tmp_path / "sweep.ckpt")
-        results = run_specs(_specs(2), SCALE, CYCLES, jobs=1,
-                            checkpoint=path)
-        with open(path, "rb") as fh:
-            whole = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(whole[:len(whole) - 7])  # kill -9 mid-write
-        loaded = SweepCheckpoint(path).load()
-        assert len(loaded) == 1
-        digest = SweepCheckpoint(path).digest(self._key(0))
-        assert loaded[digest] == results[0]
-
-    def test_garbage_file_loads_empty(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        path.write_bytes(b"not a journal at all")
-        assert SweepCheckpoint(str(path)).load() == {}
-
-    def test_wrong_payload_type_ignored(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        with open(path, "wb") as fh:
-            pickle.dump(("digest", {"not": "a result"}), fh)
-        assert SweepCheckpoint(str(path)).load() == {}
-
-    @pytest.mark.slow
-    def test_salt_mismatch_produces_no_matches(self, tmp_path, clean_env):
-        """A checkpoint written by a different simulator version must not
-        be recalled (same re-addressing contract as the result cache)."""
-        path = str(tmp_path / "sweep.ckpt")
-        run_specs(_specs(2), SCALE, CYCLES, jobs=1, checkpoint=path)
-        stale = SweepCheckpoint(path, salt="some-older-sim")
-        digests = set(SweepCheckpoint(path).load())
-        assert stale.digest(self._key(0)) not in digests
-
-    def test_unwritable_journal_is_best_effort(self, tmp_path, clean_env):
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file where the journal dir should go")
-        ckpt = SweepCheckpoint(str(blocked / "sub" / "sweep.ckpt"))
-        ckpt.record(self._key(0), object())  # must not raise
-        assert ckpt.recorded == 0
-
-
 @pytest.mark.slow
 class TestResume:
-    def test_interrupted_sweep_resumes_unfinished_specs_only(
-            self, tmp_path, clean_env):
-        """The acceptance scenario: a sweep dies mid-flight; the rerun
-        recalls finished specs from the checkpoint and simulates only the
-        remainder."""
-        path = str(tmp_path / "sweep.ckpt")
-        baseline = run_specs(_specs(), SCALE, CYCLES, jobs=1)
+    """Resuming a sweep means rerunning it on the same result cache: the
+    sweep stores each result the moment its spec finishes, and
+    :meth:`Experiment.run_many` looks every key up before it submits."""
 
-        clean_env.setenv("REPRO_FAULTS", "exec@2x99")
-        with pytest.raises(SweepError) as err:
-            run_specs(_specs(), SCALE, CYCLES, jobs=1, retries=0,
-                      backoff=0.0, checkpoint=path)
-        assert [r is not None for r in err.value.results] == [
-            True, True, False]
-
-        clean_env.delenv("REPRO_FAULTS")
+    def _counting_execute(self, clean_env) -> list:
         simulated = []
         real_execute = parallel.execute
 
@@ -179,26 +104,92 @@ class TestResume:
             return real_execute(spec, scale, default_cycles)
 
         clean_env.setattr(parallel, "execute", counting_execute)
-        resumed = run_specs(_specs(), SCALE, CYCLES, jobs=1,
-                            checkpoint=path)
-        assert len(simulated) == 1  # only the spec the fault killed
-        assert resumed == baseline
+        return simulated
 
-    def test_completed_checkpoint_resumes_with_zero_simulation(
+    def _experiment(self, tmp_path, **kw) -> Experiment:
+        return Experiment(scale=SCALE, measure_cycles=CYCLES,
+                          cache_dir=str(tmp_path / "cache"), **kw)
+
+    def test_interrupted_sweep_resumes_unfinished_specs_only(
             self, tmp_path, clean_env):
-        path = str(tmp_path / "sweep.ckpt")
-        first = run_specs(_specs(2), SCALE, CYCLES, jobs=1, checkpoint=path)
-        clean_env.setattr(parallel, "execute", None)  # unreachable
-        again = run_specs(_specs(2), SCALE, CYCLES, jobs=1, checkpoint=path)
-        assert again == first
+        """The acceptance scenario: a sweep dies mid-flight; the rerun
+        recalls finished specs from the cache and simulates only the
+        remainder."""
+        baseline = run_specs(_specs(), SCALE, CYCLES, jobs=1)
 
-    def test_checkpoint_env_knob_reaches_run_specs(self, tmp_path,
+        clean_env.setenv("REPRO_FAULTS", "exec@2x99")
+        with pytest.raises(SweepError) as err:
+            self._experiment(tmp_path).run_many(
+                _specs(), jobs=1, retries=0, backoff=0.0)
+        assert [r is not None for r in err.value.results] == [
+            True, True, False]
+
+        clean_env.delenv("REPRO_FAULTS")
+        simulated = self._counting_execute(clean_env)
+        resumed = self._experiment(tmp_path)
+        assert resumed.run_many(_specs(), jobs=1) == baseline
+        assert len(simulated) == 1  # only the spec the fault killed
+        assert resumed.sim_runs == 1
+
+    def test_completed_sweep_resumes_with_zero_simulation(
+            self, tmp_path, clean_env):
+        first = self._experiment(tmp_path).run_many(_specs(2), jobs=1)
+        clean_env.setattr(parallel, "execute", None)  # unreachable
+        again = self._experiment(tmp_path)
+        assert again.run_many(_specs(2), jobs=1) == first
+        assert again.sim_runs == 0
+
+    def test_cache_env_knob_resumes_the_sweep(self, tmp_path, clean_env):
+        """``REPRO_CACHE_DIR`` (the CLI ``--cache-dir`` path) is all a
+        rerun needs to resume."""
+        clean_env.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        first = Experiment(scale=SCALE, measure_cycles=CYCLES)
+        results = first.run_many(_specs(2), jobs=1)
+        assert first.cache.stores == 2
+        clean_env.setattr(parallel, "execute", None)  # unreachable
+        again = Experiment(scale=SCALE, measure_cycles=CYCLES)
+        assert again.run_many(_specs(2), jobs=1) == results
+        assert again.sim_runs == 0
+
+    def test_killed_sweep_keeps_its_finished_specs(self, tmp_path,
                                                    clean_env):
-        path = str(tmp_path / "sweep.ckpt")
-        clean_env.setenv("REPRO_CHECKPOINT", path)
-        run_specs(_specs(2), SCALE, CYCLES, jobs=1)
-        assert os.path.exists(path)
-        assert len(SweepCheckpoint(path).load()) == 2
+        """A sweep killed outright (no SweepError to catch) must still
+        have stored every spec that finished before the kill."""
+        real_execute = parallel.execute
+        calls = []
+
+        def dying_execute(spec, scale, default_cycles):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real_execute(spec, scale, default_cycles)
+
+        clean_env.setattr(parallel, "execute", dying_execute)
+        with pytest.raises(KeyboardInterrupt):
+            self._experiment(tmp_path).run_many(_specs(3), jobs=1)
+
+        clean_env.setattr(parallel, "execute", real_execute)
+        simulated = self._counting_execute(clean_env)
+        resumed = self._experiment(tmp_path)
+        resumed.run_many(_specs(3), jobs=1)
+        assert resumed.sim_runs == 1
+        assert len(simulated) == 1
+
+    def test_pool_sweep_stores_each_spec_before_it_ends(self, tmp_path,
+                                                        clean_env):
+        """On the pool path too, every result reaches the cache while the
+        sweep runs, not after it returns."""
+        log = str(tmp_path / "t.jsonl")
+        exp = self._experiment(tmp_path, telemetry=log)
+        exp.run_many(_specs(3), jobs=2)
+        events = [e["ev"] for e in load_events(log)]
+        assert events.count("cache_store") == 3
+        end = events.index("sweep_end")
+        assert all(i < end for i, ev in enumerate(events)
+                   if ev == "cache_store")
+        again = self._experiment(tmp_path)
+        again.run_many(_specs(3), jobs=1)
+        assert again.sim_runs == 0
 
 
 @pytest.mark.slow

@@ -77,8 +77,8 @@ def _specs() -> list[RunSpec]:
 @pytest.fixture
 def clean_env(monkeypatch):
     for var in ("REPRO_FAULTS", "REPRO_RETRIES", "REPRO_TIMEOUT",
-                "REPRO_BACKOFF", "REPRO_FAIL_FAST", "REPRO_CHECKPOINT",
-                "REPRO_JOBS", "REPRO_TELEMETRY", "REPRO_TRACE_DIR"):
+                "REPRO_BACKOFF", "REPRO_FAIL_FAST", "REPRO_JOBS",
+                "REPRO_TELEMETRY", "REPRO_TRACE_DIR"):
         monkeypatch.delenv(var, raising=False)
     return monkeypatch
 
@@ -99,7 +99,7 @@ def _spawn_sweep(store_dir, faults: str | None):
                            "src")
     env = {k: v for k, v in os.environ.items()
            if k not in ("REPRO_FAULTS", "REPRO_TRACE_DIR",
-                        "REPRO_CHECKPOINT", "REPRO_TELEMETRY")}
+                        "REPRO_TELEMETRY")}
     env["PYTHONPATH"] = os.pathsep.join(
         [src_dir] + [p for p in (env.get("PYTHONPATH"),) if p])
     if faults is not None:

@@ -11,10 +11,10 @@ Four invariants keep the observability layer trustworthy:
 - concurrent writers — the sweep scheduler plus pool workers — never
   interleave corrupt lines (one atomic append per event).
 
-The per-source cache attribution regression (salvage stores after a
-``SweepError`` were previously indistinguishable from normal stores) is
-locked down here too, and so is the clock rule: every recorded duration
-comes from a monotonic clock, never from ``time.time``.
+Per-source cache attribution is locked down here too (a failed sweep's
+completed specs are stored, and attributed to the sweep, before its
+``SweepError`` is raised), and so is the clock rule: every recorded
+duration comes from a monotonic clock, never from ``time.time``.
 """
 
 import json
@@ -56,7 +56,7 @@ def _specs(n: int = 3) -> list[RunSpec]:
 def clean_env(monkeypatch):
     for var in ("REPRO_TELEMETRY", "REPRO_FAULTS", "REPRO_RETRIES",
                 "REPRO_TIMEOUT", "REPRO_BACKOFF", "REPRO_FAIL_FAST",
-                "REPRO_CHECKPOINT", "REPRO_JOBS", "REPRO_CACHE_DIR"):
+                "REPRO_JOBS", "REPRO_CACHE_DIR"):
         monkeypatch.delenv(var, raising=False)
     return monkeypatch
 
@@ -179,9 +179,9 @@ class TestEventSchema:
         # The schema table is the documentation; keep it covering the
         # full event vocabulary (additions must extend it).
         assert set(EVENT_SCHEMA) == {
-            "sweep_start", "sweep_end", "checkpoint_resume", "spec_queued",
-            "spec_started", "spec_exec", "spec_retry", "spec_finished",
-            "spec_failed", "cache_hit", "cache_miss", "cache_store",
+            "sweep_start", "sweep_end", "spec_queued", "spec_started",
+            "spec_exec", "spec_retry", "spec_finished", "spec_failed",
+            "cache_hit", "cache_miss", "cache_store",
             "svc_request", "svc_answer", "svc_shed", "svc_coalesce",
             "svc_sim_fail", "svc_breaker", "contention_point",
             "island_point"}
@@ -204,36 +204,32 @@ class TestAggregation:
 
     def test_summary_matches_hand_computed_fixture(self):
         # One sweep, 2 workers, 10s wall.  Four specs: walls 1, 2, 3, 4
-        # simulated; one checkpoint recall; one failure after a retry.
+        # simulated; one failure after a retry.
         events = [
-            _event("sweep_start", sweep="s", n_specs=6, jobs=2, scale=0.01,
+            _event("sweep_start", sweep="s", n_specs=5, jobs=2, scale=0.01,
                    default_cycles=5000),
-            _event("checkpoint_resume", sweep="s", recalled=1),
-            _event("spec_finished", sweep="s", index=0, attempts=0,
-                   source="checkpoint", wall_s=0.0),
         ]
-        for i, wall in enumerate([1.0, 2.0, 3.0, 4.0], start=1):
+        for i, wall in enumerate([1.0, 2.0, 3.0, 4.0]):
             events.append(_event("spec_finished", sweep="s", index=i,
                                  attempts=0, source="simulated",
                                  wall_s=wall))
         events += [
-            _event("spec_retry", sweep="s", index=5, attempt=1,
+            _event("spec_retry", sweep="s", index=4, attempt=1,
                    kind="error", message="boom"),
-            _event("spec_failed", sweep="s", index=5, kind="error",
+            _event("spec_failed", sweep="s", index=4, kind="error",
                    attempts=2, message="boom"),
             _event("cache_hit", source="sweep"),
-            _event("cache_store", source="sweep"),
-            _event("cache_store", source="salvage"),
-            _event("sweep_end", sweep="s", completed=5, failed=1,
+            _event("cache_store", source="sweep", index=0),
+            _event("cache_store", source="run"),
+            _event("sweep_end", sweep="s", completed=4, failed=1,
                    wall_s=10.0),
         ]
         for event in events:
             validate_event(event)
         summary = summarize(events)
         assert summary["sweeps"] == 1
-        assert summary["specs"] == 6
+        assert summary["specs"] == 5
         assert summary["simulated"] == 4
-        assert summary["checkpoint_recalled"] == 1
         assert summary["failed"] == 1
         assert summary["retries"] == 1
         assert summary["retry_kinds"] == {"error": 1}
@@ -245,44 +241,66 @@ class TestAggregation:
         assert summary["capacity_s"] == 20.0
         assert summary["worker_utilization"] == 0.5
         assert summary["cache"] == {"hits": 1, "misses": 0, "stores": 2}
-        assert summary["cache_by_source"]["salvage"]["stores"] == 1
-        # The report renders without error and names the salvage source.
-        assert "salvage" in telemetry.format_summary(summary)
+        assert summary["cache_by_source"]["sweep"] == {
+            "hits": 1, "misses": 0, "stores": 1}
+        assert summary["cache_by_source"]["run"]["stores"] == 1
+        # The report renders without error and names both call sites.
+        report = telemetry.format_summary(summary)
+        assert "sweep" in report and "run" in report
 
     def test_legacy_log_with_retired_events_still_summarizes(
             self, tmp_path, capsys):
-        """Logs written while sweeps could export a shared-memory bundle
-        arena carry event kinds the schema no longer has, and profile
-        counters of the retired measure-phase L1 filter
-        (``l1_filter_hits``/``l1_filter_bypass``).  Reading and
-        summarizing such a log — and ``repro stats`` on it — must give
-        exactly what the same log gives without those lines, and the
-        retired counters must be ignored."""
+        """Old logs carry lines the summary no longer has a place for:
+
+        - logs written while sweeps could export a shared-memory bundle
+          arena carry event kinds the schema no longer has, and profile
+          counters of the retired measure-phase L1 filter
+          (``l1_filter_hits``/``l1_filter_bypass``);
+        - logs written while sweeps could resume from a checkpoint
+          journal carry ``checkpoint_resume`` events and journal recalls
+          (``spec_finished`` with source "checkpoint" and a 0 s wall).
+
+        Reading and summarizing such a log — and ``repro stats`` on it —
+        must give exactly what the same log gives without those lines,
+        and the retired counters must be ignored."""
         from repro.cli import main
 
-        legacy = os.path.join(os.path.dirname(__file__), "data",
-                              "telemetry_shm_legacy.jsonl")
-        with open(legacy, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        kept = [ln for ln in lines if json.loads(ln)["ev"] in EVENT_SCHEMA]
-        assert len(lines) - len(kept) == 4  # the retired arena events
-        stripped = tmp_path / "stripped.jsonl"
-        stripped.write_text("".join(kept), encoding="utf-8")
+        def retired(line: str) -> bool:
+            event = json.loads(line)
+            return (event["ev"] not in EVENT_SCHEMA
+                    or (event["ev"] == "spec_finished"
+                        and event["source"] != "simulated"))
 
-        summary = summarize(load_events(legacy))
-        assert summary == summarize(load_events(str(stripped)))
-        assert summary["simulated"] == 3
-        # The log does carry the retired filter counters; only the live
-        # event-loop counter is summed.
-        assert '"l1_filter_hits":97' in "".join(kept)
-        assert summary["kernel_counters"] == {"batched_steps": 270}
+        # log -> (retired lines, simulated specs, batched steps)
+        logs = {"telemetry_shm_legacy.jsonl": (4, 3, 270),
+                "telemetry_checkpoint_legacy.jsonl": (3, 4, 351)}
+        for name, (n_retired, n_simulated, batched) in logs.items():
+            legacy = os.path.join(os.path.dirname(__file__), "data", name)
+            with open(legacy, encoding="utf-8") as fh:
+                lines = fh.readlines()
+            kept = [ln for ln in lines if not retired(ln)]
+            assert len(lines) - len(kept) == n_retired, name
+            stripped = tmp_path / name
+            stripped.write_text("".join(kept), encoding="utf-8")
 
-        assert main(["stats", legacy]) == 0
-        legacy_out = capsys.readouterr().out
-        assert main(["stats", str(stripped)]) == 0
-        assert legacy_out == capsys.readouterr().out
-        assert "replay kernels:     batched steps 270\n" in legacy_out
-        assert "filter" not in legacy_out
+            summary = summarize(load_events(legacy))
+            assert summary == summarize(load_events(str(stripped)))
+            assert summary["simulated"] == n_simulated
+            assert summary["specs"] == n_simulated
+            assert summary["kernel_counters"] == {"batched_steps": batched}
+
+            assert main(["stats", legacy]) == 0
+            legacy_out = capsys.readouterr().out
+            assert main(["stats", str(stripped)]) == 0
+            assert legacy_out == capsys.readouterr().out
+            assert (f"replay kernels:     batched steps {batched}\n"
+                    in legacy_out)
+            assert "filter" not in legacy_out
+            assert "checkpoint" not in legacy_out
+            if name == "telemetry_shm_legacy.jsonl":
+                # The log does carry the retired filter counters; only
+                # the live event-loop counter is summed.
+                assert '"l1_filter_hits":97' in "".join(kept)
 
     def test_summary_of_empty_log(self):
         summary = summarize([])
@@ -360,7 +378,7 @@ def test_concurrent_writers_never_interleave(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# Cache provenance (the salvage-attribution regression)                   #
+# Cache provenance                                                       #
 # ---------------------------------------------------------------------- #
 
 class TestCacheProvenance:
@@ -380,10 +398,9 @@ class TestCacheProvenance:
         assert by_source["sweep"]["hits"] == 1
 
     def test_salvage_stores_are_attributed(self, clean_env, tmp_path):
-        """Regression: after a SweepError, the completed results that
-        run_many salvages into the cache were indistinguishable from
-        ordinary stores in ``ResultCache.stats()``.  Telemetry must
-        attribute them to the salvage path."""
+        """The completed specs of a sweep that ends in SweepError are
+        kept: the sweep stores each one in the cache, attributed to the
+        sweep, before the error is raised."""
         clean_env.setenv("REPRO_FAULTS", "exec@0x99")  # spec 0 never runs
         log = str(tmp_path / "t.jsonl")
         exp = Experiment(scale=SCALE, measure_cycles=CYCLES,
@@ -394,9 +411,15 @@ class TestCacheProvenance:
         events = load_events(log)
         for event in events:
             validate_event(event)
+        stores = [e for e in events if e["ev"] == "cache_store"]
+        assert [(e["source"], e["index"]) for e in stores] == [
+            ("sweep", 1), ("sweep", 2)]
+        kinds = [e["ev"] for e in events]
+        assert max(i for i, ev in enumerate(kinds)
+                   if ev == "cache_store") < kinds.index("sweep_end")
         summary = summarize(events)
-        # The two completed specs were salvaged — and say so.
-        assert summary["cache_by_source"]["salvage"]["stores"] == 2
+        assert summary["cache_by_source"] == {
+            "sweep": {"hits": 0, "misses": 3, "stores": 2}}
         assert summary["failed"] == 1
         assert summary["retries"] == 1
         # The lump-sum cache counters still agree on the totals.

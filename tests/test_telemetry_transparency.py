@@ -5,7 +5,7 @@ profiling probe consumes simulation outputs, the telemetry recorder
 consumes scheduler lifecycle, and neither feeds anything back.  These
 tests hold results **field-for-field identical** with telemetry on vs.
 off — serially, across a process pool, under injected-fault chaos, and
-across a checkpoint resume — and pin ``CODE_VERSION``: instrumentation
+across a resume from the result cache — and pin ``CODE_VERSION``: instrumentation
 must not pretend to be a simulator change.
 """
 
@@ -35,7 +35,7 @@ def _specs(kind: str = "dss") -> list[RunSpec]:
 def clean_env(monkeypatch):
     for var in ("REPRO_TELEMETRY", "REPRO_FAULTS", "REPRO_RETRIES",
                 "REPRO_TIMEOUT", "REPRO_BACKOFF", "REPRO_FAIL_FAST",
-                "REPRO_CHECKPOINT", "REPRO_JOBS", "REPRO_CACHE_DIR"):
+                "REPRO_JOBS", "REPRO_CACHE_DIR"):
         monkeypatch.delenv(var, raising=False)
     return monkeypatch
 
@@ -97,33 +97,34 @@ def test_identical_under_fault_chaos(clean_env, tmp_path):
 
 
 @pytest.mark.slow
-def test_identical_across_checkpoint_resume(clean_env, tmp_path):
-    """A resumed sweep recalls checkpointed results; telemetry labels
-    them (``checkpoint_resume``, source="checkpoint") without changing
-    a single field."""
+def test_identical_across_cache_resume(clean_env, tmp_path):
+    """A resumed sweep recalls the finished specs from the result cache;
+    telemetry labels them (``cache_hit``, source="sweep") without
+    changing a single field."""
+    from repro.core.experiment import Experiment
     from repro.core.telemetry import load_events
 
     specs = _specs()
     baseline = run_specs(specs, SCALE, CYCLES, jobs=1)
-    journal = str(tmp_path / "sweep.ckpt")
-    run_specs(specs[:2], SCALE, CYCLES, jobs=1, checkpoint=journal)
+    cache_dir = str(tmp_path / "cache")
+    Experiment(scale=SCALE, measure_cycles=CYCLES,
+               cache_dir=cache_dir).run_many(specs[:2], jobs=1)
 
     log = str(tmp_path / "t.jsonl")
-    resumed = run_specs(specs, SCALE, CYCLES, jobs=1, checkpoint=journal,
-                        telemetry=log)
-    _assert_identical(baseline, resumed)
+    resumed = Experiment(scale=SCALE, measure_cycles=CYCLES,
+                         cache_dir=cache_dir, telemetry=log)
+    _assert_identical(baseline, resumed.run_many(specs, jobs=1))
 
     events = load_events(log)
-    resumes = [e for e in events if e["ev"] == "checkpoint_resume"]
-    assert len(resumes) == 1 and resumes[0]["recalled"] == 2
-    by_source = {}
-    for e in events:
-        if e["ev"] == "spec_finished":
-            by_source.setdefault(e["source"], set()).add(e["index"])
-    assert by_source == {"checkpoint": {0, 1}, "simulated": {2}}
-    # Recalled specs were never queued for execution.
-    queued = {e["index"] for e in events if e["ev"] == "spec_queued"}
-    assert queued == {2}
+    cache = [(e["ev"], e["source"]) for e in events
+             if e["ev"].startswith("cache_")]
+    assert cache == [("cache_hit", "sweep")] * 2 + [
+        ("cache_miss", "sweep"), ("cache_store", "sweep")]
+    # Only the unfinished spec reached the sweep, as its batch's index 0.
+    finished = [(e["index"], e["source"]) for e in events
+                if e["ev"] == "spec_finished"]
+    assert finished == [(0, "simulated")]
+    assert resumed.sim_runs == 1
 
 
 def test_env_telemetry_is_transparent_too(clean_env, tmp_path):
