@@ -15,7 +15,9 @@ The kernels fall back to the untouched interpreted path — automatically
 and bit-exactly — whenever L2->L1 feedback can exist: SMP/MESI machines,
 cross-core write-shared lines (realized L1 invalidations), or a machine
 whose caches are not pristine.  Measurement always runs the full
-interpreted access path.  The kernels run exactly when numpy imports; a
+interpreted access path.  The kernels run when numpy is importable; it
+is imported at the first kernel call (:func:`_numpy`), not with this
+module, so a process that never runs a kernel never loads it.  A
 numpy-less host runs the interpreted path, and the differential oracle
 (tests/test_simulate_kernel_oracle.py) pins equality both ways by
 patching ``_np`` to None.
@@ -36,29 +38,28 @@ from __future__ import annotations
 
 from array import array
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less hosts
-    _np = None
-
 from .cache import CLEAN, DIRTY
 
-if _np is not None:
-    # Touch every numpy entry point the kernels use once at import time:
-    # several initialize lazily (unique's hash kernel, submodule loading
-    # behind ``np.__getattr__``), and that first-call cost must land here
-    # rather than inside a timed warm/measure phase.
-    _t = _np.arange(2, dtype=_np.int64)
-    _np.unique(_t)
-    _np.intersect1d(_t, _t, assume_unique=True)
-    _np.isin(_t, _t)
-    _np.argsort(_t, kind="stable")
-    _np.lexsort((_t, _t))
-    _np.searchsorted(_t, 1)
-    _np.maximum.reduceat(_t, _np.asarray([0]))
-    _np.maximum.accumulate(_t)
-    _np.cumsum(_t)
-    del _t
+#: ``_np`` before the first kernel call has tried to import numpy.
+_UNLOADED = object()
+
+#: The numpy module the kernels run on, ``None`` when numpy is missing
+#: (tests patch it to ``None`` to force the interpreted path).  Read it
+#: through :func:`_numpy`, which imports numpy on first use.
+_np = _UNLOADED
+
+
+def _numpy():
+    """The numpy module, imported on first call; ``None`` without numpy."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - exercised on numpy-less hosts
+            numpy = None
+        _np = numpy
+    return _np
+
 
 #: Above this many statically write-shared lines the realized-invalidation
 #: check would simulate most sets in Python anyway — bail to the full path
@@ -321,10 +322,9 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     (no numpy, non-2-way L1s, non-pristine machine, too many statically
     write-shared lines, or a realized cross-core invalidation).  Each
     distinct trace's :func:`_lw_column` is derived once per call and
-    dropped on return.
+    dropped on return.  The structural bails run before numpy is
+    imported, and the suspect cap before the global stream is built.
     """
-    if _np is None:
-        return None
     p = hier.params
     if p.l1_assoc != 2:
         return None
@@ -332,6 +332,8 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     if hier._l1_owners or any(s for c in l1d for s in c._sets):
         return None  # reused machine: warm continues from live state
     if any(s for s in hier.l2._sets):
+        return None
+    if _numpy() is None:
         return None
     sched = warm_schedule(walkers, passes, chunk)
     n_sets = l1d[0].n_sets
@@ -343,6 +345,17 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     for _core_id, tr, _warm_len in walkers:
         if tr not in lws:
             lws[tr] = _lw_column(tr)
+
+    # Statically write-shared lines: some core writes, another accesses.
+    # The per-trace line sets cover the *full* traces, a superset of the
+    # warm prefixes — conservative (can only over-suspect, never miss).
+    core_traces: dict[int, list] = {}
+    for core_id, tr, _warm_len in walkers:
+        core_traces.setdefault(core_id, []).append(tr)
+    suspects = shared_suspects(core_traces, lws)
+    if suspects is None:
+        return None
+
     parts = []
     part_core = []
     part_len = []
@@ -365,15 +378,6 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
         writes = (lw_c & _np.uint64(1)).astype(_np.int64)
         per_core[core_id] = (lines, writes, gidx)
 
-    # Statically write-shared lines: some core writes, another accesses.
-    # The per-trace line sets cover the *full* traces, a superset of the
-    # warm prefixes — conservative (can only over-suspect, never miss).
-    core_traces: dict[int, list] = {}
-    for core_id, tr, _warm_len in walkers:
-        core_traces.setdefault(core_id, []).append(tr)
-    suspects = shared_suspects(core_traces, lws)
-    if suspects is None:
-        return None
     if suspects and _realized_invalidations(
             per_core, suspects, n_sets, 2):
         return None
@@ -432,7 +436,7 @@ def final_l2_sets(log, n_sets: int, assoc: int):
     Returns ``None`` (caller runs the interpreted replay) without numpy
     or when the dirty-bit queries would outweigh the loop.
     """
-    if _np is None:
+    if _numpy() is None:
         return None
     m = len(log)
     sets_out = [dict() for _ in range(n_sets)]

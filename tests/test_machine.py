@@ -255,6 +255,39 @@ class TestWarmKernelDerivations:
         assert state is not None  # the kernel engaged
         assert sorted(derived) == ["c0", "c1", "c2", "ro"]
 
+    def test_suspect_cap_bails_before_the_global_stream(self, monkeypatch):
+        """Past the write-shared cap the kernel bails before it builds
+        the global warm stream (``repeat`` of the per-chunk core ids)."""
+        np = pytest.importorskip("numpy")
+        from repro.simulator import replay
+
+        repeats = []
+        repeat = np.repeat
+
+        def spying(*args, **kwargs):
+            repeats.append(len(args[0]))
+            return repeat(*args, **kwargs)
+
+        monkeypatch.setattr(replay, "_np", np)
+        monkeypatch.setattr(np, "repeat", spying)
+        # Two cores read and write one footprint, so the lines they
+        # write are statically write-shared.
+        traces = [make_trace(f"c{i}", n_events=500, seed=i)
+                  for i in range(2)]
+        walkers = [(0, traces[0], 500), (1, traces[1], 500)]
+
+        def derive():
+            hier = Machine(fc_cmp(n_cores=2, l2_nominal_mb=1,
+                                  scale=1.0)).hierarchy
+            return replay.compute_warm_state(hier, walkers, 2, 16)
+
+        derive()  # under the cap: the stream is built
+        assert repeats
+        repeats.clear()
+        monkeypatch.setattr(replay, "_MAX_SUSPECT_LINES", 0)
+        assert derive() is None
+        assert repeats == []
+
 
 class TestSmpMachine:
     def test_smp_runs_and_reports_coherence(self):

@@ -7,9 +7,11 @@ modes share, such as the lean processor-sharing loop, the fat core's
 overlap rules or the hierarchy.  This suite pins the SHA-256 of
 ``MachineResult.to_dict()`` for {oltp, dss} x {fc, lc} x {saturated
 throughput, unsaturated response} at a reduced scale, with the replay
-kernels on and off (off is what a numpy-less host runs: ``replay._np``
-patched to None).  A digest moves only when a simulated number moves,
-which is a ``CODE_VERSION`` bump, never a refactor.
+kernels on and off.  The kernels read ``replay._np`` per call: on is
+that name patched to the numpy module (skipped without numpy), off is
+it patched to None, what a numpy-less host runs.  A digest moves only
+when a simulated number moves, which is a ``CODE_VERSION`` bump, never a
+refactor.
 
 After a deliberate ``CODE_VERSION`` bump, re-record the pins with::
 
@@ -77,8 +79,8 @@ def test_pins_match_this_code_version():
 @pytest.mark.parametrize("kernels", ["1", "0"])
 @pytest.mark.parametrize("kind,regime,camp", CELLS)
 def test_result_digest(kind, regime, camp, kernels, monkeypatch):
-    if kernels == "0":
-        monkeypatch.setattr(replay, "_np", None)
+    numpy = pytest.importorskip("numpy") if kernels == "1" else None
+    monkeypatch.setattr(replay, "_np", numpy)
     expected = _pinned()["digests"][_cell_id(kind, regime, camp, kernels)]
     assert digest(kind, regime, camp) == expected, (
         f"{kind}/{regime}/{camp} (kernels={kernels}) no longer reproduces "
@@ -87,7 +89,9 @@ def test_result_digest(kind, regime, camp, kernels, monkeypatch):
 
 
 def _record() -> None:
-    numpy = replay._np
+    import numpy
+
+    saved = replay._np
     digests = {}
     try:
         for kernels in "10":
@@ -95,7 +99,7 @@ def _record() -> None:
             for cell in CELLS:
                 digests[_cell_id(*cell, kernels)] = digest(*cell)
     finally:
-        replay._np = numpy
+        replay._np = saved
     doc = {"code_version": CODE_VERSION, "scale": SCALE, "cycles": CYCLES,
            "digests": dict(sorted(digests.items()))}
     DIGESTS.write_text(json.dumps(doc, indent=2) + "\n")

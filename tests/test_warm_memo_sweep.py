@@ -7,8 +7,9 @@ The digest and kernel-oracle suites clear the memo around every run, so
 they never take that hit path; this suite does.  Each cell runs three
 L2 sizes in order, each on a fresh ``Machine`` sharing one memo, and
 every result must equal the same size run from cold memos, in both
-kernel modes (off is ``replay._np`` patched to None, the path a
-numpy-less host runs).
+kernel modes.  The kernels read ``replay._np`` per call: on is that
+name patched to the numpy module (skipped without numpy), off is it
+patched to None, the path a numpy-less host runs.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def _run(kind: str, camp: str, l2_mb: float) -> dict:
 @pytest.mark.parametrize("camp", sorted(CAMPS))
 @pytest.mark.parametrize("kind", ["dss", "oltp"])
 def test_sweep_reuses_warm_memo_bit_exact(kind, camp, kernels, monkeypatch):
-    if kernels == "0":
-        monkeypatch.setattr(replay, "_np", None)
+    numpy = pytest.importorskip("numpy") if kernels == "1" else None
+    monkeypatch.setattr(replay, "_np", numpy)
     cold = {}
     for l2_mb in L2_SIZES_MB:
         _reset_warm_memos()
