@@ -152,14 +152,6 @@ def run_stats(target: str) -> int:
               file=sys.stderr)
         return 2
     print(telemetry.format_summary(telemetry.summarize(events)))
-    contention = telemetry.summarize_contention(events)
-    if contention["points"]:
-        print()
-        print(telemetry.format_contention_summary(contention))
-    islands = telemetry.summarize_islands(events)
-    if islands["points"]:
-        print()
-        print(telemetry.format_islands_summary(islands))
     return 0
 
 

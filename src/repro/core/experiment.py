@@ -157,8 +157,9 @@ class Experiment:
         return None if self.cache is None else self.cache.stats()
 
     def telemetry_summary(self) -> dict | None:
-        """The aggregated sweep summary from this experiment's event log
-        (:func:`repro.core.telemetry.summarize`), or None when telemetry
+        """The summary of this experiment's event log — sweep keys plus
+        the ``service`` and ``points`` sections
+        (:func:`repro.core.telemetry.summarize`) — or None when telemetry
         is disabled."""
         if not self.telemetry.enabled or not self.telemetry.path:
             return None
@@ -192,9 +193,10 @@ class Experiment:
                  timeout: float | None = None,
                  retries: int | None = None,
                  backoff: float | None = None,
-                 fail_fast: bool | None = None,
-                 telemetry=None) -> list[MachineResult]:
+                 fail_fast: bool | None = None) -> list[MachineResult]:
         """Run (or recall) a batch of measurements, fanned across workers.
+
+        Lifecycle events go to the experiment's telemetry recorder.
 
         Args:
             specs: :class:`RunSpec` instances (or tuples of RunSpec
@@ -204,9 +206,6 @@ class Experiment:
             timeout/retries/backoff/fail_fast: Resilience knobs
                 forwarded to :func:`repro.core.parallel.run_specs`; None
                 reads the matching ``REPRO_*`` environment default.
-            telemetry: Recorder override for this batch; None uses the
-                experiment's recorder (itself defaulting to
-                ``REPRO_TELEMETRY``).
 
         Returns:
             Results in spec order, field-for-field identical to what
@@ -232,13 +231,13 @@ class Experiment:
                 seen[key] = i
                 todo.append(i)
         if todo:
-            telem = self.telemetry if telemetry is None else telemetry
             try:
                 fresh = run_specs([specs[i] for i in todo], self.scale,
                                   self.measure_cycles, jobs=jobs,
                                   timeout=timeout, retries=retries,
                                   backoff=backoff, fail_fast=fail_fast,
-                                  cache=self.cache, telemetry=telem)
+                                  cache=self.cache,
+                                  telemetry=self.telemetry)
             except SweepError as err:
                 # The sweep already stored every completed result in the
                 # disk cache; keep them in the memo too.
@@ -257,17 +256,17 @@ class Experiment:
                     results[i] = self._results[key]
         return results  # type: ignore[return-value]
 
-    def prefetch(self, specs, jobs: int | None = None, **resilience) -> dict:
+    def prefetch(self, specs, jobs: int | None = None) -> dict:
         """Warm the memo/disk caches for ``specs``; return accounting.
 
         Figures and benchmark drivers call this with their whole grid up
         front, then keep their readable serial loops — every subsequent
-        :meth:`run` is a memo hit.  ``resilience`` kwargs (timeout,
-        retries, backoff, fail_fast) forward to :meth:`run_many`.
+        :meth:`run` is a memo hit.  Resilience comes from the
+        ``REPRO_*`` defaults that :meth:`run_many` reads.
         """
         specs = list(specs)
         before = self.sim_runs
-        self.run_many(specs, jobs=jobs, **resilience)
+        self.run_many(specs, jobs=jobs)
         return {
             "specs": len(specs),
             "simulated": self.sim_runs - before,

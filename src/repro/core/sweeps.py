@@ -8,16 +8,16 @@ Sweeps are batch-submitted through :meth:`Experiment.run_many`, so with
 concurrently across a process pool; results are identical to the serial
 path either way (see ``tests/test_parallel_determinism.py``).
 
-Each sweep forwards the resilience knobs of the execution layer —
-per-spec ``timeout``, bounded ``retries``, and ``fail_fast`` — to
-:func:`repro.core.parallel.run_specs`; left at None they read the
-``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` environment
-defaults, so one CLI flag reaches every grid (see DESIGN.md §6).  Each
+The resilience knobs (per-spec timeout, bounded retries, fail-fast)
+come from the ``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` /
+``REPRO_FAIL_FAST`` defaults that :func:`repro.core.parallel.run_specs`
+reads, so one CLI flag reaches every grid (see DESIGN.md §6).  Each
 finished point lands in the experiment's result cache at once, so a
-killed sweep rerun on the same cache simulates only the rest.  A ``telemetry`` recorder (default:
-``REPRO_TELEMETRY``) receives per-spec JSONL lifecycle events for the
-whole grid — observability only, results are identical either way
-(DESIGN.md §7).
+killed sweep rerun on the same cache simulates only the rest.  The
+experiment's telemetry recorder receives per-spec JSONL lifecycle
+events for the whole grid, and the contention and islands sweeps add one
+``*_point`` event per point — observability only, results are identical
+either way (DESIGN.md §7).
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ def cache_size_sweep(
     const_latency: int | None = None,
     n_cores: int = 4,
     jobs: int | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    fail_fast: bool | None = None,
-    telemetry=None,
 ) -> list[SweepPoint]:
     """Fig. 6 sweep: saturated throughput vs. shared-L2 size on the FC CMP.
 
@@ -77,9 +73,7 @@ def cache_size_sweep(
         for size in sizes_mb
     ]
     results = exp.run_many(
-        [RunSpec(config, kind) for config in configs], jobs=jobs,
-        timeout=timeout, retries=retries, fail_fast=fail_fast,
-        telemetry=telemetry)
+        [RunSpec(config, kind) for config in configs], jobs=jobs)
     return [SweepPoint(x=size, result=result)
             for size, result in zip(sizes_mb, results)]
 
@@ -90,10 +84,6 @@ def core_count_sweep(
     core_counts: tuple[int, ...] = (4, 8, 12, 16),
     l2_nominal_mb: float = 16.0,
     jobs: int | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    fail_fast: bool | None = None,
-    telemetry=None,
 ) -> list[SweepPoint]:
     """Fig. 8 sweep: saturated throughput vs. core count at a fixed 16 MB
     shared L2 on the FC CMP."""
@@ -102,9 +92,7 @@ def core_count_sweep(
         for n in core_counts
     ]
     results = exp.run_many(
-        [RunSpec(config, kind) for config in configs], jobs=jobs,
-        timeout=timeout, retries=retries, fail_fast=fail_fast,
-        telemetry=telemetry)
+        [RunSpec(config, kind) for config in configs], jobs=jobs)
     return [SweepPoint(x=float(n), result=result)
             for n, result in zip(core_counts, results)]
 
@@ -115,10 +103,6 @@ def client_count_sweep(
     client_counts: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128),
     l2_nominal_mb: float = 26.0,
     jobs: int | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    fail_fast: bool | None = None,
-    telemetry=None,
 ) -> list[SweepPoint]:
     """Fig. 2 sweep: throughput vs. concurrent clients on the FC CMP.
 
@@ -128,10 +112,7 @@ def client_count_sweep(
     config = fc_cmp(l2_nominal_mb=l2_nominal_mb, scale=exp.scale)
     results = exp.run_many(
         [RunSpec(config, kind, "saturated", n_clients=n)
-         for n in client_counts],
-        jobs=jobs, timeout=timeout, retries=retries, fail_fast=fail_fast,
-        telemetry=telemetry,
-    )
+         for n in client_counts], jobs=jobs)
     return [SweepPoint(x=float(n), result=result)
             for n, result in zip(client_counts, results)]
 
@@ -176,10 +157,6 @@ def contention_sweep(
     l2_nominal_mb: float = 16.0,
     n_clients: int | None = None,
     jobs: int | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    fail_fast: bool | None = None,
-    telemetry=None,
 ) -> list[ContentionPoint]:
     """Where time goes as contention rises, per CC camp.
 
@@ -213,9 +190,7 @@ def contention_sweep(
                        scale=exp.scale),
                 "oltp", "saturated", n_clients=n_clients,
                 skew=skew, cc_mode=cc_mode)))
-    results = exp.run_many(
-        [spec for _, _, _, spec in specs], jobs=jobs, timeout=timeout,
-        retries=retries, fail_fast=fail_fast, telemetry=telemetry)
+    results = exp.run_many([spec for _, _, _, spec in specs], jobs=jobs)
     for (theta, cc_mode, skew, _), result in zip(specs, results):
         contention = simulate_contention(
             scale=exp.scale, skew=skew, cc_mode=cc_mode)
@@ -292,10 +267,6 @@ def islands_sweep(
     remote_l2_latency: float = 3.0,
     remote_mem_latency: float = 1.5,
     jobs: int | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    fail_fast: bool | None = None,
-    telemetry=None,
 ) -> list[IslandPoint]:
     """The placement study: what each deployment costs at ``sockets``.
 
@@ -327,9 +298,7 @@ def islands_sweep(
                     placement=placement)))
     specs = [spec for camp in camps for spec in base_specs[camp].values()]
     specs += [spec for _, _, _, spec in cells]
-    results = exp.run_many(specs, jobs=jobs, timeout=timeout,
-                           retries=retries, fail_fast=fail_fast,
-                           telemetry=telemetry)
+    results = exp.run_many(specs, jobs=jobs)
     by_spec = dict(zip([id(s) for s in specs], results))
     baselines = {
         (camp, kind): by_spec[id(base_specs[camp][kind])]

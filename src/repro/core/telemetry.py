@@ -1,14 +1,19 @@
-"""Structured, opt-in run telemetry: JSONL events + sweep aggregation.
+"""Structured, opt-in run telemetry: JSONL events + one log summary.
 
 The paper instruments a DBMS until every cycle is attributed; this module
 applies the same discipline to the harness itself.  When enabled (the
 ``REPRO_TELEMETRY`` knob or the CLI ``--telemetry DIR`` flag), the sweep
 executor, the experiment cache layers, and the pool workers append one
-JSON object per line to a shared event log, and :func:`summarize` folds
-the log into the questions an operator actually asks: where did the wall
-time of a sweep go (p50/p95 spec latency, worker utilization), how often
-did recovery machinery fire (retries, faults, crashes), and where did
-each result come from (simulated, memo, or disk cache, by call site).
+JSON object per line to a shared event log; so do the design service
+(``svc_*`` events) and the contention and islands studies (one
+:data:`POINT_EVENTS` event per point).  :func:`summarize` folds every
+event kind in one pass into the questions an operator actually asks:
+where did the wall time of a sweep go (p50/p95 spec latency, worker
+utilization), how often did recovery machinery fire (retries, faults,
+crashes), where did each result come from (simulated, memo, or disk
+cache, by call site), how fast did the service answer and which tier
+answered, and what each study point measured.  :func:`format_summary`
+renders it as the ``repro stats`` report.
 
 Design constraints, locked down by ``tests/test_telemetry*.py``:
 
@@ -44,20 +49,15 @@ import time
 __all__ = [
     "EVENT_SCHEMA",
     "NULL_RECORDER",
+    "POINT_EVENTS",
     "NullRecorder",
     "TelemetryRecorder",
     "as_recorder",
-    "format_contention_summary",
-    "format_islands_summary",
-    "format_service_summary",
     "format_summary",
     "load_events",
     "percentile",
     "recorder_from_env",
     "summarize",
-    "summarize_contention",
-    "summarize_islands",
-    "summarize_service",
     "telemetry_path",
     "validate_event",
 ]
@@ -110,11 +110,11 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "svc_coalesce": (("req", "query", "leader"), ()),
     "svc_sim_fail": (("seq", "kind", "message"), ()),
     "svc_breaker": (("state",), ("failures",)),
-    # Contention sweep: one event per (theta, cc_mode) point — the
+    # Contention sweep: one event per (cc_mode, theta) point — the
     # executor's accounting plus the simulator's attributed lock-wait
     # share, so ``repro stats`` can tabulate where time went as skew
     # rose without re-running anything.
-    "contention_point": (("theta", "cc_mode", "abort_rate",
+    "contention_point": (("cc_mode", "theta", "abort_rate",
                           "lock_wait_share"),
                          ("wasted_share", "commits", "aborts", "ipc")),
     # Hardware-islands sweep: one event per (camp, kind, placement)
@@ -123,6 +123,13 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "island_point": (("sockets", "placement", "kind", "camp", "ipc"),
                      ("rel_ipc", "remote_frac", "remote_l1x")),
 }
+
+#: Per-point study events.  :func:`summarize` gives each kind one row
+#: per event under ``points[kind]`` and :func:`format_summary` prints one
+#: table per kind, so a new study needs a schema entry and a slot here,
+#: and no new function.
+POINT_EVENTS = ("contention_point", "island_point")
+
 
 def telemetry_path(target: str) -> str:
     """Resolve a CLI/env target to the event-log path.
@@ -315,7 +322,7 @@ def percentile(values: list[float], pct: float) -> float:
 
 
 def summarize(events: list[dict]) -> dict:
-    """Fold an event log into the sweep summary.
+    """Fold an event log, every event kind in one pass, into the summary.
 
     Returns a plain dict (JSON-ready) with:
 
@@ -324,18 +331,28 @@ def summarize(events: list[dict]) -> dict:
       logs count as neither),
     - ``retries`` total plus ``retry_kinds`` (error/crash/timeout),
     - ``spec_wall_p50``/``spec_wall_p95`` over simulated spec latencies,
-    - ``busy_s`` (Σ simulated spec wall), ``capacity_s`` (Σ sweep wall ×
-      jobs), and their ratio ``worker_utilization``,
+    - ``busy_s`` (Σ simulated spec wall of the sweeps that logged their
+      ``sweep_end``), ``capacity_s`` (Σ sweep wall × jobs), and their
+      ratio ``worker_utilization`` — a sweep killed before its end adds
+      to neither, so the ratio cannot pass 1,
     - ``accesses`` and ``accesses_per_sec`` from worker profile
       snapshots,
     - ``kernel_counters`` (``batched_steps``, event-loop steps
       dispatched without a heap round-trip) summed over the same
       snapshots; counters retired from older logs are ignored,
-    - ``cache`` totals and per-call-site ``cache_by_source``.
+    - ``cache`` totals and per-call-site ``cache_by_source``,
+    - ``service``: request/answer counts (answers split by tier),
+      degraded/coalesced/shed totals, answer-latency percentiles
+      (p50/p95/p99 over ``svc_answer.wall_s``), slow-tier failures by
+      kind, and the breaker transition sequence — all zero for a log
+      without service events,
+    - ``points``: for each kind in :data:`POINT_EVENTS`, one row per
+      event holding its schema fields (required, then optional; absent
+      ones ``None``), sorted by the required fields.
     """
     jobs_by_sweep: dict[str, int] = {}
     sweep_wall: dict[str, float] = {}
-    finished_wall: list[float] = []
+    finished: list[tuple[str, float]] = []
     retry_kinds: dict[str, int] = {}
     cache_total = {"hits": 0, "misses": 0, "stores": 0}
     cache_by_source: dict[str, dict[str, int]] = {}
@@ -344,9 +361,20 @@ def summarize(events: list[dict]) -> dict:
     accesses = 0
     kernel = {"batched_steps": 0}
     exec_wall = 0.0
+    service = {"requests": 0, "answers": 0, "degraded": 0,
+               "coalesced": 0, "shed": 0}
+    answers_by_tier: dict[str, int] = {}
+    answer_walls: list[float] = []
+    sim_failures: dict[str, int] = {}
+    transitions: list[str] = []
+    points: dict[str, list[dict]] = {kind: [] for kind in POINT_EVENTS}
     for event in events:
         ev = event.get("ev")
-        if ev == "sweep_start":
+        if ev in points:
+            required, optional = EVENT_SCHEMA[ev]
+            points[ev].append(
+                {field: event.get(field) for field in required + optional})
+        elif ev == "sweep_start":
             counts["sweeps"] += 1
             jobs_by_sweep[event.get("sweep", "?")] = int(
                 event.get("jobs", 1))
@@ -356,7 +384,8 @@ def summarize(events: list[dict]) -> dict:
         elif ev == "spec_finished" and event.get("source") == "simulated":
             counts["specs"] += 1
             counts["simulated"] += 1
-            finished_wall.append(float(event.get("wall_s", 0.0)))
+            finished.append((event.get("sweep", "?"),
+                             float(event.get("wall_s", 0.0))))
         elif ev == "spec_failed":
             counts["specs"] += 1
             counts["failed"] += 1
@@ -379,14 +408,33 @@ def summarize(events: list[dict]) -> dict:
             per = cache_by_source.setdefault(
                 source, {"hits": 0, "misses": 0, "stores": 0})
             per[bucket] += 1
-    busy = sum(finished_wall)
+        elif ev == "svc_request":
+            service["requests"] += 1
+        elif ev == "svc_answer":
+            service["answers"] += 1
+            tier = str(event.get("tier", "?"))
+            answers_by_tier[tier] = answers_by_tier.get(tier, 0) + 1
+            answer_walls.append(float(event.get("wall_s", 0.0)))
+            if event.get("degraded"):
+                service["degraded"] += 1
+            if event.get("coalesced"):
+                service["coalesced"] += 1
+        elif ev == "svc_shed":
+            service["shed"] += 1
+        elif ev == "svc_sim_fail":
+            kind = str(event.get("kind", "?"))
+            sim_failures[kind] = sim_failures.get(kind, 0) + 1
+        elif ev == "svc_breaker":
+            transitions.append(str(event.get("state", "?")))
+    spec_walls = [wall for _, wall in finished]
+    busy = sum(wall for sweep, wall in finished if sweep in sweep_wall)
     capacity = sum(
         wall * jobs_by_sweep.get(sweep, 1)
         for sweep, wall in sweep_wall.items())
     summary = dict(counts)
     summary["retry_kinds"] = retry_kinds
-    summary["spec_wall_p50"] = round(percentile(finished_wall, 50), 6)
-    summary["spec_wall_p95"] = round(percentile(finished_wall, 95), 6)
+    summary["spec_wall_p50"] = round(percentile(spec_walls, 50), 6)
+    summary["spec_wall_p95"] = round(percentile(spec_walls, 95), 6)
     summary["busy_s"] = round(busy, 6)
     summary["capacity_s"] = round(capacity, 6)
     summary["worker_utilization"] = (
@@ -397,157 +445,28 @@ def summarize(events: list[dict]) -> dict:
     summary["kernel_counters"] = kernel
     summary["cache"] = cache_total
     summary["cache_by_source"] = cache_by_source
+    service["answers_by_tier"] = answers_by_tier
+    for pct in (50, 95, 99):
+        service[f"answer_wall_p{pct}"] = round(
+            percentile(answer_walls, pct), 6)
+    service["sim_failures"] = sim_failures
+    service["breaker_transitions"] = transitions
+    summary["service"] = service
+    for kind, rows in points.items():
+        required = EVENT_SCHEMA[kind][0]
+        rows.sort(key=lambda row: tuple(
+            (row[field] is None, row[field]) for field in required))
+    summary["points"] = points
     return summary
-
-
-def summarize_service(events: list[dict]) -> dict:
-    """Fold a service request log into the ``repro stats`` serve section.
-
-    Returns a plain dict with request/answer counts (answers split by
-    tier), degraded/coalesced/shed totals, answer-latency percentiles
-    (p50/p95/p99 over ``svc_answer.wall_s``), slow-tier failure counts
-    by kind, and the breaker transition sequence.  All counts are zero
-    for a log without service events (the caller can test ``requests``
-    + ``shed`` to decide whether to print the section).
-    """
-    answers_by_tier: dict[str, int] = {}
-    walls: list[float] = []
-    sim_fail: dict[str, int] = {}
-    transitions: list[str] = []
-    counts = {"requests": 0, "answers": 0, "degraded": 0,
-              "coalesced": 0, "shed": 0}
-    for event in events:
-        ev = event.get("ev")
-        if ev == "svc_request":
-            counts["requests"] += 1
-        elif ev == "svc_answer":
-            counts["answers"] += 1
-            tier = str(event.get("tier", "?"))
-            answers_by_tier[tier] = answers_by_tier.get(tier, 0) + 1
-            walls.append(float(event.get("wall_s", 0.0)))
-            if event.get("degraded"):
-                counts["degraded"] += 1
-            if event.get("coalesced"):
-                counts["coalesced"] += 1
-        elif ev == "svc_shed":
-            counts["shed"] += 1
-        elif ev == "svc_sim_fail":
-            kind = str(event.get("kind", "?"))
-            sim_fail[kind] = sim_fail.get(kind, 0) + 1
-        elif ev == "svc_breaker":
-            transitions.append(str(event.get("state", "?")))
-    summary = dict(counts)
-    summary["answers_by_tier"] = answers_by_tier
-    summary["answer_wall_p50"] = round(percentile(walls, 50), 6)
-    summary["answer_wall_p95"] = round(percentile(walls, 95), 6)
-    summary["answer_wall_p99"] = round(percentile(walls, 99), 6)
-    summary["sim_failures"] = sim_fail
-    summary["breaker_transitions"] = transitions
-    return summary
-
-
-def summarize_contention(events: list[dict]) -> dict:
-    """Fold ``contention_point`` events into the stats contention section.
-
-    Returns ``{"points": [...]}`` with one row per event, ordered by
-    (cc_mode, theta) — empty for a log without contention events.
-    """
-    points = []
-    for event in events:
-        if event.get("ev") != "contention_point":
-            continue
-        points.append({
-            "theta": float(event.get("theta", 0.0)),
-            "cc_mode": str(event.get("cc_mode", "?")),
-            "abort_rate": float(event.get("abort_rate", 0.0)),
-            "lock_wait_share": float(event.get("lock_wait_share", 0.0)),
-            "wasted_share": float(event.get("wasted_share", 0.0)),
-            "ipc": event.get("ipc"),
-        })
-    points.sort(key=lambda p: (p["cc_mode"], p["theta"]))
-    return {"points": points}
-
-
-def summarize_islands(events: list[dict]) -> dict:
-    """Fold ``island_point`` events into the stats islands section.
-
-    Returns ``{"points": [...]}`` with one row per event, ordered by
-    (sockets, placement, kind, camp) — empty for a log without islands
-    events.
-    """
-    points = []
-    for event in events:
-        if event.get("ev") != "island_point":
-            continue
-        points.append({
-            "sockets": int(event.get("sockets", 0)),
-            "placement": str(event.get("placement", "?")),
-            "kind": str(event.get("kind", "?")),
-            "camp": str(event.get("camp", "?")),
-            "ipc": float(event.get("ipc", 0.0)),
-            "rel_ipc": event.get("rel_ipc"),
-            "remote_frac": event.get("remote_frac"),
-        })
-    points.sort(key=lambda p: (p["sockets"], p["placement"], p["kind"],
-                               p["camp"]))
-    return {"points": points}
-
-
-def format_islands_summary(summary: dict) -> str:
-    """Render a :func:`summarize_islands` dict for ``repro stats``."""
-    from .reporting import format_table
-
-    rows = [
-        [f"{p['sockets']}s", p["placement"], p["kind"], p["camp"],
-         f"{p['ipc']:.3f}",
-         "-" if p["rel_ipc"] is None else f"{p['rel_ipc']:.3f}",
-         "-" if p["remote_frac"] is None else f"{p['remote_frac']:.1%}"]
-        for p in summary["points"]
-    ]
-    return format_table(
-        ["sockets", "placement", "kind", "camp", "ipc", "vs 1s", "remote"],
-        rows)
-
-
-def format_contention_summary(summary: dict) -> str:
-    """Render a :func:`summarize_contention` dict for ``repro stats``."""
-    from .reporting import format_table
-
-    rows = [
-        [p["cc_mode"], f"{p['theta']:g}", f"{p['abort_rate']:.3f}",
-         f"{p['lock_wait_share']:.3f}", f"{p['wasted_share']:.3f}",
-         "-" if p["ipc"] is None else f"{p['ipc']:.3f}"]
-        for p in summary["points"]
-    ]
-    return format_table(
-        ["cc mode", "theta", "abort rate", "lock-wait", "wasted", "ipc"],
-        rows)
-
-
-def format_service_summary(summary: dict) -> str:
-    """Render a :func:`summarize_service` dict for ``repro stats``."""
-    tiers = ", ".join(f"{tier} {n}" for tier, n in
-                      sorted(summary["answers_by_tier"].items())) or "none"
-    lines = [
-        f"requests:           {summary['requests']} "
-        f"(shed {summary['shed']})",
-        f"answers:            {summary['answers']} ({tiers}; "
-        f"degraded {summary['degraded']}, "
-        f"coalesced {summary['coalesced']})",
-        f"answer p50/p95/p99: {summary['answer_wall_p50']:.4f}s / "
-        f"{summary['answer_wall_p95']:.4f}s / "
-        f"{summary['answer_wall_p99']:.4f}s",
-    ]
-    if summary["sim_failures"]:
-        lines.append(f"sim failures:       {summary['sim_failures']}")
-    if summary["breaker_transitions"]:
-        lines.append("breaker:            "
-                     + " -> ".join(summary["breaker_transitions"]))
-    return "\n".join(lines)
 
 
 def format_summary(summary: dict) -> str:
-    """Render a :func:`summarize` dict as the ``repro stats`` report."""
+    """Render a :func:`summarize` dict as the ``repro stats`` report.
+
+    The sweep lines always print; the service block only when the log
+    has requests or sheds; then one table per point kind with rows,
+    headed by the event's field names (``None`` prints as ``-``).
+    """
     from .reporting import format_table
 
     lines = [
@@ -581,4 +500,33 @@ def format_summary(summary: dict) -> str:
         lines.append("")
         lines.append(format_table(
             ["cache source", "hits", "misses", "stores"], cache_rows))
+    service = summary["service"]
+    if service["requests"] or service["shed"]:
+        tiers = ", ".join(f"{tier} {n}" for tier, n in
+                          sorted(service["answers_by_tier"].items()))
+        lines += [
+            "",
+            f"requests:           {service['requests']} "
+            f"(shed {service['shed']})",
+            f"answers:            {service['answers']} ({tiers or 'none'}; "
+            f"degraded {service['degraded']}, "
+            f"coalesced {service['coalesced']})",
+            f"answer p50/p95/p99: {service['answer_wall_p50']:.4f}s / "
+            f"{service['answer_wall_p95']:.4f}s / "
+            f"{service['answer_wall_p99']:.4f}s",
+        ]
+        if service["sim_failures"]:
+            lines.append(f"sim failures:       {service['sim_failures']}")
+        if service["breaker_transitions"]:
+            lines.append("breaker:            "
+                         + " -> ".join(service["breaker_transitions"]))
+    for kind, rows in summary["points"].items():
+        if rows:
+            headers = list(rows[0])
+            lines.append("")
+            lines.append(format_table(
+                headers,
+                [["-" if row[h] is None else row[h] for h in headers]
+                 for row in rows],
+                title=kind))
     return "\n".join(lines)

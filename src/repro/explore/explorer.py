@@ -133,7 +133,6 @@ def explore(
     confirm_top: int | None = None,
     validate: bool = True,
     jobs: int | None = None,
-    **resilience,
 ) -> ExploreReport:
     """Run the full prune-then-confirm loop.
 
@@ -150,7 +149,6 @@ def explore(
         validate: Also cross-validate the model on the held-out
             golden-figure sizes (the reported error bound).
         jobs: Worker fan-out for calibration/confirmation batches.
-        **resilience: timeout/retries/... forwarded to the sweep layer.
     """
     if budget_mm2 is None:
         budget_mm2 = quick_budget_mm2() if quick else default_budget_mm2()
@@ -166,9 +164,8 @@ def explore(
             f"for camp(s) {sorted({'fc', 'lc'} - camps_present)}")
 
     if model is None:
-        model = calibrate.fit(exp, kinds=kinds, jobs=jobs, **resilience)
-    validation = (calibrate.cross_validate(exp, model, kinds=kinds,
-                                           jobs=jobs, **resilience)
+        model = calibrate.fit(exp, kinds=kinds, jobs=jobs)
+    validation = (calibrate.cross_validate(exp, model, kinds=kinds, jobs=jobs)
                   if validate else None)
 
     # ---- screen (pure model, microseconds per point) ------------------ #
@@ -214,7 +211,7 @@ def explore(
         [RunSpec(sat_configs[kc], kc[0], "saturated") for kc in sat_keys]
         + [RunSpec(unsat_configs[kc], kc[0], "unsaturated")
            for kc in unsat_keys],
-        jobs=jobs, **resilience)
+        jobs=jobs)
 
     for kind, cand in sat_keys:
         row = to_confirm[(kind, cand)]

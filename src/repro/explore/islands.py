@@ -152,7 +152,6 @@ def explore_islands(
     remote_l2_latency: float = 3.0,
     remote_mem_latency: float = 1.5,
     jobs: int | None = None,
-    **resilience,
 ) -> IslandsReport:
     """Run the anchored sockets-x-placement exploration.
 
@@ -169,7 +168,6 @@ def explore_islands(
         remote_l2_latency: Cross-island L2 latency multiplier.
         remote_mem_latency: Cross-island memory latency multiplier.
         jobs: Worker fan-out for the confirmation batches.
-        **resilience: timeout/retries/... forwarded to the sweep layer.
     """
     if budget_mm2 is None:
         budget_mm2 = quick_budget_mm2() if quick else default_budget_mm2()
@@ -193,7 +191,7 @@ def explore_islands(
         by_sockets[s] = fit_cands
 
     if model is None:
-        model = calibrate.fit(exp, kinds=kinds, jobs=jobs, **resilience)
+        model = calibrate.fit(exp, kinds=kinds, jobs=jobs)
 
     report = IslandsReport(
         budget_mm2=budget_mm2, scale=exp.scale,
@@ -229,7 +227,7 @@ def explore_islands(
 
     anchors = {cell: rows[0] for cell, rows in cells.items()}
     exp.prefetch([spec_for(r, "saturated") for r in anchors.values()],
-                 jobs=jobs, **resilience)
+                 jobs=jobs)
     measured: dict[tuple, float] = {}
     corrections: dict[tuple, float] = {}
     for cell, row in sorted(anchors.items()):
@@ -264,7 +262,7 @@ def explore_islands(
     exp.prefetch(
         [spec_for(r, "saturated") for r in holdout_rows.values()]
         + [spec_for(r, "unsaturated") for r in unsat_rows.values()],
-        jobs=jobs, **resilience)
+        jobs=jobs)
 
     for cell, row in sorted(holdout_rows.items()):
         sim = exp.run(row.candidate.config(exp.scale, topos[row.sockets]),

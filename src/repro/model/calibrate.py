@@ -300,8 +300,8 @@ def _cal_specs(exp: Experiment, kinds, camps, sizes, unsat_sizes):
 
 
 def fit(exp: Experiment, kinds=KINDS, camps=CAMPS, sizes=CAL_SIZES_MB,
-        unsat_sizes=UNSAT_SIZES_MB, jobs: int | None = None,
-        **resilience) -> CalibratedModel:
+        unsat_sizes=UNSAT_SIZES_MB,
+        jobs: int | None = None) -> CalibratedModel:
     """Calibrate the model against the pinned simulator grid.
 
     All runs go through ``exp`` (memo + disk cache + parallel fan-out),
@@ -310,7 +310,7 @@ def fit(exp: Experiment, kinds=KINDS, camps=CAMPS, sizes=CAL_SIZES_MB,
     rows = _cal_specs(exp, kinds, camps, sizes, unsat_sizes)
     exp.prefetch(
         [RunSpec(config, kind, regime) for kind, camp, regime, config in rows],
-        jobs=jobs, **resilience)
+        jobs=jobs)
     cells: dict[tuple[str, str, str],
                 list[tuple[MachineConfig, MachineResult]]] = {}
     for kind, camp, regime, config in rows:
@@ -327,8 +327,8 @@ def fit(exp: Experiment, kinds=KINDS, camps=CAMPS, sizes=CAL_SIZES_MB,
 
 def cross_validate(exp: Experiment, model: CalibratedModel, kinds=KINDS,
                    camps=CAMPS, sizes=HOLDOUT_SIZES_MB,
-                   bound: float = ERROR_BOUND, jobs: int | None = None,
-                   **resilience) -> ModelValidationReport:
+                   bound: float = ERROR_BOUND,
+                   jobs: int | None = None) -> ModelValidationReport:
     """Validate throughput predictions on held-out configurations.
 
     Every (kind, camp, size) cell is simulated (or recalled) and compared
@@ -340,7 +340,7 @@ def cross_validate(exp: Experiment, model: CalibratedModel, kinds=KINDS,
     configs = {cell: config_for(cell[1], cell[2], exp.scale)
                for cell in grid}
     exp.prefetch([RunSpec(configs[cell], cell[0]) for cell in grid],
-                 jobs=jobs, **resilience)
+                 jobs=jobs)
     rows = []
     for kind, camp, size in grid:
         config = configs[(kind, camp, size)]

@@ -31,6 +31,7 @@ import time
 
 from ..core.experiment import Experiment
 from ..core.parallel import CODE_VERSION
+from ..core.telemetry import percentile
 from ..explore.space import enumerate_candidates, quick_budget_mm2
 from .query import DesignQuery, Overloaded
 from .service import DesignService
@@ -73,15 +74,6 @@ def _git_commit() -> str | None:
         return None
     commit = proc.stdout.strip()
     return commit if proc.returncode == 0 and commit else None
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(0, min(len(sorted_values) - 1,
-                      int(round(q * (len(sorted_values) - 1)))))
-    return sorted_values[rank]
 
 
 def query_mix(scale: float) -> list[DesignQuery]:
@@ -145,8 +137,8 @@ async def _run_load_async(config: dict, exp: Experiment,
     finally:
         await service.close()
     wall = time.perf_counter() - t0
-    answered = sorted(s["wall_s"] for s in samples
-                      if s["outcome"] == "answered")
+    answered = [s["wall_s"] for s in samples
+                if s["outcome"] == "answered"]
     shed = [s for s in samples if s["outcome"] == "shed"]
     by_tier: dict[str, int] = {}
     degraded = coalesced = 0
@@ -164,9 +156,9 @@ async def _run_load_async(config: dict, exp: Experiment,
         "fit_seconds": round(fit_seconds, 6),
         "throughput_rps": (round(len(answered) / wall, 3)
                            if wall > 0 else 0.0),
-        "latency_p50_s": round(_percentile(answered, 0.50), 6),
-        "latency_p95_s": round(_percentile(answered, 0.95), 6),
-        "latency_p99_s": round(_percentile(answered, 0.99), 6),
+        "latency_p50_s": round(percentile(answered, 50), 6),
+        "latency_p95_s": round(percentile(answered, 95), 6),
+        "latency_p99_s": round(percentile(answered, 99), 6),
         "answers_by_tier": by_tier,
         "degraded": degraded,
         "coalesced": coalesced,

@@ -172,10 +172,12 @@ class TestIslandsSweep:
         events = tel.load_events(str(log))
         island_events = [e for e in events if e.get("ev") == "island_point"]
         assert len(island_events) == len(points)
-        summary = tel.summarize_islands(events)
-        assert len(summary["points"]) == len(points)
-        text = tel.format_islands_summary(summary)
-        assert "island-partitioned" in text
+        summary = tel.summarize(events)
+        rows = summary["points"]["island_point"]
+        assert len(rows) == len(points)
+        assert {r["placement"] for r in rows} == set(PLACEMENTS)
+        text = tel.format_summary(summary)
+        assert "island_point" in text and "island-partitioned" in text
 
     def test_figure_smoke(self, exp):
         text = islands_figure(exp, sockets=2, kinds=("oltp",))

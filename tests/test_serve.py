@@ -416,14 +416,16 @@ class TestServiceTelemetry:
         kinds = {e["ev"] for e in events}
         assert {"svc_request", "svc_answer", "svc_coalesce",
                 "svc_shed"} <= kinds
-        summary = telemetry.summarize_service(events)
-        assert summary["requests"] == 4
-        assert summary["answers"] == 4
-        assert summary["coalesced"] == 1
-        assert summary["shed"] == 1
-        assert summary["answers_by_tier"]["simulated"] == 4
-        text = telemetry.format_service_summary(summary)
-        assert "requests" in text and "shed" in text
+        summary = telemetry.summarize(events)
+        service = summary["service"]
+        assert service["requests"] == 4
+        assert service["answers"] == 4
+        assert service["coalesced"] == 1
+        assert service["shed"] == 1
+        assert service["answers_by_tier"]["simulated"] == 4
+        text = telemetry.format_summary(summary)
+        assert "requests:           4 (shed 1)" in text
+        assert "answer p50/p95/p99:" in text
 
 
 @pytest.mark.slow

@@ -125,9 +125,9 @@ class TestBreakerUnderFaults:
         assert [e["kind"] for e in failures] == ["error", "error"]
         states = [e["state"] for e in events if e["ev"] == "svc_breaker"]
         assert states == ["open", "half-open", "closed"]
-        summary = telemetry.summarize_service(events)
-        assert summary["sim_failures"] == {"error": 2}
-        assert summary["breaker_transitions"] == states
+        service = telemetry.summarize(events)["service"]
+        assert service["sim_failures"] == {"error": 2}
+        assert service["breaker_transitions"] == states
 
 
 @pytest.mark.slow

@@ -7,7 +7,9 @@ Four invariants keep the observability layer trustworthy:
 - the enabled path adds only bounded overhead to a sweep (no accidental
   per-access work in hot loops);
 - aggregation math (nearest-rank percentiles, worker utilization, cache
-  provenance) matches hand-computed fixtures;
+  provenance) matches hand-computed fixtures, and one ``summarize`` /
+  ``format_summary`` pair covers every event kind (sweep, service, and
+  the per-point studies);
 - concurrent writers — the sweep scheduler plus pool workers — never
   interleave corrupt lines (one atomic append per event).
 
@@ -30,6 +32,7 @@ from repro.core.parallel import RunSpec, SweepError, run_specs
 from repro.core.telemetry import (
     EVENT_SCHEMA,
     NULL_RECORDER,
+    POINT_EVENTS,
     TelemetryRecorder,
     as_recorder,
     load_events,
@@ -307,6 +310,120 @@ class TestAggregation:
         assert summary["specs"] == 0
         assert summary["worker_utilization"] == 0.0
         assert summary["spec_wall_p50"] == 0.0
+        assert summary["service"]["requests"] == 0
+        assert summary["points"] == {kind: [] for kind in POINT_EVENTS}
+
+    def test_killed_sweep_does_not_inflate_utilization(self):
+        # Sweep "a" finished a 5 s spec and was killed before its
+        # sweep_end; the rerun "b" ran one 5 s spec in a 5 s wall.
+        events = [
+            _event("sweep_start", sweep="a", n_specs=2, jobs=1, scale=0.01,
+                   default_cycles=5000),
+            _event("spec_finished", sweep="a", index=0, attempts=0,
+                   source="simulated", wall_s=5.0),
+            _event("sweep_start", sweep="b", n_specs=1, jobs=1, scale=0.01,
+                   default_cycles=5000),
+            _event("spec_finished", sweep="b", index=0, attempts=0,
+                   source="simulated", wall_s=5.0),
+            _event("sweep_end", sweep="b", completed=1, failed=0,
+                   wall_s=5.0),
+        ]
+        summary = summarize(events)
+        assert summary["busy_s"] == 5.0
+        assert summary["capacity_s"] == 5.0
+        assert summary["worker_utilization"] == 1.0
+        # The killed sweep's spec still counts as simulated work.
+        assert summary["simulated"] == 2
+
+
+# ---------------------------------------------------------------------- #
+# One summary for every event kind                                        #
+# ---------------------------------------------------------------------- #
+
+def _write_log(path, events) -> str:
+    for event in events:
+        validate_event(event)
+    path.write_text("".join(json.dumps(e) + "\n" for e in events),
+                    encoding="utf-8")
+    return str(path)
+
+
+class TestOneSummary:
+    def test_stats_prints_the_service_block(self, tmp_path, capsys):
+        from repro.cli import main
+
+        events = [
+            _event("svc_request", req=1, query="q1", deadline_s=1.0),
+            _event("svc_answer", req=1, query="q1", tier="model",
+                   wall_s=0.004),
+            _event("svc_request", req=2, query="q1"),
+            _event("svc_coalesce", req=2, query="q1", leader=1),
+            _event("svc_answer", req=2, query="q1", tier="cache",
+                   wall_s=0.001, coalesced=True),
+            _event("svc_shed", req=3, pending=6, retry_after_s=0.5),
+            _event("svc_sim_fail", seq=1, kind="error", message="boom"),
+            _event("svc_breaker", state="open", failures=1),
+        ]
+        log = _write_log(tmp_path / "svc.jsonl", events)
+        service = summarize(load_events(log))["service"]
+        assert service["requests"] == 2
+        assert service["answers"] == 2
+        assert service["coalesced"] == 1
+        assert service["shed"] == 1
+        assert service["answers_by_tier"] == {"cache": 1, "model": 1}
+        # nearest-rank over [0.001, 0.004]: p50 -> 0.001, p95 -> 0.004.
+        assert service["answer_wall_p50"] == 0.001
+        assert service["answer_wall_p95"] == 0.004
+
+        assert main(["stats", log]) == 0
+        out = capsys.readouterr().out
+        assert ("answer p50/p95/p99: 0.0010s / 0.0040s / 0.0040s\n"
+                in out)
+        assert "requests:           2 (shed 1)" in out
+        assert "answers:            2 (cache 1, model 1; " in out
+        assert "sim failures:       {'error': 1}" in out
+        assert "breaker:            open" in out
+
+    def test_sweep_only_log_prints_no_service_or_point_block(self):
+        events = [_event("sweep_start", sweep="s", n_specs=0, jobs=1,
+                         scale=0.01, default_cycles=5000),
+                  _event("sweep_end", sweep="s", completed=0, failed=0,
+                         wall_s=1.0)]
+        report = telemetry.format_summary(summarize(events))
+        assert report.splitlines()[-1].startswith("accesses:")
+        assert "requests" not in report
+        assert "_point" not in report
+
+    def test_stats_tabulates_contention_in_mode_theta_order(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        def point(cc_mode, theta, **optional):
+            return _event("contention_point", cc_mode=cc_mode, theta=theta,
+                          abort_rate=0.5, lock_wait_share=0.25, **optional)
+
+        events = [point("partitioned", 0.9), point("2pl", 0.9, ipc=1.5),
+                  point("partitioned", 0.0), point("2pl", 0.0, ipc=2.0)]
+        log = _write_log(tmp_path / "contention.jsonl", events)
+        rows = summarize(load_events(log))["points"]["contention_point"]
+        assert [(r["cc_mode"], r["theta"]) for r in rows] == [
+            ("2pl", 0.0), ("2pl", 0.9),
+            ("partitioned", 0.0), ("partitioned", 0.9)]
+        # Required fields first, then the optional ones (absent: None).
+        assert list(rows[0]) == [
+            "cc_mode", "theta", "abort_rate", "lock_wait_share",
+            "wasted_share", "commits", "aborts", "ipc"]
+        assert rows[2]["ipc"] is None
+
+        assert main(["stats", log]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        title = lines.index("contention_point")
+        assert lines[title + 1].split() == list(rows[0])
+        table = [line.split() for line in lines[title + 3:]]
+        assert [row[:2] for row in table] == [
+            ["2pl", "0"], ["2pl", "0.9"],
+            ["partitioned", "0"], ["partitioned", "0.9"]]
+        assert [row[-1] for row in table] == ["2", "1.5", "-", "-"]
 
 
 # ---------------------------------------------------------------------- #
@@ -433,6 +550,9 @@ class TestCacheProvenance:
         summary = exp.telemetry_summary()
         assert summary is not None
         assert summary["simulated"] == 2
+        # The service and point sections ride along, empty here.
+        assert summary["service"]["answers"] == 0
+        assert summary["points"] == {kind: [] for kind in POINT_EVENTS}
         # Disabled experiments report no summary rather than an empty one.
         bare = Experiment(scale=SCALE, measure_cycles=CYCLES,
                           use_cache=False)
