@@ -43,16 +43,18 @@ Design-space-as-a-service (see DESIGN.md §12)::
     python -m repro serve                             # TCP JSON-lines API
     python -m repro serve --host 0.0.0.0 --port 9000
     python -m repro --scale 0.05 serve --self-test    # CI smoke probe
-    python -m repro bench                             # load test percentiles
 
 Host-time benchmarking lives in ``perf/`` (see perf/README.md).
 
-Parallelism, caching, and resilience can also be driven from the
-environment: ``REPRO_JOBS`` sets the default worker count,
-``REPRO_CACHE_DIR`` the persistent result-cache root,
-``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` the sweep
-resilience knobs (see DESIGN.md §5-6), and ``REPRO_TELEMETRY`` the
-telemetry event-log target (DESIGN.md §7).  A sweep writes each finished
+Every run reads its configuration once into a
+:class:`~repro.settings.Settings` from the eleven ``REPRO_*`` variables
+(README lists them), then lays the flags over it: ``--scale``,
+``--jobs``, ``--cache-dir``, ``--timeout``, ``--retries``,
+``--fail-fast`` and ``--telemetry`` override ``REPRO_SCALE``,
+``REPRO_JOBS``, ``REPRO_CACHE_DIR``, ``REPRO_TIMEOUT``,
+``REPRO_RETRIES``, ``REPRO_FAIL_FAST`` and ``REPRO_TELEMETRY``.  A bad
+value, from either source, exits 2 with one message naming the variable.
+The CLI never writes the environment.  A sweep writes each finished
 point to the result cache, so rerunning a killed sweep with the same
 cache directory simulates only the points it had not finished.
 """
@@ -63,9 +65,11 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from .core import figures, telemetry
 from .core.experiment import Experiment, SweepError
+from .settings import Settings, SettingsError
 from .workloads.driver import workload_for
 from .workloads.profile import format_profile, profile_workload
 
@@ -102,11 +106,15 @@ def _print_cache_stats(exp: Experiment) -> None:
               f"{exp.telemetry.path}")
 
 
-def run_figures(names: list[str], scale: float | None,
-                cache_dir: str | None = None,
-                use_cache: bool = True) -> int:
+def _experiment(args) -> Experiment:
+    """The experiment every target runs on: the resolved settings, and
+    no disk cache under ``--no-cache``."""
+    return Experiment(settings=args.settings, use_cache=not args.no_cache)
+
+
+def run_figures(names: list[str], args) -> int:
     """Regenerate the named figures; returns a process exit code."""
-    exp = Experiment(scale=scale, cache_dir=cache_dir, use_cache=use_cache)
+    exp = _experiment(args)
     for name in names:
         fn, needs_exp = FIGURES[name]
         start = time.time()
@@ -132,9 +140,9 @@ def run_figures(names: list[str], scale: float | None,
     return 0
 
 
-def run_profile(kind: str, scale: float | None) -> int:
+def run_profile(kind: str, args) -> int:
     """Print the workload profile for one saturated bundle."""
-    exp = Experiment(scale=scale)
+    exp = _experiment(args)
     workload = workload_for(kind, "saturated", exp.scale)
     print(format_profile(profile_workload(workload)))
     return 0
@@ -169,8 +177,7 @@ def run_sweep_cmd(args) -> int:
     thetas = tuple(args.skew_theta) if args.skew_theta else None
     cc_modes = (("2pl", "partitioned") if args.cc_mode == "both"
                 else (args.cc_mode,))
-    exp = Experiment(scale=args.scale, cache_dir=args.cache_dir,
-                     use_cache=not args.no_cache)
+    exp = _experiment(args)
     start = time.time()
     try:
         kwargs = {"cc_modes": cc_modes,
@@ -201,8 +208,7 @@ def run_islands_sweep_cmd(args) -> int:
     sockets = args.sockets if args.sockets is not None else 2
     placements = ((args.placement,) if args.placement is not None
                   else PLACEMENTS)
-    exp = Experiment(scale=args.scale, cache_dir=args.cache_dir,
-                     use_cache=not args.no_cache)
+    exp = _experiment(args)
     start = time.time()
     try:
         text = figures.islands(exp, sockets=sockets, placements=placements)
@@ -219,30 +225,12 @@ def run_islands_sweep_cmd(args) -> int:
     return 0
 
 
-def run_bench_cmd(out_path: str | None) -> int:
-    """The ``repro bench`` target: the service load test.
-
-    Closed-loop concurrent clients against an in-process
-    :class:`~repro.serve.service.DesignService`, latency percentiles out
-    (see DESIGN.md §12.5).
-    """
-    from .serve import loadtest
-
-    out = out_path or loadtest.DEFAULT_LOAD_OUT
-    record = loadtest.run_load(out_path=out)
-    print(loadtest.format_load(record))
-    print(f"wrote {out}")
-    return 0
-
-
 def run_serve_cmd(args) -> int:
     """The ``repro serve`` target: TCP front end or ``--self-test``."""
     from .serve import DesignService
     from .serve.server import run_self_test, run_server
 
-    exp = Experiment(scale=args.scale, cache_dir=args.cache_dir,
-                     use_cache=not args.no_cache)
-    service = DesignService(exp)
+    service = DesignService(_experiment(args))
     if args.self_test:
         return run_self_test(service)
     return run_server(service, host=args.host, port=args.port)
@@ -259,8 +247,7 @@ def run_explore_cmd(args) -> int:
     from .explore import explore, explore_islands, format_explore, \
         format_islands
 
-    exp = Experiment(scale=args.scale, cache_dir=args.cache_dir,
-                     use_cache=not args.no_cache)
+    exp = _experiment(args)
     if args.islands:
         sockets = (args.sockets,) if args.sockets is not None else None
         placements = ((args.placement,) if args.placement is not None
@@ -311,8 +298,7 @@ def run_model_cmd(verb: str, args) -> int:
     from .model import calibrate
     from .model.calibrate import CalibratedModel
 
-    exp = Experiment(scale=args.scale, cache_dir=args.cache_dir,
-                     use_cache=not args.no_cache)
+    exp = _experiment(args)
 
     def resolve_model():
         if args.model_in:
@@ -405,17 +391,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="with 'explore': the small candidate budget "
                              "(the CI configuration)")
-    parser.add_argument("--bench-out", metavar="PATH", default=None,
-                        help="with 'bench': the load test's output JSON "
-                             "path (default: BENCH_LOAD.json)")
     parser.add_argument("--host", default="127.0.0.1",
                         help="with 'serve': bind address")
     parser.add_argument("--port", type=int, default=8642,
                         help="with 'serve': TCP port (0 for ephemeral)")
     parser.add_argument("--self-test", action="store_true",
                         help="with 'serve': boot on an ephemeral port, "
-                             "probe coalescing/overload/degradation over "
-                             "real sockets, and exit 0/1 (the CI smoke)")
+                             "probe health, coalescing, deadlines, "
+                             "bad-request rejections and stats over real "
+                             "sockets, and exit 0/1 (the CI smoke)")
     parser.add_argument("--model", action="store_true",
                         help="with 'validate': compare the analytical "
                              "model against the simulator on held-out "
@@ -472,33 +456,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("targets", nargs="*", default=["list"],
                         help="figure names, 'all', 'list', 'validate', "
                              "'profile <oltp|dss>', 'stats <telemetry>', "
-                             "'bench', 'explore', 'serve', 'sweep', or "
+                             "'explore', 'serve', 'sweep', or "
                              "'model <fit|predict|validate>'")
     args = parser.parse_args(argv)
 
-    if args.jobs is not None:
-        if args.jobs < 1:
-            print("--jobs must be >= 1", file=sys.stderr)
-            return 2
-        # The sweep layer reads REPRO_JOBS as its default, so one knob
-        # reaches every batch submission without threading it through.
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    # Same pattern for the resilience knobs: every figure, sweep, and
-    # benchmark batch reads these as its defaults.
-    if args.timeout is not None:
-        if args.timeout <= 0:
-            print("--timeout must be > 0 seconds", file=sys.stderr)
-            return 2
-        os.environ["REPRO_TIMEOUT"] = str(args.timeout)
-    if args.retries is not None:
-        if args.retries < 0:
-            print("--retries must be >= 0", file=sys.stderr)
-            return 2
-        os.environ["REPRO_RETRIES"] = str(args.retries)
-    if args.fail_fast:
-        os.environ["REPRO_FAIL_FAST"] = "1"
-    if args.telemetry is not None:
-        os.environ["REPRO_TELEMETRY"] = args.telemetry
+    flags = {"scale": args.scale, "jobs": args.jobs,
+             "cache_dir": args.cache_dir, "timeout": args.timeout,
+             "retries": args.retries, "telemetry": args.telemetry,
+             "fail_fast": True if args.fail_fast else None}
+    try:
+        args.settings = replace(
+            Settings.from_env(),
+            **{k: v for k, v in flags.items() if v is not None})
+    except SettingsError as err:
+        print(f"repro: {err}", file=sys.stderr)
+        return 2
 
     targets = list(args.targets) or ["list"]
     if targets[0] == "list":
@@ -509,7 +481,6 @@ def main(argv: list[str] | None = None) -> int:
         print("  validate   (Fig. 3 comparison, report only)")
         print("  profile <oltp|dss>")
         print("  stats <telemetry-dir-or-.jsonl>")
-        print("  bench      (service load test; see --bench-out)")
         print("  explore    (equal-area design-space exploration; "
               "see --quick/--budget/--islands)")
         print("  serve      (async design-query service; "
@@ -522,20 +493,15 @@ def main(argv: list[str] | None = None) -> int:
         if len(targets) != 2 or targets[1] not in ("oltp", "dss"):
             print("usage: repro profile <oltp|dss>", file=sys.stderr)
             return 2
-        return run_profile(targets[1], args.scale)
+        return run_profile(targets[1], args)
     if targets[0] == "stats":
-        source = targets[1] if len(targets) == 2 else (
-            args.telemetry or os.environ.get("REPRO_TELEMETRY", "").strip())
+        source = (targets[1] if len(targets) == 2
+                  else args.settings.telemetry)
         if not source:
             print("usage: repro stats <telemetry-dir-or-.jsonl> "
                   "(or set --telemetry/REPRO_TELEMETRY)", file=sys.stderr)
             return 2
         return run_stats(source)
-    if targets[0] == "bench":
-        if len(targets) != 1:
-            print("usage: repro bench [--bench-out PATH]", file=sys.stderr)
-            return 2
-        return run_bench_cmd(args.bench_out)
     if targets[0] == "serve":
         if len(targets) != 1:
             print("usage: repro serve [--host HOST] [--port PORT] "
@@ -567,9 +533,7 @@ def main(argv: list[str] | None = None) -> int:
     if targets[0] == "validate":
         if args.model:
             return run_model_cmd("validate", args)
-        return run_figures(["fig3"], args.scale,
-                           cache_dir=args.cache_dir,
-                           use_cache=not args.no_cache)
+        return run_figures(["fig3"], args)
     if targets == ["all"]:
         targets = list(FIGURES)
     unknown = [t for t in targets if t not in FIGURES]
@@ -577,6 +541,4 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown targets: {', '.join(unknown)} "
               f"(try 'list')", file=sys.stderr)
         return 2
-    return run_figures(targets, args.scale,
-                       cache_dir=args.cache_dir,
-                       use_cache=not args.no_cache)
+    return run_figures(targets, args)

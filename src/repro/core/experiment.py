@@ -25,7 +25,7 @@ query rounds).
 
 from __future__ import annotations
 
-from ..simulator.configs import default_scale
+from ..settings import Settings
 from ..simulator.machine import (
     DEFAULT_MEASURE_CYCLES,
     MachineConfig,
@@ -71,21 +71,25 @@ class Experiment:
     """A memoizing facade over workload generation and simulation.
 
     Args:
-        scale: Study-wide scale factor (defaults to ``REPRO_SCALE`` or
-            0.25 — see :func:`repro.simulator.configs.default_scale`).
+        scale: Study-wide scale factor; None takes ``settings.scale``.
         measure_cycles: Default measurement window for throughput runs.
-        cache_dir: Root of the persistent result cache; None consults the
-            ``REPRO_CACHE_DIR`` environment variable (no disk cache when
-            that is unset too).
+        cache_dir: Root of the persistent result cache; None takes
+            ``settings.cache_dir`` (no disk cache when that is unset too).
         use_cache: Set False to disable the disk cache outright (the
             in-memory memo always stays on).
         cache: An explicit :class:`ResultCache` (overrides ``cache_dir``).
         telemetry: A :mod:`repro.core.telemetry` recorder or event-log
-            path; None consults ``REPRO_TELEMETRY`` (telemetry off when
+            path; None takes ``settings.telemetry`` (telemetry off when
             that is unset too).  Cache hit/miss/store provenance and all
             sweep lifecycle events flow through it.
+        settings: The run :class:`~repro.settings.Settings`; None reads
+            them from the environment once, here.  The arguments above
+            override their fields.
 
     Attributes:
+        settings: The resolved settings (sweep fan-out and resilience
+            defaults for :meth:`run_many`, and the slow tier's retries in
+            :class:`~repro.serve.service.DesignService`).
         sim_runs: Number of specs this experiment simulated (memo and
             disk-cache hits do not count) — the counter the
             determinism/cache tests assert on.
@@ -98,19 +102,19 @@ class Experiment:
                  cache_dir: str | None = None,
                  use_cache: bool = True,
                  cache: ResultCache | None = None,
-                 telemetry=None):
-        self.scale = default_scale() if scale is None else scale
+                 telemetry=None,
+                 settings: Settings | None = None):
+        settings = Settings.from_env() if settings is None else settings
+        self.settings = settings
+        self.scale = settings.scale if scale is None else scale
         self.measure_cycles = measure_cycles
         self._results: dict[tuple, MachineResult] = {}
-        if not use_cache:
-            self.cache = None
-        elif cache is not None:
-            self.cache = cache
-        elif cache_dir is not None:
-            self.cache = ResultCache(cache_dir)
-        else:
-            self.cache = ResultCache.from_env()
-        self.telemetry = as_recorder(telemetry)
+        root = settings.cache_dir if cache_dir is None else cache_dir
+        if cache is None and root:
+            cache = ResultCache(root, budget_bytes=settings.cache_budget)
+        self.cache = cache if use_cache else None
+        self.telemetry = as_recorder(
+            settings.telemetry if telemetry is None else telemetry)
         self.sim_runs = 0
 
     # ------------------------------------------------------------------ #
@@ -201,11 +205,11 @@ class Experiment:
         Args:
             specs: :class:`RunSpec` instances (or tuples of RunSpec
                 arguments, ``(config, kind, ...)``).
-            jobs: Worker processes for the uncached remainder; None reads
-                ``REPRO_JOBS`` (default 1 = serial in-process).
+            jobs: Worker processes for the uncached remainder; None takes
+                ``settings.jobs`` (default 1 = serial in-process).
             timeout/retries/backoff/fail_fast: Resilience knobs
                 forwarded to :func:`repro.core.parallel.run_specs`; None
-                reads the matching ``REPRO_*`` environment default.
+                takes the matching :attr:`settings` field.
 
         Returns:
             Results in spec order, field-for-field identical to what
@@ -231,13 +235,17 @@ class Experiment:
                 seen[key] = i
                 todo.append(i)
         if todo:
+            s = self.settings
             try:
-                fresh = run_specs([specs[i] for i in todo], self.scale,
-                                  self.measure_cycles, jobs=jobs,
-                                  timeout=timeout, retries=retries,
-                                  backoff=backoff, fail_fast=fail_fast,
-                                  cache=self.cache,
-                                  telemetry=self.telemetry)
+                fresh = run_specs(
+                    [specs[i] for i in todo], self.scale,
+                    self.measure_cycles,
+                    jobs=s.jobs if jobs is None else jobs,
+                    timeout=s.timeout if timeout is None else timeout,
+                    retries=s.retries if retries is None else retries,
+                    backoff=s.backoff if backoff is None else backoff,
+                    fail_fast=s.fail_fast if fail_fast is None else fail_fast,
+                    cache=self.cache, telemetry=self.telemetry)
             except SweepError as err:
                 # The sweep already stored every completed result in the
                 # disk cache; keep them in the memo too.
@@ -262,7 +270,7 @@ class Experiment:
         Figures and benchmark drivers call this with their whole grid up
         front, then keep their readable serial loops — every subsequent
         :meth:`run` is a memo hit.  Resilience comes from the
-        ``REPRO_*`` defaults that :meth:`run_many` reads.
+        experiment's :attr:`settings`, as in :meth:`run_many`.
         """
         specs = list(specs)
         before = self.sim_runs

@@ -53,6 +53,8 @@ import os
 import time
 from dataclasses import dataclass
 
+from ..settings import Settings
+
 __all__ = [
     "CRASH_EXIT_CODE",
     "FaultPlan",
@@ -192,15 +194,18 @@ class FaultPlan:
         return None
 
 
-#: Per-process parse cache, keyed by the raw env value.
+#: Per-process parse cache, keyed by the raw plan text.
 _cached: tuple[str, FaultPlan] | None = None
 
 
 def active_plan() -> FaultPlan | None:
     """The plan from ``REPRO_FAULTS``, or None when faults are disabled."""
     global _cached
-    text = os.environ.get("REPRO_FAULTS", "").strip()
-    if not text:
+    # Resolved at call time, not once per Experiment: the hooks run in
+    # pool workers, which inherit the environment, and tests install a
+    # plan after import.
+    text = Settings.from_env().faults
+    if text is None:
         return None
     if _cached is None or _cached[0] != text:
         _cached = (text, FaultPlan.parse(text))

@@ -8,8 +8,8 @@ figure as plain text (tables, ASCII series, breakdown bars) including a
 wrappers over these functions.
 
 Every grid here flows through ``Experiment.prefetch``/``run_many`` and so
-inherits the resilient execution layer: the ``REPRO_TIMEOUT`` /
-``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` knobs (CLI:
+inherits the resilient execution layer: the experiment's
+``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST`` settings (CLI:
 ``--timeout/--retries/--fail-fast``) bound how long a figure may stall and
 retry transient worker failures, and each finished point lands in the
 result cache at once, so an interrupted grid rerun on the same cache

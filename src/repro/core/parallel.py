@@ -12,7 +12,8 @@ the scaling substrate the rest of the study runs on:
   produce bit-for-bit identical results (``tests/test_parallel_determinism``
   locks this down).
 - :func:`run_specs` — fan a batch of specs across a process pool
-  (``jobs`` workers, defaulting to the ``REPRO_JOBS`` environment knob)
+  (``jobs`` workers; :class:`~repro.core.experiment.Experiment` passes
+  its ``jobs`` setting)
   with per-spec timeouts, bounded retries with exponential backoff,
   worker-crash isolation, and structured :class:`SpecFailure` records.
   Each result is written to the :class:`ResultCache` the moment its spec
@@ -51,13 +52,13 @@ import os
 import pickle
 import tempfile
 import time
-import warnings
 import multiprocessing
 from collections import deque
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
+from ..settings import DEFAULT_BACKOFF, DEFAULT_RETRIES
 from ..simulator.machine import (
     DEFAULT_MEASURE_CYCLES,
     Machine,
@@ -89,13 +90,6 @@ WARM_FRACTIONS = {"oltp": 0.15, "dss": 0.5}
 #: Workload regimes a :class:`RunSpec` may name (Fig. 2's two operating
 #: points: throughput-bound vs. response-time-bound).
 REGIMES = ("saturated", "unsaturated")
-
-#: Default bounded-retry budget per spec (override: ``REPRO_RETRIES``).
-DEFAULT_RETRIES = 2
-
-#: Default base backoff in seconds; attempt ``n`` sleeps
-#: ``backoff * 2**(n-1)`` before re-running (override: ``REPRO_BACKOFF``).
-DEFAULT_BACKOFF = 0.1
 
 
 # ---------------------------------------------------------------------- #
@@ -310,8 +304,8 @@ def execute_with_retries(
     scale: float,
     default_cycles: float = DEFAULT_MEASURE_CYCLES,
     *,
-    retries: int | None = None,
-    backoff: float | None = None,
+    retries: int = DEFAULT_RETRIES,
+    backoff: float = DEFAULT_BACKOFF,
     index: int = 0,
     pre_attempt=None,
 ) -> MachineResult:
@@ -327,8 +321,8 @@ def execute_with_retries(
         spec: The measurement.
         scale: Study scale factor.
         default_cycles: Window for specs without an override.
-        retries: Failed attempts to retry (None: ``REPRO_RETRIES``).
-        backoff: Base backoff seconds (None: ``REPRO_BACKOFF``).
+        retries: Failed attempts to retry.
+        backoff: Base backoff seconds.
         index: Identity handed to ``pre_attempt`` (the serve tier passes
             its simulation sequence number so fault plans can target a
             specific request).
@@ -341,8 +335,8 @@ def execute_with_retries(
     belongs to the caller (the serve tier races the executor future
     against its timeout and charges the breaker on expiry).
     """
-    retries = default_retries() if retries is None else max(0, int(retries))
-    backoff = default_backoff() if backoff is None else max(0.0, float(backoff))
+    retries = max(0, int(retries))
+    backoff = max(0.0, float(backoff))
     attempt = 0
     while True:
         try:
@@ -407,99 +401,6 @@ def _adopt_worker_init(bundles: dict) -> None:
         _driver.adopt_bundles(bundles)
     except Exception:
         pass
-
-
-# ---------------------------------------------------------------------- #
-# Resilience knobs (environment defaults)                                 #
-# ---------------------------------------------------------------------- #
-
-_warned_bad_jobs = False
-
-
-def default_jobs() -> int:
-    """Worker count from the ``REPRO_JOBS`` environment knob (default 1).
-
-    An unparsable or non-positive value falls back to 1 with a one-time
-    ``RuntimeWarning`` instead of a silent downgrade.
-    """
-    global _warned_bad_jobs
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = None
-    if jobs is None or jobs < 1:
-        if not _warned_bad_jobs:
-            warnings.warn(
-                f"ignoring invalid REPRO_JOBS={raw!r} (expected a positive "
-                "integer); running with 1 worker",
-                RuntimeWarning, stacklevel=2)
-            _warned_bad_jobs = True
-        return 1
-    return jobs
-
-
-def default_retries() -> int:
-    """Retry budget from ``REPRO_RETRIES`` (default 2, floored at 0)."""
-    try:
-        return max(0, int(os.environ.get("REPRO_RETRIES",
-                                         str(DEFAULT_RETRIES))))
-    except ValueError:
-        return DEFAULT_RETRIES
-
-
-def default_timeout() -> float | None:
-    """Per-spec timeout in seconds from ``REPRO_TIMEOUT`` (default None:
-    specs may run forever)."""
-    raw = os.environ.get("REPRO_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
-
-
-def default_backoff() -> float:
-    """Base retry backoff in seconds from ``REPRO_BACKOFF``."""
-    raw = os.environ.get("REPRO_BACKOFF", "").strip()
-    if not raw:
-        return DEFAULT_BACKOFF
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        return DEFAULT_BACKOFF
-
-
-def default_fail_fast() -> bool:
-    """Whether sweeps abort on the first exhausted spec (``REPRO_FAIL_FAST``)."""
-    return (os.environ.get("REPRO_FAIL_FAST", "").strip().lower()
-            in ("1", "true", "yes", "on"))
-
-
-def default_cache_budget() -> int | None:
-    """LRU size budget for the result cache from ``REPRO_CACHE_BUDGET``.
-
-    Accepts a byte count, optionally suffixed ``k``/``m``/``g``
-    (``REPRO_CACHE_BUDGET=64m``).  Unset, unparsable, or non-positive
-    values disable eviction (None): a bad knob must never silently empty
-    a cache.
-    """
-    raw = os.environ.get("REPRO_CACHE_BUDGET", "").strip().lower()
-    if not raw:
-        return None
-    mult = 1
-    if raw[-1:] in ("k", "m", "g"):
-        mult = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}[raw[-1]]
-        raw = raw[:-1]
-    try:
-        value = int(float(raw) * mult)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 # ---------------------------------------------------------------------- #
@@ -815,12 +716,12 @@ def run_specs(
     specs: list[RunSpec],
     scale: float,
     default_cycles: float = DEFAULT_MEASURE_CYCLES,
-    jobs: int | None = None,
+    jobs: int = 1,
     *,
     timeout: float | None = None,
-    retries: int | None = None,
-    backoff: float | None = None,
-    fail_fast: bool | None = None,
+    retries: int = DEFAULT_RETRIES,
+    backoff: float = DEFAULT_BACKOFF,
+    fail_fast: bool = False,
     cache: "ResultCache | None" = None,
     telemetry=None,
 ) -> list[MachineResult]:
@@ -830,26 +731,25 @@ def run_specs(
         specs: The batch to run; results come back in the same order.
         scale: Study scale factor.
         default_cycles: Measurement window for specs without an override.
-        jobs: Worker processes; None reads ``REPRO_JOBS`` (default 1).
+        jobs: Worker processes (1 runs serially in-process).
         timeout: Per-spec wall-clock limit in seconds; an over-limit spec
             is charged a timeout attempt and its worker is killed.  None
-            reads ``REPRO_TIMEOUT`` (default: no limit).  Enforced only on
-            the pool path — the serial fallback has no worker to kill.
-        retries: Failed attempts each spec may retry (None:
-            ``REPRO_RETRIES``, default 2).
+            (or a value <= 0) means no limit.  Enforced only on the pool
+            path — the serial fallback has no worker to kill.
+        retries: Failed attempts each spec may retry.
         backoff: Base backoff seconds; attempt ``n`` sleeps
-            ``backoff * 2**(n-1)`` (None: ``REPRO_BACKOFF``, default 0.1).
+            ``backoff * 2**(n-1)``.
         fail_fast: Abort the sweep on the first exhausted spec instead of
-            finishing the rest (None: ``REPRO_FAIL_FAST``, default off).
+            finishing the rest.
         cache: A :class:`ResultCache` that receives each result the
             moment its spec finishes, so a sweep killed part way keeps
             its finished specs.  Never read here: callers look keys up
             before submitting (:meth:`Experiment.run_many` does).  None
             stores nothing.
         telemetry: A :mod:`repro.core.telemetry` recorder (or an event-log
-            path) receiving per-spec JSONL lifecycle events; None reads
-            ``REPRO_TELEMETRY`` (default: telemetry off).  Observability
-            only — results are bit-identical either way.
+            path) receiving per-spec JSONL lifecycle events; None is
+            off.  Observability only — results are bit-identical either
+            way.
 
     Returns:
         One :class:`MachineResult` per spec, bit-for-bit identical to a
@@ -866,14 +766,12 @@ def run_specs(
     timeout enforcement change.
     """
     specs = list(specs)
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    retries = default_retries() if retries is None else max(0, int(retries))
-    if timeout is None:
-        timeout = default_timeout()
-    elif timeout <= 0:
+    jobs = max(1, int(jobs))
+    retries = max(0, int(retries))
+    if timeout is not None and timeout <= 0:
         timeout = None
-    backoff = default_backoff() if backoff is None else max(0.0, float(backoff))
-    fail_fast = default_fail_fast() if fail_fast is None else bool(fail_fast)
+    backoff = max(0.0, float(backoff))
+    fail_fast = bool(fail_fast)
     telem = as_recorder(telemetry)
 
     global _sweep_seq
@@ -980,20 +878,14 @@ class ResultCache:
                  budget_bytes: int | None = None):
         self.root = str(root)
         self.salt = salt
-        self.budget_bytes = (default_cache_budget() if budget_bytes is None
-                             else (int(budget_bytes)
-                                   if budget_bytes > 0 else None))
+        self.budget_bytes = (int(budget_bytes)
+                             if budget_bytes is not None and budget_bytes > 0
+                             else None)
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.errors = 0
         self.evictions = 0
-
-    @classmethod
-    def from_env(cls) -> "ResultCache | None":
-        """A cache rooted at ``REPRO_CACHE_DIR``, or None when unset."""
-        root = os.environ.get("REPRO_CACHE_DIR", "").strip()
-        return cls(root) if root else None
 
     # -- addressing ---------------------------------------------------- #
 

@@ -9,9 +9,9 @@ concurrently across a process pool; results are identical to the serial
 path either way (see ``tests/test_parallel_determinism.py``).
 
 The resilience knobs (per-spec timeout, bounded retries, fail-fast)
-come from the ``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` /
-``REPRO_FAIL_FAST`` defaults that :func:`repro.core.parallel.run_specs`
-reads, so one CLI flag reaches every grid (see DESIGN.md §6).  Each
+come from the experiment's :class:`~repro.settings.Settings`
+(``REPRO_TIMEOUT`` / ``REPRO_RETRIES`` / ``REPRO_FAIL_FAST``, or the
+CLI flags), so one flag reaches every grid (see DESIGN.md §6).  Each
 finished point lands in the experiment's result cache at once, so a
 killed sweep rerun on the same cache simulates only the rest.  The
 experiment's telemetry recorder receives per-spec JSONL lifecycle
@@ -61,7 +61,8 @@ def cache_size_sweep(
         const_latency: Fix the hit latency (the paper's "const" curves);
             None uses the Cacti model per size ("real" curves).
         n_cores: Cores on the CMP (4 in the paper's Fig. 6).
-        jobs: Worker processes (None = the ``REPRO_JOBS`` default).
+        jobs: Worker processes (None = the experiment's ``jobs``
+            setting).
     """
     configs = [
         fc_cmp(

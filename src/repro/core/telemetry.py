@@ -56,7 +56,6 @@ __all__ = [
     "format_summary",
     "load_events",
     "percentile",
-    "recorder_from_env",
     "summarize",
     "telemetry_path",
     "validate_event",
@@ -212,23 +211,15 @@ class TelemetryRecorder:
             self._fd = None
 
 
-def recorder_from_env() -> "TelemetryRecorder | NullRecorder":
-    """The recorder named by ``REPRO_TELEMETRY``, or :data:`NULL_RECORDER`."""
-    target = os.environ.get("REPRO_TELEMETRY", "").strip()
-    if not target:
-        return NULL_RECORDER
-    return TelemetryRecorder(telemetry_path(target))
-
-
 def as_recorder(telemetry) -> "TelemetryRecorder | NullRecorder":
     """Coerce a knob value into a recorder.
 
-    ``None`` consults the environment; a string/path becomes a
+    ``None`` is off (:data:`NULL_RECORDER`); a string/path becomes a
     :class:`TelemetryRecorder`; an existing recorder (including the null
     one) passes through.
     """
     if telemetry is None:
-        return recorder_from_env()
+        return NULL_RECORDER
     if isinstance(telemetry, (str, os.PathLike)):
         return TelemetryRecorder(telemetry_path(str(telemetry)))
     return telemetry

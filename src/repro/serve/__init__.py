@@ -15,9 +15,7 @@ Layers:
 - :mod:`~repro.serve.service` — :class:`DesignService`, the in-process
   async API the tests drive;
 - :mod:`~repro.serve.server` — the ``repro serve`` TCP JSON-lines front
-  end and its ``--self-test`` smoke mode;
-- :mod:`~repro.serve.loadtest` — ``repro bench``, the
-  latency-percentile harness.
+  end and its ``--self-test`` smoke mode.
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker

@@ -19,8 +19,8 @@ control, coalescing, deadlines, breaker degradation) lives in
 :class:`~repro.serve.service.DesignService` so the in-process API and
 the socket API cannot drift apart.  ``serve --self-test`` boots a
 server on an ephemeral port, drives it with concurrent socket clients
-(coalescing, overload shedding, health/stats), and exits 0/1 — the CI
-smoke job.
+(health, coalescing, deadlines, bad-request rejections, stats), and
+exits 0/1 — the CI smoke job.
 """
 
 from __future__ import annotations

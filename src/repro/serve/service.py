@@ -88,8 +88,10 @@ class DesignService:
     """Async tiered design-query service over an :class:`Experiment`.
 
     Args:
-        exp: The experiment supplying scale, memo, and result cache
-            (None builds a default one from the environment knobs).
+        exp: The experiment supplying scale, memo, result cache, and
+            the slow tier's retry knobs (``exp.settings.retries`` and
+            ``.backoff``); None builds a default one from the
+            environment knobs.
         model: A pre-fitted :class:`~repro.model.calibrate.CalibratedModel`;
             None calibrates one during :meth:`start` (the expensive part
             of startup — steady-state answers are then microseconds).
@@ -100,9 +102,6 @@ class DesignService:
             the thread pool, plus one slot for calibration).
         sim_timeout_s: Slow-tier per-request timeout; expiry counts as
             a breaker failure.  None disables (not recommended).
-        sim_retries/sim_backoff: Retry knobs forwarded to
-            :func:`~repro.core.parallel.execute_with_retries` (None
-            reads ``REPRO_RETRIES``/``REPRO_BACKOFF``).
         breaker: A :class:`CircuitBreaker`; None builds the default.
         clock: Monotonic clock (injectable for deterministic tests).
     """
@@ -112,8 +111,6 @@ class DesignService:
                  sim_queue_depth: int = DEFAULT_SIM_QUEUE_DEPTH,
                  sim_workers: int = 1,
                  sim_timeout_s: float | None = DEFAULT_SIM_TIMEOUT_S,
-                 sim_retries: int | None = None,
-                 sim_backoff: float | None = None,
                  breaker: CircuitBreaker | None = None,
                  clock=time.monotonic):
         if max_pending < 1:
@@ -128,8 +125,6 @@ class DesignService:
         self.sim_queue_depth = int(sim_queue_depth)
         self.sim_workers = int(sim_workers)
         self.sim_timeout_s = sim_timeout_s
-        self.sim_retries = sim_retries
-        self.sim_backoff = sim_backoff
         self._clock = clock
         self.telemetry = self.exp.telemetry
         self.breaker = breaker if breaker is not None else CircuitBreaker(
@@ -383,7 +378,8 @@ class DesignService:
 
         return execute_with_retries(
             spec, self.exp.scale, self.exp.measure_cycles,
-            retries=self.sim_retries, backoff=self.sim_backoff,
+            retries=self.exp.settings.retries,
+            backoff=self.exp.settings.backoff,
             index=seq, pre_attempt=pre_attempt)
 
     async def _sim_worker(self) -> None:

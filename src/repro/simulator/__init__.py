@@ -20,7 +20,6 @@ from .cache import CacheStats, SetAssocCache
 from .configs import (
     BASELINE_L2_MB,
     FIG6_L2_SIZES_MB,
-    default_scale,
     fc_cmp,
     fc_smp,
     lc_cmp,
@@ -91,7 +90,6 @@ __all__ = [
     "Trace",
     "TraceBuilder",
     "Workload",
-    "default_scale",
     "fat_core_params",
     "fc_cmp",
     "fc_smp",

@@ -17,8 +17,6 @@ invariant and only shortens simulations.
 
 from __future__ import annotations
 
-import os
-
 from .cores import fat_core_params, lean_core_params
 from .hierarchy import HierarchyParams
 from .machine import MachineConfig
@@ -29,16 +27,6 @@ FIG6_L2_SIZES_MB = (1.0, 2.0, 4.0, 8.0, 16.0, 26.0)
 
 #: The baseline shared-L2 capacity of the Fig. 4/5 characterization.
 BASELINE_L2_MB = 26.0
-
-
-def default_scale() -> float:
-    """The study-wide scale factor.
-
-    Reads ``REPRO_SCALE`` from the environment (set to ``1`` for paper-scale
-    runs); defaults to 0.25, which preserves every reported shape while
-    keeping a full benchmark run to minutes.
-    """
-    return float(os.environ.get("REPRO_SCALE", "0.25"))
 
 
 def _hier(
@@ -71,7 +59,7 @@ def fc_cmp(
     Args:
         n_cores: Number of cores (Fig. 8 sweeps 4-16).
         l2_nominal_mb: Paper-labelled shared L2 capacity.
-        scale: Study-wide scale factor (see :func:`default_scale`).
+        scale: Study-wide scale factor (DESIGN.md §1).
         const_latency: Fix the L2 hit latency (the Fig. 6 "const" runs);
             None uses the Cacti model on the nominal size.
         topology: Optional hardware-islands topology (multi-socket);

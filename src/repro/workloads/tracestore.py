@@ -37,6 +37,7 @@ from pathlib import Path
 
 from array import array
 
+from ..settings import Settings
 from ..simulator.trace import CodeFootprint, Trace, Workload
 
 #: Engine/format version salt.  Part of every hashed key: bump on any
@@ -246,7 +247,10 @@ def store_for(root: str | Path) -> TraceStore:
 
 def active_store() -> TraceStore | None:
     """The store named by ``REPRO_TRACE_DIR``, or None when unset/empty."""
-    root = os.environ.get(ENV_TRACE_DIR)
-    if not root:
+    # Resolved at call time, not once per Experiment: bundles are built
+    # in pool workers, which inherit the environment, and perf/worker.py
+    # sets REPRO_TRACE_DIR after import.
+    root = Settings.from_env().trace_dir
+    if root is None:
         return None
     return store_for(root)

@@ -5,9 +5,12 @@ import os
 import pytest
 
 from repro.cli import FIGURES, main
+from repro.core import experiment
+from repro.core.parallel import SweepError
 
-#: Environment knobs the resilience flags write through.
-RESILIENCE_VARS = ("REPRO_TIMEOUT", "REPRO_RETRIES", "REPRO_FAIL_FAST")
+#: The knobs the CLI flags override.
+FLAG_VARS = ("REPRO_SCALE", "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_TIMEOUT",
+             "REPRO_RETRIES", "REPRO_FAIL_FAST", "REPRO_TELEMETRY")
 
 
 class TestCli:
@@ -29,26 +32,6 @@ class TestCli:
         assert main(["profile"]) == 2
         assert main(["profile", "olap"]) == 2
 
-    def test_bench_runs_the_load_test(self, monkeypatch, tmp_path, capsys):
-        from repro.serve import loadtest
-
-        written = []
-        monkeypatch.setattr(loadtest, "run_load",
-                            lambda out_path: written.append(out_path) or {})
-        monkeypatch.setattr(loadtest, "format_load", lambda record: "load")
-        out = str(tmp_path / "LOAD.json")
-        assert main(["bench", "--bench-out", out]) == 0
-        assert main(["bench"]) == 0
-        assert written == [out, loadtest.DEFAULT_LOAD_OUT]
-        assert f"wrote {out}" in capsys.readouterr().out
-
-    def test_bench_usage_error(self, capsys):
-        assert main(["bench", "extra"]) == 2
-        assert "usage: repro bench" in capsys.readouterr().err
-        for flag in ("--load", "--compare=BENCH.json", "--fail-below=0.5"):
-            with pytest.raises(SystemExit):
-                main(["bench", flag])
-
     def test_table1_runs(self, capsys):
         assert main(["table1"]) == 0
         out = capsys.readouterr().out
@@ -69,15 +52,25 @@ class TestCli:
         assert "union data footprint" in out
         assert "storage.btree" in out
 
-    def test_resilience_flags_reach_the_environment(self, monkeypatch,
-                                                    tmp_path, capsys):
-        for var in RESILIENCE_VARS:
-            monkeypatch.setenv(var, "")  # registers restore-on-teardown
-        assert main(["--timeout", "600", "--retries", "3", "--fail-fast",
-                     "table1"]) == 0
-        assert float(os.environ["REPRO_TIMEOUT"]) == 600.0
-        assert os.environ["REPRO_RETRIES"] == "3"
-        assert os.environ["REPRO_FAIL_FAST"] == "1"
+    def test_resilience_flags_reach_run_specs(self, monkeypatch,
+                                              tmp_path, capsys):
+        seen = {}
+
+        def fake_run_specs(specs, scale, default_cycles, **kwargs):
+            seen.update(kwargs, scale=scale)
+            raise SweepError([], [])
+
+        monkeypatch.setattr(experiment, "run_specs", fake_run_specs)
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        # The flags override what the environment says.
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        monkeypatch.setenv("REPRO_RETRIES", "5")
+        assert main(["--scale", "0.01", "--jobs", "2", "--timeout", "600",
+                     "--retries", "3", "--fail-fast", "fig6"]) == 1
+        assert seen["scale"] == 0.01
+        assert (seen["jobs"], seen["timeout"], seen["retries"],
+                seen["fail_fast"]) == (2, 600.0, 3, True)
+        capsys.readouterr()
         # Resuming is rerunning on the same --cache-dir; the journal
         # flag is gone and argparse rejects it.
         with pytest.raises(SystemExit) as exit_info:
@@ -103,3 +96,15 @@ class TestCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", "")
         assert main(["table1"]) == 0
         assert "cache:" not in capsys.readouterr().out
+
+    def test_main_leaves_the_environment_unchanged(self, monkeypatch,
+                                                   tmp_path, capsys):
+        for var in FLAG_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        assert main(["--scale", "0.05", "--jobs", "2", "--timeout", "600",
+                     "--retries", "3", "--fail-fast",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--telemetry", str(tmp_path / "telemetry"),
+                     "table1"]) == 0
+        assert dict(os.environ) == before

@@ -1,67 +1,14 @@
-"""Tests for result export and the canonical machine configs."""
+"""Tests for the canonical machine configs."""
 
-import csv
-import io
-import json
-
-import pytest
-
-from repro.core.export import result_record, sweep_records, to_csv, to_json
-from repro.core.sweeps import SweepPoint
+from repro.settings import Settings
 from repro.simulator import cacti
 from repro.simulator.configs import (
     BASELINE_L2_MB,
     FIG6_L2_SIZES_MB,
-    default_scale,
     fc_cmp,
     fc_smp,
     lc_cmp,
 )
-
-
-def fake_result():
-    from tests.test_core_framework import fake_result as fr
-    return fr()
-
-
-class TestExport:
-    def test_record_fields(self):
-        r = result_record(fake_result())
-        assert r["ipc"] == 0.4
-        assert r["cycles_computation"] == 400
-        assert r["frac_d_stalls"] == pytest.approx(300 / 800)
-        assert r["data_from_l1"] == 0.5
-        assert r["data_from_mem"] == 0.1
-
-    def test_fractions_consistent(self):
-        r = result_record(fake_result())
-        assert r["frac_computation"] + r["frac_i_stalls"] + \
-            r["frac_d_stalls"] + r["frac_other"] == pytest.approx(1.0)
-        assert r["frac_d_onchip"] + r["frac_d_offchip"] == pytest.approx(
-            r["frac_d_stalls"])
-
-    def test_sweep_records_carry_x(self):
-        pts = [SweepPoint(x=1.0, result=fake_result()),
-               SweepPoint(x=2.0, result=fake_result())]
-        recs = sweep_records(pts, x_name="l2_mb")
-        assert [r["l2_mb"] for r in recs] == [1.0, 2.0]
-
-    def test_csv_roundtrip(self):
-        recs = sweep_records([SweepPoint(x=4.0, result=fake_result())])
-        text = to_csv(recs)
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 1
-        assert float(rows[0]["x"]) == 4.0
-        assert float(rows[0]["ipc"]) == 0.4
-
-    def test_csv_rejects_empty(self):
-        with pytest.raises(ValueError):
-            to_csv([])
-
-    def test_json_parses(self):
-        recs = [result_record(fake_result())]
-        parsed = json.loads(to_json(recs))
-        assert parsed[0]["retired"] == 400
 
 
 class TestConfigs:
@@ -106,8 +53,6 @@ class TestConfigs:
         assert cfg.smp
         assert cfg.hierarchy.l2_mb == 2.0
 
-    def test_default_scale_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "0.75")
-        assert default_scale() == 0.75
-        monkeypatch.delenv("REPRO_SCALE")
-        assert default_scale() == 0.25
+    def test_default_scale_env(self):
+        assert Settings.from_env({"REPRO_SCALE": "0.75"}).scale == 0.75
+        assert Settings.from_env({}).scale == 0.25

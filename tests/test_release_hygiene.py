@@ -8,6 +8,8 @@ from a cold interpreter, and the declared exports exist.
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import repro
 
@@ -62,6 +64,15 @@ class TestHygiene:
             pkg = importlib.import_module(pkg_name)
             for name in getattr(pkg, "__all__", []):
                 assert hasattr(pkg, name), f"{pkg_name}.__all__: {name}"
+
+    def test_only_settings_reads_the_environment(self):
+        """``repro.settings`` is the one place the package reads (or
+        writes) the process environment."""
+        root = Path(repro.__file__).parent
+        readers = sorted(
+            str(path.relative_to(root)) for path in root.rglob("*.py")
+            if re.search(r"os\.environ|os\.getenv", path.read_text()))
+        assert readers == ["settings.py"]
 
     def test_version_string(self):
         parts = repro.__version__.split(".")

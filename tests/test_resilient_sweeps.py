@@ -11,16 +11,16 @@ import warnings
 
 import pytest
 
-from repro.core import parallel
+from repro.core import experiment, parallel
 from repro.core.experiment import Experiment
 from repro.core.parallel import (
     RunSpec,
     SpecFailure,
     SweepError,
-    default_jobs,
     run_specs,
 )
 from repro.core.telemetry import load_events
+from repro.settings import SettingsError
 from repro.simulator.configs import fc_cmp
 
 SCALE = 0.01
@@ -64,29 +64,40 @@ class TestRunSpecValidation:
 
 
 class TestDefaultJobs:
+    """``REPRO_JOBS`` reaches sweeps through the experiment's settings."""
+
     def test_valid_value(self, clean_env):
         clean_env.setenv("REPRO_JOBS", "4")
-        assert default_jobs() == 4
+        assert Experiment(use_cache=False).settings.jobs == 4
 
     def test_unset_and_blank_are_silently_one(self, clean_env):
-        assert default_jobs() == 1
+        assert Experiment(use_cache=False).settings.jobs == 1
         clean_env.setenv("REPRO_JOBS", "  ")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert default_jobs() == 1
+            assert Experiment(use_cache=False).settings.jobs == 1
 
     @pytest.mark.parametrize("raw", ["zero", "-3", "0", "2.5"])
-    def test_invalid_value_warns_once_and_falls_back(self, clean_env, raw):
+    def test_invalid_value_raises(self, clean_env, raw):
         clean_env.setenv("REPRO_JOBS", raw)
-        clean_env.setattr(parallel, "_warned_bad_jobs", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert default_jobs() == 1
-            assert default_jobs() == 1  # second call: no second warning
-        relevant = [w for w in caught
-                    if issubclass(w.category, RuntimeWarning)]
-        assert len(relevant) == 1
-        assert "REPRO_JOBS" in str(relevant[0].message)
+        with pytest.raises(SettingsError, match="REPRO_JOBS") as err:
+            Experiment(use_cache=False)
+        assert err.value.variable == "REPRO_JOBS"
+
+    def test_setting_reaches_run_specs(self, clean_env):
+        seen = []
+
+        def fake_run_specs(specs, scale, default_cycles, **kwargs):
+            seen.append(kwargs["jobs"])
+            return [None] * len(specs)
+
+        clean_env.setattr(experiment, "run_specs", fake_run_specs)
+        clean_env.setenv("REPRO_JOBS", "3")
+        exp = Experiment(scale=SCALE, measure_cycles=CYCLES,
+                         use_cache=False)
+        exp.run_many(_specs(2))
+        exp.run_many(_specs(3)[2:], jobs=1)
+        assert seen == [3, 1]
 
 
 @pytest.mark.slow

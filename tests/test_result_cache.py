@@ -18,6 +18,7 @@ import pytest
 from repro.core import parallel
 from repro.core.experiment import Experiment, _config_key
 from repro.core.parallel import ResultCache, RunSpec, config_key, execute
+from repro.settings import Settings, SettingsError
 from repro.simulator.configs import fc_cmp
 
 SCALE = 0.02
@@ -272,7 +273,8 @@ class TestCorruptionUnderInjector:
 
 
 class TestBudgetParsing:
-    """``REPRO_CACHE_BUDGET`` → bytes; a bad knob never empties a cache."""
+    """``REPRO_CACHE_BUDGET`` → bytes; a bad knob fails eagerly, so it
+    can neither empty a cache nor silently disable eviction."""
 
     @pytest.mark.parametrize("raw,expected", [
         ("4096", 4096),
@@ -281,25 +283,28 @@ class TestBudgetParsing:
         ("1g", 1024 ** 3),
         ("1.5k", 1536),
         (" 8K ", 8 * 1024),
-        ("junk", None),
-        ("0", None),
-        ("-5", None),
         ("", None),
     ])
-    def test_parse(self, monkeypatch, raw, expected):
-        monkeypatch.setenv("REPRO_CACHE_BUDGET", raw)
-        assert parallel.default_cache_budget() == expected
+    def test_parse(self, raw, expected):
+        settings = Settings.from_env({"REPRO_CACHE_BUDGET": raw})
+        assert settings.cache_budget == expected
 
-    def test_unset_means_unlimited(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_BUDGET", raising=False)
-        assert parallel.default_cache_budget() is None
+    @pytest.mark.parametrize("raw", ["junk", "0", "-5"])
+    def test_bad_value_raises(self, raw):
+        with pytest.raises(SettingsError, match="REPRO_CACHE_BUDGET"):
+            Settings.from_env({"REPRO_CACHE_BUDGET": raw})
+
+    def test_unset_means_unlimited(self):
+        assert Settings.from_env({}).cache_budget is None
 
     def test_cache_reads_env_by_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_BUDGET", "2k")
-        assert ResultCache(str(tmp_path)).budget_bytes == 2048
+        assert _experiment(tmp_path).cache.budget_bytes == 2048
         monkeypatch.delenv("REPRO_CACHE_BUDGET")
+        assert _experiment(tmp_path).cache.budget_bytes is None
+        # The cache itself never reads the environment.
+        monkeypatch.setenv("REPRO_CACHE_BUDGET", "2k")
         assert ResultCache(str(tmp_path)).budget_bytes is None
-        # An explicit argument beats the environment.
         assert ResultCache(str(tmp_path),
                            budget_bytes=512).budget_bytes == 512
 

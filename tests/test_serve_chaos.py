@@ -20,6 +20,7 @@ from repro.serve import (
     DesignQuery,
     DesignService,
 )
+from repro.settings import Settings
 
 
 
@@ -45,11 +46,10 @@ def _query(mb: float, camp: str = "lc") -> DesignQuery:
 
 
 def _service(model, faults: str, monkeypatch, clock=None,
-             **kwargs) -> DesignService:
+             settings: Settings | None = None, **kwargs) -> DesignService:
     monkeypatch.setenv("REPRO_FAULTS", faults)
-    exp = Experiment(scale=SCALE, measure_cycles=CYCLES,
-                     use_cache=False)
-    kwargs.setdefault("sim_retries", 0)
+    exp = Experiment(scale=SCALE, measure_cycles=CYCLES, use_cache=False,
+                     settings=settings or Settings(retries=0))
     if clock is not None:
         kwargs.setdefault("breaker", CircuitBreaker(
             failure_threshold=2, cooldown_s=5.0, clock=clock))
@@ -104,8 +104,9 @@ class TestBreakerUnderFaults:
         log = str(tmp_path / "svc.jsonl")
         monkeypatch.setenv("REPRO_FAULTS", "spurious@0;spurious@1")
         exp = Experiment(scale=SCALE, measure_cycles=CYCLES,
-                         use_cache=False, telemetry=log)
-        svc = DesignService(exp, serve_model, sim_retries=0,
+                         use_cache=False, telemetry=log,
+                         settings=Settings(retries=0))
+        svc = DesignService(exp, serve_model,
                             breaker=CircuitBreaker(
                                 failure_threshold=2, cooldown_s=5.0,
                                 clock=clock), clock=clock)
@@ -164,7 +165,7 @@ class TestSlowAndStallSites:
         # loop (PR 2 semantics) absorbs the transient without the
         # breaker ever seeing a failure.
         svc = _service(serve_model, "spurious@0", monkeypatch,
-                       sim_retries=1, sim_backoff=0.001)
+                       settings=Settings(retries=1, backoff=0.001))
 
         async def go():
             async with svc:

@@ -80,7 +80,7 @@ class TestRecorderPlumbing:
 
     def test_env_enables(self, clean_env, tmp_path):
         clean_env.setenv("REPRO_TELEMETRY", str(tmp_path))
-        rec = as_recorder(None)
+        rec = Experiment(use_cache=False).telemetry
         assert rec.enabled
         assert rec.path == str(tmp_path / "telemetry.jsonl")
 

@@ -15,6 +15,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core import parallel
+from repro.core.experiment import Experiment
 from repro.core.parallel import RunSpec, execute, run_specs
 from repro.simulator.configs import fc_cmp
 from repro.simulator.profiling import NULL_PROBE, RunProbe
@@ -128,11 +129,13 @@ def test_identical_across_cache_resume(clean_env, tmp_path):
 
 
 def test_env_telemetry_is_transparent_too(clean_env, tmp_path):
-    """The ``REPRO_TELEMETRY`` knob (the CLI ``--telemetry`` path) is the
-    same recorder; results stay identical and the log lands under DIR."""
+    """The ``REPRO_TELEMETRY`` knob (the CLI ``--telemetry`` path), read
+    by the experiment's settings, is the same recorder; results stay
+    identical and the log lands under DIR."""
     specs = _specs()[:2]
     bare = run_specs(specs, SCALE, CYCLES, jobs=1)
     clean_env.setenv("REPRO_TELEMETRY", str(tmp_path))
-    observed = run_specs(specs, SCALE, CYCLES, jobs=1)
+    exp = Experiment(scale=SCALE, measure_cycles=CYCLES, use_cache=False)
+    observed = exp.run_many(specs, jobs=1)
     assert bare == observed
     assert os.path.exists(tmp_path / "telemetry.jsonl")
