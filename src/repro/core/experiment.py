@@ -87,9 +87,9 @@ class Experiment:
             override their fields.
 
     Attributes:
-        settings: The resolved settings (sweep fan-out and resilience
-            defaults for :meth:`run_many`, and the slow tier's retries in
-            :class:`~repro.serve.service.DesignService`).
+        settings: The resolved settings (the sweep fan-out default and
+            the resilience knobs of :meth:`run_many`, and the slow
+            tier's retries in :class:`~repro.serve.service.DesignService`).
         sim_runs: Number of specs this experiment simulated (memo and
             disk-cache hits do not count) — the counter the
             determinism/cache tests assert on.
@@ -193,11 +193,8 @@ class Experiment:
         self._store(key, result)
         return result
 
-    def run_many(self, specs, jobs: int | None = None, *,
-                 timeout: float | None = None,
-                 retries: int | None = None,
-                 backoff: float | None = None,
-                 fail_fast: bool | None = None) -> list[MachineResult]:
+    def run_many(self, specs,
+                 jobs: int | None = None) -> list[MachineResult]:
         """Run (or recall) a batch of measurements, fanned across workers.
 
         Lifecycle events go to the experiment's telemetry recorder.
@@ -206,10 +203,9 @@ class Experiment:
             specs: :class:`RunSpec` instances (or tuples of RunSpec
                 arguments, ``(config, kind, ...)``).
             jobs: Worker processes for the uncached remainder; None takes
-                ``settings.jobs`` (default 1 = serial in-process).
-            timeout/retries/backoff/fail_fast: Resilience knobs
-                forwarded to :func:`repro.core.parallel.run_specs`; None
-                takes the matching :attr:`settings` field.
+                ``settings.jobs`` (default 1 = serial in-process).  The
+                resilience knobs (timeout, retries, backoff, fail-fast)
+                come from :attr:`settings`.
 
         Returns:
             Results in spec order, field-for-field identical to what
@@ -241,10 +237,8 @@ class Experiment:
                     [specs[i] for i in todo], self.scale,
                     self.measure_cycles,
                     jobs=s.jobs if jobs is None else jobs,
-                    timeout=s.timeout if timeout is None else timeout,
-                    retries=s.retries if retries is None else retries,
-                    backoff=s.backoff if backoff is None else backoff,
-                    fail_fast=s.fail_fast if fail_fast is None else fail_fast,
+                    timeout=s.timeout, retries=s.retries, backoff=s.backoff,
+                    fail_fast=s.fail_fast,
                     cache=self.cache, telemetry=self.telemetry)
             except SweepError as err:
                 # The sweep already stored every completed result in the

@@ -185,7 +185,7 @@ class ModelValidationReport:
 
 
 def format_model_validation(report: ModelValidationReport) -> str:
-    """The model-vs-simulator error table (``repro validate --model``)."""
+    """The model-vs-simulator error table (``repro model validate``)."""
     rows = [
         [r.config_name, r.kind, r.regime, f"{r.l2_nominal_mb:g}",
          r.predicted, r.measured, f"{r.rel_error:+.1%}"]
@@ -211,7 +211,7 @@ def format_model_validation(report: ModelValidationReport) -> str:
 def validate_model(exp: Experiment, model=None,
                    jobs: int | None = None) -> ModelValidationReport:
     """Fit (unless given) and cross-validate the analytical model on the
-    held-out golden-figure sizes — the ``repro validate --model`` driver.
+    held-out golden-figure sizes — the ``repro model validate`` driver.
     """
     # Imported lazily: repro.model depends on this module's report types.
     from ..model import calibrate

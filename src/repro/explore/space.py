@@ -110,7 +110,7 @@ def enumerate_candidates(
     banks) — the screening layer depends on stable ordering for
     reproducible tie-breaks.
     """
-    if budget_mm2 <= 0:
+    if not budget_mm2 > 0:  # NaN compares false, so it lands here too
         raise ValueError(f"budget must be positive, got {budget_mm2}")
     counts = DEFAULT_CORE_COUNTS if core_counts is None else core_counts
     out: list[Candidate] = []

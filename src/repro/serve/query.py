@@ -13,6 +13,7 @@ rejection: typed, carrying ``retry_after_s``, never an unbounded queue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..core.parallel import REGIMES, RunSpec, WARM_FRACTIONS
@@ -103,8 +104,9 @@ class DesignQuery:
         if not isinstance(self.cores, int) or self.cores < 1:
             raise ValueError(f"cores must be a positive int, "
                              f"got {self.cores!r}")
-        if self.l2_mb <= 0:
-            raise ValueError(f"l2_mb must be positive, got {self.l2_mb!r}")
+        if not 0 < self.l2_mb < math.inf:
+            raise ValueError(f"l2_mb must be a finite positive number, "
+                             f"got {self.l2_mb!r}")
         if (not isinstance(self.banks, int) or self.banks < 1
                 or self.banks & (self.banks - 1)):
             raise ValueError(f"banks must be a positive power of two, "

@@ -67,8 +67,8 @@ def clear_workload_caches() -> None:
 def bundle_coord(kind: str, regime: str, scale: float,
                  n_clients: int | None = None, skew: SkewSpec | None = None,
                  cc_mode: str = "2pl") -> tuple:
-    """The registry key of the default-seed bundle :func:`workload_for`
-    returns; contention knobs extend it only when non-default."""
+    """The registry key of the bundle :func:`workload_for` returns;
+    contention knobs extend it only when non-default."""
     skew_spec = as_skew(skew)
     coord = (kind, regime, scale, n_clients)
     if skew_spec.active or cc_mode != "2pl":
@@ -299,7 +299,7 @@ def dss_parallel_query(scale: float = 1.0, n_partitions: int = 1,
                     "seed": seed, "rows_nominal": rows_nominal}, build)
 
 
-def workload_for(kind: str, regime: str, scale: float, seed: int | None = None,
+def workload_for(kind: str, regime: str, scale: float,
                  n_clients: int | None = None, skew: SkewSpec | None = None,
                  cc_mode: str = "2pl",
                  placement: str = "shared-everything") -> Workload:
@@ -309,7 +309,6 @@ def workload_for(kind: str, regime: str, scale: float, seed: int | None = None,
         kind: ``"oltp"`` or ``"dss"``.
         regime: ``"saturated"`` or ``"unsaturated"``.
         scale: Study-wide scale factor.
-        seed: Override the default seed.
         n_clients: Override the paper's client count (saturated only).
         skew: Optional contention knobs (OLTP only).
         cc_mode: Concurrency-control mode (OLTP only; default ``"2pl"``).
@@ -333,35 +332,23 @@ def workload_for(kind: str, regime: str, scale: float, seed: int | None = None,
             "skew/cc_mode apply to kind='oltp' only (DSS has no "
             "transaction contention model)")
     coord = bundle_coord(kind, regime, scale, n_clients, skew_spec, cc_mode)
-    if seed is None:
-        local = _BUILT.get(coord)
-        if local is not None:
-            return local
+    local = _BUILT.get(coord)
+    if local is not None:
+        return local
+    clients = {} if n_clients is None else {"n_clients": n_clients}
     if kind == "oltp":
         contention_kwargs = (
             {"skew": skew_spec, "cc_mode": cc_mode} if contended else {})
         if regime == "saturated":
-            kwargs = {"scale": scale, **contention_kwargs}
-            if seed is not None:
-                kwargs["seed"] = seed
-            if n_clients is not None:
-                kwargs["n_clients"] = n_clients
-            workload = oltp_workload(**kwargs)
+            workload = oltp_workload(scale=scale, **contention_kwargs,
+                                     **clients)
         else:
-            workload = oltp_unsaturated(scale=scale, **contention_kwargs, **(
-                {"seed": seed} if seed is not None else {}))
+            workload = oltp_unsaturated(scale=scale, **contention_kwargs)
     elif regime == "saturated":
-        kwargs = {"scale": scale}
-        if seed is not None:
-            kwargs["seed"] = seed
-        if n_clients is not None:
-            kwargs["n_clients"] = n_clients
-        workload = dss_workload(**kwargs)
+        workload = dss_workload(scale=scale, **clients)
     else:
-        workload = dss_unsaturated(scale=scale, **(
-            {"seed": seed} if seed is not None else {}))
-    if seed is None:
-        if len(_BUILT) >= _BUILT_CAP:
-            _BUILT.pop(next(iter(_BUILT)))
-        _BUILT[coord] = workload
+        workload = dss_unsaturated(scale=scale)
+    if len(_BUILT) >= _BUILT_CAP:
+        _BUILT.pop(next(iter(_BUILT)))
+    _BUILT[coord] = workload
     return workload

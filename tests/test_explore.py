@@ -57,6 +57,8 @@ class TestEnumeration:
             enumerate_candidates(0.0)
         with pytest.raises(ValueError, match="budget"):
             enumerate_candidates(-5.0)
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_candidates(float("nan"))
 
     def test_rejects_unknown_camp(self):
         with pytest.raises(ValueError, match="camp"):

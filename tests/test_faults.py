@@ -19,6 +19,7 @@ from repro.core import faults
 from repro.core.experiment import Experiment
 from repro.core.faults import FaultPlan, InjectedFault
 from repro.core.parallel import RunSpec, SweepError, run_specs
+from repro.settings import Settings
 from repro.simulator.configs import fc_cmp
 
 SCALE = 0.01
@@ -193,10 +194,10 @@ class TestRecoveryDeterminism:
         field to the fault-free serial run."""
         monkeypatch.setenv("REPRO_FAULTS",
                            "crash@1;hang@0:60;exec@2;corrupt@1")
-        chaotic = Experiment(scale=SCALE, measure_cycles=CYCLES,
-                             cache_dir=str(tmp_path))
-        got = chaotic.run_many(_specs(), jobs=3, retries=3, backoff=0.0,
-                               timeout=4.0)
+        chaotic = Experiment(
+            scale=SCALE, measure_cycles=CYCLES, cache_dir=str(tmp_path),
+            settings=Settings(retries=3, backoff=0.0, timeout=4.0))
+        got = chaotic.run_many(_specs(), jobs=3)
         _assert_identical(baseline, got)
 
         # The corrupt@1 entry is unreadable on disk; a fresh fault-free

@@ -20,7 +20,7 @@ from repro.core.parallel import (
     run_specs,
 )
 from repro.core.telemetry import load_events
-from repro.settings import SettingsError
+from repro.settings import Settings, SettingsError
 from repro.simulator.configs import fc_cmp
 
 SCALE = 0.01
@@ -130,8 +130,9 @@ class TestResume:
 
         clean_env.setenv("REPRO_FAULTS", "exec@2x99")
         with pytest.raises(SweepError) as err:
-            self._experiment(tmp_path).run_many(
-                _specs(), jobs=1, retries=0, backoff=0.0)
+            self._experiment(
+                tmp_path, settings=Settings(retries=0, backoff=0.0),
+            ).run_many(_specs(), jobs=1)
         assert [r is not None for r in err.value.results] == [
             True, True, False]
 
@@ -251,9 +252,10 @@ class TestFailureHandling:
         land in the memo and disk cache before SweepError propagates."""
         clean_env.setenv("REPRO_FAULTS", "exec@1x99")
         exp = Experiment(scale=SCALE, measure_cycles=CYCLES,
-                         cache_dir=str(tmp_path))
+                         cache_dir=str(tmp_path),
+                         settings=Settings(retries=0, backoff=0.0))
         with pytest.raises(SweepError):
-            exp.run_many(_specs(), jobs=1, retries=0, backoff=0.0)
+            exp.run_many(_specs(), jobs=1)
         assert exp.sim_runs == 2
         assert exp.cache.stores == 2
 

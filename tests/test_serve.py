@@ -21,6 +21,7 @@ lives in ``test_serve_chaos.py``.
 """
 
 import asyncio
+import math
 import threading
 
 import pytest
@@ -87,6 +88,9 @@ class TestDesignQuery:
             DesignQuery("fc", banks=3)
         with pytest.raises(ValueError):
             DesignQuery("fc", l2_mb=0.0)
+        for l2_mb in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="l2_mb"):
+                DesignQuery("fc", l2_mb=l2_mb)
 
     def test_key_and_label(self):
         q = DesignQuery("lc", cores=8, l2_mb=4.0, banks=8, kind="dss",

@@ -41,6 +41,7 @@ from repro.core.telemetry import (
     telemetry_path,
     validate_event,
 )
+from repro.settings import Settings
 from repro.simulator.configs import fc_cmp
 from repro.workloads import driver
 
@@ -521,9 +522,10 @@ class TestCacheProvenance:
         clean_env.setenv("REPRO_FAULTS", "exec@0x99")  # spec 0 never runs
         log = str(tmp_path / "t.jsonl")
         exp = Experiment(scale=SCALE, measure_cycles=CYCLES,
-                         cache_dir=str(tmp_path / "cache"), telemetry=log)
+                         cache_dir=str(tmp_path / "cache"), telemetry=log,
+                         settings=Settings(retries=1, backoff=0.0))
         with pytest.raises(SweepError) as err:
-            exp.run_many(_specs(3), jobs=1, retries=1, backoff=0.0)
+            exp.run_many(_specs(3), jobs=1)
         assert len(err.value.failures) == 1
         events = load_events(log)
         for event in events:
