@@ -7,6 +7,8 @@ Usage::
     python -m repro all                       # everything (minutes)
     python -m repro profile oltp              # inspect a workload bundle
     python -m repro validate                  # the Fig. 3 comparison
+    python -m repro claims                    # check every paper claim
+    python -m repro claims fig4 fig6          # one table per group named
     python -m repro --scale 0.1 fig6          # override the study scale
     python -m repro --jobs 4 fig6             # fan sweeps over 4 workers
     python -m repro --cache-dir .repro-cache all   # persistent results
@@ -58,7 +60,8 @@ flags go before the target: ``--no-cache`` and the seven settings flags
 variables (README lists them).  The CLI never writes the environment.
 Invalid input, from a flag, a variable or a target's arguments, exits 2
 with one ``repro <target>: ...`` line; a sweep that loses points exits 1
-and lists them.  A sweep writes each finished point to the result cache,
+and lists them, and so does ``claims`` for a claim whose verdict falls
+below its expected one.  A sweep writes each finished point to the result cache,
 so rerunning a killed sweep with the same cache directory simulates only
 the points it had not finished.
 """
@@ -71,7 +74,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .core import figures, telemetry
+from .core import claims, figures, telemetry
 from .core.experiment import Experiment, SweepError
 from .settings import Settings
 from .simulator.topology import PLACEMENTS
@@ -133,6 +136,24 @@ def run_figures(args, exp: Experiment) -> int:
         print()
     _print_cache_stats(exp)
     return 0
+
+
+def run_claims(args, exp: Experiment) -> int:
+    """Measure and check the paper claims of ``args.groups`` (all by
+    default): one markdown table per group plus the summary line, which
+    at the study scale is EXPERIMENTS.md's generated block.  Exits 1
+    when a claim's verdict ranks below its expected one."""
+    unknown = [g for g in args.groups if g not in claims.GROUPS]
+    if unknown:
+        raise ValueError(f"unknown claim groups {', '.join(unknown)} "
+                         f"(one of {', '.join(claims.GROUPS)})")
+    rows = claims.claim_rows(exp, set(args.groups) or None)
+    print(claims.format_markdown(rows, exp.scale))
+    regressed = claims.regressions(rows)
+    for row in regressed:
+        print(f"{args.prog}: {row.group} claim '{row.claim}' is "
+              f"{row.verdict}, expected {row.expected}", file=sys.stderr)
+    return 1 if regressed else 0
 
 
 def run_profile(args, exp: Experiment) -> int:
@@ -315,6 +336,17 @@ def run_model_predict(args, exp: Experiment) -> int:
     return 0
 
 
+def _port(text: str) -> int:
+    """A TCP port number, 0-65535 (argparse type)."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid port {text!r}") from None
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port {port} is not in 0-65535")
+    return port
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` parser: run-wide flags, then one subcommand per
     target, each registering its handler with ``set_defaults``."""
@@ -371,6 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
            "the Fig. 3 comparison, report only", figures=["fig3"], more=[])
     target(targets, "list", None, "this list")
 
+    sub = target(targets, "claims", run_claims,
+                 "check every paper claim; exit 1 when one regresses")
+    sub.add_argument("groups", nargs="*", metavar="GROUP",
+                     help="claim groups to check (default: all): "
+                          + ", ".join(claims.GROUPS))
+
     sub = target(targets, "profile", run_profile,
                  "profile one saturated workload bundle")
     sub.add_argument("kind", choices=["oltp", "dss"])
@@ -402,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = target(targets, "serve", run_serve,
                  "async design-query service")
     sub.add_argument("--host", default="127.0.0.1", help="bind address")
-    sub.add_argument("--port", type=int, default=8642,
-                     help="TCP port (0 for ephemeral)")
+    sub.add_argument("--port", type=_port, default=8642,
+                     help="TCP port, 0-65535 (0 for ephemeral)")
     sub.add_argument("--self-test", action="store_true",
                      help="boot on an ephemeral port, probe health, "
                           "coalescing, deadlines, bad-request rejections "

@@ -3,7 +3,7 @@
 An :class:`Experiment` fixes the study-wide scale and seed, builds workload
 bundles on demand (trace generation is the expensive step), and runs
 machine configurations over them.  Results are memoized per
-(machine-config, workload, mode) so every benchmark and figure can ask for
+(machine-config, workload, mode) so every figure and claim can ask for
 what it needs without re-simulating shared baselines.
 
 Two layers back the memo (see :mod:`repro.core.parallel`):
@@ -50,7 +50,6 @@ __all__ = [
     "Experiment",
     "RunSpec",
     "SweepError",
-    "shared_experiment",
 ]
 
 
@@ -261,7 +260,7 @@ class Experiment:
     def prefetch(self, specs, jobs: int | None = None) -> dict:
         """Warm the memo/disk caches for ``specs``; return accounting.
 
-        Figures and benchmark drivers call this with their whole grid up
+        Figures and claim measurements call this with their whole grid up
         front, then keep their readable serial loops — every subsequent
         :meth:`run` is a memo hit.  Resilience comes from the
         experiment's :attr:`settings`, as in :meth:`run_many`.
@@ -296,15 +295,3 @@ class Experiment:
         return (self.run(num, kind, "unsaturated").response_cycles
                 / self.run(den, kind, "unsaturated").response_cycles)
 
-
-#: A process-wide default experiment, shared by the benchmark modules so
-#: figures that need the same baseline simulation reuse it.
-_shared: Experiment | None = None
-
-
-def shared_experiment() -> Experiment:
-    """The process-wide memoizing Experiment (created on first use)."""
-    global _shared
-    if _shared is None:
-        _shared = Experiment()
-    return _shared

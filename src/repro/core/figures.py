@@ -1,11 +1,12 @@
-"""Figure regeneration: the programmatic API behind every benchmark.
+"""Figure regeneration: the programmatic API behind ``repro figN``.
 
-Each ``figure_*`` function reruns one of the paper's experiments against
+Each ``figure*`` function reruns one of the paper's experiments against
 an :class:`~repro.core.experiment.Experiment` and returns the regenerated
-figure as plain text (tables, ASCII series, breakdown bars) including a
-``paper vs measured`` claim table.  The pytest benchmarks in
-``benchmarks/`` and the command-line runner (``python -m repro``) are thin
-wrappers over these functions.
+figure as plain text (tables, ASCII series, breakdown bars) ending in
+its ``paper vs measured`` block: the figure's rows of the claim registry
+(:mod:`repro.core.claims`), which ``repro claims`` checks and
+EXPERIMENTS.md reports.  The command-line runner (``python -m repro``)
+is a thin wrapper over these functions.
 
 Every grid here flows through ``Experiment.prefetch``/``run_many`` and so
 inherits the resilient execution layer: the experiment's
@@ -28,20 +29,11 @@ from ..simulator.configs import (
     fc_smp,
     lc_cmp,
 )
+from .claims import FIG2_CLIENTS, fig5_config, paper_vs_measured
 from .counters import cpi_stack
-from .historic import (
-    cache_size_trend,
-    growth_factor_per_decade,
-    latency_growth_over_decade,
-    latency_trend,
-)
+from .historic import cache_size_trend, latency_trend
 from .parallel import RunSpec
-from .reporting import (
-    format_breakdown_table,
-    format_series,
-    format_table,
-    paper_vs_measured,
-)
+from .reporting import format_breakdown_table, format_series, format_table
 from .sweeps import (
     CONTENTION_THETAS,
     cache_size_sweep,
@@ -51,7 +43,7 @@ from .sweeps import (
     islands_sweep,
 )
 from ..simulator.topology import PLACEMENTS
-from .taxonomy import Camp, grid, table1
+from .taxonomy import grid, table1
 from .validation import OPENPOWER720_DSS_CPI, validate
 
 
@@ -83,15 +75,6 @@ def figure1() -> str:
         (mb, float(cacti.l2_hit_latency(mb)))
         for mb in (0.25, 1.0, 2.0, 4.0, 8.0, 16.0, 26.0)
     ]
-    claims = paper_vs_measured([
-        ("on-chip cache growth", "exponential across generations",
-         f"{growth_factor_per_decade():.0f}x per decade (log-linear fit)"),
-        ("L2 hit latency growth", "more than 3-fold over a decade "
-         "(e.g. 4 cyc PIII -> 14 cyc Power5)",
-         f"{latency_growth_over_decade():.1f}x (90s mean -> 2000s mean)"),
-        ("largest on-chip caches", "16 MB Xeon 7100, 24 MB Itanium 2",
-         f"{max(kb for _, kb in cache_size_trend()) // 1024} MB max in table"),
-    ])
     return "\n\n".join([
         format_series("Fig 1(a) on-chip cache (KB) by year",
                       size_series, "year", "KB"),
@@ -99,36 +82,20 @@ def figure1() -> str:
                       lat_series, "year", "cycles"),
         format_series("Cacti model: latency vs capacity (MB)",
                       model, "MB", "cycles"),
-        claims,
+        paper_vs_measured("fig1", None),
     ])
-
-
-CLIENTS_figure2 = (1, 2, 4, 8, 16, 32, 64)
 
 
 def figure2(exp) -> str:
     """Figure 2: throughput vs concurrent clients (saturation curve)."""
-    points = client_count_sweep(exp, "dss", client_counts=CLIENTS_figure2)
+    points = client_count_sweep(exp, "dss", client_counts=FIG2_CLIENTS)
     base = points[0].result.ipc
     series = [(p.x, p.result.ipc / base) for p in points]
-    peak_x = max(series, key=lambda s: s[1])[0]
-    last = series[-1][1]
-    peak = max(y for _, y in series)
-    claims = paper_vs_measured([
-        ("throughput rises with clients, then saturates",
-         "saturation once idle contexts are exhausted "
-         "(4-core FC: a handful of clients)",
-         f"peak at {peak_x:g} clients ({peak:.2f}x single-client)"),
-        ("over-saturation", "increasing concurrent requests too far "
-         "lowers performance",
-         f"at {series[-1][0]:g} clients: {last:.2f}x "
-         f"({(last / peak - 1) * 100:+.0f}% vs peak)"),
-    ])
     return (
         format_series("Fig 2: DSS throughput vs concurrent clients "
                       "(norm. to 1 client, FC CMP)",
                       series, "clients", "x")
-        + "\n\n" + claims
+        + "\n\n" + paper_vs_measured("fig2", exp)
     )
 
 
@@ -158,19 +125,7 @@ def figure3(exp) -> str:
         title="Figure 3. Validation on saturated DSS (Power5-class FC, "
               "2 MB L2).",
     )
-    claims = paper_vs_measured([
-        ("overall CPI", "simulated within 5% of hardware (absolute "
-         "cycles; ours uses a synthetic cost model, compare shares)",
-         f"total delta {report.total_delta:+.0%}; max share delta "
-         f"{max(abs(d) for d in report.share_deltas.values()):.1%}"),
-        ("computation component", "10% higher on hardware (grouping/"
-         "cracking overhead)",
-         f"ours lower than hw: {report.comp_lower_than_hw}"),
-        ("data-stall component", "15% higher in the simulator (no "
-         "hardware prefetcher)",
-         f"ours higher than hw: {report.dstall_higher_than_hw}"),
-    ])
-    return table + "\n\n" + claims
+    return table + "\n\n" + paper_vs_measured("fig3", exp)
 
 
 def figure4(exp) -> str:
@@ -184,11 +139,9 @@ def figure4(exp) -> str:
         for regime in ("saturated", "unsaturated")
     ])
     rows = []
-    measured = {}
     for kind in ("oltp", "dss"):
         resp = exp.response_ratio(lc, fc, kind)
         tput = exp.throughput_ratio(lc, fc, kind)
-        measured[kind] = (resp, tput)
         rows.append([kind.upper(), f"{resp:.2f}", f"{tput:.2f}"])
     table = format_table(
         ["workload", "LC response time (norm. to FC)",
@@ -196,54 +149,24 @@ def figure4(exp) -> str:
         rows,
         title="Figure 4. LC normalized to FC at the 26 MB baseline.",
     )
-    claims = paper_vs_measured([
-        ("4a unsat DSS response, LC/FC", "up to 1.70",
-         f"{measured['dss'][0]:.2f}"),
-        ("4a unsat OLTP response, LC/FC", "up to 1.12",
-         f"{measured['oltp'][0]:.2f}"),
-        ("4b sat throughput, LC/FC", "~1.70 (both workloads)",
-         f"oltp {measured['oltp'][1]:.2f}, dss {measured['dss'][1]:.2f}"),
-    ])
-    return table + "\n\n" + claims
-
-
-def _config_for_figure5(camp: Camp, scale: float):
-    builder = fc_cmp if camp is Camp.FAT else lc_cmp
-    return builder(l2_nominal_mb=BASELINE_L2_MB, scale=scale)
+    return table + "\n\n" + paper_vs_measured("fig4", exp)
 
 
 def figure5(exp) -> str:
     """Figure 5: execution-time breakdown for all eight taxonomy cells."""
     bars = []
-    stats = {}
     exp.prefetch([
-        RunSpec(_config_for_figure5(cell.camp, exp.scale),
+        RunSpec(fig5_config(cell.camp, exp.scale),
                 cell.kind.value, cell.regime.value)
         for cell in grid()
     ])
     for cell in grid():
-        result = exp.run_cell(cell, lambda camp: _config_for_figure5(camp, exp.scale))
-        coarse = result.breakdown.coarse()
-        bars.append((cell.label, coarse))
-        stats[cell.label] = coarse
-    fc_sat_d = [stats[f"FC/{k}/saturated"]["d_stalls"] for k in ("OLTP", "DSS")]
-    lc_sat = [stats[f"LC/{k}/saturated"] for k in ("OLTP", "DSS")]
-    claims = paper_vs_measured([
-        ("FC data stalls (saturated)", "46-64% of execution time",
-         f"oltp {fc_sat_d[0]:.0%}, dss {fc_sat_d[1]:.0%}"),
-        ("LC saturated computation", "76-80%",
-         f"oltp {lc_sat[0]['computation']:.0%}, dss {lc_sat[1]['computation']:.0%}"),
-        ("LC saturated data stalls", "at most 13%",
-         f"oltp {lc_sat[0]['d_stalls']:.0%}, dss {lc_sat[1]['d_stalls']:.0%}"),
-        ("D-stalls vs I-stalls", "data stalls dominate the memory component "
-         "in all combinations",
-         "d > i in %d/8 cells" % sum(
-             1 for s in stats.values() if s["d_stalls"] > s["i_stalls"])),
-    ])
+        result = exp.run_cell(cell, lambda camp: fig5_config(camp, exp.scale))
+        bars.append((cell.label, result.breakdown.coarse()))
     return (
         format_breakdown_table(
             bars, title="Figure 5. Breakdown of execution time (26 MB L2).")
-        + "\n\n" + claims
+        + "\n\n" + paper_vs_measured("fig5", exp)
     )
 
 
@@ -257,12 +180,10 @@ def figure6(exp) -> str:
         for size in FIG6_L2_SIZES_MB
     ])
     parts = []
-    series = {}
     for kind in ("oltp", "dss"):
         real = cache_size_sweep(exp, kind)
         const = cache_size_sweep(exp, kind,
                                  const_latency=cacti.CONST_L2_LATENCY)
-        series[kind] = {"real": real, "const": const}
         base = real[0].result.ipc
         parts.append(format_series(
             f"Fig 6(a) {kind.upper()}-const: norm. throughput vs L2 MB",
@@ -290,46 +211,7 @@ def figure6(exp) -> str:
             title=f"Fig 6(b/c) {kind.upper()}: CPI contributions vs L2 size "
                   "(realistic latency)",
         ))
-    # Headline numbers.
-    measured = {}
-    for kind in ("oltp", "dss"):
-        real = series[kind]["real"]
-        const = series[kind]["const"]
-        by_x = {p.x: p for p in real}
-        measured[kind] = {
-            "const_gain": const[-1].result.ipc / const[0].result.ipc,
-            "real_vs_const": const[-1].result.ipc / real[-1].result.ipc,
-            "delta_4_to_26": (by_x[26.0].result.ipc - by_x[4.0].result.ipc)
-            / by_x[4.0].result.ipc,
-            "l2hit_frac_26": by_x[26.0].result.breakdown.fraction(
-                by_x[26.0].result.breakdown.d_onchip),
-            "l2hit_growth": (
-                (by_x[26.0].result.breakdown.d_onchip
-                 / max(1, by_x[26.0].result.retired))
-                / max(1e-9, by_x[1.0].result.breakdown.d_onchip
-                      / max(1, by_x[1.0].result.retired))
-            ),
-        }
-    claims = paper_vs_measured([
-        ("const-latency speedup 1->26MB", "up to ~2x",
-         "oltp %.2fx, dss %.2fx" % (measured["oltp"]["const_gain"],
-                                    measured["dss"]["const_gain"])),
-        ("high latency erodes benefit at 26MB", "2.2x OLTP / 2x DSS",
-         "oltp %.2fx, dss %.2fx" % (measured["oltp"]["real_vs_const"],
-                                    measured["dss"]["real_vs_const"])),
-        ("throughput 4MB->26MB (real latency)", "reduced by up to 30%",
-         "oltp %+.0f%%, dss %+.0f%%" % (
-             100 * measured["oltp"]["delta_4_to_26"],
-             100 * measured["dss"]["delta_4_to_26"])),
-        ("L2-hit stalls at 26MB", "up to 35% of execution time",
-         "oltp %.0f%%, dss %.0f%%" % (
-             100 * measured["oltp"]["l2hit_frac_26"],
-             100 * measured["dss"]["l2hit_frac_26"])),
-        ("L2-hit stall time growth 1->26MB", "12-fold",
-         "oltp %.1fx, dss %.1fx" % (measured["oltp"]["l2hit_growth"],
-                                    measured["dss"]["l2hit_growth"])),
-    ])
-    return "\n\n".join(parts + [claims])
+    return "\n\n".join(parts + [paper_vs_measured("fig6", exp)])
 
 
 def _views_figure7(result):
@@ -347,8 +229,6 @@ def figure7(exp) -> str:
     ])
     bars = []
     rows = []
-    l2hit_ratio = {}
-    coh_converted = {}
     for kind in ("oltp", "dss"):
         r_smp = exp.run(smp, kind)
         r_cmp = exp.run(cmp_, kind)
@@ -360,17 +240,13 @@ def figure7(exp) -> str:
         instr_cmp = max(1, r_cmp.retired)
         smp_l2hit_cpi = r_smp.breakdown.d_onchip / instr_smp
         cmp_l2hit_cpi = r_cmp.breakdown.d_onchip / instr_cmp
-        l2hit_ratio[kind] = cmp_l2hit_cpi / max(1e-9, smp_l2hit_cpi)
-        coh_converted[kind] = (
-            r_smp.hier_stats.coherence_misses,
-            r_cmp.hier_stats.data_level_counts[4],  # COH on CMP: none
-        )
+        l2hit_ratio = cmp_l2hit_cpi / max(1e-9, smp_l2hit_cpi)
         rows.append([
             kind.upper(),
             f"{r_smp.cpi:.2f}",
             f"{r_cmp.cpi:.2f}",
             f"{r_smp.cpi / r_cmp.cpi:.2f}x",
-            f"{l2hit_ratio[kind]:.1f}x",
+            f"{l2hit_ratio:.1f}x",
             r_smp.hier_stats.coherence_misses,
         ])
     table = format_table(
@@ -380,25 +256,14 @@ def figure7(exp) -> str:
         title="Figure 7. 4-node SMP (4MB private L2 each) vs 4-core CMP "
               "(16MB shared L2).",
     )
-    claims = paper_vs_measured([
-        ("CMP outperforms SMP", "OLTP CPI 1.40 -> 1.01, DSS 1.95 -> 1.46 "
-         "(~1.3-1.4x)", " / ".join(r[0] + " " + r[3] for r in rows)),
-        ("L2-hit stall CPI component", "increases ~7x on the CMP",
-         "oltp %.1fx, dss %.1fx" % (l2hit_ratio["oltp"],
-                                    l2hit_ratio["dss"])),
-        ("coherence misses", "converted into shared-L2 hits and "
-         "L1-to-L1 transfers",
-         "CMP coherence misses = 0 in both workloads"),
-    ])
     return (format_breakdown_table(
         bars, title="Normalized CPI breakdowns (Fig 7 grouping)")
-        + "\n\n" + table + "\n\n" + claims)
+        + "\n\n" + table + "\n\n" + paper_vs_measured("fig7", exp))
 
 
 def figure8(exp) -> str:
     """Figure 8: throughput scaling with core count at a fixed L2."""
     parts = []
-    measured = {}
     for kind in ("oltp", "dss"):
         points = core_count_sweep(exp, kind)
         base = points[0].result
@@ -426,29 +291,7 @@ def figure8(exp) -> str:
             rows,
             title=f"{kind.upper()} scaling detail",
         ))
-        by_x = {p.x: p.result for p in points}
-        measured[kind] = {
-            "at8": (by_x[8.0].ipc / base.ipc) / 2.0,
-            "at16": (by_x[16.0].ipc / base.ipc) / 4.0,
-            "miss_drop": by_x[16.0].l2_miss_rate <= by_x[4.0].l2_miss_rate,
-            "queue_growth": (by_x[16.0].hier_stats.l2_queue_delay
-                             / max(1, by_x[4.0].hier_stats.l2_queue_delay)),
-        }
-    claims = paper_vs_measured([
-        ("DSS at 8 cores", "~9% superlinear",
-         f"{(measured['dss']['at8'] - 1) * 100:+.0f}% vs linear"),
-        ("OLTP at 16 cores", "~74% of linear",
-         f"{measured['oltp']['at16']:.0%} of linear"),
-        ("L2 miss rate as cores grow", "keeps dropping (more sharing)",
-         "drops: oltp %s, dss %s" % (measured["oltp"]["miss_drop"],
-                                     measured["dss"]["miss_drop"])),
-        ("pressure is queueing, not misses", "bursty misses queue at "
-         "shared-L2 ports",
-         "queue cycles grow %.1fx (oltp) / %.1fx (dss) from 4 to 16 cores"
-         % (measured["oltp"]["queue_growth"],
-            measured["dss"]["queue_growth"])),
-    ])
-    return "\n\n".join(parts + [claims])
+    return "\n\n".join(parts + [paper_vs_measured("fig8", exp)])
 
 
 def contention(exp, thetas: tuple[float, ...] = CONTENTION_THETAS,

@@ -1,6 +1,6 @@
 """Plain-text rendering of tables, series, and breakdown bars.
 
-Every benchmark prints through these helpers so the regenerated figures
+Every figure prints through these helpers so the regenerated figures
 share one look: fixed-width tables for the paper's tables, ASCII series
 for its line charts, and stacked-percentage rows for its breakdown bars.
 """
@@ -72,12 +72,3 @@ def format_breakdown_table(rows: list[tuple[str, dict[str, float]]],
         lines.append(format_breakdown_bar(label, components))
     return "\n".join(lines)
 
-
-def paper_vs_measured(rows: list[tuple[str, str, str]],
-                      title: str = "paper vs measured") -> str:
-    """The EXPERIMENTS.md-style claim table: (claim, paper, measured)."""
-    return format_table(
-        ["claim", "paper", "measured"],
-        [list(r) for r in rows],
-        title=title,
-    )

@@ -55,13 +55,31 @@ class DesignServer:
         self._server: asyncio.AbstractServer | None = None
 
     async def start(self) -> None:
-        """Calibrate the service and start listening; ``port=0`` binds
-        an ephemeral port (re-read :attr:`port` afterwards)."""
-        await self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port,
-            limit=MAX_LINE_BYTES)
+        """Bind, calibrate the service, then start serving.
+
+        Binding first makes a busy or bad address fail before the
+        expensive calibration; a calibration that raises closes the
+        socket and stops the service again.  ``port=0`` binds an ephemeral port (re-read
+        :attr:`port` afterwards).
+
+        Raises:
+            ValueError: When the address cannot be bound (in use, or
+                not local); nothing has been calibrated then.
+        """
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_client, self.host, self.port,
+                limit=MAX_LINE_BYTES, start_serving=False)
+        except OSError as err:
+            raise ValueError(f"cannot listen on {self.host}:{self.port}: "
+                             f"{err.strerror or err}") from err
         self.port = self._server.sockets[0].getsockname()[1]
+        try:
+            await self.service.start()
+        except BaseException:
+            await self.close()
+            raise
+        await self._server.start_serving()
 
     async def close(self) -> None:
         """Stop listening, then stop the service."""

@@ -1,6 +1,7 @@
 """Tests for the command-line figure runner."""
 
 import os
+import socket
 
 import pytest
 
@@ -131,6 +132,9 @@ DOCUMENTED = [
     (["table1", "fig4", "fig5"], "run_figures", {"more": ["fig4", "fig5"]}),
     (["all"], "run_figures", {"figures": list(FIGURES), "more": []}),
     (["validate"], "run_figures", {"figures": ["fig3"], "more": []}),
+    (["claims"], "run_claims", {"groups": []}),
+    (["claims", "fig4", "fig6"], "run_claims", {"groups": ["fig4", "fig6"]}),
+    (["--jobs", "2", "claims"], "run_claims", {}),
     (["--scale", "0.05", "--jobs", "2", "fig6"], "run_figures",
      {"figures": ["fig6"]}),
     (["--jobs", "8", "--timeout", "600", "--retries", "3", "all"],
@@ -167,7 +171,7 @@ DOCUMENTED = [
     (["model", "validate"], "run_model_validate", {"model_in": None}),
 ]
 
-HANDLERS = ("run_figures", "run_profile", "run_stats", "run_explore",
+HANDLERS = ("run_figures", "run_claims", "run_profile", "run_stats", "run_explore",
             "run_sweep", "run_serve", "run_model_fit", "run_model_predict",
             "run_model_validate")
 
@@ -217,6 +221,11 @@ REJECTED = [
     ["profile", "oltp", "--quick"],
     ["stats", "DIR", "--budget", "1"],
     ["serve", "--quick"],
+    ["serve", "--port", "70000"],
+    ["serve", "--port", "-1"],
+    ["serve", "--port", "http"],
+    ["claims", "--quick"],
+    ["claims", "fig9"],
     ["serve", "--cores", "8"],
     ["explore", "--self-test"],
     ["explore", "--sockets", "2"],
@@ -277,8 +286,21 @@ def test_target_errors_name_the_target(monkeypatch, tmp_path, capsys,
     assert "unsupported model document" in capsys.readouterr().err
 
 
+def test_serve_fails_on_a_busy_port_before_calibrating(
+        monkeypatch, tmp_path, capsys, no_simulation):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("REPRO_CACHE_DIR", "")
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        assert main(["serve", "--port", str(port)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"repro serve: cannot listen on 127.0.0.1:{port}: ")
+
+
 @pytest.mark.parametrize("target", [
-    *FIGURES, "all", "validate", "list", "profile", "stats", "explore",
+    *FIGURES, "all", "validate", "claims", "list", "profile", "stats", "explore",
     "serve", "sweep", "model", "model fit", "model predict",
     "model validate"])
 def test_every_target_has_help(capsys, target):

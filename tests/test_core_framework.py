@@ -3,7 +3,7 @@ reporting, historic data, validation math, and the experiment runner."""
 
 import pytest
 
-from repro.core import historic, reporting
+from repro.core import claims, historic, reporting
 from repro.core.breakdown import Breakdown
 from repro.core.counters import (
     PM_CYC,
@@ -150,5 +150,6 @@ class TestReporting:
         assert "d_stalls=75.0%" in out
 
     def test_paper_vs_measured_headers(self):
-        out = reporting.paper_vs_measured([("c", "p", "m")])
+        out = claims.paper_vs_measured("fig1", None)
         assert "claim" in out and "paper" in out and "measured" in out
+        assert "verdict" in out

@@ -22,6 +22,7 @@ lives in ``test_serve_chaos.py``.
 
 import asyncio
 import math
+import socket
 import threading
 
 import pytest
@@ -38,6 +39,7 @@ from repro.serve import (
     Overloaded,
 )
 from repro.serve.query import model_payload, simulated_payload
+from repro.serve.server import DesignServer
 
 
 
@@ -458,3 +460,19 @@ class TestServiceTelemetry:
         text = telemetry.format_summary(summary)
         assert "requests:           4 (shed 1)" in text
         assert "answer p50/p95/p99:" in text
+
+
+class TestServerStartup:
+    def test_failed_calibration_releases_the_port(self, monkeypatch):
+        from repro.model import calibrate
+
+        def broken(exp):
+            raise RuntimeError("calibration failed")
+
+        monkeypatch.setattr(calibrate, "fit", broken)
+        server = DesignServer(_service(None), "127.0.0.1", 0)
+        with pytest.raises(RuntimeError, match="calibration failed"):
+            asyncio.run(server.start())
+        assert server.port != 0
+        with socket.socket() as again:
+            again.bind(("127.0.0.1", server.port))
