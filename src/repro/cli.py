@@ -6,7 +6,6 @@ Usage::
     python -m repro table1 fig4 fig5          # specific figures
     python -m repro all                       # everything (minutes)
     python -m repro profile oltp              # inspect a workload bundle
-    python -m repro validate                  # the Fig. 3 comparison
     python -m repro claims                    # check every paper claim
     python -m repro claims fig4 fig6          # one table per group named
     python -m repro --scale 0.1 fig6          # override the study scale
@@ -399,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="further figures to regenerate")
     target(targets, "all", run_figures, "every figure above",
            figures=list(FIGURES), more=[])
-    target(targets, "validate", run_figures,
-           "the Fig. 3 comparison, report only", figures=["fig3"], more=[])
     target(targets, "list", None, "this list")
 
     sub = target(targets, "claims", run_claims,

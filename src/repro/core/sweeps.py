@@ -318,10 +318,3 @@ def islands_sweep(
         points.append(point)
     return points
 
-
-def normalized_series(points: list[SweepPoint]) -> list[tuple[float, float]]:
-    """(x, throughput normalized to the first point) pairs."""
-    if not points:
-        return []
-    base = points[0].result.ipc
-    return [(p.x, p.result.ipc / base if base else 0.0) for p in points]

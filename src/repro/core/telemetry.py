@@ -328,9 +328,9 @@ def summarize(events: list[dict]) -> dict:
       to neither, so the ratio cannot pass 1,
     - ``accesses`` and ``accesses_per_sec`` from worker profile
       snapshots,
-    - ``kernel_counters`` (``batched_steps``, event-loop steps
-      dispatched without a heap round-trip) summed over the same
-      snapshots; counters retired from older logs are ignored,
+    - ``batched_steps`` (event-loop steps dispatched without a heap
+      round-trip) summed over the same snapshots; counters retired
+      from older logs are ignored,
     - ``cache`` totals and per-call-site ``cache_by_source``,
     - ``service``: request/answer counts (answers split by tier),
       degraded/coalesced/shed totals, answer-latency percentiles
@@ -350,7 +350,7 @@ def summarize(events: list[dict]) -> dict:
     counts = {"sweeps": 0, "specs": 0, "simulated": 0, "failed": 0,
               "retries": 0}
     accesses = 0
-    kernel = {"batched_steps": 0}
+    batched_steps = 0
     exec_wall = 0.0
     service = {"requests": 0, "answers": 0, "degraded": 0,
                "coalesced": 0, "shed": 0}
@@ -389,8 +389,7 @@ def summarize(events: list[dict]) -> dict:
             profile = event.get("profile") or {}
             counters = profile.get("counters") or {}
             accesses += int(counters.get("data_accesses", 0))
-            for name in kernel:
-                kernel[name] += int(counters.get(name, 0))
+            batched_steps += int(counters.get("batched_steps", 0))
         elif ev in ("cache_hit", "cache_miss", "cache_store"):
             bucket = {"cache_hit": "hits", "cache_miss": "misses",
                       "cache_store": "stores"}[ev]
@@ -433,7 +432,7 @@ def summarize(events: list[dict]) -> dict:
     summary["accesses"] = accesses
     summary["accesses_per_sec"] = (
         round(accesses / exec_wall, 3) if exec_wall > 0 else 0.0)
-    summary["kernel_counters"] = kernel
+    summary["batched_steps"] = batched_steps
     summary["cache"] = cache_total
     summary["cache_by_source"] = cache_by_source
     service["answers_by_tier"] = answers_by_tier
@@ -475,11 +474,9 @@ def format_summary(summary: dict) -> str:
         f"accesses:           {summary['accesses']} "
         f"({summary['accesses_per_sec']:g}/s simulated)",
     ]
-    kernel = summary.get("kernel_counters") or {}
-    if any(kernel.values()):
+    if summary.get("batched_steps"):
         lines.append(
-            "replay kernels:     "
-            f"batched steps {kernel.get('batched_steps', 0)}")
+            f"event loop:         batched steps {summary['batched_steps']}")
     cache_rows = [
         [source, per["hits"], per["misses"], per["stores"]]
         for source, per in sorted(summary["cache_by_source"].items())

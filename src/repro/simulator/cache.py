@@ -181,7 +181,7 @@ class SetAssocCache:
         return self._sets[line % self.n_sets].pop(line, None)
 
     # ------------------------------------------------------------------ #
-    # State snapshot/restore (warm memo + replay kernels)                 #
+    # State snapshot/restore (warm memo)                                  #
     # ------------------------------------------------------------------ #
 
     def snapshot_sets(self) -> list[dict[int, int]]:

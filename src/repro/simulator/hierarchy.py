@@ -24,7 +24,6 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .cache import CLEAN, DIRTY, SetAssocCache
 from . import cacti
-from . import replay
 from .topology import (
     HOME_INTERLEAVE_SHIFT,
     PARTITION_TAG_SHIFT,
@@ -251,11 +250,6 @@ class SharedL2Hierarchy:
         self._line_tag = [0] * n
         self._partitioned = False
         self.stats = HierarchyStats()
-
-    @property
-    def islands_active(self) -> bool:
-        """True when a multi-socket topology changes this hierarchy."""
-        return self._topo is not None
 
     def set_placement(self, placement: str) -> None:
         """Configure data homing for a deployment placement.
@@ -578,15 +572,6 @@ class SharedL2Hierarchy:
         sets = l2._sets
         n_sets = l2.n_sets
         assoc = l2.assoc
-        if not any(sets):
-            # Empty L2 (a fresh machine, the only case the warm memo is
-            # built for): the final replayed state is computable in closed
-            # form (replay.final_l2_sets); a reused machine's L2 carries
-            # live lines the closed form cannot see, so it keeps the loop.
-            fast = replay.final_l2_sets(l2_log, n_sets, assoc)
-            if fast is not None:
-                l2._sets = fast
-                return
         for packed in l2_log:
             line = packed >> 1
             sdict = sets[line % n_sets]

@@ -367,10 +367,11 @@ class Machine:
               warm_len_of) -> None:
         """Functionally warm caches over each trace's warm prefix.
 
-        Contexts advance in round-robin chunks so the shared L2 sees a
-        realistic mix of all clients rather than one client at a time.
-        Measurement then starts where warming stopped, so references to
-        the cold secondary working set are genuinely unseen.
+        The walk (:func:`.replay.compute_warm_state`) advances contexts
+        in round-robin chunks so the shared L2 sees a realistic mix of
+        all clients rather than one client at a time.  Measurement then
+        starts where warming stopped, so references to the cold
+        secondary working set are genuinely unseen.
 
         For the shared-L2 hierarchy the resulting L1/owner state and the
         L2 access sequence do not depend on the L2 configuration, so the
@@ -383,13 +384,12 @@ class Machine:
         key on topology + line tags (placement-dependent).
         """
         # Walkers are (core_id, trace, warm_len) in slot order, the order
-        # the interpreted walk visits them.
+        # the walk visits them.
         walkers = [(core_id, tr, warm_len_of(tr))
                    for core_id, core_slots in enumerate(slots)
                    for ctx_traces in core_slots
                    for tr in ctx_traces]
         hier = self.hierarchy
-        memo_key = None
         if isinstance(hier, SharedL2Hierarchy):
             p = hier.params
             memo_key = (p.n_cores, p.l1d_kb, p.l1_assoc, passes, _WARM_CHUNK,
@@ -399,44 +399,11 @@ class Machine:
             entry = _WARM_MEMO.get(memo_key)
             if entry is not None:
                 hier.restore_warm_state(entry[0])
-                hier.reset_stats()
-                return
-            # Vectorized warm kernel (DESIGN.md §14): computes the same
-            # (L1 sets, owners, L2 log) state in closed form, or None
-            # whenever it cannot guarantee bit-exactness — then the
-            # interpreted walk below runs exactly as before, and its
-            # memoized state keeps this key from retrying the kernel.
-            # Islands machines skip the kernel (it knows nothing of line
-            # tags or remote homes) and always warm interpretively.
-            if not hier.islands_active:
-                state = replay.compute_warm_state(
-                    hier, walkers, passes, _WARM_CHUNK)
-                if state is not None:
-                    self._memoize(memo_key, state, walkers)
-                    hier.restore_warm_state(state)
-                    hier.reset_stats()
-                    return
-            hier.begin_warm_log()
-        warm_block = hier.warm_block
-        for _ in range(passes):
-            cursors = [0] * len(walkers)
-            # An explicit list keeps the walk order deterministic by
-            # construction (ascending walker index, matching what set
-            # iteration over small ints always produced).
-            pending = [w for w in range(len(walkers)) if walkers[w][2] > 0]
-            while pending:
-                nxt = []
-                for w in pending:
-                    core_id, tr, warm_len = walkers[w]
-                    pos = cursors[w]
-                    end = min(pos + _WARM_CHUNK, warm_len)
-                    warm_block(core_id, tr.addrs, tr.meta, pos, end)
-                    cursors[w] = end
-                    if end < warm_len:
-                        nxt.append(w)
-                pending = nxt
-        if memo_key is not None:
-            self._memoize(memo_key, hier.capture_warm_state(), walkers)
+            else:
+                self._memoize(memo_key, replay.compute_warm_state(
+                    hier, walkers, passes, _WARM_CHUNK), walkers)
+        else:
+            replay.compute_warm_state(hier, walkers, passes, _WARM_CHUNK)
         hier.reset_stats()
 
     @staticmethod

@@ -86,8 +86,8 @@ class Trace:
     decoded ``icounts``/``flags``/``regions`` views, slicing — is part of
     the public accessor API so the storage format can evolve without test
     churn (DESIGN.md §11).  A trace keeps no per-event derived state: the
-    cores and the replay kernels derive what they need from the packed
-    meta word where they use it (DESIGN.md §14).
+    cores derive what they need from the packed meta word where they use
+    it (DESIGN.md §14).
 
     Attributes:
         name: Debug label, e.g. ``"tpcc-client-3"``.

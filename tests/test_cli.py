@@ -131,7 +131,6 @@ DOCUMENTED = [
                                        "more": ["fig6"]}),
     (["table1", "fig4", "fig5"], "run_figures", {"more": ["fig4", "fig5"]}),
     (["all"], "run_figures", {"figures": list(FIGURES), "more": []}),
-    (["validate"], "run_figures", {"figures": ["fig3"], "more": []}),
     (["claims"], "run_claims", {"groups": []}),
     (["claims", "fig4", "fig6"], "run_claims", {"groups": ["fig4", "fig6"]}),
     (["--jobs", "2", "claims"], "run_claims", {}),
@@ -300,7 +299,7 @@ def test_serve_fails_on_a_busy_port_before_calibrating(
 
 
 @pytest.mark.parametrize("target", [
-    *FIGURES, "all", "validate", "claims", "list", "profile", "stats", "explore",
+    *FIGURES, "all", "claims", "list", "profile", "stats", "explore",
     "serve", "sweep", "model", "model fit", "model predict",
     "model validate"])
 def test_every_target_has_help(capsys, target):

@@ -1,5 +1,6 @@
 """Unit tests for the Machine warm/measure loop."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -135,22 +136,18 @@ class TestWarmEffect:
 
 
 class TestWarmPlan:
-    #: (kind, scale, whether the closed-form kernel engages there).  DSS
-    #: at 0.05 takes the kernel on both camps; OLTP makes it bail, and
-    #: the interpreted walk runs instead.
-    CELLS = [("dss", 0.05, True), ("oltp", 0.01, False)]
+    #: (kind, scale) of the cells: the DSS and OLTP mixes on both camps.
+    CELLS = [("dss", 0.05), ("oltp", 0.01)]
 
     @pytest.mark.parametrize("camp", [fc_cmp, lc_cmp])
-    @pytest.mark.parametrize("kind,scale,engages", CELLS,
-                             ids=[kind for kind, _, _ in CELLS])
-    def test_run_then_run_derives_warm_state_once(self, kind, scale,
-                                                  engages, camp,
+    @pytest.mark.parametrize("kind,scale", CELLS,
+                             ids=[kind for kind, _ in CELLS])
+    def test_run_then_run_derives_warm_state_once(self, kind, scale, camp,
                                                   monkeypatch):
-        """Two runs on fresh machines derive the warm state once.
+        """Two runs on fresh machines walk the warm prefixes once.
 
-        The first run derives it (kernel, or walk after a bail) and
-        memoizes it; the second restores it.  A bailed key is never
-        retried, because the walked state is memoized under that key.
+        The first run walks them and memoizes the captured state; the
+        second restores it.
         """
         from repro.core.parallel import WARM_FRACTIONS
         from repro.simulator import machine as machine_mod
@@ -176,14 +173,14 @@ class TestWarmPlan:
                 for _ in range(2)]
         finally:
             machine_mod._WARM_MEMO.clear()
-        assert outcomes == [engages]
+        assert outcomes == [True]
         assert results[0].to_dict() == results[1].to_dict()
         assert results[0].retired > 0
 
 
 class TestTraceState:
     """A trace holds only its physical columns and metadata: the cores
-    and the replay kernels derive per-event work where they use it."""
+    derive per-event work where they use it."""
 
     #: Every slot a trace has: metadata, the two physical columns, and
     #: the lazily computed aggregate statistics.
@@ -225,68 +222,38 @@ class TestTraceState:
         assert not hasattr(clone, "__dict__")
 
 
-class TestWarmKernelDerivations:
-    def test_each_trace_is_derived_once_per_call(self, monkeypatch):
-        """The warm kernel derives each distinct trace's columns once per
-        call, however many warm chunks and walkers name the trace."""
-        from repro.simulator import replay
+class TestLeanSettle:
+    def test_lean_trailing_interval_is_attributed(self):
+        """Lean per-core breakdowns must sum to the window exactly.
 
-        derived = []
-        lw_column = replay._lw_column
+        ``_run_throughput`` stops dispatching at the horizon, which leaves
+        each lean core with an open interval [last event, horizon) that
+        only ``LeanCore.settle`` attributes; without the camp-uniform
+        settle call the per-core sums fall short of the window by that
+        trailing slice.  (Fat cores account whole ROB blocks at
+        completion and legitimately overshoot the horizon, so the
+        exact-sum invariant is lean-only.)
+        """
+        from repro.core.parallel import WARM_FRACTIONS
+        from repro.simulator import machine as machine_mod
+        from repro.workloads.driver import workload_for
 
-        def counting(trace):
-            derived.append(trace.name)
-            return lw_column(trace)
+        machine_mod._WARM_MEMO.clear()
+        try:
+            workload = workload_for("oltp", "saturated", 0.01)
+            machine = Machine(lc_cmp(n_cores=4, scale=0.01))
+            result = machine.run(workload, measure_cycles=5_000,
+                                 warm_fraction=WARM_FRACTIONS["oltp"])
+        finally:
+            machine_mod._WARM_MEMO.clear()
 
-        monkeypatch.setattr(replay, "_lw_column", counting)
-        # Disjoint footprints, so no line is write-shared across cores;
-        # the read-only trace is walked by two cores.
-        traces = [make_trace(f"c{i}", n_events=500, seed=i,
-                             base=0x4000_0000 * (i + 1)) for i in range(3)]
-        shared = make_trace("ro", n_events=500, write_every=0,
-                            base=0x1_0000_0000)
-        walkers = [(0, traces[0], 500), (0, traces[1], 500),
-                   (1, traces[2], 480), (2, shared, 500), (3, shared, 300)]
-        hier = Machine(fc_cmp(n_cores=4, l2_nominal_mb=1,
-                              scale=1.0)).hierarchy
-        chunk = 16
-        assert len(replay.warm_schedule(walkers, 2, chunk)) > 100
-        state = replay.compute_warm_state(hier, walkers, 2, chunk)
-        assert state is not None  # the kernel engaged
-        assert sorted(derived) == ["c0", "c1", "c2", "ro"]
-
-    def test_suspect_cap_bails_before_the_global_stream(self, monkeypatch):
-        """Past the write-shared cap the kernel bails before it builds
-        the global warm stream (``repeat`` of the per-chunk core ids)."""
-        np = pytest.importorskip("numpy")
-        from repro.simulator import replay
-
-        repeats = []
-        repeat = np.repeat
-
-        def spying(*args, **kwargs):
-            repeats.append(len(args[0]))
-            return repeat(*args, **kwargs)
-
-        monkeypatch.setattr(replay, "_np", np)
-        monkeypatch.setattr(np, "repeat", spying)
-        # Two cores read and write one footprint, so the lines they
-        # write are statically write-shared.
-        traces = [make_trace(f"c{i}", n_events=500, seed=i)
-                  for i in range(2)]
-        walkers = [(0, traces[0], 500), (1, traces[1], 500)]
-
-        def derive():
-            hier = Machine(fc_cmp(n_cores=2, l2_nominal_mb=1,
-                                  scale=1.0)).hierarchy
-            return replay.compute_warm_state(hier, walkers, 2, 16)
-
-        derive()  # under the cap: the stream is built
-        assert repeats
-        repeats.clear()
-        monkeypatch.setattr(replay, "_MAX_SUSPECT_LINES", 0)
-        assert derive() is None
-        assert repeats == []
+        assert result.per_core, "expected per-core breakdowns"
+        for core_id, breakdown in enumerate(result.per_core):
+            total = sum(dataclasses.asdict(breakdown).values())
+            assert total == pytest.approx(result.elapsed, rel=0, abs=1e-6), (
+                f"core {core_id} attributed {total} of a {result.elapsed} "
+                f"cycle window"
+            )
 
 
 class TestSmpMachine:

@@ -74,6 +74,15 @@ class TestHygiene:
             if re.search(r"os\.environ|os\.getenv", path.read_text()))
         assert readers == ["settings.py"]
 
+    def test_no_module_imports_numpy(self):
+        """The package runs on the standard library alone: no module
+        names numpy, so none can import it, eagerly or lazily."""
+        root = Path(repro.__file__).parent
+        users = sorted(
+            str(path.relative_to(root)) for path in root.rglob("*.py")
+            if re.search(r"\bnumpy\b", path.read_text()))
+        assert users == []
+
     def test_version_string(self):
         parts = repro.__version__.split(".")
         assert len(parts) == 3 and all(p.isdigit() for p in parts)

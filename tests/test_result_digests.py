@@ -1,17 +1,17 @@
 """Pinned result digests: the simulator's numbers, bit for bit.
 
 ``perf/expected.json`` pins every study-scale cell of ``CODE_VERSION``,
-but it runs outside tier-1, and the kernels on/off oracle
-(``test_simulate_kernel_oracle.py``) cannot see a change to code both
-modes share, such as the lean processor-sharing loop, the fat core's
-overlap rules or the hierarchy.  This suite pins the SHA-256 of
+but it runs outside tier-1.  This suite pins the SHA-256 of
 ``MachineResult.to_dict()`` for {oltp, dss} x {fc, lc} x {saturated
-throughput, unsaturated response} at a reduced scale, with the replay
-kernels on and off.  The kernels read ``replay._np`` per call: on is
-that name patched to the numpy module (skipped without numpy), off is
-it patched to None, what a numpy-less host runs.  A digest moves only
-when a simulated number moves, which is a ``CODE_VERSION`` bump, never a
-refactor.
+throughput, unsaturated response} at a reduced scale, so a change to
+the lean processor-sharing loop, the fat core's overlap rules, the
+hierarchy or the warm walk shows.  A digest moves only when a simulated
+number moves, which is a ``CODE_VERSION`` bump, never a refactor.
+
+The pins file keeps one entry per cell and kernel mode, ``kernels=1``
+and ``kernels=0``, from the builds that also derived the warm state in
+closed form with numpy; the two entries of a cell are equal, and the
+suite checks the ``kernels=0`` one, the interpreted walk's.
 
 After a deliberate ``CODE_VERSION`` bump, re-record the pins with::
 
@@ -28,7 +28,6 @@ import pytest
 
 from repro.core.parallel import CODE_VERSION, RunSpec, execute
 from repro.simulator import machine as machine_mod
-from repro.simulator import replay
 from repro.simulator.configs import fc_cmp, lc_cmp
 
 DIGESTS = Path(__file__).parent / "data" / "result_digests.json"
@@ -41,8 +40,11 @@ CELLS = [(kind, regime, camp)
          for regime in ("saturated", "unsaturated")
          for camp in sorted(CAMPS)]
 
+#: Both kernel modes of the pins file; see the module docstring.
+MODES = "10"
 
-def _cell_id(kind: str, regime: str, camp: str, kernels: str) -> str:
+
+def _cell_id(kind: str, regime: str, camp: str, kernels: str = "0") -> str:
     return f"{kind}/{regime}/{camp}/kernels={kernels}"
 
 
@@ -53,8 +55,8 @@ def _reset_warm_memos() -> None:
 def digest(kind: str, regime: str, camp: str) -> str:
     """SHA-256 of one cell's canonical ``MachineResult`` document.
 
-    The warm-state memo starts cold, so the digest covers the warm
-    derivation of the current kernel mode too.
+    The warm-state memo starts cold, so the digest covers the warm walk
+    too.
     """
     _reset_warm_memos()
     spec = RunSpec(CAMPS[camp](n_cores=4, scale=SCALE), kind, regime=regime)
@@ -73,33 +75,27 @@ def test_pins_match_this_code_version():
     assert doc["code_version"] == CODE_VERSION
     assert (doc["scale"], doc["cycles"]) == (SCALE, CYCLES)
     assert sorted(doc["digests"]) == sorted(
-        _cell_id(*cell, kernels) for cell in CELLS for kernels in "10")
+        _cell_id(*cell, kernels) for cell in CELLS for kernels in MODES)
+    # So checking the kernels=0 entry checks both.
+    for cell in CELLS:
+        assert len({doc["digests"][_cell_id(*cell, kernels)]
+                    for kernels in MODES}) == 1, cell
 
 
-@pytest.mark.parametrize("kernels", ["1", "0"])
 @pytest.mark.parametrize("kind,regime,camp", CELLS)
-def test_result_digest(kind, regime, camp, kernels, monkeypatch):
-    numpy = pytest.importorskip("numpy") if kernels == "1" else None
-    monkeypatch.setattr(replay, "_np", numpy)
-    expected = _pinned()["digests"][_cell_id(kind, regime, camp, kernels)]
+def test_result_digest(kind, regime, camp):
+    expected = _pinned()["digests"][_cell_id(kind, regime, camp)]
     assert digest(kind, regime, camp) == expected, (
-        f"{kind}/{regime}/{camp} (kernels={kernels}) no longer reproduces "
-        f"{CODE_VERSION}"
+        f"{kind}/{regime}/{camp} no longer reproduces {CODE_VERSION}"
     )
 
 
 def _record() -> None:
-    import numpy
-
-    saved = replay._np
     digests = {}
-    try:
-        for kernels in "10":
-            replay._np = numpy if kernels == "1" else None
-            for cell in CELLS:
-                digests[_cell_id(*cell, kernels)] = digest(*cell)
-    finally:
-        replay._np = saved
+    for cell in CELLS:
+        pinned = digest(*cell)
+        for kernels in MODES:
+            digests[_cell_id(*cell, kernels)] = pinned
     doc = {"code_version": CODE_VERSION, "scale": SCALE, "cycles": CYCLES,
            "digests": dict(sorted(digests.items()))}
     DIGESTS.write_text(json.dumps(doc, indent=2) + "\n")

@@ -291,13 +291,13 @@ class TestAggregation:
             assert summary == summarize(load_events(str(stripped)))
             assert summary["simulated"] == n_simulated
             assert summary["specs"] == n_simulated
-            assert summary["kernel_counters"] == {"batched_steps": batched}
+            assert summary["batched_steps"] == batched
 
             assert main(["stats", legacy]) == 0
             legacy_out = capsys.readouterr().out
             assert main(["stats", str(stripped)]) == 0
             assert legacy_out == capsys.readouterr().out
-            assert (f"replay kernels:     batched steps {batched}\n"
+            assert (f"event loop:         batched steps {batched}\n"
                     in legacy_out)
             assert "filter" not in legacy_out
             assert "checkpoint" not in legacy_out

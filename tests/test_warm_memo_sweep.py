@@ -3,13 +3,10 @@
 Fig. 6 runs one workload at several L2 sizes in a row.  The post-warm
 state does not depend on the L2, so the second and later sizes restore
 the memoized state (``machine._WARM_MEMO``) instead of warming again.
-The digest and kernel-oracle suites clear the memo around every run, so
-they never take that hit path; this suite does.  Each cell runs three
-L2 sizes in order, each on a fresh ``Machine`` sharing one memo, and
-every result must equal the same size run from cold memos, in both
-kernel modes.  The kernels read ``replay._np`` per call: on is that
-name patched to the numpy module (skipped without numpy), off is it
-patched to None, the path a numpy-less host runs.
+The digest suite clears the memo around every run, so it never takes
+that hit path; this suite does.  Each cell runs three L2 sizes in
+order, each on a fresh ``Machine`` sharing one memo, and every result
+must equal the same size run from cold memos.
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ import pytest
 
 from repro.core.parallel import RunSpec, execute
 from repro.simulator import machine as machine_mod
-from repro.simulator import replay
 from repro.simulator.configs import fc_cmp, lc_cmp
 
 SCALE = 0.01
@@ -36,12 +32,9 @@ def _run(kind: str, camp: str, l2_mb: float) -> dict:
     return execute(RunSpec(config, kind), SCALE, CYCLES).to_dict()
 
 
-@pytest.mark.parametrize("kernels", ["1", "0"])
 @pytest.mark.parametrize("camp", sorted(CAMPS))
 @pytest.mark.parametrize("kind", ["dss", "oltp"])
-def test_sweep_reuses_warm_memo_bit_exact(kind, camp, kernels, monkeypatch):
-    numpy = pytest.importorskip("numpy") if kernels == "1" else None
-    monkeypatch.setattr(replay, "_np", numpy)
+def test_sweep_reuses_warm_memo_bit_exact(kind, camp):
     cold = {}
     for l2_mb in L2_SIZES_MB:
         _reset_warm_memos()
@@ -54,7 +47,7 @@ def test_sweep_reuses_warm_memo_bit_exact(kind, camp, kernels, monkeypatch):
             swept = _run(kind, camp, l2_mb)
             assert swept == cold[l2_mb], (
                 f"{kind}/{camp} at {l2_mb:g} MB diverged after warm-memo "
-                f"reuse (kernels={kernels})")
+                "reuse")
             # One memo entry serves the whole sweep: a miss at a later
             # size would store a fresh entry object under the same key.
             assert len(machine_mod._WARM_MEMO) == 1
