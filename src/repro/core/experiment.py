@@ -38,11 +38,10 @@ from .parallel import (
     ResultCache,
     RunSpec,
     SweepError,
-    config_key,
     execute,
     run_specs,
 )
-from .taxonomy import Camp, Cell, Regime
+from .taxonomy import Cell
 from .telemetry import as_recorder, load_events, summarize
 
 __all__ = [
@@ -51,12 +50,6 @@ __all__ = [
     "RunSpec",
     "SweepError",
 ]
-
-
-def _config_key(config: MachineConfig) -> tuple:
-    """A hashable identity for a machine configuration (see
-    :func:`repro.core.parallel.config_key`)."""
-    return config_key(config)
 
 
 def _as_spec(spec) -> RunSpec:
@@ -294,4 +287,3 @@ class Experiment:
         """Unsaturated response time of ``num`` normalized to ``den``."""
         return (self.run(num, kind, "unsaturated").response_cycles
                 / self.run(den, kind, "unsaturated").response_cycles)
-

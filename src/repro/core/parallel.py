@@ -48,6 +48,7 @@ state across specs — must not enter :func:`execute`.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import tempfile
@@ -154,9 +155,11 @@ class RunSpec:
         config: The machine to simulate.
         kind: ``"oltp"`` or ``"dss"``.
         regime: ``"saturated"`` or ``"unsaturated"``.
-        n_clients: Client-count override (Fig. 2 sweeps); None uses the
-            regime's paper default.
-        measure_cycles: Window override; None uses the experiment default.
+        n_clients: Client-count override (Fig. 2 sweeps), a positive
+            int on the saturated regime only; None uses the regime's
+            paper default.
+        measure_cycles: Window override, finite and positive; None uses
+            the experiment default.
         skew: Optional contention knobs
             (:class:`repro.workloads.contention.SkewSpec`); None keeps
             the uniform benchmark distributions.  OLTP only.
@@ -190,6 +193,23 @@ class RunSpec:
             raise ValueError(
                 f"unknown regime {self.regime!r}: expected one of "
                 f"{list(REGIMES)}")
+        if self.n_clients is not None:
+            if (isinstance(self.n_clients, bool)
+                    or not isinstance(self.n_clients, int)
+                    or self.n_clients < 1):
+                raise ValueError(
+                    "n_clients must be a positive int, got "
+                    f"{self.n_clients!r}")
+            if self.regime != "saturated":
+                raise ValueError(
+                    "n_clients applies to the saturated regime only "
+                    "(an unsaturated run measures one client)")
+        if self.measure_cycles is not None and not (
+                math.isfinite(self.measure_cycles)
+                and self.measure_cycles > 0):
+            raise ValueError(
+                "measure_cycles must be finite and positive, got "
+                f"{self.measure_cycles!r}")
         # Eager contention validation: bad knobs fail here, not minutes
         # later inside a pool worker.  as_skew re-runs SkewSpec's range
         # checks and rejects non-SkewSpec values.

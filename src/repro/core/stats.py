@@ -124,18 +124,3 @@ def paired_delta(a: list[float], b: list[float]) -> PairedDelta:
     )
     return PairedDelta(delta=summary, ratio_mean=ratio_mean,
                        significant=significant)
-
-
-def seeds_for_target(samples: list[float], target_rel_error: float) -> int:
-    """Estimate how many samples would hit a relative-error target.
-
-    Scales the current CI half-width by sqrt(n) (fixed-variance
-    approximation).  Returns at least ``len(samples)``.
-    """
-    if target_rel_error <= 0:
-        raise ValueError("target must be positive")
-    s = summarize(samples)
-    if s.relative_error <= target_rel_error or s.n < 2:
-        return s.n
-    factor = (s.relative_error / target_rel_error) ** 2
-    return max(s.n, math.ceil(s.n * factor))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..simulator.cores import CoreParams, fat_core_params, lean_core_params
+from ..simulator.cores import fat_core_params, lean_core_params
 
 
 class Camp(enum.Enum):
@@ -26,13 +26,6 @@ class Camp(enum.Enum):
 
     FAT = "fc"
     LEAN = "lc"
-
-    @property
-    def core_params(self) -> CoreParams:
-        """The canonical core parameters of this camp."""
-        if self is Camp.FAT:
-            return fat_core_params()
-        return lean_core_params()
 
 
 class Regime(enum.Enum):
@@ -119,10 +112,3 @@ def grid() -> list[Cell]:
             for camp in (Camp.FAT, Camp.LEAN):
                 cells.append(Cell(camp=camp, regime=regime, kind=kind))
     return cells
-
-
-def hides_stalls(cell: Cell) -> bool:
-    """The paper's conclusion (Section 4): conventional DBMS hide stalls in
-    exactly one of the four camp x regime combinations — lean cores running
-    saturated workloads."""
-    return cell.camp is Camp.LEAN and cell.regime is Regime.SATURATED

@@ -1,6 +1,6 @@
 """Relational engine substrate — the study's commercial-DBMS analog.
 
-Storage (pages, buffer pool, heap files, B+-tree and hash indexes),
+Storage (pages, buffer pool, heap files, B+-tree and computed indexes),
 iterator-model query operators, a strict-2PL transaction layer, and the
 tracing bridge that records each client's memory references for the
 simulator.
@@ -10,7 +10,6 @@ from .btree import BTreeIndex
 from .buffer import BufferPool
 from .catalog import Catalog
 from .engine import Database, Session
-from .hash_index import HashIndex
 from .heap import HeapFile
 from .page import PageFormat, PageLayout
 from .schema import Schema
@@ -37,7 +36,6 @@ __all__ = [
     "Column",
     "ColumnType",
     "Database",
-    "HashIndex",
     "HeapFile",
     "LockConflict",
     "LockManager",

@@ -1,19 +1,17 @@
-"""Catalog: the engine's registry of tables and indexes."""
+"""Catalog: the engine's registry of tables."""
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
 from ..simulator.addresses import AddressSpace
-from .btree import BTreeIndex
-from .hash_index import HashIndex
 from .heap import HeapFile
 from .page import PageLayout
 from .schema import Schema
 
 
 class Catalog:
-    """Name -> object maps for tables and indexes.
+    """Name -> heap-file map for tables.
 
     Args:
         space: Address space used for every allocation.
@@ -22,12 +20,6 @@ class Catalog:
     def __init__(self, space: AddressSpace):
         self._space = space
         self._tables: dict[str, HeapFile] = {}
-        self._indexes: dict[str, BTreeIndex | HashIndex] = {}
-        self._index_table: dict[str, str] = {}
-
-    # ------------------------------------------------------------------ #
-    # Tables                                                              #
-    # ------------------------------------------------------------------ #
 
     def create_table(
         self,
@@ -70,74 +62,3 @@ class Catalog:
         if heap is None:
             raise KeyError(f"no table {name!r}")
         return heap
-
-    @property
-    def table_names(self) -> list[str]:
-        """All registered table names."""
-        return sorted(self._tables)
-
-    def total_data_bytes(self) -> int:
-        """Aggregate data footprint of every table (address-space bytes)."""
-        return sum(t.footprint_bytes for t in self._tables.values())
-
-    # ------------------------------------------------------------------ #
-    # Indexes                                                             #
-    # ------------------------------------------------------------------ #
-
-    def create_btree_index(
-        self,
-        name: str,
-        table_name: str,
-        key: Callable[[tuple], object],
-        order: int = 256,
-        populate: bool = True,
-    ) -> BTreeIndex:
-        """Create (and optionally bulk-populate) a B+-tree on a table.
-
-        The key function maps a row tuple to its index key.
-        """
-        if name in self._indexes:
-            raise ValueError(f"index {name!r} already exists")
-        heap = self.table(table_name)
-        index = BTreeIndex(self._space, name, order=order)
-        if populate:
-            for rid, row in heap.scan():
-                index.insert(key(row), rid)
-        self._indexes[name] = index
-        self._index_table[name] = table_name
-        return index
-
-    def create_hash_index(
-        self,
-        name: str,
-        table_name: str,
-        key: Callable[[tuple], object],
-        n_buckets: int = 1024,
-        populate: bool = True,
-    ) -> HashIndex:
-        """Create (and optionally bulk-populate) a hash index on a table."""
-        if name in self._indexes:
-            raise ValueError(f"index {name!r} already exists")
-        heap = self.table(table_name)
-        index = HashIndex(self._space, name, n_buckets=n_buckets)
-        if populate:
-            for rid, row in heap.scan():
-                index.insert(key(row), rid)
-        self._indexes[name] = index
-        self._index_table[name] = table_name
-        return index
-
-    def index(self, name: str):
-        """Look up an index.
-
-        Raises:
-            KeyError: if it does not exist.
-        """
-        idx = self._indexes.get(name)
-        if idx is None:
-            raise KeyError(f"no index {name!r}")
-        return idx
-
-    def indexed_table(self, index_name: str) -> HeapFile:
-        """The table an index was built over."""
-        return self.table(self._index_table[index_name])

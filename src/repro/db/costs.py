@@ -35,10 +35,6 @@ HASH_INSERT = 25
 BTREE_NODE_SEARCH = 28
 #: B+-tree leaf entry handling (slot lookup, record pointer decode).
 BTREE_LEAF_ENTRY = 12
-#: One comparison inside a sort.
-SORT_COMPARE = 14
-#: Move one record during sort partitioning/merging.
-SORT_MOVE = 16
 #: Aggregate accumulator update (sum/count/avg bump).
 AGG_UPDATE = 15
 #: Buffer-pool hash lookup for a page.
@@ -65,18 +61,12 @@ CONTEXT_SWITCH = 200
 CODE_FOOTPRINTS: dict[str, int] = {
     # Query operators (DSS pipelines touch a handful of these).
     "exec.seqscan": 6 * 1024,
-    "exec.indexscan": 8 * 1024,
     "exec.filter": 4 * 1024,
-    "exec.project": 3 * 1024,
     "exec.hashjoin": 14 * 1024,
-    "exec.nljoin": 5 * 1024,
-    "exec.sort": 12 * 1024,
     "exec.aggregate": 10 * 1024,
-    "exec.limit": 2 * 1024,
     # Storage layer.
     "storage.heap": 7 * 1024,
     "storage.btree": 16 * 1024,
-    "storage.hashindex": 6 * 1024,
     "storage.buffer": 9 * 1024,
     "storage.page": 5 * 1024,
     # Transaction layer (OLTP touches all of these every transaction,

@@ -2,28 +2,17 @@
 
 from .aggregate import AggSpec, HashAggregate, StreamAggregate
 from .base import Operator, QueryContext
-from .filter import Filter, Limit, Map, Project
-from .join import HashJoin, NestedLoopJoin
-from .merge_join import MergeJoin
-from .scan import IndexLookup, IndexScan, SeqScan
-from .sort import Sort, TopN
+from .filter import Filter
+from .join import HashJoin
+from .scan import SeqScan
 
 __all__ = [
     "AggSpec",
     "Filter",
     "HashAggregate",
     "HashJoin",
-    "IndexLookup",
-    "IndexScan",
-    "Limit",
-    "Map",
-    "MergeJoin",
-    "NestedLoopJoin",
     "Operator",
-    "Project",
     "QueryContext",
     "SeqScan",
-    "Sort",
     "StreamAggregate",
-    "TopN",
 ]

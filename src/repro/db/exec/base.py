@@ -7,8 +7,8 @@ pattern whose instruction footprint the paper characterizes — and every
 operator reports its module to the tracer as control enters it.
 
 A :class:`QueryContext` carries the per-client execution environment:
-tracer, buffer pool, and a scratch arena for hash tables and sort runs
-(private per client; part of the primary working set when hot).
+tracer, buffer pool, and a scratch arena for hash tables (private per
+client; part of the primary working set when hot).
 """
 
 from __future__ import annotations
@@ -67,12 +67,6 @@ class Operator:
         self.ctx = ctx
         self.schema = schema
 
-    #: Attribute names that, when present, hold child operators — in plan
-    #: order.  (Kept explicit rather than scanning __dict__ so the tree
-    #: shape is deterministic and documented.)
-    _CHILD_ATTRS = ("child", "build", "probe", "left", "right",
-                    "outer", "inner")
-
     def rows(self) -> Iterator[tuple]:
         """Yield output tuples.  Subclasses must implement."""
         raise NotImplementedError
@@ -80,36 +74,6 @@ class Operator:
     def execute(self) -> list[tuple]:
         """Drain the operator into a list (drives the whole pipeline)."""
         return list(self.rows())
-
-    @property
-    def children(self) -> list["Operator"]:
-        """Child operators in plan order (empty for leaves)."""
-        found = []
-        for name in self._CHILD_ATTRS:
-            value = getattr(self, name, None)
-            if isinstance(value, Operator):
-                found.append(value)
-        return found
-
-    def describe(self) -> str:
-        """One-line node description for :meth:`explain`."""
-        return f"{type(self).__name__}({self.schema.name})"
-
-    def explain(self, indent: int = 0) -> str:
-        """Render the plan tree, one node per line, children indented.
-
-        ::
-
-            HashAggregate(agg(join(part,partsupp)))
-              HashJoin(join(part,partsupp))
-                Filter(part)
-                  SeqScan(part)
-                SeqScan(partsupp)
-        """
-        lines = ["  " * indent + self.describe()]
-        for child in self.children:
-            lines.append(child.explain(indent + 1))
-        return "\n".join(lines)
 
     def _enter(self) -> None:
         """Report control entering this operator's code module."""

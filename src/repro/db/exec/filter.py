@@ -1,11 +1,10 @@
-"""Filter and projection operators (pure computation over the pipeline)."""
+"""The filter operator (pure computation over the pipeline)."""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 
 from .. import costs
-from ..schema import Schema
 from .base import Operator, QueryContext
 
 
@@ -42,88 +41,3 @@ class Filter(Operator):
             compute(cost)
             if pred(row):
                 yield row
-
-
-class Project(Operator):
-    """Emit a subset (or rearrangement) of columns.
-
-    Args:
-        ctx: Query context.
-        child: Input operator.
-        columns: Column names to keep, in output order.
-    """
-
-    code_region = "exec.project"
-
-    def __init__(self, ctx: QueryContext, child: Operator,
-                 columns: list[str]):
-        out_schema = child.schema.project(columns)
-        super().__init__(ctx, out_schema)
-        self.child = child
-        self._idx = [child.schema.column_index(c) for c in columns]
-
-    def rows(self) -> Iterator[tuple]:
-        tracer = self.ctx.tracer
-        enter = tracer.enter
-        compute = tracer.compute
-        region = self.code_region
-        cost = costs.EMIT_TUPLE
-        idx = self._idx
-        for row in self.child.rows():
-            enter(region)
-            compute(cost)
-            yield tuple(row[i] for i in idx)
-
-
-class Map(Operator):
-    """Apply an arbitrary row transform (expression evaluation).
-
-    The output schema is declared by the caller since expressions may
-    compute new columns.
-    """
-
-    code_region = "exec.project"
-
-    def __init__(self, ctx: QueryContext, child: Operator,
-                 fn: Callable[[tuple], tuple], out_schema: Schema,
-                 cost: int = costs.EMIT_TUPLE):
-        super().__init__(ctx, out_schema)
-        self.child = child
-        self.fn = fn
-        self._cost = cost
-
-    def rows(self) -> Iterator[tuple]:
-        tracer = self.ctx.tracer
-        enter = tracer.enter
-        compute = tracer.compute
-        region = self.code_region
-        cost = self._cost
-        fn = self.fn
-        for row in self.child.rows():
-            enter(region)
-            compute(cost)
-            yield fn(row)
-
-
-class Limit(Operator):
-    """Stop after ``n`` rows."""
-
-    code_region = "exec.limit"
-
-    def __init__(self, ctx: QueryContext, child: Operator, n: int):
-        super().__init__(ctx, child.schema)
-        if n < 0:
-            raise ValueError("limit must be non-negative")
-        self.child = child
-        self.n = n
-
-    def rows(self) -> Iterator[tuple]:
-        if self.n == 0:
-            return
-        emitted = 0
-        for row in self.child.rows():
-            self._enter()
-            yield row
-            emitted += 1
-            if emitted >= self.n:
-                return

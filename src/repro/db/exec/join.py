@@ -1,4 +1,4 @@
-"""Join operators: hash join (build + probe) and nested-loop join.
+"""The join operator: hash join (build + probe).
 
 The hash join's probe phase is the DSS-side pointer chase: hash-bucket
 lookups and chain walks are DEPENDENT references into a scratch-arena hash
@@ -116,46 +116,3 @@ class HashJoin(Operator):
                 data(entries_base + entry_no[id(m)] * _ENTRY_BYTES,
                      False, True)
                 yield m + row
-
-
-class NestedLoopJoin(Operator):
-    """Nested-loop join for tiny inner inputs (materialized once)."""
-
-    code_region = "exec.nljoin"
-
-    def __init__(self, ctx: QueryContext, outer: Operator, inner: Operator,
-                 predicate: Callable[[tuple, tuple], bool],
-                 out_schema: Schema | None = None):
-        if out_schema is None:
-            from ..types import Column
-            cols = list(outer.schema.columns) + list(inner.schema.columns)
-            seen: dict[str, int] = {}
-            renamed = []
-            for c in cols:
-                n = seen.get(c.name, 0)
-                seen[c.name] = n + 1
-                if n:
-                    c = Column(f"{c.name}_{n}", c.ctype, c.length)
-                renamed.append(c)
-            out_schema = Schema(
-                f"nljoin({outer.schema.name},{inner.schema.name})", renamed
-            )
-        super().__init__(ctx, out_schema)
-        self.outer = outer
-        self.inner = inner
-        self.predicate = predicate
-
-    def rows(self) -> Iterator[tuple]:
-        tracer = self.ctx.tracer
-        inner_rows = self.inner.execute()
-        arena = self.ctx.scratch(
-            "nljoin", max(1, len(inner_rows)) * _ENTRY_BYTES
-        )
-        for out_row in self.outer.rows():
-            self._enter()
-            for i, in_row in enumerate(inner_rows):
-                tracer.compute(costs.PREDICATE)
-                tracer.data(arena.base + i * _ENTRY_BYTES)
-                if self.predicate(out_row, in_row):
-                    tracer.compute(costs.EMIT_TUPLE)
-                    yield out_row + in_row

@@ -1,10 +1,8 @@
-"""Scan operators: sequential heap scans and index scans.
+"""The scan operator: sequential heap scans.
 
 The sequential scan is the DSS workhorse: page after page, record after
 record, with *independent* (prefetchable) references — the access pattern
-an out-of-order core overlaps well and a single lean context cannot.  The
-index scan is the OLTP workhorse: a DEPENDENT B+-tree descent followed by a
-DEPENDENT record fetch.
+an out-of-order core overlaps well and a single lean context cannot.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .. import costs
-from ..btree import BTreeIndex
 from ..heap import HeapFile
 from ..page import PageLayout
 from .base import Operator, QueryContext
@@ -93,64 +90,3 @@ class SeqScan(Operator):
                             data(addr + extra, False, False, False, True)
                 yield get(rid)
                 rid += 1
-
-
-class IndexScan(Operator):
-    """B+-tree range scan followed by record fetches.
-
-    Yields the row for every index entry with lo <= key < hi (or the key
-    itself when ``fetch_rows`` is False).  Record fetches are DEPENDENT: the
-    address comes from the leaf entry.
-    """
-
-    code_region = "exec.indexscan"
-
-    def __init__(self, ctx: QueryContext, heap: HeapFile, index: BTreeIndex,
-                 lo, hi, fetch_rows: bool = True):
-        super().__init__(ctx, heap.schema)
-        self.heap = heap
-        self.index = index
-        self._lo = lo
-        self._hi = hi
-        self._fetch_rows = fetch_rows
-
-    def rows(self) -> Iterator[tuple]:
-        tracer = self.ctx.tracer
-        heap = self.heap
-        pool = self.ctx.pool
-        for key, rid in self.index.range(self._lo, self._hi, tracer):
-            self._enter()
-            if self._fetch_rows:
-                page_no, _ = heap.locate(rid)
-                pool.fetch(heap, page_no, tracer)
-                tracer.compute(costs.EMIT_TUPLE)
-                tracer.data(heap.record_addr(rid), dependent=True)
-                yield heap.get(rid)
-            else:
-                tracer.compute(costs.EMIT_TUPLE)
-                yield (key, rid)
-
-
-class IndexLookup(Operator):
-    """Point lookup: one key, at most one row."""
-
-    code_region = "exec.indexscan"
-
-    def __init__(self, ctx: QueryContext, heap: HeapFile, index: BTreeIndex,
-                 key):
-        super().__init__(ctx, heap.schema)
-        self.heap = heap
-        self.index = index
-        self._key = key
-
-    def rows(self) -> Iterator[tuple]:
-        tracer = self.ctx.tracer
-        rid = self.index.search(self._key, tracer)
-        if rid is None:
-            return
-        self._enter()
-        page_no, _ = self.heap.locate(rid)
-        self.ctx.pool.fetch(self.heap, page_no, tracer)
-        tracer.compute(costs.EMIT_TUPLE)
-        tracer.data(self.heap.record_addr(rid), dependent=True)
-        yield self.heap.get(rid)

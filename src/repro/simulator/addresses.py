@@ -16,7 +16,7 @@ depends on the convention; it only aids debugging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Cache line size in bytes.  All caches in the hierarchy share it, as in the
 #: machines the paper studies (64B lines were universal in the Power5 /
@@ -30,21 +30,6 @@ PAGE_SHIFT = 13
 
 #: Lines per database page.
 LINES_PER_PAGE = PAGE_SIZE // LINE_SIZE
-
-
-def line_of(addr: int) -> int:
-    """Return the cache-line index containing byte address ``addr``."""
-    return addr >> LINE_SHIFT
-
-
-def line_base(addr: int) -> int:
-    """Return the first byte address of the line containing ``addr``."""
-    return addr & ~(LINE_SIZE - 1)
-
-
-def page_of(addr: int) -> int:
-    """Return the page index containing byte address ``addr``."""
-    return addr >> PAGE_SHIFT
 
 
 @dataclass(frozen=True)
@@ -144,43 +129,3 @@ class AddressSpace:
             if region.contains(addr):
                 return region
         return None
-
-
-@dataclass
-class CodeRegion:
-    """An instruction footprint for one logical code module.
-
-    The engine assigns each operator/transaction routine a code region.  The
-    instruction-fetch model walks the region sequentially (loop-style) as
-    instructions retire, which lets instruction stream buffers do their job,
-    and jumps between regions when the executing module changes (the bursty
-    I-miss behaviour of large-instruction-footprint database code).
-
-    Attributes:
-        region: The address-space region backing the code.
-        instructions_per_line: How many retired instructions advance the
-            fetch pointer by one cache line (64B line / ~4B per instruction
-            = 16, the default).
-    """
-
-    region: Region
-    instructions_per_line: int = 16
-    _cursor: int = field(default=0, repr=False)
-
-    @property
-    def n_lines(self) -> int:
-        """Number of instruction cache lines in the footprint."""
-        return self.region.lines
-
-    def fetch_lines(self, icount: int) -> tuple[int, int, int]:
-        """Advance the fetch cursor by ``icount`` retired instructions.
-
-        Returns:
-            ``(first_line_addr, n_lines, region_lines)``: the byte address of
-            the first line fetched, the number of sequential lines fetched
-            (wrapping within the region), and the region's total line count.
-        """
-        n_lines = max(1, icount // self.instructions_per_line)
-        first = self.region.base + self._cursor * LINE_SIZE
-        self._cursor = (self._cursor + n_lines) % max(1, self.n_lines)
-        return first, n_lines, self.n_lines

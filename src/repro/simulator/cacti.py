@@ -59,18 +59,6 @@ def l2_hit_latency(size_mb: float) -> int:
     return max(2, round(lat))
 
 
-def l1_hit_latency(size_kb: float) -> int:
-    """Hit latency in cycles for a small L1 (1-3 cycles, folded into
-    the pipeline by the core models; exposed only for reporting)."""
-    if size_kb <= 0:
-        raise ValueError(f"cache size must be positive, got {size_kb}")
-    if size_kb <= 16:
-        return 1
-    if size_kb <= 64:
-        return 2
-    return 3
-
-
 def estimate(size_mb: float) -> CacheEstimate:
     """Full Cacti-style estimate for an L2 of ``size_mb`` megabytes."""
     lat = l2_hit_latency(size_mb)
@@ -81,8 +69,3 @@ def estimate(size_mb: float) -> CacheEstimate:
     return CacheEstimate(
         size_mb=size_mb, latency_cycles=lat, area_mm2=area, dynamic_nj=energy
     )
-
-
-def latency_curve(sizes_mb: list[float]) -> list[tuple[float, int]]:
-    """Return ``(size, latency)`` pairs for a sweep (Fig. 1(b) model line)."""
-    return [(s, l2_hit_latency(s)) for s in sizes_mb]

@@ -454,8 +454,11 @@ class Machine:
             A :class:`MachineResult`.
 
         Raises:
-            ValueError: for an unknown mode or a response-mode workload
-                with more than one client.
+            ValueError: for an unknown mode, a response-mode workload
+                with more clients than hardware contexts, a
+                ``warm_fraction`` outside [0, 1], a ``warm_passes`` that
+                is not an int >= 0, or a throughput-mode
+                ``measure_cycles`` that is not finite and positive.
         """
         if mode not in ("throughput", "response"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -475,6 +478,15 @@ class Machine:
             )
         if not 0.0 <= warm_fraction <= 1.0:
             raise ValueError("warm_fraction must be within [0, 1]")
+        if (isinstance(warm_passes, bool) or not isinstance(warm_passes, int)
+                or warm_passes < 0):
+            raise ValueError(
+                f"warm_passes must be an int >= 0, got {warm_passes!r}")
+        if mode == "throughput" and not (
+                math.isfinite(measure_cycles) and measure_cycles > 0):
+            raise ValueError(
+                "measure_cycles must be finite and positive, got "
+                f"{measure_cycles!r}")
         # Zero-length traces carry no events: they cannot advance a
         # context, so they are dropped before slot assignment (and a
         # bundle of only empty traces measures an empty window).

@@ -11,7 +11,7 @@ from .driver import (
     oltp_workload,
     workload_for,
 )
-from .micro import MicroDatabase, micro_idx, micro_nj, micro_ss
+from .micro import MicroDatabase, micro_idx, micro_ss
 from .profile import (
     TraceProfile,
     WorkloadProfile,
@@ -39,7 +39,6 @@ __all__ = [
     "oltp_workload",
     "format_profile",
     "micro_idx",
-    "micro_nj",
     "micro_ss",
     "profile_trace",
     "profile_workload",

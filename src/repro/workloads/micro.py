@@ -4,15 +4,13 @@ The paper leans on DBmbench [24] ("Fast and Accurate Database Workload
 Representation on Modern Microarchitecture") for the claim that scaled-down
 workloads preserve microarchitectural behaviour.  DBmbench distills TPC-C
 and TPC-H into three single-table microbenchmarks; this module provides the
-same distillation over our engine:
+scan and index ones over our engine:
 
 - **uSS** ("micro scan set", the DSS proxy): a sequential scan with a
   selective predicate and a tiny aggregate — streaming, prefetchable,
   compute-regular.
 - **uIDX** ("micro index", the OLTP proxy): random B+-tree probes followed
   by a row touch and an update — dependent, write-heavy, cache-hostile.
-- **uNJ** ("micro join"): an equi-join of the table with a filtered copy
-  of itself through a hash table — probe-dominated.
 
 Each generator returns a one-client :class:`~repro.simulator.trace.Workload`
 that can stand in for the full benchmark in quick calibration runs; the
@@ -26,7 +24,7 @@ import random
 
 from ..db import Database, Schema
 from ..db import costs
-from ..db.exec import AggSpec, Filter, HashJoin, SeqScan, StreamAggregate, fused
+from ..db.exec import AggSpec, Filter, SeqScan, StreamAggregate, fused
 from ..db.types import char, float64, int64
 
 
@@ -119,22 +117,3 @@ def micro_idx(n_probes: int = 4000, n_rows: int = 200_000,
             tracer.data(heap.field_addr(rid, 2), write=True)
             micro.db.txns.log.append(48, tracer)
     return Workload("uIDX", [sess.finish()], kind="oltp", saturated=False)
-
-
-def micro_nj(n_rows: int = 20_000, build_selectivity: float = 0.05,
-             seed: int = 23) -> Workload:
-    """uNJ: self equi-join through a hash table (the join proxy)."""
-    if not 0 < build_selectivity <= 1:
-        raise ValueError("build_selectivity must be in (0, 1]")
-    micro = MicroDatabase(n_rows=n_rows, seed=seed)
-    sess = micro.db.session("uNJ", ilp=DSS_ILP,
-                            branch_mpki=DSS_BRANCH_MPKI,
-                            ilp_inorder=DSS_ILP_INORDER)
-    cut = int(20_000 * build_selectivity)
-    build = Filter(sess.ctx, SeqScan(sess.ctx, micro.t1),
-                   lambda r: r[1] < cut)
-    join = HashJoin(sess.ctx, build, SeqScan(sess.ctx, micro.t1),
-                    build_key=lambda r: r[1], probe_key=lambda r: r[1])
-    agg = StreamAggregate(sess.ctx, join, [AggSpec("count")])
-    agg.execute()
-    return Workload("uNJ", [sess.finish()], kind="dss", saturated=False)

@@ -2,29 +2,7 @@
 
 import pytest
 
-from repro.simulator.addresses import (
-    LINE_SIZE,
-    PAGE_SIZE,
-    AddressSpace,
-    CodeRegion,
-    line_base,
-    line_of,
-    page_of,
-)
-
-
-class TestGeometry:
-    def test_line_of(self):
-        assert line_of(0) == 0
-        assert line_of(63) == 0
-        assert line_of(64) == 1
-
-    def test_line_base(self):
-        assert line_base(130) == 128
-
-    def test_page_of(self):
-        assert page_of(PAGE_SIZE - 1) == 0
-        assert page_of(PAGE_SIZE) == 1
+from repro.simulator.addresses import LINE_SIZE, PAGE_SIZE, AddressSpace
 
 
 class TestAllocator:
@@ -90,23 +68,3 @@ class TestRegion:
         r = sp.alloc("r", 64)
         assert r.contains(r.base)
         assert not r.contains(r.end)
-
-
-class TestCodeRegion:
-    def test_fetch_advances_and_wraps(self):
-        sp = AddressSpace()
-        r = sp.alloc("code", 4 * LINE_SIZE)
-        cr = CodeRegion(region=r, instructions_per_line=16)
-        first, n, total = cr.fetch_lines(32)  # 2 lines
-        assert first == r.base and n == 2 and total == 4
-        first, n, _ = cr.fetch_lines(32)
-        assert first == r.base + 2 * LINE_SIZE
-        first, n, _ = cr.fetch_lines(32)  # wraps to line 0
-        assert first == r.base
-
-    def test_fetch_minimum_one_line(self):
-        sp = AddressSpace()
-        r = sp.alloc("code", 4 * LINE_SIZE)
-        cr = CodeRegion(region=r)
-        _, n, _ = cr.fetch_lines(1)
-        assert n == 1

@@ -30,25 +30,9 @@ class TestLatency:
             assert cacti.l2_hit_latency(2 * s) < 2 * cacti.l2_hit_latency(s)
 
 
-class TestL1Latency:
-    def test_small_fast(self):
-        assert cacti.l1_hit_latency(8) == 1
-        assert cacti.l1_hit_latency(32) == 2
-        assert cacti.l1_hit_latency(128) == 3
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            cacti.l1_hit_latency(0)
-
-
 class TestEstimate:
     def test_fields_consistent(self):
         e = cacti.estimate(16.0)
         assert e.latency_cycles == cacti.l2_hit_latency(16.0)
         assert e.area_mm2 > cacti.estimate(4.0).area_mm2
         assert e.dynamic_nj > cacti.estimate(4.0).dynamic_nj
-
-    def test_latency_curve(self):
-        curve = cacti.latency_curve([1.0, 4.0])
-        assert curve == [(1.0, cacti.l2_hit_latency(1.0)),
-                         (4.0, cacti.l2_hit_latency(4.0))]

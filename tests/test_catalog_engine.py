@@ -3,7 +3,6 @@
 import pytest
 
 from repro.db import Database, Schema
-from repro.db.page import PageLayout
 from repro.db.types import int64
 
 
@@ -16,7 +15,6 @@ class TestCatalog:
         db = Database()
         heap = db.catalog.create_table(schema())
         assert db.catalog.table("t") is heap
-        assert "t" in db.catalog.table_names
 
     def test_duplicate_table_rejected(self):
         db = Database()
@@ -27,49 +25,6 @@ class TestCatalog:
     def test_missing_table(self):
         with pytest.raises(KeyError):
             Database().catalog.table("nope")
-
-    def test_btree_index_populated(self):
-        db = Database()
-        heap = db.catalog.create_table(schema())
-        for i in range(50):
-            heap.append((i, i * 2))
-        idx = db.catalog.create_btree_index("t_pk", "t", key=lambda r: r[0])
-        assert idx.search(17) == 17  # rid == insertion order
-        assert db.catalog.index("t_pk") is idx
-        assert db.catalog.indexed_table("t_pk") is heap
-
-    def test_hash_index_populated(self):
-        db = Database()
-        heap = db.catalog.create_table(schema())
-        for i in range(20):
-            heap.append((i % 5, i))
-        idx = db.catalog.create_hash_index("t_h", "t", key=lambda r: r[0])
-        assert len(idx.search(3)) == 4
-
-    def test_duplicate_index_rejected(self):
-        db = Database()
-        db.catalog.create_table(schema())
-        db.catalog.create_btree_index("i", "t", key=lambda r: r[0])
-        with pytest.raises(ValueError):
-            db.catalog.create_hash_index("i", "t", key=lambda r: r[0])
-
-    def test_unpopulated_index(self):
-        db = Database()
-        heap = db.catalog.create_table(schema())
-        heap.append((1, 1))
-        idx = db.catalog.create_btree_index("i", "t", key=lambda r: r[0],
-                                            populate=False)
-        assert idx.n_entries == 0
-
-    def test_total_data_bytes(self):
-        db = Database()
-        a = db.catalog.create_table(schema("a"))
-        b = db.catalog.create_table(
-            schema("b"), layout=PageLayout.PAX,
-            n_virtual_rows=10_000, row_source=lambda r: (r, r))
-        a.append((1, 1))
-        assert (db.catalog.total_data_bytes()
-                == a.footprint_bytes + b.footprint_bytes)
 
 
 class TestSessions:

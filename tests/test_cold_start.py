@@ -37,7 +37,7 @@ print(json.dumps({
 
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "result_digests.json").read_text()
-)["digests"]["dss/unsaturated/lc/kernels=0"]
+)["digests"]["dss/unsaturated/lc"]
 
 
 def test_simulating_a_cell_leaves_numpy_unimported():

@@ -5,17 +5,8 @@ import pytest
 
 from repro.core import claims, historic, reporting
 from repro.core.breakdown import Breakdown
-from repro.core.counters import (
-    PM_CYC,
-    PM_DATA_FROM_L2,
-    PM_INST_CMPL,
-    PM_LD_MISS_L1,
-    PM_LD_REF,
-    cpi_stack_from_breakdown,
-    extract,
-    miss_rates,
-)
-from repro.core.taxonomy import Camp, Regime, WorkloadKind, grid, hides_stalls, table1
+from repro.core.counters import cpi_stack
+from repro.core.taxonomy import Camp, Regime, grid, table1
 from repro.core.validation import OPENPOWER720_DSS_CPI, ValidationReport
 from repro.simulator.hierarchy import HierarchyStats
 from repro.simulator.machine import MachineResult
@@ -33,20 +24,9 @@ class TestTaxonomy:
         assert rows[1].camp is Camp.LEAN
         assert rows[0].core_size_ratio == 3 * rows[1].core_size_ratio
 
-    def test_camp_core_params(self):
-        assert Camp.FAT.core_params.n_contexts == 1
-        assert Camp.LEAN.core_params.n_contexts == 4
-        assert Camp.LEAN.core_params.inorder_issue
-
     def test_regime_metrics(self):
         assert Regime.UNSATURATED.metric == "response_time"
         assert Regime.SATURATED.metric == "throughput"
-
-    def test_only_lean_saturated_hides_stalls(self):
-        hiders = [c for c in grid() if hides_stalls(c)]
-        assert len(hiders) == 2  # lean x saturated x {oltp, dss}
-        assert all(c.camp is Camp.LEAN for c in hiders)
-        assert all(c.regime is Regime.SATURATED for c in hiders)
 
 
 def fake_result(**kw):
@@ -68,24 +48,11 @@ def fake_result(**kw):
 
 
 class TestCounters:
-    def test_extract(self):
-        c = extract(fake_result())
-        assert c[PM_CYC] == 1000
-        assert c[PM_INST_CMPL] == 400
-        assert c[PM_LD_REF] == 100
-        assert c[PM_LD_MISS_L1] == 50
-        assert c[PM_DATA_FROM_L2] == 30
-
-    def test_miss_rates(self):
-        rates = miss_rates(fake_result())
-        assert rates["l1d_miss_rate"] == 0.5
-        assert rates["l2_fraction"] == 0.3
-        assert rates["offchip_fraction"] == 0.15
-        assert rates["l2_miss_rate"] == 0.25
-
     def test_cpi_stack_shares(self):
-        stack = cpi_stack_from_breakdown(
-            Breakdown(computation=200, d_l2=100, i_l2=60, other=40), 100)
+        stack = cpi_stack(fake_result(
+            breakdown=Breakdown(computation=200, d_l2=100, i_l2=60,
+                                other=40),
+            retired=100))
         assert stack["computation"] == 2.0
         assert stack["d_stalls"] == 1.0
         assert stack["i_stalls"] == 0.6

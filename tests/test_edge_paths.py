@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.db import Database, Schema
 from repro.db.buffer import BufferPool
-from repro.db.exec import IndexScan, SeqScan
+from repro.db.exec import SeqScan
 from repro.db.heap import HeapFile
 from repro.db.types import int64
 from repro.simulator.addresses import AddressSpace
@@ -25,30 +25,6 @@ class TestBufferClockCompaction:
         assert pool.n_resident <= 8
         assert len(pool._clock) <= 4 * 8 + 8  # compaction bound
         assert pool.stats.evictions >= 1990
-
-
-class TestIndexScanVariants:
-    def make(self):
-        db = Database()
-        heap = db.catalog.create_table(Schema("t", [int64("k"), int64("v")]))
-        for i in range(100):
-            heap.append((i, i * 2))
-        idx = db.catalog.create_btree_index("pk", "t", key=lambda r: r[0])
-        return db.session("c", traced=False).ctx, heap, idx
-
-    def test_keys_only_scan(self):
-        ctx, heap, idx = self.make()
-        out = IndexScan(ctx, heap, idx, 10, 15, fetch_rows=False).execute()
-        assert out == [(k, k) for k in range(10, 15)]  # (key, rid)
-
-    def test_fetching_scan_returns_rows(self):
-        ctx, heap, idx = self.make()
-        out = IndexScan(ctx, heap, idx, 10, 12).execute()
-        assert out == [(10, 20), (11, 22)]
-
-    def test_empty_range(self):
-        ctx, heap, idx = self.make()
-        assert IndexScan(ctx, heap, idx, 500, 600).execute() == []
 
 
 class TestSeqScanEdges:

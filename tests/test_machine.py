@@ -72,6 +72,22 @@ class TestModes:
         with pytest.raises(ValueError):
             m.run(make_workload(1), warm_fraction=1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"measure_cycles": 0},
+        {"measure_cycles": -5},
+        {"measure_cycles": float("nan")},
+        {"measure_cycles": float("inf")},
+        {"warm_passes": -1},
+        {"warm_passes": 1.5},
+    ])
+    def test_bad_window_and_warm_passes_rejected(self, kwargs):
+        """The checks run before any simulation: even a bundle of empty
+        traces, which measures nothing, is rejected."""
+        m = Machine(fc_cmp(n_cores=2, l2_nominal_mb=1, scale=1.0))
+        empty = Workload("empty", [make_trace("c0", n_events=0)], kind="dss")
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            m.run(empty, **kwargs)
+
 
 class TestDeterminism:
     def test_same_inputs_same_outputs(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.simulator.configs import fc_cmp
 from repro.simulator.machine import Machine
-from repro.workloads.micro import MicroDatabase, micro_idx, micro_nj, micro_ss
+from repro.workloads.micro import MicroDatabase, micro_idx, micro_ss
 from repro.workloads.profile import profile_trace
 
 
@@ -16,8 +16,6 @@ class TestGenerators:
             micro_ss(selectivity=0)
         with pytest.raises(ValueError):
             micro_idx(update_fraction=2.0)
-        with pytest.raises(ValueError):
-            micro_nj(build_selectivity=0)
 
     def test_deterministic(self):
         a = micro_ss(n_rows=2000)
@@ -35,12 +33,6 @@ class TestGenerators:
         assert p.dependent > 0.5       # index descents + row chases
         assert p.write > 0.15          # updates + log
         assert p.stream < 0.05
-
-    def test_unj_is_probe_dominated(self):
-        p = profile_trace(micro_nj(n_rows=3000).traces[0])
-        assert "exec.hashjoin" in p.module_instructions
-        top = max(p.module_instructions, key=p.module_instructions.get)
-        assert top in ("exec.hashjoin", "exec.seqscan")
 
 
 class TestProxiesBehaveLikeOriginals:

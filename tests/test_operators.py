@@ -10,16 +10,8 @@ from repro.db.exec import (
     Filter,
     HashAggregate,
     HashJoin,
-    IndexLookup,
-    IndexScan,
-    Limit,
-    Map,
-    NestedLoopJoin,
-    Project,
     SeqScan,
-    Sort,
     StreamAggregate,
-    TopN,
 )
 from repro.db.types import float64, int64
 
@@ -53,19 +45,6 @@ class TestScans:
         rows = SeqScan(ctx_of(db), heap, columns=["v"]).execute()
         assert len(rows) == 100
 
-    def test_index_scan_range(self):
-        db, heap = make_db(200)
-        idx = db.catalog.create_btree_index("pk", "t", key=lambda r: r[0])
-        rows = IndexScan(ctx_of(db), heap, idx, 50, 60).execute()
-        assert [r[0] for r in rows] == list(range(50, 60))
-
-    def test_index_lookup_hit_and_miss(self):
-        db, heap = make_db(50)
-        idx = db.catalog.create_btree_index("pk", "t", key=lambda r: r[0])
-        ctx = ctx_of(db)
-        assert IndexLookup(ctx, heap, idx, 7).execute() == [heap.get(7)]
-        assert IndexLookup(ctx, heap, idx, 999).execute() == []
-
 
 class TestFilterProject:
     def test_filter(self):
@@ -74,34 +53,6 @@ class TestFilterProject:
                      lambda r: r[1] == 3).execute()
         assert all(r[1] == 3 for r in out)
         assert len(out) == sum(1 for i in range(100) if i % 7 == 3)
-
-    def test_project_columns_and_schema(self):
-        db, heap = make_db(10)
-        ctx = ctx_of(db)
-        p = Project(ctx, SeqScan(ctx, heap), ["v", "id"])
-        out = p.execute()
-        assert out[3] == (1.5, 3)
-        assert [c.name for c in p.schema.columns] == ["v", "id"]
-
-    def test_map(self):
-        db, heap = make_db(5)
-        ctx = ctx_of(db)
-        out_schema = Schema("m", [float64("double_v")])
-        out = Map(ctx, SeqScan(ctx, heap), lambda r: (r[2] * 2,),
-                  out_schema).execute()
-        assert out == [(i * 1.0,) for i in range(5)]
-
-    def test_limit(self):
-        db, heap = make_db(100)
-        ctx = ctx_of(db)
-        assert len(Limit(ctx, SeqScan(ctx, heap), 7).execute()) == 7
-        assert Limit(ctx, SeqScan(ctx, heap), 0).execute() == []
-
-    def test_limit_negative_rejected(self):
-        db, heap = make_db(5)
-        ctx = ctx_of(db)
-        with pytest.raises(ValueError):
-            Limit(ctx, SeqScan(ctx, heap), -1)
 
 
 class TestJoins:
@@ -142,52 +93,6 @@ class TestJoins:
                      build_key=lambda r: r[0], probe_key=lambda r: r[0])
         names = [c.name for c in j.schema.columns]
         assert len(names) == len(set(names))
-
-    def test_nested_loop_join(self):
-        db, heap = make_db(20)
-        s2 = Schema("u", [int64("k")])
-        right = db.catalog.create_table(s2)
-        for g in range(3):
-            right.append((g,))
-        ctx = ctx_of(db)
-        out = NestedLoopJoin(ctx, SeqScan(ctx, heap), SeqScan(ctx, right),
-                             lambda o, i: o[1] == i[0]).execute()
-        assert len(out) == sum(1 for i in range(20) if i % 7 < 3)
-
-
-class TestSort:
-    def test_sort_ascending(self):
-        db, heap = make_db(50)
-        ctx = ctx_of(db)
-        out = Sort(ctx, SeqScan(ctx, heap), key=lambda r: -r[0]).execute()
-        assert [r[0] for r in out] == list(range(49, -1, -1))
-
-    def test_sort_stable_on_equal_keys(self):
-        db, heap = make_db(50)
-        ctx = ctx_of(db)
-        out = Sort(ctx, SeqScan(ctx, heap), key=lambda r: r[1]).execute()
-        for a, b in zip(out, out[1:]):
-            if a[1] == b[1]:
-                assert a[0] < b[0]  # Python sort stability preserved
-
-    def test_topn_smallest(self):
-        db, heap = make_db(100)
-        ctx = ctx_of(db)
-        out = TopN(ctx, SeqScan(ctx, heap), key=lambda r: r[0], n=5).execute()
-        assert [r[0] for r in out] == [0, 1, 2, 3, 4]
-
-    def test_topn_largest(self):
-        db, heap = make_db(100)
-        ctx = ctx_of(db)
-        out = TopN(ctx, SeqScan(ctx, heap), key=lambda r: r[0], n=5,
-                   reverse=True).execute()
-        assert [r[0] for r in out] == [99, 98, 97, 96, 95]
-
-    def test_topn_fewer_rows_than_n(self):
-        db, heap = make_db(3)
-        ctx = ctx_of(db)
-        out = TopN(ctx, SeqScan(ctx, heap), key=lambda r: r[0], n=10).execute()
-        assert len(out) == 3
 
 
 class TestAggregates:

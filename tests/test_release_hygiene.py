@@ -2,9 +2,11 @@
 
 Cheap meta-tests that keep the library adoptable: every module and every
 public class/function carries a docstring, the package imports cleanly
-from a cold interpreter, and the declared exports exist.
+from a cold interpreter, the declared exports exist, and every public
+class/function is used by some code.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -12,6 +14,17 @@ import re
 from pathlib import Path
 
 import repro
+
+REPO = Path(__file__).resolve().parent.parent
+
+#: Public definitions with no caller in the package, its examples or
+#: ``perf/``, kept on purpose.
+ORPHAN_EXEMPT = {
+    # The event-schema oracle: the telemetry tests check logs against it.
+    ("core/telemetry.py", "validate_event"),
+    # A column type: the schema and page-layout tests build schemas with it.
+    ("db/types.py", "int32"),
+}
 
 PACKAGES = [
     "repro",
@@ -82,6 +95,36 @@ class TestHygiene:
             str(path.relative_to(root)) for path in root.rglob("*.py")
             if re.search(r"\bnumpy\b", path.read_text()))
         assert users == []
+
+    def test_no_orphans(self):
+        """Every public top-level class or function under ``src/repro``
+        is used by name in code: an AST name, attribute or imported
+        name in the package, ``examples/`` or ``perf/``.  Docstrings do
+        not count, nor do a package ``__init__``'s re-exports."""
+        root = Path(repro.__file__).parent
+        defined = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if (isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    defined.append(
+                        (path.relative_to(root).as_posix(), node.name))
+        used = set()
+        for tree_root in (root, REPO / "examples", REPO / "perf"):
+            for path in tree_root.rglob("*.py"):
+                reexports = path.name == "__init__.py"
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Name):
+                        used.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        used.add(node.attr)
+                    elif isinstance(node, ast.ImportFrom) and not reexports:
+                        used.update(alias.name for alias in node.names)
+        orphans = [f"{module}:{name}" for module, name in defined
+                   if name not in used
+                   and (module, name) not in ORPHAN_EXEMPT]
+        assert not orphans, f"public names no code uses: {orphans}"
 
     def test_version_string(self):
         parts = repro.__version__.split(".")

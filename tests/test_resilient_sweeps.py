@@ -62,6 +62,23 @@ class TestRunSpecValidation:
         with pytest.raises(ValueError, match="dss.*oltp"):
             RunSpec(fc_cmp(scale=SCALE), "tpcc")
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"n_clients": 0}, "n_clients must be a positive int"),
+        ({"n_clients": -2}, "n_clients must be a positive int"),
+        ({"n_clients": 2.5}, "n_clients must be a positive int"),
+        ({"n_clients": True}, "n_clients must be a positive int"),
+        ({"regime": "unsaturated", "n_clients": 8}, "saturated regime only"),
+        ({"measure_cycles": 0}, "measure_cycles"),
+        ({"measure_cycles": -5}, "measure_cycles"),
+        ({"measure_cycles": float("nan")}, "measure_cycles"),
+        ({"measure_cycles": float("inf")}, "measure_cycles"),
+    ])
+    def test_bad_run_shape_raises_eagerly(self, kwargs, match):
+        """A client count or window the run cannot honour fails at
+        construction, not inside ``execute`` (or never)."""
+        with pytest.raises(ValueError, match=match):
+            RunSpec(fc_cmp(scale=SCALE), "dss", **kwargs)
+
 
 class TestDefaultJobs:
     """``REPRO_JOBS`` reaches sweeps through the experiment's settings."""

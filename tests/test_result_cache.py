@@ -16,7 +16,7 @@ import textwrap
 import pytest
 
 from repro.core import parallel
-from repro.core.experiment import Experiment, _config_key
+from repro.core.experiment import Experiment
 from repro.core.parallel import ResultCache, RunSpec, config_key, execute
 from repro.settings import Settings, SettingsError
 from repro.simulator.configs import fc_cmp
@@ -144,7 +144,6 @@ class TestCacheRobustness:
 class TestConfigKey:
     def test_equal_configs_produce_equal_keys(self):
         assert config_key(_config()) == config_key(_config())
-        assert _config_key(_config()) == config_key(_config())
 
     def test_unequal_scales_produce_distinct_keys(self):
         assert (config_key(_config(scale=0.02))

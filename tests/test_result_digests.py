@@ -8,11 +8,6 @@ the lean processor-sharing loop, the fat core's overlap rules, the
 hierarchy or the warm walk shows.  A digest moves only when a simulated
 number moves, which is a ``CODE_VERSION`` bump, never a refactor.
 
-The pins file keeps one entry per cell and kernel mode, ``kernels=1``
-and ``kernels=0``, from the builds that also derived the warm state in
-closed form with numpy; the two entries of a cell are equal, and the
-suite checks the ``kernels=0`` one, the interpreted walk's.
-
 After a deliberate ``CODE_VERSION`` bump, re-record the pins with::
 
     PYTHONPATH=src python tests/test_result_digests.py
@@ -40,12 +35,9 @@ CELLS = [(kind, regime, camp)
          for regime in ("saturated", "unsaturated")
          for camp in sorted(CAMPS)]
 
-#: Both kernel modes of the pins file; see the module docstring.
-MODES = "10"
 
-
-def _cell_id(kind: str, regime: str, camp: str, kernels: str = "0") -> str:
-    return f"{kind}/{regime}/{camp}/kernels={kernels}"
+def _cell_id(kind: str, regime: str, camp: str) -> str:
+    return f"{kind}/{regime}/{camp}"
 
 
 def _reset_warm_memos() -> None:
@@ -74,12 +66,7 @@ def test_pins_match_this_code_version():
     doc = _pinned()
     assert doc["code_version"] == CODE_VERSION
     assert (doc["scale"], doc["cycles"]) == (SCALE, CYCLES)
-    assert sorted(doc["digests"]) == sorted(
-        _cell_id(*cell, kernels) for cell in CELLS for kernels in MODES)
-    # So checking the kernels=0 entry checks both.
-    for cell in CELLS:
-        assert len({doc["digests"][_cell_id(*cell, kernels)]
-                    for kernels in MODES}) == 1, cell
+    assert sorted(doc["digests"]) == sorted(_cell_id(*cell) for cell in CELLS)
 
 
 @pytest.mark.parametrize("kind,regime,camp", CELLS)
@@ -91,11 +78,7 @@ def test_result_digest(kind, regime, camp):
 
 
 def _record() -> None:
-    digests = {}
-    for cell in CELLS:
-        pinned = digest(*cell)
-        for kernels in MODES:
-            digests[_cell_id(*cell, kernels)] = pinned
+    digests = {_cell_id(*cell): digest(*cell) for cell in CELLS}
     doc = {"code_version": CODE_VERSION, "scale": SCALE, "cycles": CYCLES,
            "digests": dict(sorted(digests.items()))}
     DIGESTS.write_text(json.dumps(doc, indent=2) + "\n")

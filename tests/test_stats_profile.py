@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.stats import (
     PairedDelta,
     paired_delta,
-    seeds_for_target,
     summarize,
     t_quantile_975,
 )
@@ -96,21 +95,6 @@ class TestPairedDelta:
             paired_delta([], [])
 
 
-class TestSeedsForTarget:
-    def test_already_tight(self):
-        assert seeds_for_target([10.0, 10.01, 9.99], 0.05) == 3
-
-    def test_scales_quadratically(self):
-        samples = [8.0, 12.0, 9.0, 11.0]
-        n1 = seeds_for_target(samples, 0.10)
-        n2 = seeds_for_target(samples, 0.05)
-        assert n2 >= 3 * n1 // 1  # ~4x for half the error
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            seeds_for_target([1.0, 2.0], 0)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30))
 def test_summary_bounds_property(samples):
@@ -122,7 +106,7 @@ def test_summary_bounds_property(samples):
 def _trace(name, events):
     tb = TraceBuilder(name, ilp=2.0)
     r0 = tb.register_code("exec.seqscan", 0x1000, 8)
-    r1 = tb.register_code("exec.sort", 0x9000, 8)
+    r1 = tb.register_code("exec.hashjoin", 0x9000, 8)
     for i, (icount, addr, flags) in enumerate(events):
         tb.event(icount, addr, flags, r0 if i % 2 == 0 else r1)
     return tb.build()
@@ -142,7 +126,7 @@ class TestProfiles:
         assert p.distinct_lines == 3
         assert p.dependent == 0.5 and p.write == 0.5
         assert p.instructions_per_reference == 25.0
-        assert set(p.module_instructions) == {"exec.seqscan", "exec.sort"}
+        assert set(p.module_instructions) == {"exec.seqscan", "exec.hashjoin"}
         assert sum(p.module_instructions.values()) == 100
 
     def test_workload_sharing(self):

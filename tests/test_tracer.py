@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.hash_index import HashIndex
 from repro.db.tracer import CodeRegistry, MemoryTracer, NullTracer
 from repro.db.util import stable_hash
 from repro.simulator.addresses import AddressSpace
@@ -24,13 +23,13 @@ class TestCodeRegistry:
 
     def test_region_reused(self):
         reg = CodeRegistry(AddressSpace())
-        assert reg.region("exec.sort") is reg.region("exec.sort")
+        assert reg.region("exec.hashjoin") is reg.region("exec.hashjoin")
 
     def test_total_bytes(self):
         reg = CodeRegistry(AddressSpace())
-        reg.region("exec.sort")
+        reg.region("exec.hashjoin")
         reg.region("exec.filter")
-        assert reg.total_bytes == reg.region("exec.sort").size + \
+        assert reg.total_bytes == reg.region("exec.hashjoin").size + \
             reg.region("exec.filter").size
 
 
@@ -60,12 +59,12 @@ class TestMemoryTracer:
         tr = self.make()
         tr.enter("exec.seqscan")
         tr.data(0x100)
-        tr.enter("exec.sort")
+        tr.enter("exec.hashjoin")
         tr.data(0x200)
         trace = tr.finish()
         assert trace.regions[0] != trace.regions[1]
         names = [trace.footprints[r].name for r in trace.regions[:2]]
-        assert names == ["exec.seqscan", "exec.sort"]
+        assert names == ["exec.seqscan", "exec.hashjoin"]
 
     def test_trailing_compute_flushed_on_finish(self):
         tr = self.make()
@@ -98,37 +97,6 @@ class TestMemoryTracer:
         nt.compute(5)
         nt.data(0x100, write=True)
         assert not nt.enabled
-
-
-class TestHashIndex:
-    def test_insert_search(self):
-        idx = HashIndex(AddressSpace(), "h", n_buckets=64)
-        idx.insert(5, "a")
-        idx.insert(5, "b")
-        idx.insert(6, "c")
-        assert sorted(idx.search(5)) == ["a", "b"]
-        assert idx.search(7) == []
-        assert idx.n_entries == 3
-
-    def test_bucket_validation(self):
-        with pytest.raises(ValueError):
-            HashIndex(AddressSpace(), "h", n_buckets=0)
-
-    def test_chain_length(self):
-        idx = HashIndex(AddressSpace(), "h", n_buckets=1)
-        for i in range(10):
-            idx.insert(i, i)
-        assert idx.chain_length(0) == 10
-
-    def test_probe_emits_chain_walk(self):
-        space = AddressSpace()
-        idx = HashIndex(space, "h", n_buckets=1)
-        for i in range(5):
-            idx.insert(i, i)
-        tracer = MemoryTracer(CodeRegistry(space), "c")
-        idx.search(3, tracer)
-        trace = tracer.finish()
-        assert len(trace) >= 6  # bucket + 5 chain entries
 
 
 class TestStableHash:

@@ -9,16 +9,7 @@ characterization instrument cannot perturb the thing it measures.
 import pytest
 
 from repro.db import Database, PageLayout, Schema
-from repro.db.exec import (
-    AggSpec,
-    Filter,
-    HashAggregate,
-    HashJoin,
-    MergeJoin,
-    SeqScan,
-    Sort,
-    TopN,
-)
+from repro.db.exec import AggSpec, Filter, HashAggregate, HashJoin, SeqScan
 from repro.db.types import char, float64, int64
 
 
@@ -66,37 +57,6 @@ class TestTransparency:
     def test_pax_layout(self):
         assert (run_plan(True, PageLayout.PAX)
                 == run_plan(False, PageLayout.PAX))
-
-    def test_sort_and_topn(self):
-        for traced in (True, False):
-            db, t, _ = build_db()
-            sess = db.session("c", traced=traced)
-            ctx = sess.ctx
-            srt = Sort(ctx, SeqScan(ctx, t), key=lambda r: (r[2], r[0]))
-            tn = TopN(ctx, SeqScan(ctx, t), key=lambda r: r[2], n=7)
-            if traced:
-                sorted_rows = srt.execute()
-                top_rows = tn.execute()
-                sess.finish()
-            else:
-                ref_sorted = srt.execute()
-                ref_top = tn.execute()
-        assert sorted_rows == ref_sorted
-        assert top_rows == ref_top
-
-    def test_merge_join(self):
-        results = {}
-        for traced in (True, False):
-            db, t, u = build_db()
-            ctx = db.session("c", traced=traced).ctx
-            mj = MergeJoin(
-                ctx,
-                Sort(ctx, SeqScan(ctx, u), key=lambda r: r[0]),
-                Sort(ctx, SeqScan(ctx, t), key=lambda r: r[1]),
-                left_key=lambda r: r[0], right_key=lambda r: r[1],
-            )
-            results[traced] = sorted(mj.execute())
-        assert results[True] == results[False]
 
     def test_tpch_queries_transparent(self):
         import random

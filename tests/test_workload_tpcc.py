@@ -51,10 +51,9 @@ class TestNurand:
 
 class TestSchemaPopulation:
     def test_tables_present(self, tpcc):
-        names = tpcc.db.catalog.table_names
         for t in ("warehouse", "district", "customer", "stock", "item",
                   "orders", "order_line", "new_order", "history"):
-            assert t in names
+            assert tpcc.db.catalog.table(t).schema.name == t
 
     def test_virtual_tables_sized(self, tpcc):
         assert tpcc.stock.n_rows == tpcc.cfg.n_stock
