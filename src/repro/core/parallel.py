@@ -1036,10 +1036,6 @@ class ResultCache:
         self.evictions += evicted
         return evicted
 
-    def disk_bytes(self) -> int:
-        """Total bytes currently stored (a scan; used by tests/stats)."""
-        return sum(size for _, size, _ in self._entries())
-
     def stats(self) -> dict:
         """Lifetime accounting: hits, misses, stores, errors, evictions."""
         return {"hits": self.hits, "misses": self.misses,

@@ -49,13 +49,6 @@ class Summary:
     n: int
 
     @property
-    def relative_error(self) -> float:
-        """Half-width as a fraction of the mean (the paper's ±5% target)."""
-        if self.mean == 0:
-            return math.inf if self.half_width else 0.0
-        return abs(self.half_width / self.mean)
-
-    @property
     def low(self) -> float:
         """Lower bound of the 95% interval."""
         return self.mean - self.half_width

@@ -113,30 +113,6 @@ class BufferPool:
             raise KeyError(f"page {key} not resident")
         self._pins[key] = self._pins.get(key, 0) + 1
 
-    def unpin(self, heap: HeapFile, page_no: int) -> None:
-        """Release one pin.
-
-        Raises:
-            ValueError: if the page is not pinned.
-        """
-        key = (heap.name, page_no)
-        count = self._pins.get(key, 0)
-        if count <= 0:
-            raise ValueError(f"page {key} is not pinned")
-        if count == 1:
-            del self._pins[key]
-        else:
-            self._pins[key] = count - 1
-
-    def is_resident(self, heap: HeapFile, page_no: int) -> bool:
-        """Whether the page is currently in the pool."""
-        return (heap.name, page_no) in self._resident
-
-    @property
-    def n_resident(self) -> int:
-        """Number of resident pages."""
-        return len(self._resident)
-
     # ------------------------------------------------------------------ #
     # Replacement                                                         #
     # ------------------------------------------------------------------ #

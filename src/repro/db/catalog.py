@@ -27,9 +27,7 @@ class Catalog:
         layout: PageLayout = PageLayout.NSM,
         n_virtual_rows: int = 0,
         row_source: Callable[[int], tuple] | None = None,
-        row_cache: dict[int, tuple] | None = None,
         row_block_source: Callable[[int, int], list] | None = None,
-        block_cache: dict[int, list] | None = None,
     ) -> HeapFile:
         """Create a heap file for ``schema`` and register it.
 
@@ -45,9 +43,7 @@ class Catalog:
             layout=layout,
             n_virtual_rows=n_virtual_rows,
             row_source=row_source,
-            row_cache=row_cache,
             row_block_source=row_block_source,
-            block_cache=block_cache,
         )
         self._tables[schema.name] = heap
         return heap

@@ -44,9 +44,7 @@ class HeapFile:
         layout: PageLayout = PageLayout.NSM,
         n_virtual_rows: int = 0,
         row_source: Callable[[int], tuple] | None = None,
-        row_cache: dict[int, tuple] | None = None,
         row_block_source: Callable[[int, int], list] | None = None,
-        block_cache: dict[int, list] | None = None,
     ):
         if n_virtual_rows > 0 and row_source is None:
             raise ValueError("virtual heap files need a row_source")
@@ -62,25 +60,17 @@ class HeapFile:
         # Generated virtual rows are deterministic, so memoize them: the
         # DSS clients re-scan shared chunks many times, and regenerating a
         # row costs far more than a dict hit.  Bounded by the table size
-        # (the same rows a materialized heap would hold outright).  A
-        # caller may inject a shared cache so several database instances
-        # built from the same deterministic source (same scale and seed)
-        # reuse each other's rows; the rows are immutable tuples and
-        # per-instance writes land in the overlay, never the cache.
-        self._row_cache: dict[int, tuple] = \
-            row_cache if row_cache is not None else {}
+        # (the same rows a materialized heap would hold outright); writes
+        # land in the overlay, never the cache.
+        self._row_cache: dict[int, tuple] = {}
         # Materialized row blocks for the fused scan drains: one list per
         # page, dropped wholesale when any mutation bumps the epoch.  The
         # DSS windows are quantized, so the same few blocks are re-scanned
         # many times.  An optional ``row_block_source(start, stop)``
         # generates a whole page of virtual rows in one call (amortizing
-        # the per-row generator overhead), and an injected shared
-        # ``block_cache`` lets database instances built from the same
-        # deterministic source reuse each other's pages.
+        # the per-row generator overhead).
         self._row_block_source = row_block_source
-        self._block_cache_shared = block_cache is not None
-        self._block_cache: dict[int, list[tuple]] = \
-            block_cache if block_cache is not None else {}
+        self._block_cache: dict[int, list[tuple]] = {}
         self._addr_cache: dict[int, list[int]] = {}
         self._mut_epoch = 0
         self._block_epoch = 0
@@ -106,11 +96,6 @@ class HeapFile:
         """Pages needed for the current row count."""
         cap = self.format.capacity
         return (self.n_rows + cap - 1) // cap
-
-    @property
-    def footprint_bytes(self) -> int:
-        """Address-space bytes the data occupies (pages, not extents)."""
-        return self.n_pages * PAGE_SIZE
 
     def _reserve_pages(self, n_pages: int) -> None:
         have = len(self._extents) * EXTENT_PAGES
@@ -209,15 +194,6 @@ class HeapFile:
         page wholesale).  Any mutation (:meth:`append`, :meth:`set_field`)
         invalidates all cached pages.  Callers must not mutate the list.
         """
-        if self._block_cache_shared and self._overlay:
-            # Overlay writes are private: once this instance diverges from
-            # the shared deterministic source it must neither serve nor
-            # populate the shared page cache (other instances may have
-            # refilled it with pre-overlay rows).
-            get = self.get
-            start = page_no * self.format.capacity
-            stop = min(start + self.format.capacity, self.n_rows)
-            return [get(rid) for rid in range(start, stop)]
         if self._block_epoch != self._mut_epoch:
             self._block_cache.clear()
             self._addr_cache.clear()

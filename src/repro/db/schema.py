@@ -69,15 +69,3 @@ class Schema:
                 return i
         raise KeyError(f"schema {self.name!r} has no column {name!r}")
 
-    def column_offset(self, index: int) -> int:
-        """Byte offset of column ``index`` within an NSM record."""
-        return self._offsets[index]
-
-    def column_width(self, index: int) -> int:
-        """Storage width of column ``index``."""
-        return self._widths[index]
-
-    def project(self, names: list[str]) -> "Schema":
-        """A new schema containing only the named columns, in given order."""
-        cols = [self.columns[self.column_index(n)] for n in names]
-        return Schema(f"{self.name}[{','.join(names)}]", cols)

@@ -54,11 +54,6 @@ class CodeRegistry:
             self._regions[name] = region
         return region
 
-    @property
-    def total_bytes(self) -> int:
-        """Total instruction-text bytes allocated so far."""
-        return sum(r.size for r in self._regions.values())
-
 
 class NullTracer:
     """A do-nothing tracer: the engine runs, nothing is recorded."""
@@ -195,11 +190,6 @@ class MemoryTracer(NullTracer):
     # ------------------------------------------------------------------ #
     # Lifecycle                                                           #
     # ------------------------------------------------------------------ #
-
-    @property
-    def n_events(self) -> int:
-        """Events recorded so far."""
-        return len(self._builder)
 
     def finish(self) -> Trace:
         """Freeze and return the trace.  May be called once."""

@@ -157,10 +157,6 @@ class LockManager:
         entry = self._table.get(resource)
         return set(entry.holders) if entry else set()
 
-    def locks_held(self, txn_id: int) -> int:
-        """Number of locks held by ``txn_id``."""
-        return len(self._held.get(txn_id, ()))
-
 
 class PartitionLockManager:
     """Per-partition single-owner locks for the partitioned CC mode.
@@ -171,8 +167,7 @@ class PartitionLockManager:
     different warehouses therefore write *disjoint* lines — the
     coherence ping-pong of the shared lock table disappears from the
     trace, which is precisely the partitioned camp's bet.  Cross-
-    partition transactions claim every partition they touch, in
-    ascending partition order (deterministic, deadlock-free).
+    partition transactions claim every partition they touch.
     """
 
     def __init__(self, space: AddressSpace, n_partitions: int):
@@ -213,28 +208,6 @@ class PartitionLockManager:
         self.conflicts += 1
         raise LockConflict(
             f"txn {txn_id}: partition {partition} owned by {owner}")
-
-    def acquire_all(self, txn_id: int, partitions,
-                    tracer: NullTracer = NullTracer()) -> None:
-        """Claim a partition set in ascending order (deterministic).
-
-        All-or-nothing: a conflict partway through rolls back the
-        partitions claimed by *this call* (ones the transaction already
-        held stay held) before re-raising, so a blocked transaction
-        never pins part of its set while it retries.
-        """
-        claimed = []
-        for partition in sorted(partitions):
-            fresh = self._owner.get(partition) is None
-            try:
-                self.acquire(txn_id, partition, tracer)
-            except LockConflict:
-                for p in claimed:
-                    del self._owner[p]
-                    del self._held[txn_id][p]
-                raise
-            if fresh:
-                claimed.append(partition)
 
     def release_all(self, txn_id: int,
                     tracer: NullTracer = NullTracer()) -> int:

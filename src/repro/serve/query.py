@@ -101,17 +101,17 @@ class DesignQuery:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}: expected "
                              f"one of {list(REGIMES)}")
-        if not isinstance(self.cores, int) or self.cores < 1:
+        if not _is_int(self.cores) or self.cores < 1:
             raise ValueError(f"cores must be a positive int, "
                              f"got {self.cores!r}")
-        if not 0 < self.l2_mb < math.inf:
+        if isinstance(self.l2_mb, bool) or not 0 < self.l2_mb < math.inf:
             raise ValueError(f"l2_mb must be a finite positive number, "
                              f"got {self.l2_mb!r}")
-        if (not isinstance(self.banks, int) or self.banks < 1
+        if (not _is_int(self.banks) or self.banks < 1
                 or self.banks & (self.banks - 1)):
             raise ValueError(f"banks must be a positive power of two, "
                              f"got {self.banks!r}")
-        if not isinstance(self.sockets, int) or self.sockets < 1:
+        if not _is_int(self.sockets) or self.sockets < 1:
             raise ValueError(f"sockets must be a positive int, "
                              f"got {self.sockets!r}")
         validate_placement(self.placement)
@@ -178,9 +178,11 @@ class DesignQuery:
     def from_dict(cls, doc: dict) -> "DesignQuery":
         """Parse a wire-form query; raises ``ValueError`` on bad input.
 
-        Field types are normalized (JSON clients send ``4`` and ``4.0``
-        interchangeably), unknown fields rejected — the wire protocol
-        is a contract, not a junk drawer.
+        Field types are normalized (JSON clients send ``4``, ``4.0`` and
+        ``"4"`` interchangeably), but a count that is not a whole number
+        (``4.7``, ``"4.5"``) or a boolean is rejected, never rounded, and
+        unknown fields are rejected — the wire protocol is a contract,
+        not a junk drawer.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"query must be an object, "
@@ -193,21 +195,39 @@ class DesignQuery:
         if "camp" not in doc:
             raise ValueError("query missing required field 'camp'")
         out = {"camp": doc["camp"]}
-        try:
-            if "cores" in doc:
-                out["cores"] = int(doc["cores"])
-            if "l2_mb" in doc:
+        for name in ("cores", "banks", "sockets"):
+            if name in doc:
+                out[name] = _whole(name, doc[name])
+        if "l2_mb" in doc:
+            try:
+                if isinstance(doc["l2_mb"], bool):
+                    raise TypeError
                 out["l2_mb"] = float(doc["l2_mb"])
-            if "banks" in doc:
-                out["banks"] = int(doc["banks"])
-            if "sockets" in doc:
-                out["sockets"] = int(doc["sockets"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad query numeric field: {exc}") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"l2_mb must be a number, "
+                                 f"got {doc['l2_mb']!r}") from None
         for name in ("kind", "regime", "placement"):
             if name in doc:
                 out[name] = doc[name]
         return cls(**out)
+
+
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool`` (``True`` is an ``int`` too)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _whole(name: str, value) -> int:
+    """A wire count as an int: ``4``, ``4.0`` and ``"4"`` are 4; a
+    boolean or a non-integral number raises ``ValueError``."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a whole number, "
+                         f"got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 from .query import DesignQuery, Overloaded
 from .service import DesignService
@@ -144,8 +145,9 @@ class DesignServer:
             except (TypeError, ValueError):
                 return _error("bad-request",
                               f"bad deadline_s {doc.get('deadline_s')!r}")
-            if deadline_s <= 0:
-                return _error("bad-request", "deadline_s must be > 0")
+            if not 0 < deadline_s < math.inf:
+                return _error("bad-request",
+                              "deadline_s must be a finite number > 0")
         try:
             query = DesignQuery.from_dict(doc.get("query"))
         except ValueError as exc:

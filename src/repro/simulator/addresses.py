@@ -68,10 +68,6 @@ class Region:
             )
         return self.base + offset
 
-    def contains(self, addr: int) -> bool:
-        """Return True if ``addr`` lies inside this region."""
-        return self.base <= addr < self.end
-
 
 class AddressSpace:
     """Bump allocator over the synthetic 64-bit address space.
@@ -114,18 +110,3 @@ class AddressSpace:
     def regions(self) -> list[Region]:
         """All regions allocated so far, in allocation order."""
         return list(self._regions)
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Total bytes handed out (excluding alignment gaps)."""
-        return sum(r.size for r in self._regions)
-
-    def find(self, addr: int) -> Region | None:
-        """Return the region containing ``addr``, or None.
-
-        Linear scan — intended for tests and debugging, not hot paths.
-        """
-        for region in self._regions:
-            if region.contains(addr):
-                return region
-        return None

@@ -37,12 +37,6 @@ class CacheStats:
         total = self.accesses
         return self.misses / total if total else 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits per access; 0.0 when the cache was never accessed."""
-        total = self.accesses
-        return self.hits / total if total else 0.0
-
     def reset(self) -> None:
         """Zero every counter (used at the warm/measure boundary)."""
         self.hits = 0
@@ -205,19 +199,3 @@ class SetAssocCache:
 
     def __contains__(self, line: int) -> bool:
         return line in self._sets[line % self.n_sets]
-
-    @property
-    def resident_lines(self) -> int:
-        """Number of lines currently resident."""
-        return sum(len(s) for s in self._sets)
-
-    def flush_stats(self) -> CacheStats:
-        """Return a copy of current stats and reset the live counters."""
-        snapshot = CacheStats(
-            hits=self.stats.hits,
-            misses=self.stats.misses,
-            evictions=self.stats.evictions,
-            writebacks=self.stats.writebacks,
-        )
-        self.stats.reset()
-        return snapshot

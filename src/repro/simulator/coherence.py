@@ -209,23 +209,17 @@ class PrivateL2Hierarchy:
         stats.data_level_counts[MEM] += 1
         return self.l2_latency + p.mem_latency, MEM
 
-    def warm_data(self, core: int, addr: int, write: bool) -> None:
-        """Functional warm-up: identical state transitions, no timing use.
-
-        Counters accumulate during warming and are cleared by
-        :meth:`reset_stats` at the warm/measure boundary.
-        """
-        self.data_access(core, addr, write, 0.0)
-
     def warm_block(
         self, core: int, addrs, meta, lo: int, hi: int
     ) -> None:
-        """Batched :meth:`warm_data` over a trace's packed columns.
+        """Functional warm-up over a trace's packed columns: the
+        :meth:`data_access` state transitions, timing discarded.
 
         ``FLAG_WRITE`` is bit 0 of a packed meta word, so the write test
         needs no decode.  MESI transitions are too entangled to inline
-        profitably, so this only hoists the method lookups; state changes
-        are identical.
+        profitably, so this only hoists the method lookup; counters
+        accumulate and are cleared by :meth:`reset_stats` at the
+        warm/measure boundary.
         """
         access = self.data_access
         for i in range(lo, hi):
@@ -311,13 +305,3 @@ class PrivateL2Hierarchy:
     def l2_caches(self) -> list[SetAssocCache]:
         """The per-node private L2 instances (for tests)."""
         return list(self._l2)
-
-    @property
-    def l1d_caches(self) -> list[SetAssocCache]:
-        """The per-node L1D instances (for tests)."""
-        return list(self._l1d)
-
-    def directory_state(self, addr: int) -> tuple[int, int | None]:
-        """Return ``(sharer_mask, dirty_owner)`` for the line of ``addr``."""
-        line = addr >> 6
-        return self._sharers.get(line, 0), self._owner.get(line)

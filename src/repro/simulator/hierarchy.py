@@ -434,47 +434,19 @@ class SharedL2Hierarchy:
         counts[MEM] += 1
         return int(self.l2_latency + qdelay + p.mem_latency), MEM
 
-    def warm_data(self, core: int, addr: int, write: bool) -> None:
-        """Functional warm-up: identical state transitions, no timing."""
-        line = addr >> 6
-        if self._topo is not None:
-            line |= self._line_tag[core]
-        hit, victim = self._l1d[core].access(line, write)
-        if hit:
-            return
-        owners = self._l1_owners
-        bit = 1 << core
-        if victim is not None:
-            vline = victim[0]
-            vmask = owners.get(vline)
-            if vmask is not None:
-                vmask &= ~bit
-                if vmask:
-                    owners[vline] = vmask
-                else:
-                    del owners[vline]
-        sibling_mask = owners.get(line, 0) & ~bit
-        if write and sibling_mask:
-            for other in range(self.params.n_cores):
-                if sibling_mask >> other & 1:
-                    self._l1d[other].invalidate(line)
-            owners[line] = bit
-        else:
-            owners[line] = owners.get(line, 0) | bit
-        self.l2.access(line, write)
-
     def warm_block(
         self, core: int, addrs, meta, lo: int, hi: int
     ) -> None:
-        """Batched :meth:`warm_data` over ``addrs[lo:hi]``.
+        """Functional warm-up over ``addrs[lo:hi]``: the data path's L1,
+        owner-map and L2 state transitions, with no timing.
 
         ``addrs``/``meta`` are a trace's packed columns; ``FLAG_WRITE`` is
-        bit 0 of a meta word, so the write test needs no decode.  Same
-        state transitions reference-for-reference.  The L1 LRU update
-        is inlined (dict pop + reinsert on the cache's own sets) with *no*
-        stat counting: the warm/measure boundary resets every counter this
-        loop would have bumped, so skipping them is unobservable — while
-        cache/owner state lands exactly where :meth:`warm_data` puts it.
+        bit 0 of a meta word, so the write test needs no decode.  The L1
+        LRU update is inlined (dict pop + reinsert on the cache's own
+        sets) with *no* stat counting: the warm/measure boundary resets
+        every counter this loop would have bumped, so skipping them is
+        unobservable.  ``tests/test_hierarchy.py`` checks the state it
+        leaves against a per-reference walk.
         """
         l1 = self._l1d[core]
         sets = l1._sets
@@ -693,8 +665,3 @@ class SharedL2Hierarchy:
             busy = self.l2.stats.accesses * p.l2_occupancy
             probe.gauge("l2_port_occupancy",
                         busy / (p.l2_banks * elapsed))
-
-    @property
-    def l1d_caches(self) -> list[SetAssocCache]:
-        """The per-core L1D instances (for tests and counters)."""
-        return list(self._l1d)

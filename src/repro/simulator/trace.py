@@ -82,10 +82,9 @@ class Trace:
     """An immutable per-context event sequence plus workload metadata.
 
     The physical representation is two parallel 64-bit columns (``addrs``
-    and packed ``meta``); everything else — per-event field reads, the
-    decoded ``icounts``/``flags``/``regions`` views, slicing — is part of
-    the public accessor API so the storage format can evolve without test
-    churn (DESIGN.md §11).  A trace keeps no per-event derived state: the
+    and packed ``meta``); decoding — :meth:`accesses` and the decoded
+    ``icounts``/``flags``/``regions`` views — is the public accessor API
+    (DESIGN.md §11).  A trace keeps no per-event derived state: the
     cores derive what they need from the packed meta word where they use
     it (DESIGN.md §14).
 
@@ -136,51 +135,21 @@ class Trace:
         # never pays for statistics an experiment may not ask for.
         self._stats = None
 
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        icounts,
-        addrs,
-        flags,
-        regions,
-        footprints: list[CodeFootprint],
-        ilp: float = 1.5,
-        branch_mpki: float = 5.0,
-        ilp_inorder: float | None = None,
-    ) -> "Trace":
-        """Build a trace from the four logical per-event field sequences.
-
-        Convenience path for tests and reference implementations; the
-        engine-side builders pack events directly.
-        """
-        if not len(icounts) == len(addrs) == len(flags) == len(regions):
-            raise ValueError("trace arrays must have equal lengths")
-        meta = array("Q", (
-            pack_meta(ic, fl, rg)
-            for ic, fl, rg in zip(icounts, flags, regions)
-        ))
-        return cls(name, array("Q", addrs), meta, footprints,
-                   ilp=ilp, branch_mpki=branch_mpki, ilp_inorder=ilp_inorder)
-
     def __len__(self) -> int:
         return len(self.addrs)
 
     # -- aggregate statistics ------------------------------------------ #
 
-    def _scan(self) -> tuple[int, float, float]:
+    def _scan(self) -> tuple[int, float]:
         stats = self._stats
         if stats is None:
-            total = dep = wr = 0
+            total = dep = 0
             for m in self.meta:
                 total += m >> 24
                 if m & FLAG_DEPENDENT:
                     dep += 1
-                if m & FLAG_WRITE:
-                    wr += 1
             n = len(self.meta)
-            stats = self._stats = (
-                total, dep / n if n else 0.0, wr / n if n else 0.0)
+            stats = self._stats = (total, dep / n if n else 0.0)
         return stats
 
     @property
@@ -188,45 +157,13 @@ class Trace:
         """Instructions retired in one full pass over the trace."""
         return self._scan()[0]
 
-    @property
-    def total_references(self) -> int:
-        """Data references in one full pass over the trace."""
-        return len(self.addrs)
-
     def dependent_fraction(self) -> float:
         """Fraction of references flagged DEPENDENT (pointer chasing)."""
         return self._scan()[1]
 
-    def write_fraction(self) -> float:
-        """Fraction of references that are writes."""
-        return self._scan()[2]
-
     def distinct_lines(self) -> int:
         """Number of distinct cache lines referenced (data only)."""
         return len({a >> 6 for a in self.addrs})
-
-    # -- per-event accessors ------------------------------------------- #
-
-    def icount_at(self, i: int) -> int:
-        """Instructions retired before reference ``i``."""
-        return self.meta[i] >> 24
-
-    def addr_at(self, i: int) -> int:
-        """Byte address of reference ``i``."""
-        return self.addrs[i]
-
-    def flags_at(self, i: int) -> int:
-        """``FLAG_*`` bits of reference ``i``."""
-        return self.meta[i] & 0xFF
-
-    def region_at(self, i: int) -> int:
-        """Code-region id of reference ``i``."""
-        return (self.meta[i] >> 8) & 0xFFFF
-
-    def access_at(self, i: int) -> tuple[int, int, int, int]:
-        """Event ``i`` as ``(icount, addr, flags, region)``."""
-        m = self.meta[i]
-        return m >> 24, self.addrs[i], m & 0xFF, (m >> 8) & 0xFFFF
 
     def accesses(self):
         """Iterate events as ``(icount, addr, flags, region)`` tuples."""
@@ -249,23 +186,6 @@ class Trace:
     def regions(self) -> array:
         """Decoded per-event region column (fresh copy; analysis only)."""
         return array("H", ((m >> 8) & 0xFFFF for m in self.meta))
-
-    # -- views ---------------------------------------------------------- #
-
-    def sliced(self, lo: int = 0, hi: int | None = None) -> "Trace":
-        """The events ``[lo:hi)`` as a new trace sharing this metadata
-        (the column slices are copies)."""
-        if hi is None:
-            hi = len(self.addrs)
-        return Trace(
-            name=f"{self.name}[{lo}:{hi}]",
-            addrs=self.addrs[lo:hi],
-            meta=self.meta[lo:hi],
-            footprints=self.footprints,
-            ilp=self.ilp,
-            branch_mpki=self.branch_mpki,
-            ilp_inorder=self.ilp_inorder,
-        )
 
 
 class TraceBuilder:
@@ -363,18 +283,3 @@ class Workload:
     def total_instructions(self) -> int:
         """Instructions in one pass over every trace."""
         return sum(t.total_instructions for t in self.traces)
-
-    def client_view(self, indices) -> "Workload":
-        """A view of this bundle restricted to the clients in ``indices``.
-
-        Trace objects are shared, not copied; workload-level metadata is
-        carried over verbatim.
-        """
-        picked = [self.traces[i] for i in indices]
-        return Workload(
-            name=f"{self.name}#view",
-            traces=picked,
-            kind=self.kind,
-            saturated=self.saturated,
-            metadata=self.metadata,
-        )

@@ -89,8 +89,3 @@ class BufferRing:
         buf = self._buffers[self._next]
         self._next = (self._next + 1) % len(self._buffers)
         return buf
-
-    @property
-    def total_bytes(self) -> int:
-        """Combined footprint of the ring."""
-        return sum(b.bytes for b in self._buffers)

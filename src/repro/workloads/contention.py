@@ -25,7 +25,9 @@ first-class dimension of the study:
 - :class:`ContentionResult` — the executed schedule (per-committed-txn
   read/write sets with global sequence numbers), the committed database
   state, and the contention accounting (aborts, lock-wait, wasted work)
-  that the sweep layer folds into the simulator's breakdown.
+  that the sweep layer folds into the simulator's breakdown.  The
+  conflict-serializability oracle that checks every schedule lives in
+  ``tests/test_txn_serializability.py``.
 
 Why effects are commutative integers: both executors must produce the
 *same* committed state from the same seeded workload (the differential
@@ -54,9 +56,6 @@ __all__ = [
     "SkewSpec",
     "TxnRecord",
     "ZipfGenerator",
-    "conflict_edges",
-    "find_conflict_cycle",
-    "is_conflict_serializable",
     "simulate_contention",
 ]
 
@@ -379,7 +378,7 @@ class _TxnStream:
 
 
 # ---------------------------------------------------------------------- #
-# Results and the serializability oracle                                  #
+# Results                                                                 #
 # ---------------------------------------------------------------------- #
 
 @dataclass
@@ -435,85 +434,6 @@ class ContentionResult:
         """Aborted-attempt work as a fraction of all accounted slots."""
         total = self.busy_units + self.wasted_units + self.lock_wait_units
         return self.wasted_units / total if total else 0.0
-
-    def conflict_edges(self) -> set:
-        """Conflict-graph edges over the committed schedule."""
-        return conflict_edges(self.schedule)
-
-    def is_serializable(self) -> bool:
-        """True when the committed schedule's conflict graph is acyclic."""
-        return is_conflict_serializable(self.schedule)
-
-
-def conflict_edges(schedule: list) -> set:
-    """``(ts_a, ts_b)`` edges: a's op conflicts-before b's op.
-
-    Two operations conflict when they touch the same resource, come from
-    different transactions, and at least one writes; the edge points
-    from the transaction whose operation executed first (smaller global
-    sequence number).
-    """
-    by_resource: dict = {}
-    for rec in schedule:
-        for seq, resource, write in rec.ops:
-            by_resource.setdefault(resource, []).append(
-                (seq, rec.ts, write))
-    edges = set()
-    for accesses in by_resource.values():
-        accesses.sort()
-        for i, (_, ts_a, write_a) in enumerate(accesses):
-            for _, ts_b, write_b in accesses[i + 1:]:
-                if ts_a != ts_b and (write_a or write_b):
-                    edges.add((ts_a, ts_b))
-    return edges
-
-
-def find_conflict_cycle(schedule: list) -> list | None:
-    """A cycle in the conflict graph (as a ts list), or None.
-
-    Iterative three-color DFS — schedules can be long and Python's
-    recursion limit is not part of the oracle's contract.
-    """
-    edges = conflict_edges(schedule)
-    adjacency: dict = {}
-    for a, b in edges:
-        adjacency.setdefault(a, []).append(b)
-    for neighbors in adjacency.values():
-        neighbors.sort()
-    color: dict = {}
-    parent: dict = {}
-    for root in sorted(adjacency):
-        if color.get(root):
-            continue
-        stack = [(root, iter(adjacency.get(root, ())))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, 0) == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                    advanced = True
-                    break
-                if color.get(nxt) == 1:  # back edge: reconstruct cycle
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = 2
-                stack.pop()
-    return None
-
-
-def is_conflict_serializable(schedule: list) -> bool:
-    """Acyclicity of the committed schedule's conflict graph."""
-    return find_conflict_cycle(schedule) is None
 
 
 # ---------------------------------------------------------------------- #

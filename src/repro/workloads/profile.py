@@ -48,14 +48,6 @@ class TraceProfile:
     kernel: float
     module_instructions: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def footprint_mb(self) -> float:
-        return self.distinct_lines * 64 / (1024 * 1024)
-
-    @property
-    def instructions_per_reference(self) -> float:
-        return self.instructions / max(1, self.references)
-
 
 def profile_trace(trace: Trace) -> TraceProfile:
     """Compute a :class:`TraceProfile` for one trace."""

@@ -77,27 +77,6 @@ def _count_update(st, r):
     st[0] += 1
 
 
-#: (table, n_rows, seed) -> shared rid->row cache.  Virtual rows are a
-#: pure function of (rid, seed), so every database instance at the same
-#: scale serves identical tuples; bundle builds create several instances
-#: (saturated, unsaturated, parallel) and reuse each other's generated
-#: rows instead of recomputing them.  Rows are immutable tuples and
-#: per-instance writes go to the heap overlay, never this cache.
-_SHARED_ROWS: dict[tuple, dict[int, tuple]] = {}
-
-#: (table, n_rows, seed) -> shared page_no->row-block cache, the
-#: page-granular counterpart used by the fused scan drains.
-_SHARED_BLOCKS: dict[tuple, dict[int, list]] = {}
-
-
-def _shared_rows(table: str, n_rows: int, seed: int) -> dict[int, tuple]:
-    return _SHARED_ROWS.setdefault((table, n_rows, seed), {})
-
-
-def _shared_blocks(table: str, n_rows: int, seed: int) -> dict[int, list]:
-    return _SHARED_BLOCKS.setdefault((table, n_rows, seed), {})
-
-
 class TpchDatabase:
     """A populated TPC-H-like database instance.
 
@@ -145,9 +124,7 @@ class TpchDatabase:
             ]),
             n_virtual_rows=self.n_lineitem,
             row_source=self._lineitem_row,
-            row_cache=_shared_rows("lineitem", self.n_lineitem, self.seed),
             row_block_source=self._lineitem_block,
-            block_cache=_shared_blocks("lineitem", self.n_lineitem, self.seed),
         )
         self.orders = cat.create_table(
             Schema("orders", [
@@ -156,9 +133,7 @@ class TpchDatabase:
             ]),
             n_virtual_rows=self.n_orders,
             row_source=self._orders_row,
-            row_cache=_shared_rows("orders", self.n_orders, self.seed),
             row_block_source=self._orders_block,
-            block_cache=_shared_blocks("orders", self.n_orders, self.seed),
         )
         self.customer = cat.create_table(
             Schema("customer", [
@@ -168,9 +143,7 @@ class TpchDatabase:
             ]),
             n_virtual_rows=self.n_customers,
             row_source=self._customer_row,
-            row_cache=_shared_rows("customer", self.n_customers, self.seed),
             row_block_source=self._customer_block,
-            block_cache=_shared_blocks("customer", self.n_customers, self.seed),
         )
         self.part = cat.create_table(
             Schema("part", [
@@ -179,9 +152,7 @@ class TpchDatabase:
             ]),
             n_virtual_rows=self.n_parts,
             row_source=self._part_row,
-            row_cache=_shared_rows("part", self.n_parts, self.seed),
             row_block_source=self._part_block,
-            block_cache=_shared_blocks("part", self.n_parts, self.seed),
         )
         self.partsupp = cat.create_table(
             Schema("partsupp", [
@@ -190,9 +161,7 @@ class TpchDatabase:
             ]),
             n_virtual_rows=self.n_partsupp,
             row_source=self._partsupp_row,
-            row_cache=_shared_rows("partsupp", self.n_partsupp, self.seed),
             row_block_source=self._partsupp_block,
-            block_cache=_shared_blocks("partsupp", self.n_partsupp, self.seed),
         )
         self.supplier = cat.create_table(
             Schema("supplier", [
@@ -200,7 +169,6 @@ class TpchDatabase:
             ]),
             n_virtual_rows=self.n_suppliers,
             row_source=self._supplier_row,
-            row_cache=_shared_rows("supplier", self.n_suppliers, self.seed),
         )
 
     @staticmethod

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.db.btree import BTreeIndex
 from repro.db.tracer import NullTracer
 from repro.simulator.addresses import AddressSpace
+from tests.btree_invariants import check_invariants
 
 
 def make_tree(order=8):
@@ -42,7 +43,7 @@ class TestBasics:
         for i in range(100):
             t.insert(i, i)
         assert t.height >= 3
-        t.check_invariants()
+        check_invariants(t)
 
     def test_search_after_many_splits(self):
         t = make_tree(order=4)
@@ -132,7 +133,7 @@ def test_btree_matches_dict(pairs):
     for k, v in pairs:
         t.insert(k, v)
         reference[k] = v
-    t.check_invariants()
+    check_invariants(t)
     assert list(t.items()) == sorted(reference.items())
     for k, v in reference.items():
         assert t.search(k) == v

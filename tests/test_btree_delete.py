@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.db.btree import BTreeIndex
 from repro.simulator.addresses import AddressSpace
+from tests.btree_invariants import check_invariants
 
 
 def make_tree(order=4):
@@ -34,7 +35,7 @@ class TestDelete:
             t.insert(k, k)
         for k in range(0, 200, 2):
             assert t.delete(k)
-        t.check_invariants()
+        check_invariants(t)
         for k in range(200):
             expect = None if k % 2 == 0 else k
             assert t.search(k) == expect
@@ -60,7 +61,7 @@ class TestDelete:
         removed = set(rng.sample(range(300), 180))
         for k in removed:
             t.delete(k)
-        t.check_invariants()
+        check_invariants(t)
         got = [k for k, _ in t.range(0, 300)]
         assert got == sorted(set(range(300)) - removed)
 
@@ -72,7 +73,7 @@ class TestDelete:
             t.delete(k)
         for k in range(50):
             t.insert(k, k + 1000)
-        t.check_invariants()
+        check_invariants(t)
         assert t.search(25) == 1025
 
 
@@ -94,7 +95,7 @@ def test_btree_delete_matches_dict(ops):
             expected = k in reference
             assert t.delete(k) == expected
             reference.pop(k, None)
-    t.check_invariants()
+    check_invariants(t)
     assert list(t.items()) == sorted(reference.items())
     for k, v in reference.items():
         assert t.search(k) == v

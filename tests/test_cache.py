@@ -91,7 +91,7 @@ class TestAccess:
         c = make_cache(size=4 * 1024, assoc=4)
         for line in range(1000):
             c.access(line, line % 3 == 0)
-        assert c.resident_lines <= c.n_sets * c.assoc
+        assert sum(map(len, c.snapshot_sets())) <= c.n_sets * c.assoc
 
     def test_distinct_sets_do_not_interfere(self):
         c = make_cache(size=2 * 64 * 4, assoc=2)
@@ -147,15 +147,7 @@ class TestStats:
         s = CacheStats(hits=3, misses=1)
         assert s.accesses == 4
         assert s.miss_rate == 0.25
-        assert s.hit_rate == 0.75
 
     def test_rates_empty(self):
         s = CacheStats()
-        assert s.miss_rate == 0.0 and s.hit_rate == 0.0
-
-    def test_flush_stats_resets(self):
-        c = make_cache()
-        c.access(1, False)
-        snap = c.flush_stats()
-        assert snap.misses == 1
-        assert c.stats.accesses == 0
+        assert s.miss_rate == 0.0

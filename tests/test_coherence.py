@@ -25,6 +25,12 @@ def make_smp(n=4, l2_kb=256):
 ADDR = 0x4000_0000
 
 
+def directory_state(h, addr):
+    """``(sharer_mask, dirty_owner)`` of the directory entry for ``addr``."""
+    line = addr >> 6
+    return h._sharers.get(line, 0), h._owner.get(line)
+
+
 class TestReadPath:
     def test_cold_read_goes_to_memory_exclusive(self):
         h = make_smp()
@@ -44,7 +50,7 @@ class TestReadPath:
         lat, level = h.data_access(1, ADDR, False, 0)
         assert level == MEM
         assert h.l2_caches[1].lookup(ADDR >> 6) == SHARED
-        mask, owner = h.directory_state(ADDR)
+        mask, owner = directory_state(h, ADDR)
         assert mask == 0b11 and owner is None
 
     def test_dirty_remote_read_is_coherence_transfer(self):
@@ -56,7 +62,7 @@ class TestReadPath:
         # Owner downgraded to SHARED; requester has SHARED.
         assert h.l2_caches[0].lookup(ADDR >> 6) == SHARED
         assert h.l2_caches[1].lookup(ADDR >> 6) == SHARED
-        _, owner = h.directory_state(ADDR)
+        _, owner = directory_state(h, ADDR)
         assert owner is None
 
 
@@ -66,7 +72,7 @@ class TestWritePath:
         lat, level = h.data_access(0, ADDR, True, 0)
         assert level == MEM
         assert h.l2_caches[0].lookup(ADDR >> 6) == MODIFIED
-        _, owner = h.directory_state(ADDR)
+        _, owner = directory_state(h, ADDR)
         assert owner == 0
 
     def test_write_to_shared_upgrades_and_invalidates(self):
@@ -78,7 +84,7 @@ class TestWritePath:
         assert lat == h.params.upgrade_latency
         assert h.l2_caches[0].lookup(ADDR >> 6) == MODIFIED
         assert h.l2_caches[1].lookup(ADDR >> 6) is None
-        mask, owner = h.directory_state(ADDR)
+        mask, owner = directory_state(h, ADDR)
         assert mask == 0b1 and owner == 0
 
     def test_write_to_dirty_remote_transfers_and_invalidates(self):
@@ -89,7 +95,7 @@ class TestWritePath:
         assert lat == h.params.coherence_latency
         assert h.l2_caches[0].lookup(ADDR >> 6) is None
         assert h.l2_caches[1].lookup(ADDR >> 6) == MODIFIED
-        mask, owner = h.directory_state(ADDR)
+        mask, owner = directory_state(h, ADDR)
         assert mask == 0b10 and owner == 1
 
     def test_exclusive_silent_upgrade_on_l1_write_hit(self):
@@ -141,7 +147,7 @@ class TestDirectoryConsistency:
     def test_l2_hit_after_l1_eviction(self):
         h = make_smp()
         h.data_access(0, ADDR, False, 0)
-        l1 = h.l1d_caches[0]
+        l1 = h._l1d[0]
         l1.invalidate(ADDR >> 6)
         lat, level = h.data_access(0, ADDR, False, 0)
         assert level == L2

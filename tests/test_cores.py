@@ -380,11 +380,12 @@ class TestBlockWork:
         while len(blocks) < 2 * n_events:
             core.step()
         computation = other = 0.0
+        events = [list(t.accesses()) for t in traces]
         for idx, pos, n_lines, jumped in blocks:
             trace = traces[idx]
-            icount, _, flags, region = trace.access_at(pos)
+            icount, _, flags, region = events[idx][pos]
             if pos and prev == (idx, pos - 1):
-                ref_jumped = (region != trace.region_at(pos - 1)
+                ref_jumped = (region != events[idx][pos - 1][3]
                               or bool(flags & FLAG_CODE_JUMP))
             else:
                 ref_jumped = True  # first block, rotation or wrap

@@ -105,7 +105,7 @@ class TestVirtual:
     def test_footprint_scales_with_rows(self):
         small = self.make(n=100)
         large = self.make(n=10_000)
-        assert large.footprint_bytes > 50 * small.footprint_bytes
+        assert large.n_pages > 50 * small.n_pages
 
 
 class TestAddressing:

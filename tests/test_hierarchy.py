@@ -38,7 +38,7 @@ class TestDataPath:
     def test_l1_evicted_line_hits_l2(self):
         h = make()
         h.data_access(0, COLD, False, 0.0)
-        h.l1d_caches[0].invalidate(COLD >> 6)
+        h._l1d[0].invalidate(COLD >> 6)
         lat, level = h.data_access(0, COLD, False, 0.0)
         assert level == L2
         assert lat >= h.l2_latency
@@ -61,7 +61,7 @@ class TestDataPath:
         h = make()
         h.data_access(0, COLD, True, 0.0)
         h.data_access(1, COLD, True, 0.0)  # transfer + invalidate core 0
-        assert (COLD >> 6) not in h.l1d_caches[0]
+        assert (COLD >> 6) not in h._l1d[0]
 
     def test_latency_derived_from_cacti(self):
         h = make(l2_mb=16.0)
@@ -87,9 +87,9 @@ class TestBankQueueing:
         h = make()
         line = COLD >> 6
         h.l2.access(line, False)  # make it an L2 hit
-        h.l1d_caches[0].invalidate(line)
+        h._l1d[0].invalidate(line)
         lat1, _ = h.data_access(0, COLD, False, 100.0)
-        h.l1d_caches[0].invalidate(line)
+        h._l1d[0].invalidate(line)
         lat2, _ = h.data_access(0, COLD, False, 100.0)
         assert lat2 > lat1  # second access waits for the bank
         assert h.stats.l2_queued_accesses == 1
@@ -108,9 +108,9 @@ class TestBankQueueing:
         h = make()
         line = COLD >> 6
         h.l2.access(line, False)
-        h.l1d_caches[0].invalidate(line)
+        h._l1d[0].invalidate(line)
         h.data_access(0, COLD, False, 100.0)
-        h.l1d_caches[0].invalidate(line)
+        h._l1d[0].invalidate(line)
         lat, _ = h.data_access(0, COLD, False, 500.0)  # long after
         assert lat == h.l2_latency
 
@@ -237,11 +237,52 @@ def _random_pattern(seed, n=600, cores=2):
 
 def _l1_state(h):
     """Full L1 state including LRU order (dicts are insertion-ordered)."""
-    return [[list(s.items()) for s in cache._sets] for cache in h.l1d_caches]
+    return [[list(s.items()) for s in cache._sets] for cache in h._l1d]
 
 
 def _l2_state(h):
     return [list(s.items()) for s in h.l2._sets]
+
+
+def _warm_data(h, core, addr, write):
+    """Reference warm-up of one reference, one state transition at a
+    time: the L1 access, the owner map (victim drop, write-invalidation
+    of sibling copies) and the L2 access, with no timing."""
+    line = addr >> 6 | h._line_tag[core]
+    hit, victim = h._l1d[core].access(line, write)
+    if hit:
+        return
+    owners = h._l1_owners
+    bit = 1 << core
+    if victim is not None:
+        vmask = owners.get(victim[0], 0) & ~bit
+        if vmask:
+            owners[victim[0]] = vmask
+        else:
+            owners.pop(victim[0], None)
+    sibling_mask = owners.get(line, 0) & ~bit
+    if write and sibling_mask:
+        for other in range(h.params.n_cores):
+            if sibling_mask >> other & 1:
+                h._l1d[other].invalidate(line)
+        owners[line] = bit
+    else:
+        owners[line] = owners.get(line, 0) | bit
+    h.l2.access(line, write)
+
+
+def _warm_blocks(h, pattern):
+    """Feed ``warm_block`` per-core runs exactly as Machine._warm does."""
+    addrs = [p[1] for p in pattern]
+    flags = [0x1 if p[2] else 0 for p in pattern]
+    i = 0
+    while i < len(pattern):
+        j = i
+        core = pattern[i][0]
+        while j < len(pattern) and pattern[j][0] == core:
+            j += 1
+        h.warm_block(core, addrs, flags, i, j)
+        i = j
 
 
 class TestWarm:
@@ -254,15 +295,16 @@ class TestWarm:
         a, b = make(), make()
         for core, addr, wr in pattern:
             a.data_access(core, addr, wr, 0.0)
-            b.warm_data(core, addr, wr)
+        _warm_blocks(b, pattern)
         for line in {addr >> 6 for _, addr, _ in pattern}:
             assert (line in a.l2) == (line in b.l2)
             for c in range(2):
-                assert ((line in a.l1d_caches[c])
-                        == (line in b.l1d_caches[c]))
+                assert ((line in a._l1d[c])
+                        == (line in b._l1d[c]))
 
     def test_warm_block_matches_warm_data_exactly(self):
-        """The batched warm loop lands byte-for-byte where warm_data does.
+        """The batched warm loop lands byte-for-byte where the
+        per-reference reference walk does.
 
         Compares full per-set dict contents *in insertion (LRU) order*,
         the owner map, and the L2 — not just membership — because the
@@ -271,18 +313,8 @@ class TestWarm:
         pattern = _random_pattern(11)
         a, b = make(), make()
         for core, addr, wr in pattern:
-            a.warm_data(core, addr, wr)
-        addrs = [p[1] for p in pattern]
-        flags = [0x1 if p[2] else 0 for p in pattern]
-        # Feed warm_block per-core runs exactly as Machine._warm does.
-        i = 0
-        while i < len(pattern):
-            j = i
-            core = pattern[i][0]
-            while j < len(pattern) and pattern[j][0] == core:
-                j += 1
-            b.warm_block(core, addrs, flags, i, j)
-            i = j
+            _warm_data(a, core, addr, wr)
+        _warm_blocks(b, pattern)
         assert _l1_state(a) == _l1_state(b)
         assert _l2_state(a) == _l2_state(b)
         assert a._l1_owners == b._l1_owners
@@ -294,16 +326,7 @@ class TestWarm:
         pattern = _random_pattern(12)
         a = make()
         a.begin_warm_log()
-        addrs = [p[1] for p in pattern]
-        flags = [0x1 if p[2] else 0 for p in pattern]
-        i = 0
-        while i < len(pattern):
-            j = i
-            core = pattern[i][0]
-            while j < len(pattern) and pattern[j][0] == core:
-                j += 1
-            a.warm_block(core, addrs, flags, i, j)
-            i = j
+        _warm_blocks(a, pattern)
         state = a.capture_warm_state()
         b = make()
         b.restore_warm_state(state)

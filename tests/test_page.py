@@ -77,7 +77,7 @@ class TestPAX:
         for col in range(s.n_columns):
             first = fmt.field_addr(BASE, 0, col)
             last = fmt.field_addr(BASE, fmt.capacity - 1, col)
-            ends.append((first, last + s.column_width(col)))
+            ends.append((first, last + s.columns[col].width))
         for (f1, e1), (f2, _) in zip(ends, ends[1:]):
             assert e1 <= f2, "minipages overlap"
         assert ends[-1][1] <= BASE + PAGE_SIZE
@@ -87,7 +87,7 @@ class TestPAX:
         fmt = PageFormat(s, PageLayout.PAX)
         a0 = fmt.field_addr(BASE, 0, 0)
         a1 = fmt.field_addr(BASE, 1, 0)
-        assert a1 - a0 == s.column_width(0)
+        assert a1 - a0 == s.columns[0].width
 
     def test_projection_touches_fewer_lines_than_nsm(self):
         """The PAX benefit: scanning one narrow column touches far fewer

@@ -3,7 +3,8 @@
 Cheap meta-tests that keep the library adoptable: every module and every
 public class/function carries a docstring, the package imports cleanly
 from a cold interpreter, the declared exports exist, and every public
-class/function is used by some code.
+class/function, and every public method of a public class, is used by
+some code.
 """
 
 import ast
@@ -17,8 +18,8 @@ import repro
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: Public definitions with no caller in the package, its examples or
-#: ``perf/``, kept on purpose.
+#: Public definitions (``name`` or ``Class.method``) with no caller in the
+#: package, its examples or ``perf/``, kept on purpose.
 ORPHAN_EXEMPT = {
     # The event-schema oracle: the telemetry tests check logs against it.
     ("core/telemetry.py", "validate_event"),
@@ -97,19 +98,28 @@ class TestHygiene:
         assert users == []
 
     def test_no_orphans(self):
-        """Every public top-level class or function under ``src/repro``
-        is used by name in code: an AST name, attribute or imported
-        name in the package, ``examples/`` or ``perf/``.  Docstrings do
-        not count, nor do a package ``__init__``'s re-exports."""
+        """Every public top-level class or function under ``src/repro``,
+        and every public method or property of a public class, is used
+        by name in code: an AST name, attribute or imported name in the
+        package, ``examples/`` or ``perf/``.  Docstrings do not count,
+        nor do a package ``__init__``'s re-exports."""
         root = Path(repro.__file__).parent
         defined = []
         for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root).as_posix()
             for node in ast.parse(path.read_text()).body:
-                if (isinstance(node, (ast.ClassDef, ast.FunctionDef,
-                                      ast.AsyncFunctionDef))
+                if not (isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
                         and not node.name.startswith("_")):
-                    defined.append(
-                        (path.relative_to(root).as_posix(), node.name))
+                    continue
+                defined.append((module, node.name, node.name))
+                if isinstance(node, ast.ClassDef):
+                    defined.extend(
+                        (module, f"{node.name}.{item.name}", item.name)
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                        and not item.name.startswith("_"))
         used = set()
         for tree_root in (root, REPO / "examples", REPO / "perf"):
             for path in tree_root.rglob("*.py"):
@@ -121,9 +131,10 @@ class TestHygiene:
                         used.add(node.attr)
                     elif isinstance(node, ast.ImportFrom) and not reexports:
                         used.update(alias.name for alias in node.names)
-        orphans = [f"{module}:{name}" for module, name in defined
+        orphans = [f"{module}:{qualname}"
+                   for module, qualname, name in defined
                    if name not in used
-                   and (module, name) not in ORPHAN_EXEMPT]
+                   and (module, qualname) not in ORPHAN_EXEMPT]
         assert not orphans, f"public names no code uses: {orphans}"
 
     def test_version_string(self):

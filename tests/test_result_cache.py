@@ -40,6 +40,11 @@ def _cache_files(root) -> list:
             for name in names if name.endswith(".pkl")]
 
 
+def _disk_bytes(cache) -> int:
+    """Payload bytes a cache holds on disk, as its budget counts them."""
+    return sum(os.path.getsize(path) for path in _cache_files(cache.root))
+
+
 @pytest.mark.slow
 class TestCacheAccounting:
     def test_miss_store_then_hit(self, tmp_path):
@@ -332,7 +337,7 @@ class TestLRUEviction:
     def _entry_size(self, tmp_path, result) -> int:
         probe = ResultCache(str(tmp_path / "probe"))
         probe.put(("probe",), result)
-        return probe.disk_bytes()
+        return _disk_bytes(probe)
 
     def test_store_evicts_oldest_until_within_budget(self, tmp_path,
                                                      result):
@@ -343,7 +348,7 @@ class TestLRUEviction:
         assert cache.evictions == 0
         cache.put(self._key(2), result)  # 3 entries > budget: evict oldest
         assert cache.evictions == 1
-        assert cache.disk_bytes() <= cache.budget_bytes
+        assert _disk_bytes(cache) <= cache.budget_bytes
         assert cache.get(self._key(0)) is None          # oldest: gone
         assert cache.get(self._key(1)) is not None
         assert cache.get(self._key(2)) is not None

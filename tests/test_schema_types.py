@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.db.page import PAGE_HEADER_BYTES, PageFormat, PageLayout
 from repro.db.schema import Schema
 from repro.db.types import Column, ColumnType, char, date, float64, int32, int64
 
@@ -28,8 +29,9 @@ class TestSchema:
         assert self.make().row_width == 8 + 4 + 10 + 8
 
     def test_offsets_cumulative(self):
-        s = self.make()
-        assert [s.column_offset(i) for i in range(4)] == [0, 8, 12, 22]
+        fmt = PageFormat(self.make(), PageLayout.NSM)
+        assert [fmt.field_addr(0, 0, i) - PAGE_HEADER_BYTES
+                for i in range(4)] == [0, 8, 12, 22]
 
     def test_column_index(self):
         s = self.make()
@@ -45,12 +47,6 @@ class TestSchema:
         with pytest.raises(ValueError):
             Schema("t", [])
 
-    def test_project_preserves_order_and_widths(self):
-        s = self.make()
-        p = s.project(["v", "id"])
-        assert [c.name for c in p.columns] == ["v", "id"]
-        assert p.row_width == 16
-
     def test_column_width(self):
         s = self.make()
-        assert s.column_width(2) == 10
+        assert s.columns[2].width == 10

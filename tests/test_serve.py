@@ -104,6 +104,7 @@ class TestDesignQuery:
         q = DesignQuery.from_dict(
             {"camp": "fc", "cores": 4.0, "l2_mb": 2, "banks": "4"})
         assert q == DesignQuery("fc", cores=4, l2_mb=2.0, banks=4)
+        assert type(q.cores) is int and type(q.banks) is int
         assert DesignQuery.from_dict(q.to_dict()) == q
 
     def test_wire_rejects_junk(self):
@@ -115,6 +116,46 @@ class TestDesignQuery:
             DesignQuery.from_dict(["fc"])
         with pytest.raises(ValueError):
             DesignQuery.from_dict({"camp": "fc", "cores": "many"})
+
+    @pytest.mark.parametrize("field,value", [
+        ("cores", 4.7), ("cores", "4.5"), ("cores", True),
+        ("banks", 2.5), ("banks", False), ("sockets", 2.9),
+        ("sockets", True), ("l2_mb", True), ("cores", math.inf),
+    ])
+    def test_wire_rejects_non_integral_and_bool(self, field, value):
+        """A count that is not a whole number, or a boolean, is an error,
+        never silently truncated into a different design."""
+        with pytest.raises(ValueError, match=field):
+            DesignQuery.from_dict({"camp": "fc", field: value})
+
+    @pytest.mark.parametrize("field", ["cores", "banks", "sockets", "l2_mb"])
+    def test_constructor_rejects_bool(self, field):
+        with pytest.raises(ValueError, match=field):
+            DesignQuery("fc", **{field: True})
+
+
+class TestWireErrors:
+    """Bad request lines get a typed ``bad-request`` reply before any
+    tier runs."""
+
+    def _dispatch(self, line):
+        server = DesignServer(_service(None), "127.0.0.1", 0)
+        return asyncio.run(server._dispatch(line))
+
+    @pytest.mark.parametrize("deadline", [
+        "NaN", '"nan"', "Infinity", '"inf"', "-Infinity", "0", "-1"])
+    def test_non_finite_or_non_positive_deadline(self, deadline):
+        reply = self._dispatch('{"op": "query", "query": {"camp": "fc"}, '
+                               f'"deadline_s": {deadline}}}')
+        assert reply["ok"] is False
+        assert reply["error"] == "bad-request"
+        assert "deadline_s" in reply["message"]
+
+    def test_truncating_query_field(self):
+        reply = self._dispatch(
+            '{"op": "query", "query": {"camp": "fc", "cores": 4.7}}')
+        assert (reply["ok"], reply["error"]) == (False, "bad-request")
+        assert "cores" in reply["message"]
 
 
 class TestCircuitBreaker:

@@ -8,7 +8,6 @@ from repro.simulator.trace import (
     FLAG_DEPENDENT,
     FLAG_STREAM,
     FLAG_WRITE,
-    Trace,
     TraceBuilder,
     Workload,
 )
@@ -29,7 +28,6 @@ class TestBuilder:
         assert list(tr.icounts) == [10, 20]
         assert list(tr.addrs) == [0x100, 0x200]
         assert tr.total_instructions == 30
-        assert tr.total_references == 2
 
     def test_empty_trace_builds_cleanly(self):
         # Zero-length traces are legal (a client that did no work): they
@@ -37,30 +35,15 @@ class TestBuilder:
         tr = TraceBuilder("t").build()
         assert len(tr) == 0
         assert tr.total_instructions == 0
-        assert tr.total_references == 0
         assert tr.dependent_fraction() == 0.0
-        assert tr.write_fraction() == 0.0
         assert tr.distinct_lines() == 0
         assert list(tr.accesses()) == []
-        assert len(tr.sliced(0, 0)) == 0
 
     def test_per_event_accessors(self):
         tr = build_trace([(10, 0x100, 0), (20, 0x240, FLAG_WRITE)])
-        assert tr.icount_at(1) == 20
-        assert tr.addr_at(1) == 0x240
-        assert tr.flags_at(1) == FLAG_WRITE
-        assert tr.region_at(1) == tr.region_at(0)
-        assert tr.access_at(0) == (10, 0x100, 0, tr.region_at(0))
-        assert list(tr.accesses()) == [tr.access_at(0), tr.access_at(1)]
-
-    def test_sliced_view_matches_naive_slice(self):
-        events = [(i + 1, 0x100 + 64 * i, i % 4) for i in range(10)]
-        tr = build_trace(events)
-        view = tr.sliced(3, 8)
-        assert list(view.accesses()) == list(tr.accesses())[3:8]
-        assert view.footprints is tr.footprints
-        assert (view.ilp, view.ilp_inorder, view.branch_mpki) == \
-            (tr.ilp, tr.ilp_inorder, tr.branch_mpki)
+        assert list(tr.accesses()) == [(10, 0x100, 0, 0),
+                                       (20, 0x240, FLAG_WRITE, 0)]
+        assert list(tr.regions) == [0, 0]
 
     def test_negative_icount_rejected(self):
         tb = TraceBuilder("t")
@@ -81,7 +64,6 @@ class TestBuilder:
             (1, 0x300, FLAG_DEPENDENT | FLAG_WRITE),
             (1, 0x400, 0),
         ])
-        assert tr.write_fraction() == 0.5
         assert tr.dependent_fraction() == 0.5
 
     def test_distinct_lines(self):

@@ -12,7 +12,8 @@ accesses, asserting:
   saturated machine performs (cyclic round-robin across client cursors);
 - field-for-field identical ``MachineResult``s when the same events enter
   the simulator through two independent construction paths (the packed
-  builder vs ``Trace.from_columns`` over the reference's field lists).
+  builder vs columns packed here, with ``pack_meta``, from the
+  reference's field lists).
 
 The reference is deliberately naive: if the packed representation ever
 drops, reorders, or mis-decodes a field, these tests name the first
@@ -21,6 +22,7 @@ diverging access instead of failing on an aggregate.
 
 import dataclasses
 import random
+from array import array
 
 import pytest
 
@@ -29,10 +31,15 @@ from repro.simulator.configs import fc_cmp
 from repro.simulator.machine import Machine
 from repro.simulator.trace import (
     MAX_EVENT_ICOUNT,
+    META_FLAGS_MASK,
+    META_ICOUNT_SHIFT,
+    META_REGION_MASK,
+    META_REGION_SHIFT,
     CodeFootprint,
     Trace,
     TraceBuilder,
     Workload,
+    pack_meta,
 )
 
 #: Shared with the determinism suites so machine geometry builds once.
@@ -67,11 +74,27 @@ FLAG_WRITE, FLAG_DEP, FLAG_KERNEL, FLAG_JUMP, FLAG_STREAM = (
     0x1, 0x2, 0x4, 0x8, 0x10)
 
 
+def access_at(trace, i):
+    """Event ``i`` of a columnar trace as ``(icount, addr, flags,
+    region)``, decoded from its two public columns by index."""
+    m = trace.meta[i]
+    return (m >> META_ICOUNT_SHIFT, trace.addrs[i], m & META_FLAGS_MASK,
+            m >> META_REGION_SHIFT & META_REGION_MASK)
+
+
+def from_events(name, events, footprints, **kw):
+    """A columnar trace packed straight from ``(icount, addr, flags,
+    region)`` tuples, bypassing :class:`TraceBuilder`."""
+    return Trace(name, array("Q", (e[1] for e in events)),
+                 array("Q", (pack_meta(e[0], e[2], e[3]) for e in events)),
+                 footprints, **kw)
+
+
 class ReferenceTrace:
     """The pre-columnar representation: one ``(icount, addr, flags,
     region)`` tuple per access, stored outright.
 
-    Implements the same accessor API as the columnar Trace by reading the
+    Implements the columnar Trace's aggregate statistics by reading the
     tuples directly — no packing, no bit twiddling — so any divergence
     between the two is a columnar-representation bug, not a shared one.
     """
@@ -87,12 +110,6 @@ class ReferenceTrace:
     def __len__(self):
         return len(self.events)
 
-    def access_at(self, i):
-        return self.events[i]
-
-    def accesses(self):
-        return iter(self.events)
-
     @property
     def total_instructions(self):
         return sum(e[0] for e in self.events)
@@ -102,16 +119,8 @@ class ReferenceTrace:
             return 0.0
         return sum(1 for e in self.events if e[2] & FLAG_DEP) / len(self.events)
 
-    def write_fraction(self):
-        if not self.events:
-            return 0.0
-        return sum(1 for e in self.events if e[2] & FLAG_WRITE) / len(self.events)
-
     def distinct_lines(self):
         return len({e[1] >> 6 for e in self.events})
-
-    def sliced(self, lo, hi):
-        return ReferenceTrace(self.name, self.events[lo:hi], self.footprints)
 
 
 def _gen_client(rng, profile, client):
@@ -183,14 +192,12 @@ def test_access_for_access_equality(kind, regime):
         assert len(tr) == len(ref)
         total += len(tr)
         assert list(tr.accesses()) == ref.events
+        assert list(tr.icounts) == [e[0] for e in ref.events]
+        assert list(tr.flags) == [e[2] for e in ref.events]
+        assert list(tr.regions) == [e[3] for e in ref.events]
         rng = random.Random(len(ref))
         for i in rng.sample(range(len(ref)), 200):
-            assert tr.access_at(i) == ref.access_at(i)
-            ic, addr, flags, region = ref.access_at(i)
-            assert tr.icount_at(i) == ic
-            assert tr.addr_at(i) == addr
-            assert tr.flags_at(i) == flags
-            assert tr.region_at(i) == region
+            assert access_at(tr, i) == ref.events[i]
     assert total >= 50_000
 
 
@@ -200,18 +207,17 @@ def test_aggregate_statistics_match_reference(kind, regime):
     for tr, ref in zip(columnar, reference):
         assert tr.total_instructions == ref.total_instructions
         assert tr.dependent_fraction() == ref.dependent_fraction()
-        assert tr.write_fraction() == ref.write_fraction()
         assert tr.distinct_lines() == ref.distinct_lines()
 
 
-def _interleave(traces, quantum, total):
+def _interleave(traces, quantum, total, at):
     """Reference replay order: cyclic round-robin, ``quantum`` accesses
     per client per turn — the multiplexed-context schedule a saturated
     machine applies when software threads outnumber hardware contexts.
 
-    Works on any representation exposing ``access_at``/``__len__``, so
-    the columnar and reference sides produce comparable ``(client,
-    event)`` sequences.
+    ``at(trace, i)`` reads event ``i`` of either representation, so the
+    columnar and reference sides produce comparable ``(client, event)``
+    sequences.
     """
     order = []
     cursors = [0] * len(traces)
@@ -221,7 +227,7 @@ def _interleave(traces, quantum, total):
             if n == 0:
                 continue
             for _ in range(quantum):
-                order.append((c, tr.access_at(cursors[c] % n)))
+                order.append((c, at(tr, cursors[c] % n)))
                 cursors[c] += 1
                 if len(order) == total:
                     return order
@@ -236,8 +242,9 @@ def test_replay_interleaving_matches_reference(kind, regime):
     columnar, reference = _cell(kind, regime)
     total = min(60_000, sum(len(t) for t in columnar) + 1_000)  # forces wrap
     for quantum in (1, 7, 64):
-        a = _interleave(columnar, quantum, total)
-        b = _interleave(reference, quantum, total)
+        a = _interleave(columnar, quantum, total, access_at)
+        b = _interleave(reference, quantum, total,
+                        lambda ref, i: ref.events[i])
         assert a == b
 
 
@@ -245,21 +252,12 @@ def test_replay_interleaving_matches_reference(kind, regime):
 @pytest.mark.parametrize("kind,regime", list(CELLS), ids=CELL_IDS)
 def test_machine_result_identical_across_construction_paths(kind, regime):
     """Two independent construction paths — the engine-side packed
-    builder vs ``Trace.from_columns`` over the reference's field lists —
-    must give field-for-field identical MachineResults."""
+    builder vs :func:`from_events` over the reference's tuples — must
+    give field-for-field identical MachineResults."""
     columnar, reference = _cell(kind, regime)
     rebuilt = [
-        Trace.from_columns(
-            name=tr.name,
-            icounts=[e[0] for e in ref.events],
-            addrs=[e[1] for e in ref.events],
-            flags=[e[2] for e in ref.events],
-            regions=[e[3] for e in ref.events],
-            footprints=ref.footprints,
-            ilp=tr.ilp,
-            branch_mpki=tr.branch_mpki,
-            ilp_inorder=tr.ilp_inorder,
-        )
+        from_events(tr.name, ref.events, ref.footprints, ilp=tr.ilp,
+                    branch_mpki=tr.branch_mpki, ilp_inorder=tr.ilp_inorder)
         for tr, ref in zip(columnar, reference)
     ]
     config = fc_cmp(n_cores=2, l2_nominal_mb=1.0, scale=SCALE)

@@ -6,8 +6,6 @@ the invariants the differential oracle checks on shaped workloads:
 
 - a build → freeze → thaw round-trip through the trace store preserves
   every access (and every piece of trace/workload metadata) exactly;
-- ``sliced`` views and ``client_view`` thread filtering agree with naive
-  Python list slicing/filtering over the decoded accesses;
 - degenerate shapes — zero-length traces, single-access traces — build,
   serialize, and replay cleanly.
 """
@@ -77,35 +75,6 @@ def test_store_roundtrip_preserves_every_access(per_client):
             [("m0", 0x2000, 8), ("m1", 0x4000, 8), ("m2", 0x6000, 8)]
         assert (thawed.ilp, thawed.ilp_inorder, thawed.branch_mpki) == \
             (1.8, 1.1, 4.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(events=EVENTS, cut=st.tuples(st.integers(0, 130), st.integers(0, 130)))
-def test_sliced_view_equals_naive_list_slice(events, cut):
-    tr = _build("s", events)
-    naive = _expected(events)
-    lo, hi = min(cut), max(cut)
-    view = tr.sliced(lo, hi)
-    assert list(view.accesses()) == naive[lo:hi]
-    assert len(view) == len(naive[lo:hi])
-    # And the open-ended form covers the tail.
-    assert list(tr.sliced(lo).accesses()) == naive[lo:]
-
-
-@settings(max_examples=25, deadline=None)
-@given(per_client=st.lists(EVENTS, min_size=1, max_size=5),
-       picks=st.lists(st.integers(0, 4), min_size=1, max_size=5))
-def test_client_view_equals_naive_thread_filtering(per_client, picks):
-    traces = [_build(f"c{i}", ev) for i, ev in enumerate(per_client)]
-    wl = Workload(name="prop", traces=traces, kind="oltp", saturated=True)
-    indices = [p % len(traces) for p in picks]
-    view = wl.client_view(indices)
-    naive = [traces[i] for i in indices]
-    assert view.n_clients == len(naive)
-    for got, want in zip(view.traces, naive):
-        assert got is want                   # shared, not copied
-        assert list(got.accesses()) == list(want.accesses())
-    assert (view.kind, view.saturated) == (wl.kind, wl.saturated)
 
 
 def _replay(traces, mode="throughput"):

@@ -26,11 +26,13 @@ class TestCodeRegistry:
         assert reg.region("exec.hashjoin") is reg.region("exec.hashjoin")
 
     def test_total_bytes(self):
-        reg = CodeRegistry(AddressSpace())
+        space = AddressSpace()
+        reg = CodeRegistry(space)
         reg.region("exec.hashjoin")
         reg.region("exec.filter")
-        assert reg.total_bytes == reg.region("exec.hashjoin").size + \
-            reg.region("exec.filter").size
+        reg.region("exec.hashjoin")
+        assert sum(r.size for r in space.regions) == \
+            reg.region("exec.hashjoin").size + reg.region("exec.filter").size
 
 
 class TestMemoryTracer:

@@ -14,7 +14,7 @@ import pytest
 from repro.core.parallel import WARM_FRACTIONS
 from repro.simulator.configs import fc_cmp
 from repro.simulator.machine import Machine
-from repro.simulator.trace import CodeFootprint, Trace, Workload
+from repro.simulator.trace import CodeFootprint, Trace, Workload, pack_meta
 from repro.workloads import driver
 from repro.workloads.tracestore import (
     ENV_TRACE_DIR,
@@ -51,12 +51,10 @@ def _tiny_workload(name="tiny"):
     traces = []
     for i in range(2):
         n = 50 + i
-        traces.append(Trace.from_columns(
+        traces.append(Trace(
             name=f"{name}-client-{i}",
-            icounts=array("I", range(1, n + 1)),
             addrs=array("Q", (0x4000_0000 + 64 * j for j in range(n))),
-            flags=array("B", (j % 8 for j in range(n))),
-            regions=array("H", (0 for _ in range(n))),
+            meta=array("Q", (pack_meta(j + 1, j % 8) for j in range(n))),
             footprints=[CodeFootprint(name="code", base=0x1000, n_lines=8)],
             ilp=2.0,
             branch_mpki=5.0,

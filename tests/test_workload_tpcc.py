@@ -6,6 +6,7 @@ import pytest
 
 from repro.simulator.trace import FLAG_DEPENDENT, FLAG_WRITE
 from repro.workloads.tpcc import TpccConfig, TpccDatabase, _nurand
+from tests.btree_invariants import check_invariants
 
 SCALE = 0.05
 
@@ -75,8 +76,8 @@ class TestSchemaPopulation:
         (At study scales >= 0.25 the cold set also exceeds 3x the largest
         cache; at this tiny test scale the dimension floors dominate, so
         assert the ratio instead.)"""
-        cold = tpcc.stock.footprint_bytes + tpcc.customer.footprint_bytes
-        assert cold > 8 * tpcc.item.footprint_bytes
+        cold = tpcc.stock.n_pages + tpcc.customer.n_pages
+        assert cold > 8 * tpcc.item.n_pages
 
     def test_secondary_set_exceeds_caches_at_study_scale(self):
         cfg = TpccConfig.from_scale(0.25)
@@ -127,7 +128,7 @@ class TestTransactions:
         tpcc.tx_delivery(sess, rng, home_w=0)
         after = pending(0)
         assert after < before
-        tpcc.new_order_idx.check_invariants()
+        check_invariants(tpcc.new_order_idx)
 
     def test_delivery_takes_oldest_order_first(self, tpcc):
         sess = tpcc.db.session("t-del2", traced=False)
