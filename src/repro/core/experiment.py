@@ -80,8 +80,7 @@ class Experiment:
 
     Attributes:
         settings: The resolved settings (the sweep fan-out default and
-            the resilience knobs of :meth:`run_many`, and the slow
-            tier's retries in :class:`~repro.serve.service.DesignService`).
+            the resilience knobs of :meth:`run_many`).
         sim_runs: Number of specs this experiment simulated (memo and
             disk-cache hits do not count) — the counter the
             determinism/cache tests assert on.

@@ -20,18 +20,6 @@ Grammar (directives separated by ``;``)::
                       index (deterministic per (seed, site, index, attempt))
     seed=N            seed for the probabilistic form (default 0)
 
-Service-tier sites (PR 7, DESIGN.md §12) — the serve suite drives the
-simulation tier's circuit breaker with these, indexed by the service's
-simulation sequence number rather than a sweep batch index::
-
-    stall@I[xN][:S]     the simulation request stalls S seconds (default
-                        30) before executing — models a stuck queue /
-                        hung worker; surfaces as a slow-tier timeout
-    slow@I[xN][:S]      the request is delayed S seconds (default 0.05)
-                        but still completes — latency degradation only
-    spurious@I[xN]      transient InjectedFault raised answering the
-                        request — models a flaky backend
-
 ``xN`` bounds how many *attempts* a fault fires on (default 1): ``exec@0``
 fails the first attempt at batch index 0 and lets the retry succeed, while
 ``exec@0x99`` keeps failing until retries are exhausted.  Probability draws
@@ -65,9 +53,6 @@ __all__ = [
     "maybe_crash",
     "maybe_hang",
     "maybe_raise",
-    "maybe_slow",
-    "maybe_spurious",
-    "maybe_stall",
 ]
 
 #: Exit status used by injected worker crashes (visible in pool logs).
@@ -81,16 +66,7 @@ DEFAULT_HANG_SECONDS = 3600.0
 #: pickle, so readers take the corrupt-entry recovery path.
 CORRUPT_PAYLOAD = b"repro-fault-injector: corrupted cache entry\n"
 
-#: Default sleep for service-tier ``stall`` faults: long enough that any
-#: sane slow-tier timeout fires first, short enough that a leaked worker
-#: thread does not outlive a test session the way a 3600 s hang would.
-DEFAULT_STALL_SECONDS = 30.0
-
-#: Default delay for service-tier ``slow`` faults: visible in latency
-#: percentiles, harmless to correctness.
-DEFAULT_SLOW_SECONDS = 0.05
-
-_SITES = ("crash", "hang", "exec", "corrupt", "stall", "slow", "spurious")
+_SITES = ("crash", "hang", "exec", "corrupt")
 
 
 class InjectedFault(RuntimeError):
@@ -239,37 +215,6 @@ def maybe_raise(index: int, attempt: int = 0) -> None:
     if plan is not None and plan.rule_for("exec", index, attempt):
         raise InjectedFault(
             f"injected transient failure (index {index}, attempt {attempt})")
-
-
-def maybe_stall(index: int, attempt: int = 0) -> None:
-    """Sleep long enough to trip the slow tier's timeout if a ``stall``
-    rule fires (service simulation tier; models a stuck queue)."""
-    plan = active_plan()
-    if plan is None:
-        return
-    rule = plan.rule_for("stall", index, attempt)
-    if rule is not None:
-        time.sleep(DEFAULT_STALL_SECONDS if rule.arg is None else rule.arg)
-
-
-def maybe_slow(index: int, attempt: int = 0) -> None:
-    """Delay (but complete) a service request if a ``slow`` rule fires."""
-    plan = active_plan()
-    if plan is None:
-        return
-    rule = plan.rule_for("slow", index, attempt)
-    if rule is not None:
-        time.sleep(DEFAULT_SLOW_SECONDS if rule.arg is None else rule.arg)
-
-
-def maybe_spurious(index: int, attempt: int = 0) -> None:
-    """Raise :class:`InjectedFault` if a ``spurious`` rule fires
-    (service simulation tier; models a flaky backend)."""
-    plan = active_plan()
-    if plan is not None and plan.rule_for("spurious", index, attempt):
-        raise InjectedFault(
-            f"injected spurious service failure (request {index}, "
-            f"attempt {attempt})")
 
 
 def corrupt_bytes(index: int | None, payload: bytes) -> bytes:

@@ -299,8 +299,9 @@ def execute(spec: RunSpec, scale: float,
     """Simulate one spec from scratch (no memoization, no cache).
 
     This is the single simulation path shared by ``Experiment.run``, the
-    pool workers, and cache-miss refills, which is what makes parallel
-    results bit-for-bit identical to serial ones.  ``probe`` is a
+    pool workers, cache-miss refills and the design service's slow tier,
+    which is what makes parallel and served results bit-for-bit
+    identical to serial ones.  ``probe`` is a
     :mod:`repro.simulator.profiling` observer (phase wall-times, event
     counts); it reads simulation outputs but never feeds anything back,
     so results are identical with or without one.
@@ -317,57 +318,6 @@ def execute(spec: RunSpec, scale: float,
         probe=probe,
         placement=spec.placement,
     )
-
-
-def execute_with_retries(
-    spec: RunSpec,
-    scale: float,
-    default_cycles: float = DEFAULT_MEASURE_CYCLES,
-    *,
-    retries: int = DEFAULT_RETRIES,
-    backoff: float = DEFAULT_BACKOFF,
-    index: int = 0,
-    pre_attempt=None,
-) -> MachineResult:
-    """Run one spec in the calling thread with bounded retries.
-
-    The interactive complement to :func:`run_specs`: a single
-    measurement executed where the caller stands (the serve tier runs
-    this inside its background executor), reusing the sweep layer's
-    retry/backoff semantics — attempt ``n`` sleeps ``backoff * 2**(n-1)``
-    before re-running, and the final failure propagates unchanged.
-
-    Args:
-        spec: The measurement.
-        scale: Study scale factor.
-        default_cycles: Window for specs without an override.
-        retries: Failed attempts to retry.
-        backoff: Base backoff seconds.
-        index: Identity handed to ``pre_attempt`` (the serve tier passes
-            its simulation sequence number so fault plans can target a
-            specific request).
-        pre_attempt: Optional ``(index, attempt)`` hook run before each
-            attempt — the injection point for service-tier chaos
-            (:func:`repro.core.faults.maybe_stall` and friends).
-
-    There is no in-thread timeout: nothing can preempt a running
-    simulation from inside its own thread, so deadline enforcement
-    belongs to the caller (the serve tier races the executor future
-    against its timeout and charges the breaker on expiry).
-    """
-    retries = max(0, int(retries))
-    backoff = max(0.0, float(backoff))
-    attempt = 0
-    while True:
-        try:
-            if pre_attempt is not None:
-                pre_attempt(index, attempt)
-            return execute(spec, scale, default_cycles)
-        except Exception:
-            attempt += 1
-            if attempt > retries:
-                raise
-            time.sleep(backoff * (2 ** (attempt - 1)))
 
 
 def prebuild_workloads(specs, scale: float, indices=None) -> int:

@@ -100,15 +100,14 @@ EVENT_SCHEMA: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     # svc_answer pair per admitted request; svc_shed records a typed
     # Overloaded rejection (the request never entered the system);
     # svc_coalesce marks a request that attached to another request's
-    # in-flight computation; svc_sim_fail is one failed slow-tier
-    # attempt batch; svc_breaker records every breaker transition.
+    # in-flight computation; svc_sim_fail is one slow-tier simulation
+    # that raised (answered from the model as "sim-failed").
     "svc_request": (("req", "query"), ("deadline_s",)),
     "svc_answer": (("req", "query", "tier", "wall_s"),
                    ("confidence", "degraded", "coalesced", "note")),
     "svc_shed": (("req", "pending"), ("retry_after_s",)),
     "svc_coalesce": (("req", "query", "leader"), ()),
     "svc_sim_fail": (("seq", "kind", "message"), ()),
-    "svc_breaker": (("state",), ("failures",)),
     # Contention sweep: one event per (cc_mode, theta) point — the
     # executor's accounting plus the simulator's attributed lock-wait
     # share, so ``repro stats`` can tabulate where time went as skew
@@ -334,9 +333,8 @@ def summarize(events: list[dict]) -> dict:
     - ``cache`` totals and per-call-site ``cache_by_source``,
     - ``service``: request/answer counts (answers split by tier),
       degraded/coalesced/shed totals, answer-latency percentiles
-      (p50/p95/p99 over ``svc_answer.wall_s``), slow-tier failures by
-      kind, and the breaker transition sequence — all zero for a log
-      without service events,
+      (p50/p95/p99 over ``svc_answer.wall_s``) and slow-tier failures by
+      kind — all zero for a log without service events,
     - ``points``: for each kind in :data:`POINT_EVENTS`, one row per
       event holding its schema fields (required, then optional; absent
       ones ``None``), sorted by the required fields.
@@ -357,7 +355,6 @@ def summarize(events: list[dict]) -> dict:
     answers_by_tier: dict[str, int] = {}
     answer_walls: list[float] = []
     sim_failures: dict[str, int] = {}
-    transitions: list[str] = []
     points: dict[str, list[dict]] = {kind: [] for kind in POINT_EVENTS}
     for event in events:
         ev = event.get("ev")
@@ -414,8 +411,6 @@ def summarize(events: list[dict]) -> dict:
         elif ev == "svc_sim_fail":
             kind = str(event.get("kind", "?"))
             sim_failures[kind] = sim_failures.get(kind, 0) + 1
-        elif ev == "svc_breaker":
-            transitions.append(str(event.get("state", "?")))
     spec_walls = [wall for _, wall in finished]
     busy = sum(wall for sweep, wall in finished if sweep in sweep_wall)
     capacity = sum(
@@ -440,7 +435,6 @@ def summarize(events: list[dict]) -> dict:
         service[f"answer_wall_p{pct}"] = round(
             percentile(answer_walls, pct), 6)
     service["sim_failures"] = sim_failures
-    service["breaker_transitions"] = transitions
     summary["service"] = service
     for kind, rows in points.items():
         required = EVENT_SCHEMA[kind][0]
@@ -505,9 +499,6 @@ def format_summary(summary: dict) -> str:
         ]
         if service["sim_failures"]:
             lines.append(f"sim failures:       {service['sim_failures']}")
-        if service["breaker_transitions"]:
-            lines.append("breaker:            "
-                         + " -> ".join(service["breaker_transitions"]))
     for kind, rows in summary["points"].items():
         if rows:
             headers = list(rows[0])

@@ -63,7 +63,6 @@ class BufferPool:
         self._clock: list[tuple[str, int]] = []
         self._clock_hand = 0
         self._ref_bit: dict[tuple[str, int], bool] = {}
-        self._pins: dict[tuple[str, int], int] = {}
         self.stats = BufferStats()
 
     # ------------------------------------------------------------------ #
@@ -106,13 +105,6 @@ class BufferPool:
         tracer.data(self._frame_addr(frame_no), write=True)
         return heap.page_base(page_no)
 
-    def pin(self, heap: HeapFile, page_no: int) -> None:
-        """Pin a page against eviction (must be resident)."""
-        key = (heap.name, page_no)
-        if key not in self._resident:
-            raise KeyError(f"page {key} not resident")
-        self._pins[key] = self._pins.get(key, 0) + 1
-
     # ------------------------------------------------------------------ #
     # Replacement                                                         #
     # ------------------------------------------------------------------ #
@@ -126,16 +118,11 @@ class BufferPool:
         self.stats.installs += 1
 
     def _evict_one(self) -> None:
-        """Second-chance clock sweep; skips pinned pages.
-
-        Raises:
-            RuntimeError: if every page is pinned.
-        """
-        swept = 0
-        limit = 2 * len(self._clock) + 1
-        while swept < limit:
+        """Second-chance clock sweep: evicts the first resident page
+        whose reference bit is clear, clearing bits as it passes."""
+        while True:
             key = self._clock[self._clock_hand]
-            if key in self._resident and self._pins.get(key, 0) == 0:
+            if key in self._resident:
                 if self._ref_bit.get(key, False):
                     self._ref_bit[key] = False
                 else:
@@ -145,8 +132,6 @@ class BufferPool:
                     self._compact_if_sparse()
                     return
             self._clock_hand = (self._clock_hand + 1) % len(self._clock)
-            swept += 1
-        raise RuntimeError("buffer pool: all pages pinned, cannot evict")
 
     def _compact_if_sparse(self) -> None:
         """Rebuild the clock ring when most entries are stale."""

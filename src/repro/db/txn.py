@@ -221,10 +221,6 @@ class PartitionLockManager:
                 del self._owner[partition]
         return len(partitions)
 
-    def owner(self, partition: int) -> int | None:
-        """Transaction owning ``partition``, or None."""
-        return self._owner.get(partition)
-
 
 class LogManager:
     """Write-ahead log: a circular in-memory buffer with a hot tail pointer.

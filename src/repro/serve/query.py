@@ -6,14 +6,15 @@ simulator all key on — so a query has a canonical identity
 (:meth:`DesignQuery.key`) that request coalescing and the cache tier can
 share.  An :class:`Answer` carries the metrics plus full provenance: the
 ``tier`` that produced it (``model`` / ``cache`` / ``simulated``), a
-``confidence`` tag, and whether the service was degraded (breaker open)
-when it answered.  :class:`Overloaded` is the admission-control
-rejection: typed, carrying ``retry_after_s``, never an unbounded queue.
+``confidence`` tag, and whether it is a degraded model answer standing
+in for a simulation that failed.  :class:`Overloaded` is the
+admission-control rejection: typed, carrying ``retry_after_s``, never
+an unbounded queue.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, replace
 
 from ..core.parallel import REGIMES, RunSpec, WARM_FRACTIONS
@@ -37,7 +38,7 @@ TIERS = ("model", "cache", "simulated")
 
 #: Confidence tags: ``screened`` (model estimate, simulator never
 #: consulted), ``confirmed`` (simulator measurement), ``degraded``
-#: (model estimate because the simulation tier is unavailable).
+#: (model estimate because the simulation failed).
 CONFIDENCES = ("screened", "confirmed", "degraded")
 
 #: Core camps a query may name (the paper's fat/lean taxonomy).
@@ -92,6 +93,12 @@ class DesignQuery:
     placement: str = DEFAULT_PLACEMENT
 
     def __post_init__(self):
+        # Every check holds for any JSON value (a list or an object
+        # included): a bad field is a ValueError, never a TypeError.
+        for name in ("camp", "kind", "regime", "placement"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, "
+                                 f"got {getattr(self, name)!r}")
         if self.camp not in CAMPS:
             raise ValueError(f"unknown camp {self.camp!r}: expected one "
                              f"of {list(CAMPS)}")
@@ -104,7 +111,9 @@ class DesignQuery:
         if not _is_int(self.cores) or self.cores < 1:
             raise ValueError(f"cores must be a positive int, "
                              f"got {self.cores!r}")
-        if isinstance(self.l2_mb, bool) or not 0 < self.l2_mb < math.inf:
+        if (not isinstance(self.l2_mb, (int, float))
+                or isinstance(self.l2_mb, bool)
+                or not 0 < self.l2_mb <= sys.float_info.max):
             raise ValueError(f"l2_mb must be a finite positive number, "
                              f"got {self.l2_mb!r}")
         if (not _is_int(self.banks) or self.banks < 1
@@ -203,7 +212,7 @@ class DesignQuery:
                 if isinstance(doc["l2_mb"], bool):
                     raise TypeError
                 out["l2_mb"] = float(doc["l2_mb"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"l2_mb must be a number, "
                                  f"got {doc['l2_mb']!r}") from None
         for name in ("kind", "regime", "placement"):
@@ -238,16 +247,16 @@ class Answer:
         query: The question.
         tier: Which tier produced the metrics (one of :data:`TIERS`).
         confidence: One of :data:`CONFIDENCES`.
-        degraded: True when the simulation tier was unavailable
-            (breaker open) and the service fell back to the model.
-        payload: The metrics (tier-shaped; see DESIGN.md §12.2).
+        degraded: True when the simulation failed and the service fell
+            back to the model.
+        payload: The metrics (tier-shaped; see DESIGN.md §12.1).
         req: The service request sequence number that computed this.
         wall_s: Time from admission to answer, seconds (monotonic).
         coalesced: True for a request that shared another request's
             in-flight computation.
         note: Why the answer stopped at its tier (``"deadline"``,
-            ``"sim-queue-full"``, ``"breaker-open"``, ``"sim-failed"``,
-            or empty when the tier was simply the right one).
+            ``"sim-queue-full"``, ``"sim-failed"``, or empty when the
+            tier was simply the right one).
     """
 
     query: DesignQuery

@@ -1,10 +1,9 @@
 """`DesignService`: the async tiered query front end (DESIGN.md §12).
 
-The paper's subject is database servers that stay saturated and
-responsive under concurrent load; this module applies the same standard
-to the reproduction itself.  A :class:`DesignService` answers
-design/what-if queries (:class:`~repro.serve.query.DesignQuery`) through
-three tiers, fastest first:
+A :class:`DesignService` answers design/what-if queries
+(:class:`~repro.serve.query.DesignQuery`) — which core camp, L2 size
+and core count serve OLTP and DSS best — through three tiers, fastest
+first:
 
 1. **model** — the calibrated analytical model
    (:mod:`repro.model`), microseconds per answer, confidence
@@ -13,15 +12,13 @@ three tiers, fastest first:
    :class:`~repro.core.parallel.ResultCache`, a prior simulator
    measurement recalled, confidence ``confirmed``;
 3. **simulated** — a bounded background simulation queue that upgrades
-   the model estimate to a fresh simulator measurement (reusing the
-   sweep layer's retry/backoff via
-   :func:`~repro.core.parallel.execute_with_retries`), confidence
+   the model estimate to a fresh simulator measurement, confidence
    ``confirmed``.
 
-Robustness properties, each pinned by ``tests/test_serve*.py``:
+Properties, each pinned by ``tests/test_serve.py``:
 
-- **Admission control.**  At most ``max_pending`` requests are in the
-  system; request ``max_pending + 1`` is rejected with a typed
+- **Admission control.**  At most :data:`MAX_PENDING` requests are in
+  the system; the next one is rejected with a typed
   :class:`~repro.serve.query.Overloaded` carrying ``retry_after_s`` —
   the service never buffers unboundedly.
 - **Coalescing.**  Identical in-flight queries share one computation:
@@ -31,12 +28,10 @@ Robustness properties, each pinned by ``tests/test_serve*.py``:
   the slow tier cannot answer in time the request falls back to the
   model tier (note ``"deadline"``) while the computation keeps running
   for later requests to reuse.
-- **Graceful degradation.**  Slow-tier failures and timeouts feed a
-  :class:`~repro.serve.breaker.CircuitBreaker`; an open breaker routes
-  requests to model-tier answers marked ``degraded`` instead of
-  erroring, and half-open probes restore the tier when the backend
-  recovers.  Injected chaos (``REPRO_FAULTS`` sites ``stall``/``slow``/
-  ``spurious``) drives exactly these paths deterministically.
+- **Model fallbacks.**  A full simulation queue answers from the model
+  (note ``"sim-queue-full"``); a simulation that raises answers from
+  the model marked ``degraded`` (note ``"sim-failed"``).  The
+  simulation is deterministic, so it is run once, never retried.
 
 Every admitted request is logged through :mod:`repro.core.telemetry`
 (``svc_*`` events), making the event log the service's request log;
@@ -56,10 +51,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from ..core import faults
+from ..core import parallel
 from ..core.experiment import Experiment
-from ..core.parallel import execute_with_retries
-from .breaker import CLOSED, CircuitBreaker
 from .query import (
     Answer,
     DesignQuery,
@@ -70,15 +63,13 @@ from .query import (
 
 __all__ = ["DesignService"]
 
-#: Default bound on requests in the system (admission control).
-DEFAULT_MAX_PENDING = 64
+#: Bound on requests in the system (admission control).  Read at use,
+#: so a test can patch it.
+MAX_PENDING = 64
 
-#: Default bound on queued background simulations.
-DEFAULT_SIM_QUEUE_DEPTH = 8
-
-#: Default slow-tier timeout: generous for real simulations at study
-#: scale, small enough that a stalled worker trips the breaker quickly.
-DEFAULT_SIM_TIMEOUT_S = 60.0
+#: Bound on queued background simulations; a full queue answers from
+#: the model tier, it never blocks.  Read when the service starts.
+SIM_QUEUE_DEPTH = 8
 
 #: Fallback retry-after advice before any answer latency is observed.
 MIN_RETRY_AFTER_S = 0.05
@@ -88,51 +79,22 @@ class DesignService:
     """Async tiered design-query service over an :class:`Experiment`.
 
     Args:
-        exp: The experiment supplying scale, memo, result cache, and
-            the slow tier's retry knobs (``exp.settings.retries`` and
-            ``.backoff``); None builds a default one from the
-            environment knobs.
+        exp: The experiment supplying scale, memo and result cache;
+            None builds a default one from the environment knobs.
         model: A pre-fitted :class:`~repro.model.calibrate.CalibratedModel`;
             None calibrates one during :meth:`start` (the expensive part
             of startup — steady-state answers are then microseconds).
-        max_pending: Admission-control bound on requests in the system.
-        sim_queue_depth: Bound on queued background simulations; a full
-            queue degrades answers to the model tier, it never blocks.
         sim_workers: Background simulation consumers (and the size of
             the thread pool, plus one slot for calibration).
-        sim_timeout_s: Slow-tier per-request timeout; expiry counts as
-            a breaker failure.  None disables (not recommended).
-        breaker: A :class:`CircuitBreaker`; None builds the default.
-        clock: Monotonic clock (injectable for deterministic tests).
     """
 
     def __init__(self, exp: Experiment | None = None, model=None, *,
-                 max_pending: int = DEFAULT_MAX_PENDING,
-                 sim_queue_depth: int = DEFAULT_SIM_QUEUE_DEPTH,
-                 sim_workers: int = 1,
-                 sim_timeout_s: float | None = DEFAULT_SIM_TIMEOUT_S,
-                 breaker: CircuitBreaker | None = None,
-                 clock=time.monotonic):
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        if sim_queue_depth < 1:
-            raise ValueError(
-                f"sim_queue_depth must be >= 1, got {sim_queue_depth}")
+                 sim_workers: int = 1):
         if sim_workers < 1:
             raise ValueError(f"sim_workers must be >= 1, got {sim_workers}")
         self.exp = Experiment() if exp is None else exp
-        self.max_pending = int(max_pending)
-        self.sim_queue_depth = int(sim_queue_depth)
         self.sim_workers = int(sim_workers)
-        self.sim_timeout_s = sim_timeout_s
-        self._clock = clock
         self.telemetry = self.exp.telemetry
-        self.breaker = breaker if breaker is not None else CircuitBreaker(
-            clock=clock)
-        # Wire breaker transitions into the request log (idempotent if
-        # the caller installed their own observer: we only fill a hole).
-        if self.breaker.on_transition is None:
-            self.breaker.on_transition = self._on_breaker_transition
         self._model = model
         self._started = False
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -149,7 +111,7 @@ class DesignService:
                         "degraded": 0, "deadline_fallbacks": 0}
         self._answers_by_tier = {"model": 0, "cache": 0, "simulated": 0}
         self._sim_stats = {"enqueued": 0, "completed": 0, "failed": 0,
-                           "timeouts": 0, "rejected_full": 0}
+                           "rejected_full": 0}
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                           #
@@ -169,7 +131,7 @@ class DesignService:
         self._executor = ThreadPoolExecutor(
             max_workers=self.sim_workers + 1,
             thread_name_prefix="repro-serve")
-        self._sim_queue = asyncio.Queue(maxsize=self.sim_queue_depth)
+        self._sim_queue = asyncio.Queue(maxsize=SIM_QUEUE_DEPTH)
         self._workers = [self._loop.create_task(self._sim_worker())
                          for _ in range(self.sim_workers)]
         if self._model is None:
@@ -223,19 +185,19 @@ class DesignService:
 
         Raises:
             Overloaded: When admission control rejects the request
-                (``max_pending`` requests already in the system).
+                (:data:`MAX_PENDING` requests already in the system).
             ValueError: On a query the design space cannot express.
         """
         if not self._started:
             await self.start()
         req = self._req_seq = self._req_seq + 1
-        if self._pending >= self.max_pending:
+        if self._pending >= MAX_PENDING:
             retry_after = self._retry_after()
             self._counts["shed"] += 1
             self.telemetry.emit("svc_shed", req=req, pending=self._pending,
                                 retry_after_s=round(retry_after, 6))
             raise Overloaded(retry_after, self._pending)
-        t0 = self._clock()
+        t0 = time.monotonic()
         self._pending += 1
         self._counts["requests"] += 1
         self.telemetry.emit(
@@ -271,7 +233,7 @@ class DesignService:
             if deadline_s is None:
                 base = await asyncio.shield(fut)
             else:
-                remaining = deadline_s - (self._clock() - t0)
+                remaining = deadline_s - (time.monotonic() - t0)
                 if remaining <= 0:
                     raise asyncio.TimeoutError
                 base = await asyncio.wait_for(asyncio.shield(fut),
@@ -280,11 +242,12 @@ class DesignService:
             # The shield keeps the computation alive: a later identical
             # query (or this one retried) reuses it or hits the cache.
             self._counts["deadline_fallbacks"] += 1
-            answer = self._model_answer(query, req, note="deadline")
-            answer = replace(answer, wall_s=self._clock() - t0,
-                             coalesced=coalesced)
-            return self._account(answer)
-        wall = self._clock() - t0
+            prediction = self._predict(query)
+            return self._account(Answer(
+                query, "model", "screened", False,
+                model_payload(prediction), req, time.monotonic() - t0,
+                coalesced=coalesced, note="deadline"))
+        wall = time.monotonic() - t0
         if coalesced:
             answer = base.as_coalesced(req, wall)
         else:
@@ -310,12 +273,6 @@ class DesignService:
                     query, "model", "screened", False,
                     model_payload(prediction), req, 0.0,
                     note="sim-queue-full"))
-                return
-            if not self.breaker.allow():
-                self._resolve(fut, Answer(
-                    query, "model", "degraded", True,
-                    model_payload(prediction), req, 0.0,
-                    note="breaker-open"))
                 return
             seq = self._sim_seq
             self._sim_seq += 1
@@ -358,58 +315,23 @@ class DesignService:
                                    query.kind, query.regime,
                                    placement=query.placement)
 
-    def _model_answer(self, query: DesignQuery, req: int,
-                      note: str = "") -> Answer:
-        """A synchronous model-tier answer (deadline/degraded fallback)."""
-        degraded = self.breaker.state != CLOSED
-        return Answer(
-            query, "model", "degraded" if degraded else "screened",
-            degraded, model_payload(self._predict(query)), req, 0.0,
-            note=note)
-
-    def _simulate_blocking(self, seq: int, spec):
-        """The slow tier's thread body: chaos hooks, then the same
-        deterministic execution path every batch consumer uses."""
-
-        def pre_attempt(index: int, attempt: int) -> None:
-            faults.maybe_stall(index, attempt)
-            faults.maybe_slow(index, attempt)
-            faults.maybe_spurious(index, attempt)
-
-        return execute_with_retries(
-            spec, self.exp.scale, self.exp.measure_cycles,
-            retries=self.exp.settings.retries,
-            backoff=self.exp.settings.backoff,
-            index=seq, pre_attempt=pre_attempt)
-
     async def _sim_worker(self) -> None:
-        """Background consumer of the bounded simulation queue."""
+        """Background consumer of the bounded simulation queue.
+
+        Each simulation runs once, on the same deterministic
+        :func:`~repro.core.parallel.execute` path every batch consumer
+        uses: a run that raised would raise again, so there is no retry.
+        It is looked up on the module at each call, so a profiler (or a
+        test) that replaces ``parallel.execute`` sees served simulations.
+        """
         while True:
             seq, spec, exp_key, sim_fut = await self._sim_queue.get()
             try:
-                call = self._loop.run_in_executor(
-                    self._executor, self._simulate_blocking, seq, spec)
-                if self.sim_timeout_s is None:
-                    result = await call
-                else:
-                    result = await asyncio.wait_for(call,
-                                                    self.sim_timeout_s)
-            except asyncio.CancelledError:
-                raise
-            except (asyncio.TimeoutError, TimeoutError):
-                # The thread cannot be preempted; its eventual result is
-                # discarded.  The timeout itself is the breaker signal.
-                self._sim_stats["timeouts"] += 1
-                self._sim_stats["failed"] += 1
-                self.breaker.record_failure()
-                message = (f"no result within {self.sim_timeout_s:g}s")
-                self.telemetry.emit("svc_sim_fail", seq=seq,
-                                    kind="timeout", message=message)
-                if not sim_fut.done():
-                    sim_fut.set_exception(TimeoutError(message))
+                result = await self._loop.run_in_executor(
+                    self._executor, parallel.execute, spec, self.exp.scale,
+                    self.exp.measure_cycles)
             except Exception as exc:
                 self._sim_stats["failed"] += 1
-                self.breaker.record_failure()
                 message = f"{type(exc).__name__}: {exc}"
                 self.telemetry.emit("svc_sim_fail", seq=seq, kind="error",
                                     message=message)
@@ -417,7 +339,6 @@ class DesignService:
                     sim_fut.set_exception(exc)
             else:
                 self._sim_stats["completed"] += 1
-                self.breaker.record_success()
                 self.exp.sim_runs += 1
                 self.exp._store(exp_key, result, source="serve")
                 if not sim_fut.done():
@@ -428,9 +349,6 @@ class DesignService:
     # ------------------------------------------------------------------ #
     # Accounting and introspection                                        #
     # ------------------------------------------------------------------ #
-
-    def _on_breaker_transition(self, state: str, failures: int) -> None:
-        self.telemetry.emit("svc_breaker", state=state, failures=failures)
 
     def _account(self, answer: Answer) -> Answer:
         self._answers_by_tier[answer.tier] += 1
@@ -453,35 +371,31 @@ class DesignService:
         """Live service counters (JSON-ready)."""
         doc = dict(self._counts)
         doc["pending"] = self._pending
-        doc["max_pending"] = self.max_pending
+        doc["max_pending"] = MAX_PENDING
         doc["answers_by_tier"] = dict(self._answers_by_tier)
         doc["answers"] = sum(self._answers_by_tier.values())
         doc["sim"] = {
             **self._sim_stats,
             "queue_depth": (0 if self._sim_queue is None
                             else self._sim_queue.qsize()),
-            "queue_capacity": self.sim_queue_depth,
+            "queue_capacity": SIM_QUEUE_DEPTH,
         }
-        doc["breaker"] = self.breaker.snapshot()
         doc["cache"] = self.exp.cache_stats()
         doc["model_fitted"] = self._model is not None
         return doc
 
     def health(self) -> dict:
-        """Liveness/degradation summary (JSON-ready).
+        """Liveness summary (JSON-ready).
 
-        ``status`` is ``"ok"`` when the breaker is closed, else
-        ``"degraded"`` — an overloaded-but-healthy service still reports
-        ``ok`` because shedding is the designed response to overload,
-        not a failure of the service.
+        ``status`` is always ``"ok"`` for a service that answers: an
+        overloaded service sheds by design, and a failed simulation is
+        answered from the model.
         """
-        degraded = self.breaker.state != CLOSED
         return {
-            "status": "degraded" if degraded else "ok",
+            "status": "ok",
             "started": self._started,
             "pending": self._pending,
-            "max_pending": self.max_pending,
-            "breaker": self.breaker.state,
+            "max_pending": MAX_PENDING,
             "model_fitted": self._model is not None,
             "scale": self.exp.scale,
         }

@@ -82,9 +82,8 @@ class Trace:
     """An immutable per-context event sequence plus workload metadata.
 
     The physical representation is two parallel 64-bit columns (``addrs``
-    and packed ``meta``); decoding — :meth:`accesses` and the decoded
-    ``icounts``/``flags``/``regions`` views — is the public accessor API
-    (DESIGN.md §11).  A trace keeps no per-event derived state: the
+    and packed ``meta``); the decoded ``icounts``/``flags``/``regions``
+    views are the public accessor API (DESIGN.md §11).  A trace keeps no per-event derived state: the
     cores derive what they need from the packed meta word where they use
     it (DESIGN.md §14).
 
@@ -164,11 +163,6 @@ class Trace:
     def distinct_lines(self) -> int:
         """Number of distinct cache lines referenced (data only)."""
         return len({a >> 6 for a in self.addrs})
-
-    def accesses(self):
-        """Iterate events as ``(icount, addr, flags, region)`` tuples."""
-        for a, m in zip(self.addrs, self.meta):
-            yield m >> 24, a, m & 0xFF, (m >> 8) & 0xFFFF
 
     # -- decoded column views ------------------------------------------ #
 

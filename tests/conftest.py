@@ -5,7 +5,7 @@ pinned calibration grid through the simulator (seconds even at the tiny
 test scale), so a single session-scoped model is fitted once — under a
 cleared ``REPRO_FAULTS``, because the CI chaos job runs the whole suite
 with an ambient fault plan and calibration must stay deterministic —
-and shared by ``test_serve.py`` / ``test_serve_chaos.py``.
+and shared by the ``test_serve.py`` suites.
 """
 
 import pytest

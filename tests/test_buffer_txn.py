@@ -54,33 +54,6 @@ class TestBufferPool:
         assert pool.stats.installs - pool.stats.evictions <= 4
         assert pool.stats.evictions >= 6
 
-    def test_pinned_pages_survive_eviction(self):
-        space = AddressSpace()
-        heap = make_heap(space, rows=100 * 1000)
-        pool = BufferPool(space, capacity_pages=4)
-        pool.fetch(heap, 0)
-        pool.pin(heap, 0)
-        for p in range(1, 20):
-            pool.fetch(heap, p)
-        assert resident(pool, heap, 0)
-
-    def test_all_pinned_raises(self):
-        space = AddressSpace()
-        heap = make_heap(space, rows=100 * 1000)
-        pool = BufferPool(space, capacity_pages=2)
-        for p in range(2):
-            pool.fetch(heap, p)
-            pool.pin(heap, p)
-        with pytest.raises(RuntimeError):
-            pool.fetch(heap, 5)
-
-    def test_pin_nonresident_raises(self):
-        space = AddressSpace()
-        heap = make_heap(space)
-        pool = BufferPool(space)
-        with pytest.raises(KeyError):
-            pool.pin(heap, 0)
-
     def test_second_chance_prefers_unreferenced(self):
         space = AddressSpace()
         heap = make_heap(space, rows=100 * 1000)

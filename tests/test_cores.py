@@ -27,6 +27,7 @@ from repro.simulator.trace import (
     FLAG_WRITE,
     TraceBuilder,
 )
+from tests.trace_events import trace_events
 
 
 def make_trace(events, name="t", ilp=2.0, ilp_inorder=1.0):
@@ -380,7 +381,7 @@ class TestBlockWork:
         while len(blocks) < 2 * n_events:
             core.step()
         computation = other = 0.0
-        events = [list(t.accesses()) for t in traces]
+        events = [trace_events(t) for t in traces]
         for idx, pos, n_lines, jumped in blocks:
             trace = traces[idx]
             icount, _, flags, region = events[idx][pos]

@@ -65,10 +65,14 @@ class TestPlanParsing:
 
     @pytest.mark.parametrize("text", [
         "explode@1", "crash", "crash@one", "exec~lots", "crash@1x", "hang@1:soon",
+        # The design service's former sites are unknown sites now.
+        "stall@0", "slow@0", "spurious@0",
     ])
     def test_bad_directives_raise(self, text):
-        with pytest.raises(ValueError, match="REPRO_FAULTS"):
+        site = text.partition("@")[0].partition("~")[0]
+        with pytest.raises(ValueError, match="REPRO_FAULTS") as err:
             FaultPlan.parse(text)
+        assert site in str(err.value)
 
     def test_indexed_rule_fires_on_bounded_attempts(self):
         plan = FaultPlan.parse("exec@2x2")
@@ -223,53 +227,3 @@ class TestRecoveryDeterminism:
         # The rest of the grid still completed (fail_fast off).
         assert [r is not None for r in err.value.results] == [
             True, False, True]
-
-
-class TestServiceSites:
-    """The serve-tier sites (DESIGN.md §12.4): stall, slow, spurious."""
-
-    def test_inert_without_a_plan(self, no_faults, monkeypatch):
-        naps = []
-        monkeypatch.setattr(faults.time, "sleep", naps.append)
-        faults.maybe_stall(0)
-        faults.maybe_slow(0)
-        faults.maybe_spurious(0)
-        assert naps == []
-
-    def test_parse_accepts_service_sites(self):
-        plan = FaultPlan.parse("stall@1:3;slow~0.5;spurious@0x2;seed=3")
-        assert [r.site for r in plan.rules] == ["stall", "slow", "spurious"]
-        assert plan.rules[0].arg == 3.0
-        assert plan.rules[1].prob == 0.5
-        assert plan.rules[2].count == 2
-
-    def test_stall_sleeps_arg_or_default(self, monkeypatch):
-        naps = []
-        monkeypatch.setattr(faults.time, "sleep", naps.append)
-        monkeypatch.setenv("REPRO_FAULTS", "stall@2:3.5")
-        faults.maybe_stall(2)
-        faults.maybe_stall(1)  # other indices untouched
-        assert naps == [3.5]
-        monkeypatch.setenv("REPRO_FAULTS", "stall@0")
-        faults.maybe_stall(0)
-        assert naps == [3.5, faults.DEFAULT_STALL_SECONDS]
-
-    def test_slow_sleeps_arg_or_default(self, monkeypatch):
-        naps = []
-        monkeypatch.setattr(faults.time, "sleep", naps.append)
-        monkeypatch.setenv("REPRO_FAULTS", "slow@1:0.25")
-        faults.maybe_slow(1)
-        faults.maybe_slow(0)
-        assert naps == [0.25]
-        monkeypatch.setenv("REPRO_FAULTS", "slow@0")
-        faults.maybe_slow(0)
-        assert naps == [0.25, faults.DEFAULT_SLOW_SECONDS]
-
-    def test_spurious_raises_per_count_then_stops(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "spurious@0x2")
-        with pytest.raises(InjectedFault):
-            faults.maybe_spurious(0, attempt=0)
-        with pytest.raises(InjectedFault):
-            faults.maybe_spurious(0, attempt=1)
-        faults.maybe_spurious(0, attempt=2)  # count exhausted: retry passes
-        faults.maybe_spurious(1)             # other indices untouched

@@ -7,8 +7,10 @@ The contracts under test (DESIGN.md §12):
 - **Deadlines** — a request never waits past its budget: it falls back
   to the model tier while the shared computation survives for later
   requests.
-- **Admission control** — requests beyond ``max_pending`` are shed with
+- **Admission control** — requests beyond ``MAX_PENDING`` are shed with
   a typed :class:`Overloaded` carrying retry-after advice.
+- **Wire parsing** — any JSON request line gets an ``ok`` reply or a
+  typed ``bad-request``; the parser never raises.
 - **Bit-consistency** — a degraded (model-tier) answer carries exactly
   the fields a direct ``CalibratedModel.predict`` call returns, and a
   simulated answer exactly the fields of a direct ``Experiment.run``.
@@ -16,32 +18,30 @@ The contracts under test (DESIGN.md §12):
   ``svc_*`` events, and ``stats()``/``health()`` report live state.
 
 Everything here runs under a cleared ``REPRO_FAULTS`` (the CI chaos job
-sets an ambient plan for the whole suite); the injected-fault behaviour
-lives in ``test_serve_chaos.py``.
+sets an ambient plan for the whole suite).
 """
 
 import asyncio
+import json
 import math
 import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import telemetry
+from repro.core import parallel, telemetry
 from repro.core.experiment import Experiment
 from repro.serve import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
+    Answer,
     DesignQuery,
     DesignService,
     Overloaded,
 )
+from repro.serve import service as service_module
 from repro.serve.query import model_payload, simulated_payload
 from repro.serve.server import DesignServer
-
-
 
 SCALE = 0.01
 CYCLES = 5_000
@@ -61,19 +61,6 @@ def _experiment(**kwargs) -> Experiment:
 def _service(model, exp=None, **kwargs) -> DesignService:
     return DesignService(_experiment() if exp is None else exp, model,
                          **kwargs)
-
-
-class FakeClock:
-    """A hand-advanced monotonic clock for deterministic breaker tests."""
-
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
 
 
 class TestDesignQuery:
@@ -151,84 +138,129 @@ class TestWireErrors:
         assert reply["error"] == "bad-request"
         assert "deadline_s" in reply["message"]
 
+    @pytest.mark.parametrize("deadline", ["true", "false", "1e999999",
+                                          "[1]", '{"s": 1}'])
+    def test_non_number_deadline(self, deadline):
+        """A boolean is not a budget (``true`` is not 1 s), and a value
+        that is no number at all is a bad request, not a crash."""
+        reply = self._dispatch('{"op": "query", "query": {"camp": "fc"}, '
+                               f'"deadline_s": {deadline}}}')
+        assert (reply["ok"], reply["error"]) == (False, "bad-request")
+        assert "deadline_s" in reply["message"]
+
     def test_truncating_query_field(self):
         reply = self._dispatch(
             '{"op": "query", "query": {"camp": "fc", "cores": 4.7}}')
         assert (reply["ok"], reply["error"]) == (False, "bad-request")
         assert "cores" in reply["message"]
 
+    @pytest.mark.parametrize("line", [
+        '{"op": "query", "query": {"camp": "lc", "kind": ["oltp"]}}',
+        '{"op": "query", "query": {"camp": "lc", "regime": {"a": 1}}}',
+        '{"op": "query", "query": {"camp": ["lc"]}}',
+        '{"op": "query", "query": {"camp": "lc", "l2_mb": '
+        + "9" * 400 + "}}",
+        '{"op": "query", "query": {"camp": "lc", "cores": '
+        + "9" * 5000 + "}}",
+        "[" * 5000 + "]" * 5000,
+    ], ids=["list-kind", "object-regime", "list-camp", "float-overflow",
+            "digit-limit", "deep-nesting"])
+    def test_unparseable_values_are_typed(self, line):
+        """An unhashable field, a float overflow, an integer past the
+        interpreter's digit limit and deep nesting are bad requests."""
+        reply = self._dispatch(line)
+        assert (reply["ok"], reply["error"]) == (False, "bad-request")
 
-class TestCircuitBreaker:
-    def _breaker(self, **kwargs):
-        clock = FakeClock()
-        transitions = []
-        breaker = CircuitBreaker(
-            failure_threshold=kwargs.pop("failure_threshold", 2),
-            cooldown_s=kwargs.pop("cooldown_s", 5.0), clock=clock,
-            on_transition=lambda s, f: transitions.append(s), **kwargs)
-        return breaker, clock, transitions
 
-    def test_opens_at_threshold(self):
-        breaker, _, transitions = self._breaker()
-        breaker.record_failure()
-        assert breaker.state == CLOSED and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        assert transitions == [OPEN]
-        assert breaker.opens == 1
+#: Any JSON value (``allow_nan``: the parser reads ``NaN``/``Infinity``).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=6)
 
-    def test_success_resets_the_count(self):
-        breaker, _, _ = self._breaker()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
+#: A replacement value for one field, containers drawn more often: an
+#: unhashable value is what reaches past the type-free checks.
+_ANY = _JSON | st.lists(_JSON, max_size=2) | st.dictionaries(
+    st.text(max_size=3), _JSON, max_size=2)
 
-    def test_half_open_admits_one_probe(self):
-        breaker, clock, transitions = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(4.9)
-        assert not breaker.allow()
-        clock.advance(0.2)
-        assert breaker.allow()  # the probe
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # probe outstanding: everyone else waits
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-        assert transitions == [OPEN, HALF_OPEN, CLOSED]
+#: Valid wire values of each query field.
+_FIELDS = {
+    "camp": ["fc", "lc"],
+    "cores": [1, 2, 4, 8, 4.0, "4"],
+    "l2_mb": [1, 4.0, "26"],
+    "banks": [1, 4, 8],
+    "kind": ["oltp", "dss"],
+    "regime": ["saturated", "unsaturated"],
+    "sockets": [1, 2],
+    "placement": ["shared-everything", "island-partitioned", "hybrid"],
+}
 
-    def test_failed_probe_reopens(self):
-        breaker, clock, _ = self._breaker()
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(5.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert breaker.opens == 2
-        assert not breaker.allow()  # fresh cooldown
-        clock.advance(5.0)
-        assert breaker.allow()
 
-    def test_snapshot(self):
-        breaker, clock, _ = self._breaker()
-        assert breaker.snapshot()["state"] == CLOSED
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(2.0)
-        snap = breaker.snapshot()
-        assert snap["state"] == OPEN
-        assert snap["opens"] == 1
-        assert snap["cooldown_remaining_s"] == pytest.approx(3.0)
+@st.composite
+def _query(draw):
+    """A wire query: valid values in ``camp`` and a random subset of the
+    other fields, then one field (or an unknown one) set to any JSON
+    value."""
+    doc = {name: draw(st.sampled_from(values))
+           for name, values in _FIELDS.items()
+           if name == "camp" or draw(st.booleans())}
+    doc[draw(st.sampled_from([*_FIELDS, "bogus"]))] = draw(_ANY)
+    return doc
 
-    def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(cooldown_s=0.0)
+
+_REQUEST = st.fixed_dictionaries({"query": _query()}, optional={
+    "op": st.sampled_from(["query", "health", "stats"]) | _JSON,
+    "deadline_s": st.sampled_from([0.5, 1, "2"]) | _ANY,
+})
+
+
+class _StubService:
+    """Answers every admitted query from a canned model payload."""
+
+    async def submit(self, query, deadline_s=None):
+        return Answer(query, "model", "screened", False, {"ipc": 1.0},
+                      1, 0.0)
+
+    def health(self):
+        return {"status": "ok"}
+
+    def stats(self):
+        return {"requests": 0}
+
+
+class TestWireFuzz:
+    """Every request line gets one reply, ``ok`` or a typed
+    ``bad-request``; ``DesignServer._dispatch`` never raises."""
+
+    def _reply(self, doc) -> dict:
+        server = DesignServer(_StubService(), "127.0.0.1", 0)
+        reply = asyncio.run(server._dispatch(json.dumps(doc)))
+        assert reply["ok"] is True or reply["error"] == "bad-request"
+        json.dumps(reply)  # the reply line itself must encode
+        return reply
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_REQUEST)
+    def test_any_query_field_gets_a_typed_reply(self, doc):
+        self._reply(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_JSON)
+    def test_any_json_document_gets_a_typed_reply(self, doc):
+        self._reply(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(["camp", "cores", "l2_mb", "banks",
+                                  "kind", "regime", "sockets",
+                                  "placement"]),
+           value=_JSON)
+    def test_constructor_raises_only_value_error(self, field, value):
+        fields = {"camp": "fc", field: value}
+        try:
+            DesignQuery(**fields)
+        except ValueError:
+            pass
 
 
 @pytest.mark.slow
@@ -263,25 +295,41 @@ class TestTiersAndProvenance:
         assert answer.confidence == "confirmed"
         assert exp.sim_runs == 1  # recalled, not re-simulated
 
-    def test_degraded_answer_bit_consistent_with_model(self, serve_model):
+    def test_degraded_answer_bit_consistent_with_model(
+            self, serve_model, monkeypatch, tmp_path):
+        """A simulation that raises is run once, logged, and answered
+        from the model as ``sim-failed``."""
+        calls = []
+
+        def broken(*args):
+            calls.append(args)
+            raise RuntimeError("simulator down")
+
+        monkeypatch.setattr(parallel, "execute", broken)
+        log = str(tmp_path / "svc.jsonl")
         q = DesignQuery("fc", cores=4, l2_mb=2.0, banks=4, kind="oltp")
 
         async def go():
-            async with _service(serve_model) as svc:
-                for _ in range(svc.breaker.failure_threshold):
-                    svc.breaker.record_failure()
+            async with _service(serve_model,
+                                exp=_experiment(telemetry=log)) as svc:
                 return svc, await svc.submit(q)
 
         svc, answer = asyncio.run(go())
         assert answer.tier == "model"
         assert answer.degraded
         assert answer.confidence == "degraded"
-        assert answer.note == "breaker-open"
+        assert answer.note == "sim-failed"
+        assert len(calls) == 1  # deterministic: no retry
         assert svc.exp.sim_runs == 0
         direct = serve_model.predict(q.config(SCALE), q.kind,
                                      q.regime)
         assert answer.payload == model_payload(direct)
-        assert svc.health()["status"] == "degraded"
+        assert svc.stats()["sim"]["failed"] == 1
+        assert svc.health()["status"] == "ok"
+        (fail,) = [e for e in telemetry.load_events(log)
+                   if e["ev"] == "svc_sim_fail"]
+        assert (fail["kind"], fail["message"]) == (
+            "error", "RuntimeError: simulator down")
 
     def test_health_reports_ok_when_closed(self, serve_model):
         async def go():
@@ -290,7 +338,6 @@ class TestTiersAndProvenance:
 
         health = asyncio.run(go())
         assert health["status"] == "ok"
-        assert health["breaker"] == CLOSED
         assert health["model_fitted"]
 
 
@@ -337,13 +384,13 @@ class _GatedSim:
 
     def __init__(self, monkeypatch):
         self.release = threading.Event()
-        original = DesignService._simulate_blocking
+        original = parallel.execute
 
-        def gated(service, seq, spec):
+        def gated(*args):
             assert self.release.wait(10.0), "gated simulation leaked"
-            return original(service, seq, spec)
+            return original(*args)
 
-        monkeypatch.setattr(DesignService, "_simulate_blocking", gated)
+        monkeypatch.setattr(parallel, "execute", gated)
 
 
 @pytest.mark.slow
@@ -376,8 +423,10 @@ class TestDeadlinesAndOverload:
         q1 = DesignQuery("lc", cores=2, l2_mb=2.0, banks=4, kind="dss")
         q2 = DesignQuery("fc", cores=2, l2_mb=2.0, banks=4, kind="dss")
 
+        monkeypatch.setattr(service_module, "MAX_PENDING", 1)
+
         async def go():
-            async with _service(serve_model, max_pending=1) as svc:
+            async with _service(serve_model) as svc:
                 blocked = asyncio.create_task(svc.submit(q1))
                 while svc.stats()["pending"] < 1:
                     await asyncio.sleep(0.001)
@@ -401,9 +450,10 @@ class TestDeadlinesAndOverload:
         qs = [DesignQuery("lc", cores=2, l2_mb=mb, banks=4, kind="dss")
               for mb in (1.0, 2.0, 4.0)]
 
+        monkeypatch.setattr(service_module, "SIM_QUEUE_DEPTH", 1)
+
         async def go():
-            async with _service(serve_model, sim_queue_depth=1,
-                                sim_workers=1) as svc:
+            async with _service(serve_model, sim_workers=1) as svc:
                 tasks = []
                 for q in qs:
                     tasks.append(asyncio.create_task(svc.submit(q)))
@@ -420,8 +470,9 @@ class TestDeadlinesAndOverload:
         assert not answers[2].degraded
         assert svc.stats()["sim"]["rejected_full"] == 1
 
-    def test_concurrent_clients_conserve_requests(self, serve_model):
-        """Closed-loop clients over a small ``max_pending``: every issued
+    def test_concurrent_clients_conserve_requests(self, serve_model,
+                                                  monkeypatch):
+        """Closed-loop clients over a small ``MAX_PENDING``: every issued
         request is answered or shed with a typed rejection, and the
         service's counters agree with what the clients saw."""
         qs = [DesignQuery(camp, cores=2, l2_mb=mb, banks=4, kind="dss")
@@ -441,9 +492,11 @@ class TestDeadlinesAndOverload:
                 assert answer.tier in ("model", "cache", "simulated")
                 outcomes.append("answered")
 
+        monkeypatch.setattr(service_module, "MAX_PENDING", 2)
+        monkeypatch.setattr(service_module, "SIM_QUEUE_DEPTH", 1)
+
         async def go():
-            async with _service(serve_model, max_pending=2,
-                                sim_queue_depth=1) as svc:
+            async with _service(serve_model) as svc:
                 await asyncio.gather(*(client(svc, c) for c in range(4)))
                 return svc.stats()
 
@@ -467,9 +520,10 @@ class TestServiceTelemetry:
         q_other = DesignQuery("fc", cores=2, l2_mb=1.0, banks=4,
                               kind="dss")
 
+        monkeypatch.setattr(service_module, "MAX_PENDING", 2)
+
         async def go():
-            async with _service(serve_model, exp=exp,
-                                max_pending=2) as svc:
+            async with _service(serve_model, exp=exp) as svc:
                 gate.release.set()
                 await asyncio.gather(svc.submit(q), svc.submit(q))
                 gate.release.clear()

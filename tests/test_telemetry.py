@@ -187,7 +187,7 @@ class TestEventSchema:
             "spec_exec", "spec_retry", "spec_finished", "spec_failed",
             "cache_hit", "cache_miss", "cache_store",
             "svc_request", "svc_answer", "svc_shed", "svc_coalesce",
-            "svc_sim_fail", "svc_breaker", "contention_point",
+            "svc_sim_fail", "contention_point",
             "island_point"}
 
 
@@ -363,7 +363,6 @@ class TestOneSummary:
                    wall_s=0.001, coalesced=True),
             _event("svc_shed", req=3, pending=6, retry_after_s=0.5),
             _event("svc_sim_fail", seq=1, kind="error", message="boom"),
-            _event("svc_breaker", state="open", failures=1),
         ]
         log = _write_log(tmp_path / "svc.jsonl", events)
         service = summarize(load_events(log))["service"]
@@ -383,7 +382,6 @@ class TestOneSummary:
         assert "requests:           2 (shed 1)" in out
         assert "answers:            2 (cache 1, model 1; " in out
         assert "sim failures:       {'error': 1}" in out
-        assert "breaker:            open" in out
 
     def test_sweep_only_log_prints_no_service_or_point_block(self):
         events = [_event("sweep_start", sweep="s", n_specs=0, jobs=1,

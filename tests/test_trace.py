@@ -11,6 +11,7 @@ from repro.simulator.trace import (
     TraceBuilder,
     Workload,
 )
+from tests.trace_events import trace_events
 
 
 def build_trace(events, **kw):
@@ -37,12 +38,12 @@ class TestBuilder:
         assert tr.total_instructions == 0
         assert tr.dependent_fraction() == 0.0
         assert tr.distinct_lines() == 0
-        assert list(tr.accesses()) == []
+        assert trace_events(tr) == []
 
     def test_per_event_accessors(self):
         tr = build_trace([(10, 0x100, 0), (20, 0x240, FLAG_WRITE)])
-        assert list(tr.accesses()) == [(10, 0x100, 0, 0),
-                                       (20, 0x240, FLAG_WRITE, 0)]
+        assert trace_events(tr) == [(10, 0x100, 0, 0),
+                                    (20, 0x240, FLAG_WRITE, 0)]
         assert list(tr.regions) == [0, 0]
 
     def test_negative_icount_rejected(self):

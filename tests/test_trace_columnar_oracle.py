@@ -41,6 +41,7 @@ from repro.simulator.trace import (
     Workload,
     pack_meta,
 )
+from tests.trace_events import trace_events
 
 #: Shared with the determinism suites so machine geometry builds once.
 SCALE = 0.02
@@ -191,7 +192,7 @@ def test_access_for_access_equality(kind, regime):
     for tr, ref in zip(columnar, reference):
         assert len(tr) == len(ref)
         total += len(tr)
-        assert list(tr.accesses()) == ref.events
+        assert trace_events(tr) == ref.events
         assert list(tr.icounts) == [e[0] for e in ref.events]
         assert list(tr.flags) == [e[2] for e in ref.events]
         assert list(tr.regions) == [e[3] for e in ref.events]

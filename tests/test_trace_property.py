@@ -24,6 +24,7 @@ from repro.simulator.trace import (
     Workload,
 )
 from repro.workloads.tracestore import TraceStore
+from tests.trace_events import trace_events
 
 SCALE = 0.02
 
@@ -70,7 +71,7 @@ def test_store_roundtrip_preserves_every_access(per_client):
         (wl.name, wl.kind, wl.saturated, wl.metadata)
     assert len(got.traces) == len(traces)
     for thawed, events in zip(got.traces, per_client):
-        assert list(thawed.accesses()) == _expected(events)
+        assert trace_events(thawed) == _expected(events)
         assert [(f.name, f.base, f.n_lines) for f in thawed.footprints] == \
             [("m0", 0x2000, 8), ("m1", 0x4000, 8), ("m2", 0x6000, 8)]
         assert (thawed.ilp, thawed.ilp_inorder, thawed.branch_mpki) == \
@@ -87,7 +88,7 @@ def _replay(traces, mode="throughput"):
 class TestDegenerateShapes:
     def test_zero_length_trace_builds_and_serializes(self):
         tr = _build("empty", [])
-        assert len(tr) == 0 and list(tr.accesses()) == []
+        assert len(tr) == 0 and trace_events(tr) == []
         wl = Workload(name="z", traces=[tr, _build("live", [(5, 0x40, 0)])])
         with tempfile.TemporaryDirectory() as root:
             store = TraceStore(root)
@@ -95,7 +96,7 @@ class TestDegenerateShapes:
             got = store.get(("z", 0))
         assert got is not None
         assert len(got.traces[0]) == 0
-        assert list(got.traces[1].accesses()) == [(5, 0x40, 0, 0)]
+        assert trace_events(got.traces[1]) == [(5, 0x40, 0, 0)]
 
     def test_zero_length_trace_replays_cleanly(self):
         """An empty client alongside live ones cannot advance a context:

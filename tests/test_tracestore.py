@@ -23,6 +23,7 @@ from repro.workloads.tracestore import (
     TraceStore,
     store_for,
 )
+from tests.trace_events import trace_events
 
 #: Matches the determinism/golden suites so the process-level lru_cache
 #: shares the (expensive) builds with them in a full test run.
@@ -71,7 +72,7 @@ def _traces_equal(a: Workload, b: Workload) -> bool:
         if (ta.name, ta.ilp, ta.ilp_inorder, ta.branch_mpki) != \
                 (tb.name, tb.ilp, tb.ilp_inorder, tb.branch_mpki):
             return False
-        if list(ta.accesses()) != list(tb.accesses()):
+        if trace_events(ta) != trace_events(tb):
             return False
         if [(f.name, f.base, f.n_lines) for f in ta.footprints] != \
                 [(f.name, f.base, f.n_lines) for f in tb.footprints]:

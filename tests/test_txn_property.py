@@ -165,11 +165,11 @@ def test_partition_locks_single_owner(claims):
             plm.release_all(txn)
             owner = {p: t for p, t in owner.items() if t != txn}
         for p in range(8):
-            assert plm.owner(p) == owner.get(p)
+            assert plm._owner.get(p) == owner.get(p)
     for txn in range(4):
         plm.release_all(txn)
         owner = {p: t for p, t in owner.items() if t != txn}
-    assert all(plm.owner(p) is None for p in range(8))
+    assert plm._owner == {}
 
 
 _HASHSEED_SCRIPT = r"""
