@@ -41,7 +41,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from ..settings import Settings
+from ..settings import MAX_WAIT, Settings
 
 __all__ = [
     "CRASH_EXIT_CODE",
@@ -111,13 +111,24 @@ def _parse_directive(text: str) -> FaultRule:
         if ":" in rest:
             rest, _, arg_text = rest.partition(":")
             arg = float(arg_text)
+            if not 0 <= arg <= MAX_WAIT:
+                raise ValueError(
+                    f"arg must be >= 0 and <= {MAX_WAIT:.0f}, got {arg}")
         if prob is None:
             count = 1
             if "x" in rest:
                 rest, _, count_text = rest.partition("x")
                 count = int(count_text)
-            return FaultRule(site, index=int(rest), count=count, arg=arg)
-        return FaultRule(site, prob=float(rest), arg=arg)
+                if count < 1:
+                    raise ValueError(f"count must be >= 1, got {count}")
+            index = int(rest)
+            if index < 0:
+                raise ValueError(f"index must be >= 0, got {index}")
+            return FaultRule(site, index=index, count=count, arg=arg)
+        prob = float(rest)
+        if not 0 <= prob <= 1:
+            raise ValueError(f"probability must be in [0, 1], got {prob}")
+        return FaultRule(site, prob=prob, arg=arg)
     except ValueError as exc:
         raise ValueError(
             f"bad REPRO_FAULTS directive {text!r}: {exc}") from None
@@ -132,6 +143,13 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
+        """Parse a plan (grammar in the module docstring).
+
+        Raises:
+            ValueError: naming ``REPRO_FAULTS``, for an unknown site, a
+                malformed directive, or a count, index, probability or
+                argument out of range.
+        """
         rules: list[FaultRule] = []
         seed = 0
         for raw in text.split(";"):
@@ -139,7 +157,12 @@ class FaultPlan:
             if not raw:
                 continue
             if raw.startswith("seed="):
-                seed = int(raw[len("seed="):])
+                try:
+                    seed = int(raw[len("seed="):])
+                except ValueError:
+                    raise ValueError(
+                        f"bad REPRO_FAULTS seed {raw!r}: expected "
+                        "seed=<integer>") from None
                 continue
             rules.append(_parse_directive(raw))
         return cls(rules, seed=seed)

@@ -34,6 +34,18 @@ class HeapFile:
         n_virtual_rows: If > 0, the file is virtual with this many rows.
         row_source: Generator for virtual rows; required when
             ``n_virtual_rows`` > 0.
+        row_block_source: Optional generator of a page of virtual rows,
+            ``(start, stop) -> list``, row-for-row identical to
+            ``row_source``.
+
+    Neither generator may reference the table's owner (say, a bound
+    method of the workload object whose database holds this file): the
+    file keeps its generators for its whole life, so the owner would
+    close a reference cycle through it.  The engine is dead weight once
+    its traces are built, and only reference counting frees it promptly;
+    the simulation loops allocate too few containers to trigger the
+    cyclic collector.  Bind plain functions to the sizes they read
+    (``functools.partial``) instead.
     """
 
     def __init__(

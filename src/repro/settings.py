@@ -12,19 +12,23 @@ process environment.  Every knob follows one rule:
 The CLI overlays its flags with :func:`dataclasses.replace`, which runs
 the same validation, so ``--jobs 0`` and ``REPRO_JOBS=0`` fail alike.
 README.md tables each knob's type, default and valid values.  This
-module imports only the standard library.
+module imports only the standard library at import time; the
+``REPRO_FAULTS`` check imports :mod:`repro.core.faults` (which imports
+this module) when it first runs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 __all__ = [
     "DEFAULT_BACKOFF",
     "DEFAULT_RETRIES",
     "DEFAULT_SCALE",
+    "MAX_WAIT",
     "Settings",
     "SettingsError",
 ]
@@ -38,6 +42,10 @@ DEFAULT_RETRIES = 2
 
 #: Base backoff in seconds; attempt ``n`` sleeps ``backoff * 2**(n-1)``.
 DEFAULT_BACKOFF = 0.1
+
+#: The longest wait or sleep the platform accepts, in seconds; a longer
+#: timeout or backoff would raise OverflowError mid-sweep.
+MAX_WAIT = threading.TIMEOUT_MAX
 
 
 class SettingsError(ValueError):
@@ -62,6 +70,20 @@ def _integer(v) -> bool:
 
 def _path(v) -> bool:
     return v is None or (isinstance(v, str) and bool(v.strip()))
+
+
+def _fault_plan(v) -> bool:
+    if v is None:
+        return True
+    if not _path(v):
+        return False
+    # Imported at call time: repro.core.faults imports this module.
+    from .core.faults import FaultPlan
+    try:
+        FaultPlan.parse(v)
+    except ValueError:
+        return False
+    return True
 
 
 _BYTE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
@@ -98,20 +120,22 @@ _KNOBS = {
                      lambda v: v is None or (_integer(v) and v > 0),
                      "a byte count > 0, optionally suffixed k/m/g"),
     "timeout": ("REPRO_TIMEOUT", "--timeout", float,
-                lambda v: v is None or (_number(v) and v > 0),
-                "a number of seconds > 0"),
+                lambda v: v is None or (_number(v) and 0 < v <= MAX_WAIT),
+                f"a number of seconds > 0 and <= {MAX_WAIT:.0f}"),
     "retries": ("REPRO_RETRIES", "--retries", int,
                 lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "backoff": ("REPRO_BACKOFF", None, float,
-                lambda v: _number(v) and 0 <= v < math.inf,
-                "a number of seconds >= 0"),
+                lambda v: _number(v) and 0 <= v <= MAX_WAIT,
+                f"a number of seconds >= 0 and <= {MAX_WAIT:.0f}"),
     "fail_fast": ("REPRO_FAIL_FAST", "--fail-fast", _parse_bool,
                   lambda v: isinstance(v, bool),
                   "one of 1/0, true/false, yes/no, on/off"),
     "telemetry": ("REPRO_TELEMETRY", "--telemetry", str, _path,
                   "a directory or .jsonl path"),
     "trace_dir": ("REPRO_TRACE_DIR", None, str, _path, "a directory path"),
-    "faults": ("REPRO_FAULTS", None, str, _path, "a fault plan"),
+    "faults": ("REPRO_FAULTS", None, str, _fault_plan,
+               "a fault plan: ';'-separated site@index[xN][:arg], "
+               "site~prob[:arg] or seed=N directives"),
 }
 
 
@@ -144,8 +168,9 @@ class Settings:
         trace_dir: Trace-store root, or None for no store
             (``REPRO_TRACE_DIR``).
         faults: The raw fault-plan text, or None for no injection
-            (``REPRO_FAULTS``; :meth:`repro.core.faults.FaultPlan.parse`
-            parses it).
+            (``REPRO_FAULTS``); it must parse with
+            :meth:`repro.core.faults.FaultPlan.parse`, so a bad plan
+            fails here rather than at the first injection hook.
 
     Raises:
         SettingsError: When any field is out of range or mistyped.

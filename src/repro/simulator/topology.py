@@ -30,6 +30,7 @@ topology is active (DESIGN.md section 15).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 #: Deployment placements (Porobic et al.'s spectrum, coarsened to three):
@@ -114,8 +115,10 @@ class IslandTopology:
                 f"got {self.n_sockets!r}")
         for name in ("remote_l2_latency", "remote_mem_latency"):
             mult = getattr(self, name)
+            # The upper bound rejects inf and ints no float can hold
+            # (key() takes float()); NaN fails both comparisons.
             if not isinstance(mult, (int, float)) or isinstance(mult, bool) \
-                    or not mult >= 1.0 or mult != mult or mult == float("inf"):
+                    or not 1.0 <= mult <= sys.float_info.max:
                 raise ValueError(
                     f"{name} must be a finite multiplier >= 1, got {mult!r}")
         if self.cores_per_island is not None \

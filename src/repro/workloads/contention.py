@@ -44,8 +44,8 @@ what the contention measurements are made of.
 from __future__ import annotations
 
 import bisect
-import math
 import random
+import sys
 from dataclasses import dataclass, field
 
 from ..db.txn import LockConflict, LockManager, LockMode, validate_cc_mode
@@ -104,9 +104,11 @@ class SkewSpec:
     cross_rate: float | None = None
 
     def __post_init__(self):
+        # Bounded by the largest float, not math.isfinite, which raises
+        # OverflowError on an int no float can hold.
         if (not isinstance(self.theta, (int, float))
                 or isinstance(self.theta, bool)
-                or not math.isfinite(self.theta) or self.theta < 0):
+                or not 0 <= self.theta <= sys.float_info.max):
             raise ValueError(
                 f"skew_theta must be finite and >= 0, got {self.theta!r}")
         if self.hot_warehouses is not None and (
@@ -118,6 +120,7 @@ class SkewSpec:
                 f"got {self.hot_warehouses!r}")
         if self.cross_rate is not None and not (
                 isinstance(self.cross_rate, (int, float))
+                and not isinstance(self.cross_rate, bool)
                 and 0.0 <= self.cross_rate <= 1.0):
             raise ValueError(
                 f"cross_rate must be in [0, 1] or None, "
@@ -172,7 +175,12 @@ class ZipfGenerator:
         acc = 0.0
         cdf = []
         for k in range(n):
-            acc += 1.0 / (k + 1) ** theta
+            # A float base keeps an int theta off exact big-int powers;
+            # for a float theta it is the same pow.
+            try:
+                acc += 1.0 / float(k + 1) ** theta
+            except OverflowError:
+                pass  # the term is below 1e-308: acc (>= 1) keeps its bits
             cdf.append(acc)
         self._cdf = [c / acc for c in cdf]
 

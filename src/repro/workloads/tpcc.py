@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from ..db import Database, LockMode, Schema
 from ..db.computed_index import ComputedDenseIndex
@@ -94,6 +95,25 @@ def _nurand(rng: random.Random, a: int, x: int, y: int) -> int:
     c = 42  # constant per the spec's C-load rules; fixed for determinism
     return ((((rng.randrange(0, a + 1) | rng.randrange(x, y + 1)) + c)
              % (y - x + 1)) + x)
+
+
+# Row sources of the virtual tables.  Each reads only the config it is
+# bound to with functools.partial, never the TpccDatabase: the heap file
+# holds its generator, so one bound to the database would close a
+# reference cycle through it (see HeapFile).
+
+def _customer_row(cfg: TpccConfig, rid: int) -> tuple:
+    c = rid % cfg.customers_per_district
+    d = (rid // cfg.customers_per_district) % cfg.districts_per_wh
+    w = rid // (cfg.customers_per_district * cfg.districts_per_wh)
+    balance = -10.0 + (rid * 2654435761 % 1000) / 10.0
+    return (w, d, c, balance, 10.0, 1, "cdata")
+
+
+def _stock_row(items: int, rid: int) -> tuple:
+    w, i = divmod(rid, items)
+    qty = 10 + (rid * 2654435761 % 91)
+    return (w, i, qty, 0.0, 0, 0, "sdata")
 
 
 class TpccDatabase:
@@ -169,7 +189,7 @@ class TpccDatabase:
                 int64("c_payment_cnt"), char("c_data", 48),
             ]),
             n_virtual_rows=cfg.n_customers,
-            row_source=self._customer_row,
+            row_source=partial(_customer_row, cfg),
         )
         self.stock = cat.create_table(
             Schema("stock", [
@@ -178,7 +198,7 @@ class TpccDatabase:
                 int64("s_remote_cnt"), char("s_data", 24),
             ]),
             n_virtual_rows=cfg.n_stock,
-            row_source=self._stock_row,
+            row_source=partial(_stock_row, cfg.items),
         )
         self.orders = cat.create_table(Schema("orders", [
             int64("o_id"), int64("o_w_id"), int64("o_d_id"),
@@ -197,19 +217,6 @@ class TpccDatabase:
             int64("h_c_id"), int64("h_w_id"), int64("h_d_id"),
             float64("h_amount"), char("h_data", 24),
         ]))
-
-    def _customer_row(self, rid: int) -> tuple:
-        cfg = self.cfg
-        c = rid % cfg.customers_per_district
-        d = (rid // cfg.customers_per_district) % cfg.districts_per_wh
-        w = rid // (cfg.customers_per_district * cfg.districts_per_wh)
-        balance = -10.0 + (rid * 2654435761 % 1000) / 10.0
-        return (w, d, c, balance, 10.0, 1, "cdata")
-
-    def _stock_row(self, rid: int) -> tuple:
-        w, i = divmod(rid, self.cfg.items)
-        qty = 10 + (rid * 2654435761 % 91)
-        return (w, i, qty, 0.0, 0, 0, "sdata")
 
     def _populate(self) -> None:
         rng = random.Random(self.seed)

@@ -25,6 +25,7 @@ of cold scan footprint exist as addresses only.
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from ..db import Database, Schema
 from ..db import costs
@@ -77,6 +78,131 @@ def _count_update(st, r):
     st[0] += 1
 
 
+# Row sources of the virtual tables.  Each reads only the sizes it is
+# bound to with functools.partial, never the TpchDatabase: the heap file
+# holds its generators, so one bound to the database would close a
+# reference cycle through it (see HeapFile).
+
+def _mix(rid: int, salt: int) -> int:
+    """Deterministic per-row pseudo-random 31-bit value."""
+    x = (rid * 2654435761 + salt * 40503) & 0xFFFF_FFFF
+    x ^= x >> 15
+    x = (x * 2246822519) & 0xFFFF_FFFF
+    return (x >> 1) & 0x7FFF_FFFF
+
+
+def _lineitem_row(n_parts: int, n_suppliers: int, rid: int) -> tuple:
+    m = _mix(rid, 1)
+    return (
+        rid // 4,                      # l_orderkey
+        m % n_parts,                   # l_partkey
+        m % n_suppliers,               # l_suppkey
+        1 + m % 50,                    # l_quantity
+        900.0 + (m % 99_000) / 10.0,   # l_extendedprice
+        (m % 11) / 100.0,              # l_discount: 0.00-0.10
+        (m % 9) / 100.0,               # l_tax
+        m % 3,                         # l_returnflag
+        (m >> 4) % 2,                  # l_linestatus
+        m % 2556,                      # l_shipdate: days in 1992-1998
+        m % 7,                         # l_shipmode
+        "lpad",
+    )
+
+
+def _orders_row(n_customers: int, rid: int) -> tuple:
+    m = _mix(rid, 2)
+    return (rid, m % n_customers, m % 2556,
+            1000.0 + (m % 400_000) / 10.0, "opad")
+
+
+def _customer_row(rid: int) -> tuple:
+    m = _mix(rid, 3)
+    return (rid, m % 25, -999.0 + (m % 19_999) / 10.0, m % 5, "cpad")
+
+
+def _part_row(rid: int) -> tuple:
+    m = _mix(rid, 4)
+    return (rid, m % 25, m % 150, 1 + m % 50, "ppad")
+
+
+def _partsupp_row(n_suppliers: int, rid: int) -> tuple:
+    m = _mix(rid, 5)
+    return (rid // 4, m % n_suppliers, m % 10_000,
+            1.0 + (m % 1000) / 10.0)
+
+
+def _supplier_row(rid: int) -> tuple:
+    m = _mix(rid, 6)
+    return (rid, m % 25, "spad")
+
+
+# Page-granular bulk forms of the row sources, with :func:`_mix` inlined
+# (salt pre-multiplied by 40503): one call builds a whole page, which is
+# how the fused scan drains consume virtual tables.  Each must stay
+# row-for-row identical to its per-rid counterpart
+# (``tests/test_workload_tpch.py`` locks the equivalence down).
+
+def _lineitem_block(n_parts: int, n_supp: int, start: int,
+                    stop: int) -> list[tuple]:
+    out = []
+    app = out.append
+    for rid in range(start, stop):
+        x = (rid * 2654435761 + 40503) & 0xFFFF_FFFF
+        x ^= x >> 15
+        m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
+        app((rid // 4, m % n_parts, m % n_supp, 1 + m % 50,
+             900.0 + (m % 99_000) / 10.0, (m % 11) / 100.0,
+             (m % 9) / 100.0, m % 3, (m >> 4) % 2, m % 2556, m % 7,
+             "lpad"))
+    return out
+
+
+def _orders_block(n_cust: int, start: int, stop: int) -> list[tuple]:
+    out = []
+    app = out.append
+    for rid in range(start, stop):
+        x = (rid * 2654435761 + 81006) & 0xFFFF_FFFF
+        x ^= x >> 15
+        m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
+        app((rid, m % n_cust, m % 2556,
+             1000.0 + (m % 400_000) / 10.0, "opad"))
+    return out
+
+
+def _customer_block(start: int, stop: int) -> list[tuple]:
+    out = []
+    app = out.append
+    for rid in range(start, stop):
+        x = (rid * 2654435761 + 121509) & 0xFFFF_FFFF
+        x ^= x >> 15
+        m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
+        app((rid, m % 25, -999.0 + (m % 19_999) / 10.0, m % 5, "cpad"))
+    return out
+
+
+def _part_block(start: int, stop: int) -> list[tuple]:
+    out = []
+    app = out.append
+    for rid in range(start, stop):
+        x = (rid * 2654435761 + 162012) & 0xFFFF_FFFF
+        x ^= x >> 15
+        m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
+        app((rid, m % 25, m % 150, 1 + m % 50, "ppad"))
+    return out
+
+
+def _partsupp_block(n_supp: int, start: int, stop: int) -> list[tuple]:
+    out = []
+    app = out.append
+    for rid in range(start, stop):
+        x = (rid * 2654435761 + 202515) & 0xFFFF_FFFF
+        x ^= x >> 15
+        m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
+        app((rid // 4, m % n_supp, m % 10_000,
+             1.0 + (m % 1000) / 10.0))
+    return out
+
+
 class TpchDatabase:
     """A populated TPC-H-like database instance.
 
@@ -114,6 +240,20 @@ class TpchDatabase:
 
     def _build(self) -> None:
         cat = self.db.catalog
+        # The virtual tables' generators, bound to the sizes they read and
+        # never to self (see the comment above _mix).
+        n_parts, n_supp = self.n_parts, self.n_suppliers
+        self._lineitem_row = partial(_lineitem_row, n_parts, n_supp)
+        self._lineitem_block = partial(_lineitem_block, n_parts, n_supp)
+        self._orders_row = partial(_orders_row, self.n_customers)
+        self._orders_block = partial(_orders_block, self.n_customers)
+        self._customer_row = _customer_row
+        self._customer_block = _customer_block
+        self._part_row = _part_row
+        self._part_block = _part_block
+        self._partsupp_row = partial(_partsupp_row, n_supp)
+        self._partsupp_block = partial(_partsupp_block, n_supp)
+        self._supplier_row = _supplier_row
         self.lineitem = cat.create_table(
             Schema("lineitem", [
                 int64("l_orderkey"), int64("l_partkey"), int64("l_suppkey"),
@@ -170,118 +310,6 @@ class TpchDatabase:
             n_virtual_rows=self.n_suppliers,
             row_source=self._supplier_row,
         )
-
-    @staticmethod
-    def _mix(rid: int, salt: int) -> int:
-        """Deterministic per-row pseudo-random 31-bit value."""
-        x = (rid * 2654435761 + salt * 40503) & 0xFFFF_FFFF
-        x ^= x >> 15
-        x = (x * 2246822519) & 0xFFFF_FFFF
-        return (x >> 1) & 0x7FFF_FFFF
-
-    def _lineitem_row(self, rid: int) -> tuple:
-        m = self._mix(rid, 1)
-        return (
-            rid // 4,                      # l_orderkey
-            m % self.n_parts,              # l_partkey
-            m % self.n_suppliers,          # l_suppkey
-            1 + m % 50,                    # l_quantity
-            900.0 + (m % 99_000) / 10.0,   # l_extendedprice
-            (m % 11) / 100.0,              # l_discount: 0.00-0.10
-            (m % 9) / 100.0,               # l_tax
-            m % 3,                         # l_returnflag
-            (m >> 4) % 2,                  # l_linestatus
-            m % 2556,                      # l_shipdate: days in 1992-1998
-            m % 7,                         # l_shipmode
-            "lpad",
-        )
-
-    def _orders_row(self, rid: int) -> tuple:
-        m = self._mix(rid, 2)
-        return (rid, m % self.n_customers, m % 2556,
-                1000.0 + (m % 400_000) / 10.0, "opad")
-
-    def _customer_row(self, rid: int) -> tuple:
-        m = self._mix(rid, 3)
-        return (rid, m % 25, -999.0 + (m % 19_999) / 10.0, m % 5, "cpad")
-
-    def _part_row(self, rid: int) -> tuple:
-        m = self._mix(rid, 4)
-        return (rid, m % 25, m % 150, 1 + m % 50, "ppad")
-
-    def _partsupp_row(self, rid: int) -> tuple:
-        m = self._mix(rid, 5)
-        return (rid // 4, m % self.n_suppliers, m % 10_000,
-                1.0 + (m % 1000) / 10.0)
-
-    def _supplier_row(self, rid: int) -> tuple:
-        m = self._mix(rid, 6)
-        return (rid, m % 25, "spad")
-
-    # Page-granular bulk forms of the row sources, with :meth:`_mix`
-    # inlined (salt pre-multiplied by 40503): one call builds a whole
-    # page, which is how the fused scan drains consume virtual tables.
-    # Each must stay row-for-row identical to its per-rid counterpart
-    # (``tests/test_workload_tpch.py`` locks the equivalence down).
-
-    def _lineitem_block(self, start: int, stop: int) -> list[tuple]:
-        n_parts = self.n_parts
-        n_supp = self.n_suppliers
-        out = []
-        app = out.append
-        for rid in range(start, stop):
-            x = (rid * 2654435761 + 40503) & 0xFFFF_FFFF
-            x ^= x >> 15
-            m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
-            app((rid // 4, m % n_parts, m % n_supp, 1 + m % 50,
-                 900.0 + (m % 99_000) / 10.0, (m % 11) / 100.0,
-                 (m % 9) / 100.0, m % 3, (m >> 4) % 2, m % 2556, m % 7,
-                 "lpad"))
-        return out
-
-    def _orders_block(self, start: int, stop: int) -> list[tuple]:
-        n_cust = self.n_customers
-        out = []
-        app = out.append
-        for rid in range(start, stop):
-            x = (rid * 2654435761 + 81006) & 0xFFFF_FFFF
-            x ^= x >> 15
-            m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
-            app((rid, m % n_cust, m % 2556,
-                 1000.0 + (m % 400_000) / 10.0, "opad"))
-        return out
-
-    def _customer_block(self, start: int, stop: int) -> list[tuple]:
-        out = []
-        app = out.append
-        for rid in range(start, stop):
-            x = (rid * 2654435761 + 121509) & 0xFFFF_FFFF
-            x ^= x >> 15
-            m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
-            app((rid, m % 25, -999.0 + (m % 19_999) / 10.0, m % 5, "cpad"))
-        return out
-
-    def _part_block(self, start: int, stop: int) -> list[tuple]:
-        out = []
-        app = out.append
-        for rid in range(start, stop):
-            x = (rid * 2654435761 + 162012) & 0xFFFF_FFFF
-            x ^= x >> 15
-            m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
-            app((rid, m % 25, m % 150, 1 + m % 50, "ppad"))
-        return out
-
-    def _partsupp_block(self, start: int, stop: int) -> list[tuple]:
-        n_supp = self.n_suppliers
-        out = []
-        app = out.append
-        for rid in range(start, stop):
-            x = (rid * 2654435761 + 202515) & 0xFFFF_FFFF
-            x ^= x >> 15
-            m = (((x * 2246822519) & 0xFFFF_FFFF) >> 1) & 0x7FFF_FFFF
-            app((rid // 4, m % n_supp, m % 10_000,
-                 1.0 + (m % 1000) / 10.0))
-        return out
 
     # ------------------------------------------------------------------ #
     # The four queries                                                    #

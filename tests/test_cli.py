@@ -2,6 +2,9 @@
 
 import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,8 @@ from repro import cli
 from repro.cli import FIGURES, main
 from repro.core import experiment
 from repro.core.parallel import SweepError
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: The knobs the CLI flags override.
 FLAG_VARS = ("REPRO_SCALE", "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_TIMEOUT",
@@ -97,6 +102,25 @@ class TestCli:
     def test_negative_retries_rejected(self, capsys):
         assert main(["--retries", "-1", "table1"]) == 2
         assert "--retries" in capsys.readouterr().err
+
+    def test_bad_fault_plan_exits_2_before_running(self, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("REPRO_FAULTS", "explode@0")
+        ran = []
+        monkeypatch.setitem(FIGURES, "fig1",
+                            (lambda: ran.append("fig1") or "", False))
+        assert main(["--scale", "0.01", "fig1"]) == 2
+        assert "REPRO_FAULTS" in capsys.readouterr().err
+        assert not ran
+        # The same plan from a real process environment: exit status 2.
+        env = dict(os.environ, REPRO_FAULTS="explode@0",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--scale", "0.01", "fig1"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "REPRO_FAULTS" in proc.stderr
 
     def test_cache_stats_surfaced(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", "")

@@ -65,6 +65,9 @@ class TestPlanParsing:
 
     @pytest.mark.parametrize("text", [
         "explode@1", "crash", "crash@one", "exec~lots", "crash@1x", "hang@1:soon",
+        # Out of range: never fires, or fails only when it fires.
+        "exec@-1", "exec@0x0", "exec~1.5", "exec~nan", "hang@0:-1",
+        "hang@0:nan", "hang@0:1e300",
         # The design service's former sites are unknown sites now.
         "stall@0", "slow@0", "spurious@0",
     ])

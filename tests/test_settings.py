@@ -42,6 +42,17 @@ BAD_ENV = [
     ("REPRO_RETRIES", "-1"),
     ("REPRO_BACKOFF", "-0.5"),
     ("REPRO_FAIL_FAST", "maybe"),
+    # Wait and sleep bounds: longer raises OverflowError mid-sweep.
+    ("REPRO_TIMEOUT", "inf"),
+    ("REPRO_BACKOFF", "1e300"),
+    # A plan that FaultPlan.parse rejects fails here, not at the first
+    # injection hook.
+    ("REPRO_FAULTS", "explode@0"),
+    ("REPRO_FAULTS", "exec@one"),
+    ("REPRO_FAULTS", "exec@0x0"),
+    ("REPRO_FAULTS", "exec~1.5"),
+    ("REPRO_FAULTS", "hang@0:-1"),
+    ("REPRO_FAULTS", "crash@1;seed=x"),
 ]
 
 #: The path knobs: a blank path given directly (not read from the
