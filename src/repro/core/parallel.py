@@ -92,6 +92,10 @@ WARM_FRACTIONS = {"oltp": 0.15, "dss": 0.5}
 #: points: throughput-bound vs. response-time-bound).
 REGIMES = ("saturated", "unsaturated")
 
+#: Longest sleep before one retry, in seconds: the doubling backoff stops
+#: growing here, so a large retry budget waits minutes, not days.
+MAX_RETRY_DELAY = 60.0
+
 
 # ---------------------------------------------------------------------- #
 # Config identity                                                         #
@@ -489,6 +493,14 @@ def _terminate_pool(pool) -> None:
             pass
 
 
+def _retry_delay(backoff: float, attempt: int) -> float:
+    """Seconds to sleep before retry ``attempt`` (1-based):
+    ``backoff * 2**(attempt-1)``, capped at :data:`MAX_RETRY_DELAY`."""
+    # An unbounded exponent would overflow the float product; 64
+    # doublings put every backoff above 4e-18 s at the cap.
+    return min(backoff * 2 ** min(attempt - 1, 64), MAX_RETRY_DELAY)
+
+
 def _run_serial(specs, scale, default_cycles, indices, retries, backoff,
                 fail_fast, attempts, failures, finish,
                 telem=NULL_RECORDER, sweep: str | None = None) -> None:
@@ -516,7 +528,7 @@ def _run_serial(specs, scale, default_cycles, indices, retries, backoff,
                 telem.emit("spec_retry", sweep=sweep, index=i,
                            attempt=attempts[i], kind="error",
                            message=message)
-                time.sleep(backoff * (2 ** attempt))
+                time.sleep(_retry_delay(backoff, attempts[i]))
             else:
                 finish(i, result, time.monotonic() - t0)
                 break
@@ -568,7 +580,7 @@ def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
         else:
             telem.emit("spec_retry", sweep=sweep, index=index,
                        attempt=attempts[index], kind=kind, message=message)
-            delay = backoff * (2 ** (attempts[index] - 1))
+            delay = _retry_delay(backoff, attempts[index])
             if delay > 0:
                 time.sleep(delay)
             queue.append(index)
@@ -707,8 +719,8 @@ def run_specs(
             (or a value <= 0) means no limit.  Enforced only on the pool
             path — the serial fallback has no worker to kill.
         retries: Failed attempts each spec may retry.
-        backoff: Base backoff seconds; attempt ``n`` sleeps
-            ``backoff * 2**(n-1)``.
+        backoff: Base backoff seconds; retry ``n`` sleeps
+            ``backoff * 2**(n-1)``, at most :data:`MAX_RETRY_DELAY`.
         fail_fast: Abort the sweep on the first exhausted spec instead of
             finishing the rest.
         cache: A :class:`ResultCache` that receives each result the

@@ -47,14 +47,3 @@ class Catalog:
         )
         self._tables[schema.name] = heap
         return heap
-
-    def table(self, name: str) -> HeapFile:
-        """Look up a table.
-
-        Raises:
-            KeyError: if it does not exist.
-        """
-        heap = self._tables.get(name)
-        if heap is None:
-            raise KeyError(f"no table {name!r}")
-        return heap

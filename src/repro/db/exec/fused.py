@@ -1,4 +1,4 @@
-"""Fused plan drains: whole-pipeline loops emitting packed trace columns.
+"""Fused plan drains: whole-pipeline loops emitting packed trace events.
 
 The Volcano operators in this package are the *specification* of a query's
 event stream: one generator resumption and several tracer calls per tuple.
@@ -6,7 +6,7 @@ That per-tuple interpretation dominates trace-build time.  The functions
 here drain the three DSS plan shapes (scan→filter→aggregate, with a
 streaming or hashed tail, and scan→filter⋈scan→aggregate) in single flat
 loops that append precomputed packed meta words straight onto the trace
-columns via :meth:`~repro.db.tracer.MemoryTracer.emitters`.
+builder's columns via :meth:`~repro.db.tracer.MemoryTracer.emitters`.
 
 Equivalence contract (enforced by ``tests/test_fused_oracle.py``, which
 runs every call site against the generic operators): for the supported plan

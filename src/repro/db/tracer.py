@@ -7,9 +7,10 @@ Every storage and execution component calls into the active tracer:
 - :meth:`MemoryTracer.compute` to charge instructions of computation;
 - :meth:`MemoryTracer.data` when a modeled memory address is touched.
 
-Events are emitted straight into the columnar trace representation: one
-packed 64-bit meta word (``icount << 24 | region << 8 | flags``) plus one
-address per reference (DESIGN.md §11).  The fused builder loops in
+Events are emitted straight into the trace builder's columns: one packed
+64-bit meta word (``icount << 24 | region << 8 | flags``) plus one
+address per reference, which :meth:`TraceBuilder.build` interns into the
+trace's event table (DESIGN.md §11).  The fused builder loops in
 :mod:`repro.db.exec.fused` bypass the per-call interface entirely — they
 obtain the raw column appenders via :meth:`MemoryTracer.emitters` and the
 packed region bits via :meth:`MemoryTracer.region_bits`, emit precomputed

@@ -40,7 +40,8 @@ DEFAULT_SCALE = 0.25
 #: Bounded-retry budget per spec.
 DEFAULT_RETRIES = 2
 
-#: Base backoff in seconds; attempt ``n`` sleeps ``backoff * 2**(n-1)``.
+#: Base backoff in seconds; retry ``n`` sleeps ``backoff * 2**(n-1)``,
+#: capped at ``repro.core.parallel.MAX_RETRY_DELAY``.
 DEFAULT_BACKOFF = 0.1
 
 #: The longest wait or sleep the platform accepts, in seconds; a longer

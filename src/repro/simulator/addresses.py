@@ -1,10 +1,15 @@
-"""Synthetic 64-bit address space for the trace-driven simulator.
+"""Synthetic address space for the trace-driven simulator.
 
 The database engine does not manipulate real machine memory; it allocates
 *modeled* objects (pages, index nodes, code segments, thread-local scratch)
 inside a synthetic address space and emits references to those addresses.
 Only the addresses matter to the cache hierarchy, so the address space can be
 gigabytes wide while the Python process stays small.
+
+Addresses are unbounded integers here.  A built trace stores them in 32
+bits when they all fit, as every bundle at scale 1.0 does (TPC-C ends at
+``0x3c27_0000``), and in 64 bits otherwise: TPC-C at scale 4.0 reaches
+``0x2_c588_e000`` (DESIGN.md §11).
 
 Layout conventions
 ------------------

@@ -210,20 +210,20 @@ class PrivateL2Hierarchy:
         return self.l2_latency + p.mem_latency, MEM
 
     def warm_block(
-        self, core: int, addrs, meta, lo: int, hi: int
+        self, core: int, addrs, kinds, writes, lo: int, hi: int
     ) -> None:
-        """Functional warm-up over a trace's packed columns: the
+        """Functional warm-up over a trace's columns: the
         :meth:`data_access` state transitions, timing discarded.
 
-        ``FLAG_WRITE`` is bit 0 of a packed meta word, so the write test
-        needs no decode.  MESI transitions are too entangled to inline
-        profitably, so this only hoists the method lookup; counters
-        accumulate and are cleared by :meth:`reset_stats` at the
-        warm/measure boundary.
+        ``writes[k]`` is the ``FLAG_WRITE`` bit of event kind ``k`` (see
+        :meth:`.hierarchy.SharedL2Hierarchy.warm_block`).  MESI
+        transitions are too entangled to inline profitably, so this only
+        hoists the method lookup; counters accumulate and are cleared by
+        :meth:`reset_stats` at the warm/measure boundary.
         """
         access = self.data_access
         for i in range(lo, hi):
-            access(core, addrs[i], meta[i] & 0x1, 0.0)
+            access(core, addrs[i], writes[kinds[i]], 0.0)
 
     # ------------------------------------------------------------------ #
     # Instruction path (node-local; code is read-shared, no coherence)    #

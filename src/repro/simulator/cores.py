@@ -268,9 +268,9 @@ class _Context:
         self.quantum_left -= 1
         t = self.trace
         i = self.pos
-        # One packed-column read decodes the whole event (DESIGN.md §11).
-        m = t.meta[i]
-        return m >> 24, t.addrs[i], m & 0xFF, (m >> 8) & 0xFFFF
+        # One event-table unpack decodes the whole event (DESIGN.md §11).
+        icount, flags, region = t.events[t.kinds[i]]
+        return icount, t.addrs[i], flags, region
 
 
 class FatCore:
@@ -320,17 +320,14 @@ class FatCore:
         core_id = self.core_id
         # Inlined _Context.advance fast path: the overwhelmingly common
         # case is "next event of the same trace, same quantum" — no
-        # rotation, no wrap, one packed-column decode.
+        # rotation, no wrap, one event-table decode.
         pos = ctx.pos + 1
         if pos < ctx.n and (ctx.quantum_left > 0 or len(ctx.traces) == 1):
             ctx.pos = pos
             ctx.quantum_left -= 1
             trace = ctx.trace
-            m = trace.meta[pos]
-            icount = m >> 24
+            icount, flags, region = trace.events[trace.kinds[pos]]
             addr = trace.addrs[pos]
-            flags = m & 0xFF
-            region = (m >> 8) & 0xFFFF
         else:
             icount, addr, flags, region = ctx.advance()
             trace = ctx.trace
@@ -511,11 +508,8 @@ class LeanCore:
             ctx.pos = pos
             ctx.quantum_left -= 1
             trace = ctx.trace
-            m = trace.meta[pos]
-            icount = m >> 24
+            icount, flags, region = trace.events[trace.kinds[pos]]
             addr = trace.addrs[pos]
-            flags = m & 0xFF
-            region = (m >> 8) & 0xFFFF
         else:
             icount, addr, flags, region = ctx.advance()
             trace = ctx.trace

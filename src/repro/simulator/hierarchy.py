@@ -435,13 +435,14 @@ class SharedL2Hierarchy:
         return int(self.l2_latency + qdelay + p.mem_latency), MEM
 
     def warm_block(
-        self, core: int, addrs, meta, lo: int, hi: int
+        self, core: int, addrs, kinds, writes, lo: int, hi: int
     ) -> None:
         """Functional warm-up over ``addrs[lo:hi]``: the data path's L1,
         owner-map and L2 state transitions, with no timing.
 
-        ``addrs``/``meta`` are a trace's packed columns; ``FLAG_WRITE`` is
-        bit 0 of a meta word, so the write test needs no decode.  The L1
+        ``addrs``/``kinds`` are a trace's columns and ``writes[k]`` is the
+        ``FLAG_WRITE`` bit (0 or 1) of event kind ``k``, so the write test
+        is one extra subscript and no decode.  The L1
         LRU update is inlined (dict pop + reinsert on the cache's own
         sets) with *no* stat counting: the warm/measure boundary resets
         every counter this loop would have bumped, so skipping them is
@@ -465,7 +466,7 @@ class SharedL2Hierarchy:
         # line value bit-identical to the pre-island loop.
         tag = self._line_tag[core]
         for i in range(lo, hi):
-            write = meta[i] & 0x1
+            write = writes[kinds[i]]
             line = addrs[i] >> 6 | tag
             sdict = sets[line % n_sets]
             state = sdict.pop(line, -1)

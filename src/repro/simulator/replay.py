@@ -14,6 +14,7 @@ later L2 size of a sweep restores it by replaying the logged L2 accesses
 from __future__ import annotations
 
 from .hierarchy import SharedL2Hierarchy
+from .trace import FLAG_WRITE
 
 
 def compute_warm_state(hier, walkers, passes: int, chunk: int):
@@ -31,6 +32,11 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
     if shared:
         hier.begin_warm_log()
     warm_block = hier.warm_block
+    # Each walker's per-kind write bits: the walk reads a reference's
+    # write bit as ``writes[kinds[i]]``.
+    columns = [(tr.addrs, tr.kinds,
+                bytes(flags & FLAG_WRITE for _, flags, _ in tr.events))
+               for _, tr, _ in walkers]
     for _ in range(passes):
         cursors = [0] * len(walkers)
         # An explicit list keeps the walk order deterministic by
@@ -40,10 +46,10 @@ def compute_warm_state(hier, walkers, passes: int, chunk: int):
         while pending:
             nxt = []
             for w in pending:
-                core_id, tr, warm_len = walkers[w]
+                core_id, _, warm_len = walkers[w]
                 pos = cursors[w]
                 end = min(pos + chunk, warm_len)
-                warm_block(core_id, tr.addrs, tr.meta, pos, end)
+                warm_block(core_id, *columns[w], pos, end)
                 cursors[w] = end
                 if end < warm_len:
                     nxt.append(w)

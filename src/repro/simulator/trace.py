@@ -5,12 +5,21 @@ context), a sequence of *events*.  Each event is "execute ``icount``
 instructions from code region ``region``, then perform one data reference to
 ``addr`` with ``flags``".  Machines replay these traces under a timing model.
 
-Traces are **columnar**: each trace is two flat 64-bit columns (DESIGN.md
-§11).  ``addrs[i]`` is the byte address of reference ``i``; ``meta[i]``
-packs the rest of the event as ``icount << 24 | region << 8 | flags``;
-both columns are ``array('Q')``.  Packing keeps the append path one
-integer op plus one ``list.append`` per column, and lets the hot replay
-loops decode an event with two shifts instead of four array reads.
+Traces are **columnar** (DESIGN.md §11): an address column and an
+event-kind column.  ``addrs[i]`` is the byte address of reference ``i``,
+stored as ``array('I')`` when every address of the trace fits in 32 bits
+and as ``array('Q')`` otherwise.  ``kinds[i]`` indexes the trace's event
+table, ``events``: a tuple of the distinct decoded ``(icount, flags,
+region)`` triples of the trace, ordered by their packed word.  A trace has
+a few dozen distinct triples, so ``kinds`` is ``array('B')`` (``'H'``
+past 256 triples, ``'I'`` past 65,536): five bytes per event in all the
+study bundles, where two packed 64-bit columns took sixteen.
+
+The builders still append one packed word per event
+(``icount << 24 | region << 8 | flags``, :func:`pack_meta`) — one integer
+op plus one ``list.append`` — and :meth:`TraceBuilder.build` interns them
+into the table once.  The hot replay loops decode an event with one
+``events[kinds[i]]`` unpack.
 
 Traces are cyclic: steady-state workloads (a client submitting transactions
 forever) are represented by a finite trace replayed in a loop, mirroring
@@ -20,6 +29,7 @@ the paper's SimFlex warm-then-measure sampling windows.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 
 #: The reference writes the line (dirty it; relevant to coherence/writeback).
@@ -39,21 +49,23 @@ FLAG_CODE_JUMP = 0x8
 #: per-tuple decode is dependent.  Only long (off-chip) latencies benefit.
 FLAG_STREAM = 0x10
 
-#: Packed-event layout: ``meta = icount << 24 | region << 8 | flags``.
+#: Packed-event layout: ``word = icount << 24 | region << 8 | flags``.
 #: 8 flag bits, 16 region-id bits (TraceBuilder.register_code enforces the
 #: cap), and 40 bits of icount headroom (icount itself is clamped to the
-#: legacy 32-bit storage range, so packing can never overflow 64 bits).
+#: 32-bit storage range, so packing can never overflow 64 bits).  The
+#: packed word is the builders' append format and the event table's sort
+#: key; a built trace stores the decoded triples.
 META_ICOUNT_SHIFT = 24
 META_REGION_SHIFT = 8
 META_REGION_MASK = 0xFFFF
 META_FLAGS_MASK = 0xFF
 
-#: Largest icount one event can carry (legacy 32-bit storage range).
+#: Largest icount one event can carry (32-bit storage range).
 MAX_EVENT_ICOUNT = 0xFFFF_FFFF
 
 
 def pack_meta(icount: int, flags: int = 0, region: int = 0) -> int:
-    """Pack one event's non-address fields into a 64-bit meta word."""
+    """Pack one event's non-address fields into a 64-bit word."""
     if icount < 0:
         raise ValueError(f"negative icount {icount}")
     if icount > MAX_EVENT_ICOUNT:
@@ -61,6 +73,31 @@ def pack_meta(icount: int, flags: int = 0, region: int = 0) -> int:
     return (icount << META_ICOUNT_SHIFT
             | (region & META_REGION_MASK) << META_REGION_SHIFT
             | (flags & META_FLAGS_MASK))
+
+
+def unpack_meta(word: int) -> tuple[int, int, int]:
+    """The ``(icount, flags, region)`` triple a packed word encodes."""
+    return (word >> META_ICOUNT_SHIFT, word & META_FLAGS_MASK,
+            word >> META_REGION_SHIFT & META_REGION_MASK)
+
+
+def _kind_column(index: dict[int, int], words: list[int]) -> array:
+    """``words`` mapped through ``index``, in the narrowest ``array`` that
+    holds the largest kind: ``'B'``, ``'H'`` or ``'I'``."""
+    kinds = map(index.__getitem__, words)
+    if len(index) <= 0x100:
+        # bytes() consumes the map in C; array('B', bytes) is one copy.
+        return array("B", bytes(kinds))
+    return array("H" if len(index) <= 0x1_0000 else "I", list(kinds))
+
+
+def _address_column(addrs: list[int]) -> array:
+    """``addrs`` as an ``array('I')`` when every address fits in 32 bits,
+    else as an ``array('Q')``."""
+    try:
+        return array("I", addrs)
+    except OverflowError:
+        return array("Q", addrs)
 
 
 @dataclass(frozen=True)
@@ -81,11 +118,12 @@ class CodeFootprint:
 class Trace:
     """An immutable per-context event sequence plus workload metadata.
 
-    The physical representation is two parallel 64-bit columns (``addrs``
-    and packed ``meta``); the decoded ``icounts``/``flags``/``regions``
-    views are the public accessor API (DESIGN.md §11).  A trace keeps no per-event derived state: the
-    cores derive what they need from the packed meta word where they use
-    it (DESIGN.md §14).
+    The physical representation is an address column, an event-kind
+    column and the event table the kinds index (DESIGN.md §11); the
+    decoded ``icounts``/``flags``/``regions`` views are the public
+    accessor API.  A trace keeps no per-event derived state: the cores
+    derive what they need from the event table where they use it
+    (DESIGN.md §14).
 
     Attributes:
         name: Debug label, e.g. ``"tpcc-client-3"``.
@@ -95,9 +133,12 @@ class Trace:
             (RAW hazards stall what OoO scheduling would reorder around).
         branch_mpki: Branch mispredictions per kilo-instruction (drives the
             "other stalls" component).
-        footprints: Code regions indexed by the region field of ``meta``.
-        addrs: Flat address column (``array('Q')``).
-        meta: Flat packed-event column (``array('Q')``).
+        footprints: Code regions indexed by an event's region field.
+        addrs: Flat address column (``array('I')`` or ``array('Q')``).
+        kinds: Flat event-kind column (``array('B')``, ``'H'`` or ``'I'``),
+            indexing ``events``.
+        events: Distinct ``(icount, flags, region)`` triples, ordered by
+            packed word.
     """
 
     __slots__ = (
@@ -107,7 +148,8 @@ class Trace:
         "branch_mpki",
         "footprints",
         "addrs",
-        "meta",
+        "kinds",
+        "events",
         "_stats",
     )
 
@@ -115,17 +157,19 @@ class Trace:
         self,
         name: str,
         addrs,
-        meta,
+        kinds,
+        events: tuple[tuple[int, int, int], ...],
         footprints: list[CodeFootprint],
         ilp: float = 1.5,
         branch_mpki: float = 5.0,
         ilp_inorder: float | None = None,
     ):
-        if len(addrs) != len(meta):
+        if len(addrs) != len(kinds):
             raise ValueError("trace columns must have equal lengths")
         self.name = name
         self.addrs = addrs
-        self.meta = meta
+        self.kinds = kinds
+        self.events = events
         self.footprints = footprints
         self.ilp = ilp
         self.ilp_inorder = ilp * 0.75 if ilp_inorder is None else ilp_inorder
@@ -143,11 +187,13 @@ class Trace:
         stats = self._stats
         if stats is None:
             total = dep = 0
-            for m in self.meta:
-                total += m >> 24
-                if m & FLAG_DEPENDENT:
-                    dep += 1
-            n = len(self.meta)
+            events = self.events
+            for k, count in Counter(self.kinds).items():
+                icount, flags, _ = events[k]
+                total += icount * count
+                if flags & FLAG_DEPENDENT:
+                    dep += count
+            n = len(self.kinds)
             stats = self._stats = (total, dep / n if n else 0.0)
         return stats
 
@@ -169,17 +215,20 @@ class Trace:
     @property
     def icounts(self) -> array:
         """Decoded per-event icount column (fresh copy; analysis only)."""
-        return array("I", (m >> 24 for m in self.meta))
+        events = self.events
+        return array("I", (events[k][0] for k in self.kinds))
 
     @property
     def flags(self) -> array:
         """Decoded per-event flags column (fresh copy; analysis only)."""
-        return array("B", (m & 0xFF for m in self.meta))
+        events = self.events
+        return array("B", (events[k][1] for k in self.kinds))
 
     @property
     def regions(self) -> array:
         """Decoded per-event region column (fresh copy; analysis only)."""
-        return array("H", ((m >> 8) & 0xFFFF for m in self.meta))
+        events = self.events
+        return array("H", (events[k][2] for k in self.kinds))
 
 
 class TraceBuilder:
@@ -189,8 +238,9 @@ class TraceBuilder:
     the public ``addr_column``/``meta_column`` lists directly — the fused
     builder loops do) once per modeled data reference; :meth:`build`
     freezes the result into flat columns.  Plain Python lists take appends
-    faster than ``array`` objects; the one-shot ``array('Q', list)``
-    conversion at :meth:`build` is cheaper than per-event array appends.
+    faster than ``array`` objects; the one-shot conversion at
+    :meth:`build` is cheaper than per-event array appends, and it is
+    where the packed words are interned into the event table.
     """
 
     def __init__(self, name: str, ilp: float = 1.5, branch_mpki: float = 5.0,
@@ -233,11 +283,19 @@ class TraceBuilder:
         self.addr_column.append(addr)
 
     def build(self) -> Trace:
-        """Freeze the builder into an immutable Trace."""
+        """Freeze the builder into an immutable Trace.
+
+        The distinct packed words, sorted, become the event table, so
+        equal event streams intern to equal ``kinds`` columns.
+        """
+        words = self.meta_column
+        table = sorted(set(words))
+        index = {w: k for k, w in enumerate(table)}
         return Trace(
             name=self.name,
-            addrs=array("Q", self.addr_column),
-            meta=array("Q", self.meta_column),
+            addrs=_address_column(self.addr_column),
+            kinds=_kind_column(index, words),
+            events=tuple(map(unpack_meta, table)),
             footprints=list(self._footprints),
             ilp=self.ilp,
             ilp_inorder=self.ilp_inorder,

@@ -4,7 +4,7 @@ Building a workload means actually executing every TPC-C transaction and
 TPC-H query through the DB engine — by far the most expensive part of a
 cold sweep, and ``workloads/driver.py``'s ``functools.lru_cache`` only
 memoizes it *per process*.  This store freezes a built :class:`Workload`'s
-parallel trace arrays (``array.tobytes``) plus footprints and metadata to
+trace columns (``array.tobytes``) plus footprints and metadata to
 disk, keyed by (builder, params, engine version), so any later process —
 a spawn-started pool worker, the next CI step, the chaos job — loads the
 frozen bytes instead of re-running the engine.
@@ -38,20 +38,27 @@ from pathlib import Path
 from array import array
 
 from ..settings import Settings
-from ..simulator.trace import CodeFootprint, Trace, Workload
+from ..simulator.trace import (
+    CodeFootprint,
+    Trace,
+    Workload,
+    pack_meta,
+    unpack_meta,
+)
 
 #: Engine/format version salt.  Part of every hashed key: bump on any
-#: change to trace building or the serialized layout.  v2: packed
-#: columnar traces stored raw (DESIGN.md §11).
-TRACE_VERSION = "repro-traces-v2"
+#: change to trace building or the serialized layout.  v3: address,
+#: event-kind and packed event-table columns stored raw (DESIGN.md §11).
+TRACE_VERSION = "repro-traces-v3"
 
 #: Environment variable holding the store root directory.
 ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 
-#: Entry file magic ("Repro Trace, Columnar, v2").  v1 entries carry
-#: ``b"RTRC"``: a different magic, so an old-format file is rejected at
-#: the header check — a clean miss, never a misparse.
-_MAGIC = b"RTC2"
+#: Entry file magic ("Repro Trace, Columnar, v3").  Older entries carry
+#: ``b"RTRC"`` (v1) or ``b"RTC2"`` (v2): a different magic, so an
+#: old-format file is rejected at the header check — a clean miss, never a
+#: misparse.
+_MAGIC = b"RTC3"
 
 #: Fixed header: magic + u64 payload length + 32-byte SHA-256 of payload.
 _HEADER = struct.Struct("<4sQ32s")
@@ -79,17 +86,17 @@ def _freeze(key, workload: Workload) -> bytes:
     """Serialize a workload (with its key echoed) to a payload blob.
 
     Layout: ``u64 doc_len | pickle(doc) | raw column bytes``.  The pickled
-    document holds only small metadata (names, footprints, per-trace blob
-    offsets); the trace columns themselves land as raw little-endian
-    64-bit words, so :func:`_thaw` reconstructs them with one buffer copy
-    per column — no per-access unpickling.
+    document holds only small metadata (names, footprints, column
+    typecodes, per-trace blob offsets); each trace's address column,
+    event-kind column and event table (as packed 64-bit words) land raw
+    in native byte order, so :func:`_thaw` reconstructs them with one
+    buffer copy per column — no per-event decoding.
     """
     traces = []
     blobs = []
     offset = 0
     for tr in workload.traces:
-        addr_blob = tr.addrs.tobytes()
-        meta_blob = tr.meta.tobytes()
+        table = array("Q", (pack_meta(*e) for e in tr.events))
         traces.append({
             "name": tr.name,
             "ilp": tr.ilp,
@@ -98,11 +105,14 @@ def _freeze(key, workload: Workload) -> bytes:
             "footprints": [(fp.name, fp.base, fp.n_lines)
                            for fp in tr.footprints],
             "n_events": len(tr),
+            "n_kinds": len(table),
+            "typecodes": (tr.addrs.typecode, tr.kinds.typecode),
             "offset": offset,
         })
-        blobs.append(addr_blob)
-        blobs.append(meta_blob)
-        offset += len(addr_blob) + len(meta_blob)
+        for column in (tr.addrs, tr.kinds, table):
+            blob = column.tobytes()
+            blobs.append(blob)
+            offset += len(blob)
     doc = pickle.dumps({
         "version": TRACE_VERSION,
         "key": key,
@@ -131,18 +141,25 @@ def _thaw(payload: bytes, key) -> Workload:
     view = memoryview(payload)
     traces = []
     for td in doc["traces"]:
-        n_bytes = td["n_events"] * 8
+        addr_type, kind_type = td["typecodes"]
+        columns = []
         lo = blob_base + td["offset"]
-        if lo + 2 * n_bytes > len(payload):
-            raise ValueError("truncated column data")
-        addrs = array("Q")
-        addrs.frombytes(view[lo:lo + n_bytes])
-        meta = array("Q")
-        meta.frombytes(view[lo + n_bytes:lo + 2 * n_bytes])
+        for typecode, n in ((addr_type, td["n_events"]),
+                            (kind_type, td["n_events"]),
+                            ("Q", td["n_kinds"])):
+            column = array(typecode)
+            hi = lo + n * column.itemsize
+            if hi > len(payload):
+                raise ValueError("truncated column data")
+            column.frombytes(view[lo:hi])
+            columns.append(column)
+            lo = hi
+        addrs, kinds, table = columns
         traces.append(Trace(
             name=td["name"],
             addrs=addrs,
-            meta=meta,
+            kinds=kinds,
+            events=tuple(map(unpack_meta, table)),
             footprints=[CodeFootprint(name=n, base=b, n_lines=nl)
                         for n, b, nl in td["footprints"]],
             ilp=td["ilp"],

@@ -11,20 +11,17 @@ def schema(name="t"):
 
 
 class TestCatalog:
-    def test_create_and_lookup(self):
+    def test_create_returns_heap(self):
         db = Database()
         heap = db.catalog.create_table(schema())
-        assert db.catalog.table("t") is heap
+        assert heap.schema.name == "t"
+        assert db.catalog.create_table(schema("u")) is not heap
 
     def test_duplicate_table_rejected(self):
         db = Database()
         db.catalog.create_table(schema())
         with pytest.raises(ValueError):
             db.catalog.create_table(schema())
-
-    def test_missing_table(self):
-        with pytest.raises(KeyError):
-            Database().catalog.table("nope")
 
 
 class TestSessions:

@@ -1,7 +1,8 @@
 """Oracle for the fused plan drains: fused == generic operators, bit for bit.
 
 ``repro.db.exec.fused`` drains three DSS plan shapes in flat loops that
-append precomputed packed meta words straight onto the trace columns.
+append precomputed packed meta words straight onto the trace builder's
+columns.
 Its contract is that each drain emits the event stream the generic
 Volcano operators emit — same addresses, icounts, flags and region ids,
 in the same order — and the same result rows.
@@ -15,7 +16,7 @@ asserts:
 
 - the fused run really took the fused path at every site visit, and the
   generic run never did;
-- identical ``addrs`` and ``meta`` columns for every trace;
+- identical ``addrs`` columns and decoded events for every trace;
 - identical result rows, where the site returns them (the TPC-H queries).
 
 Workload caches are cleared and the trace store is switched off first,
@@ -39,6 +40,7 @@ from repro.workloads.tpch import (
     TpchDatabase,
 )
 from repro.workloads.tracestore import ENV_TRACE_DIR
+from tests.trace_events import trace_events
 
 SCALE = 0.01
 
@@ -86,7 +88,8 @@ def _assert_same_columns(fused_traces, generic_traces):
     for ft, gt in zip(fused_traces, generic_traces):
         assert len(ft) > 0
         assert ft.addrs == gt.addrs, f"{ft.name}: addrs column diverged"
-        assert ft.meta == gt.meta, f"{ft.name}: meta column diverged"
+        assert trace_events(ft) == trace_events(gt), \
+            f"{ft.name}: events diverged"
 
 
 @pytest.mark.parametrize("query", QUERIES)

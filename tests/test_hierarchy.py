@@ -12,6 +12,7 @@ from repro.simulator.hierarchy import (
     SharedL2Hierarchy,
     _CodePressure,
 )
+from tests.trace_events import warm_columns
 
 COLD = 0x4000_0000
 
@@ -273,15 +274,14 @@ def _warm_data(h, core, addr, write):
 
 def _warm_blocks(h, pattern):
     """Feed ``warm_block`` per-core runs exactly as Machine._warm does."""
-    addrs = [p[1] for p in pattern]
-    flags = [0x1 if p[2] else 0 for p in pattern]
+    columns = warm_columns(pattern)
     i = 0
     while i < len(pattern):
         j = i
         core = pattern[i][0]
         while j < len(pattern) and pattern[j][0] == core:
             j += 1
-        h.warm_block(core, addrs, flags, i, j)
+        h.warm_block(core, *columns, i, j)
         i = j
 
 
@@ -339,9 +339,7 @@ class TestWarm:
         pattern = _random_pattern(13, n=200)
         a = make()
         a.begin_warm_log()
-        addrs = [p[1] for p in pattern]
-        flags = [0x1 if p[2] else 0 for p in pattern]
-        a.warm_block(0, addrs, flags, 0, len(pattern))
+        a.warm_block(0, *warm_columns(pattern), 0, len(pattern))
         state = a.capture_warm_state()
         b = make()
         b.restore_warm_state(state)

@@ -195,13 +195,13 @@ class TestWarmPlan:
 
 
 class TestTraceState:
-    """A trace holds only its physical columns and metadata: the cores
-    derive per-event work where they use it."""
+    """A trace holds only its physical columns, its event table and
+    metadata: the cores derive per-event work where they use it."""
 
-    #: Every slot a trace has: metadata, the two physical columns, and
-    #: the lazily computed aggregate statistics.
+    #: Every slot a trace has: metadata, the two physical columns, the
+    #: event table, and the lazily computed aggregate statistics.
     SLOTS = {"name", "ilp", "ilp_inorder", "branch_mpki", "footprints",
-             "addrs", "meta", "_stats"}
+             "addrs", "kinds", "events", "_stats"}
 
     @staticmethod
     def _sized(value):
@@ -224,7 +224,7 @@ class TestTraceState:
         for tr in wl.traces:
             assert not hasattr(tr, "__dict__")
             assert set(type(tr).__slots__) == self.SLOTS
-            for slot in self.SLOTS - {"addrs", "meta"}:
+            for slot in self.SLOTS - {"addrs", "kinds"}:
                 for value in self._sized(getattr(tr, slot)):
                     assert len(value) != len(tr), slot
 

@@ -250,6 +250,36 @@ class TestFailureHandling:
         assert naps == [0.5, 1.0, 2.0]
         assert all(r is not None for r in got)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_backoff_is_capped(self, clean_env, jobs):
+        """A long retry budget keeps doubling only up to the cap: no
+        sleep runs past it, and none overflows ``time.sleep`` (which
+        raises OverflowError past about 2**33 seconds)."""
+        clean_env.setenv("REPRO_FAULTS", "exec@0x99;exec@1x99")
+        naps = []
+
+        def sleep(seconds):
+            if seconds > parallel.MAX_RETRY_DELAY:
+                raise AssertionError(f"slept {seconds} s")
+            naps.append(seconds)
+
+        clean_env.setattr(parallel.time, "sleep", sleep)
+        with pytest.raises(SweepError) as err:
+            run_specs(_specs(2), SCALE, CYCLES, jobs=jobs, retries=40,
+                      backoff=0.1)
+        assert [f.attempts for f in err.value.failures] == [41, 41]
+        assert len(naps) == 80
+        assert max(naps) == parallel.MAX_RETRY_DELAY
+        assert sorted(naps)[:2] == [0.1, 0.1]
+
+    def test_retry_delay_never_overflows(self):
+        assert parallel._retry_delay(0.1, 1) == 0.1
+        assert parallel._retry_delay(0.1, 3) == 0.4
+        assert parallel._retry_delay(0.0, 10_000) == 0.0
+        for backoff in (1e-9, 0.1, parallel.MAX_RETRY_DELAY * 2):
+            assert parallel._retry_delay(backoff, 10_000) == \
+                parallel.MAX_RETRY_DELAY
+
     def test_failure_records_are_ordered_and_complete(self, clean_env):
         clean_env.setenv("REPRO_FAULTS", "exec@0x99;exec@2x99")
         with pytest.raises(SweepError) as err:

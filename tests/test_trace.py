@@ -86,6 +86,47 @@ class TestBuilder:
         assert tr.icounts[0] == 0xFFFF_FFFF
 
 
+class TestLayout:
+    """Five bytes per event: a 32-bit address column when the addresses
+    fit, a one-byte kind column when the event table is small."""
+
+    def test_small_trace_uses_narrow_columns(self):
+        tr = build_trace([(10, 0xFFFF_FFC0, 0), (20, 0x240, FLAG_WRITE)])
+        assert (tr.addrs.typecode, tr.addrs.itemsize) == ("I", 4)
+        assert (tr.kinds.typecode, tr.kinds.itemsize) == ("B", 1)
+        assert tr.events == ((10, 0, 0), (20, FLAG_WRITE, 0))
+
+    def test_address_past_32_bits_keeps_64_bit_column(self):
+        tr = build_trace([(1, 0x100, 0), (1, 2**32, 0)])
+        assert tr.addrs.typecode == "Q"
+        assert list(tr.addrs) == [0x100, 2**32]
+
+    @pytest.mark.parametrize("n_words,typecode",
+                             [(256, "B"), (300, "H"), (70_000, "I")])
+    def test_kind_column_widens_with_the_table(self, n_words, typecode):
+        tr = build_trace([(i, 64 * i, 0) for i in range(n_words)])
+        assert len(tr.events) == n_words
+        assert tr.kinds.typecode == typecode
+        assert list(tr.icounts) == list(range(n_words))
+
+    def test_event_table_is_ordered_by_packed_word(self):
+        """Equal event streams intern the same way, whatever order their
+        kinds first appear in."""
+        tr = build_trace([(5, 0, FLAG_WRITE), (5, 64, 0), (1, 128, 0)])
+        assert tr.events == ((1, 0, 0), (5, 0, 0), (5, FLAG_WRITE, 0))
+        assert list(tr.kinds) == [2, 1, 0]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("kind", ["oltp", "dss"])
+    @pytest.mark.parametrize("regime", ["saturated", "unsaturated"])
+    def test_study_bundles_use_at_most_5_bytes_per_event(self, kind,
+                                                         regime):
+        from repro.workloads import driver
+        workload = driver.workload_for(kind, regime, 0.05)
+        for tr in workload.traces:
+            assert tr.addrs.itemsize + tr.kinds.itemsize <= 5, tr.name
+
+
 class TestWorkload:
     def test_requires_traces(self):
         with pytest.raises(ValueError):

@@ -1,28 +1,29 @@
 """Differential oracle for the columnar trace representation.
 
-The columnar :class:`~repro.simulator.trace.Trace` (two packed 64-bit
-columns, DESIGN.md §11) replaced an object-per-event representation.  This
-suite keeps an independent *reference* implementation — one plain Python
-tuple per access, no packing, no columns — and drives both through the
-same randomized workloads, one cell per (kind, regime) with at least 50k
+The columnar :class:`~repro.simulator.trace.Trace` (an address column and
+an event-kind column indexing a per-trace event table, DESIGN.md §11)
+replaced an object-per-event representation.  This suite keeps an
+independent *reference* implementation — one plain Python tuple per
+access, no packing, no columns — and drives both through the same
+randomized workloads, one cell per (kind, regime) with at least 50k
 accesses, asserting:
 
 - access-for-access equality of every event a trace yields, in order;
 - identical replay order under the multiplexed per-thread interleaving a
   saturated machine performs (cyclic round-robin across client cursors);
 - field-for-field identical ``MachineResult``s when the same events enter
-  the simulator through two independent construction paths (the packed
-  builder vs columns packed here, with ``pack_meta``, from the
-  reference's field lists).
+  the simulator through two independent construction paths (the
+  builder's interning vs columns laid out differently by
+  :func:`tests.trace_events.trace_from_events` from the reference's
+  tuples).
 
-The reference is deliberately naive: if the packed representation ever
+The reference is deliberately naive: if the columnar representation ever
 drops, reorders, or mis-decodes a field, these tests name the first
 diverging access instead of failing on an aggregate.
 """
 
 import dataclasses
 import random
-from array import array
 
 import pytest
 
@@ -31,17 +32,11 @@ from repro.simulator.configs import fc_cmp
 from repro.simulator.machine import Machine
 from repro.simulator.trace import (
     MAX_EVENT_ICOUNT,
-    META_FLAGS_MASK,
-    META_ICOUNT_SHIFT,
-    META_REGION_MASK,
-    META_REGION_SHIFT,
     CodeFootprint,
-    Trace,
     TraceBuilder,
     Workload,
-    pack_meta,
 )
-from tests.trace_events import trace_events
+from tests.trace_events import trace_events, trace_from_events
 
 #: Shared with the determinism suites so machine geometry builds once.
 SCALE = 0.02
@@ -77,18 +72,9 @@ FLAG_WRITE, FLAG_DEP, FLAG_KERNEL, FLAG_JUMP, FLAG_STREAM = (
 
 def access_at(trace, i):
     """Event ``i`` of a columnar trace as ``(icount, addr, flags,
-    region)``, decoded from its two public columns by index."""
-    m = trace.meta[i]
-    return (m >> META_ICOUNT_SHIFT, trace.addrs[i], m & META_FLAGS_MASK,
-            m >> META_REGION_SHIFT & META_REGION_MASK)
-
-
-def from_events(name, events, footprints, **kw):
-    """A columnar trace packed straight from ``(icount, addr, flags,
-    region)`` tuples, bypassing :class:`TraceBuilder`."""
-    return Trace(name, array("Q", (e[1] for e in events)),
-                 array("Q", (pack_meta(e[0], e[2], e[3]) for e in events)),
-                 footprints, **kw)
+    region)``, decoded from its columns by index."""
+    icount, flags, region = trace.events[trace.kinds[i]]
+    return icount, trace.addrs[i], flags, region
 
 
 class ReferenceTrace:
@@ -252,13 +238,14 @@ def test_replay_interleaving_matches_reference(kind, regime):
 @pytest.mark.slow
 @pytest.mark.parametrize("kind,regime", list(CELLS), ids=CELL_IDS)
 def test_machine_result_identical_across_construction_paths(kind, regime):
-    """Two independent construction paths — the engine-side packed
-    builder vs :func:`from_events` over the reference's tuples — must
-    give field-for-field identical MachineResults."""
+    """Two independent construction paths — the engine-side builder vs
+    :func:`trace_from_events` over the reference's tuples — must give
+    field-for-field identical MachineResults."""
     columnar, reference = _cell(kind, regime)
     rebuilt = [
-        from_events(tr.name, ref.events, ref.footprints, ilp=tr.ilp,
-                    branch_mpki=tr.branch_mpki, ilp_inorder=tr.ilp_inorder)
+        trace_from_events(tr.name, ref.events, ref.footprints, ilp=tr.ilp,
+                          branch_mpki=tr.branch_mpki,
+                          ilp_inorder=tr.ilp_inorder)
         for tr, ref in zip(columnar, reference)
     ]
     config = fc_cmp(n_cores=2, l2_nominal_mb=1.0, scale=SCALE)

@@ -7,6 +7,9 @@ as a miss so the caller rebuilds).
 """
 
 import dataclasses
+import hashlib
+import pickle
+import struct
 from array import array
 
 import pytest
@@ -14,7 +17,7 @@ import pytest
 from repro.core.parallel import WARM_FRACTIONS
 from repro.simulator.configs import fc_cmp
 from repro.simulator.machine import Machine
-from repro.simulator.trace import CodeFootprint, Trace, Workload, pack_meta
+from repro.simulator.trace import FLAG_WRITE, TraceBuilder, Workload, pack_meta
 from repro.workloads import driver
 from repro.workloads.tracestore import (
     ENV_TRACE_DIR,
@@ -51,16 +54,12 @@ def _tiny_workload(name="tiny"):
     """A hand-built two-trace workload (no engine run needed)."""
     traces = []
     for i in range(2):
-        n = 50 + i
-        traces.append(Trace(
-            name=f"{name}-client-{i}",
-            addrs=array("Q", (0x4000_0000 + 64 * j for j in range(n))),
-            meta=array("Q", (pack_meta(j + 1, j % 8) for j in range(n))),
-            footprints=[CodeFootprint(name="code", base=0x1000, n_lines=8)],
-            ilp=2.0,
-            branch_mpki=5.0,
-            ilp_inorder=1.0,
-        ))
+        tb = TraceBuilder(f"{name}-client-{i}", ilp=2.0, branch_mpki=5.0,
+                          ilp_inorder=1.0)
+        rid = tb.register_code("code", 0x1000, 8)
+        for j in range(50 + i):
+            tb.event(j + 1, 0x4000_0000 + 64 * j, j % 8, rid)
+        traces.append(tb.build())
     return Workload(name=name, traces=traces, kind="dss", saturated=False,
                     metadata={"scale": 1.0})
 
@@ -122,6 +121,85 @@ class TestRoundTrip:
         assert dataclasses.asdict(r_fresh) == dataclasses.asdict(r_thawed)
 
 
+def _wide_workload(addr_base: int, n_kinds: int) -> Workload:
+    """One trace over ``n_kinds`` distinct events from ``addr_base`` up."""
+    tb = TraceBuilder("wide", ilp=2.0, branch_mpki=3.0, ilp_inorder=1.2)
+    rid = tb.register_code("code", 0x10_0000, 16)
+    for j in range(2_000):
+        tb.event(1 + j % n_kinds, addr_base + 64 * (j * 7 % 600),
+                 FLAG_WRITE if j % 3 == 0 else 0, rid)
+    return Workload(name="wide", traces=[tb.build()], kind="dss")
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("addr_base,addr_type",
+                             [(0x4000_0000, "I"), (0x2_c588_0000, "Q")])
+    @pytest.mark.parametrize("n_kinds,kind_type", [(20, "B"), (300, "H")])
+    def test_both_widths_round_trip(self, tmp_path, addr_base, addr_type,
+                                    n_kinds, kind_type):
+        w = _wide_workload(addr_base, n_kinds)
+        (tr,) = w.traces
+        assert (tr.addrs.typecode, tr.kinds.typecode) == \
+            (addr_type, kind_type)
+        store = TraceStore(tmp_path)
+        store.put(("wide",), w)
+        (got,) = store.get(("wide",)).traces
+        assert (got.addrs.typecode, got.kinds.typecode) == \
+            (addr_type, kind_type)
+        assert got.addrs == tr.addrs and got.kinds == tr.kinds
+        assert got.events == tr.events
+        assert _traces_equal(w, store.get(("wide",)))
+
+    def test_64_bit_trace_simulates_identically_after_store(self, tmp_path):
+        w = _wide_workload(0x2_c588_0000, 20)
+        assert w.traces[0].addrs.typecode == "Q"
+        store = TraceStore(tmp_path)
+        store.put(("wide",), w)
+        thawed = store.get(("wide",))
+        assert thawed.traces[0].addrs.typecode == "Q"
+        config = fc_cmp(n_cores=2, l2_nominal_mb=1.0, scale=SCALE)
+        results = [dataclasses.asdict(Machine(config).run(
+            wl, measure_cycles=20_000, warm_fraction=0.5))
+            for wl in (w, thawed)]
+        assert results[0] == results[1]
+
+    def test_v2_entry_is_clean_miss(self, tmp_path):
+        """A ``repro-traces-v2`` entry (two ``'Q'`` columns, ``RTC2``
+        magic) is never served: at its own path the v3 store does not
+        look, and misfiled at the v3 path it fails the header check."""
+        key = ("k", 1)
+        w = _tiny_workload()
+        doc = pickle.dumps({
+            "version": "repro-traces-v2", "key": key, "name": w.name,
+            "kind": w.kind, "saturated": w.saturated,
+            "metadata": w.metadata,
+            "traces": [{"name": "c", "ilp": 2.0, "ilp_inorder": 1.0,
+                        "branch_mpki": 5.0, "footprints": [],
+                        "n_events": 1, "offset": 0}],
+        })
+        payload = (struct.pack("<Q", len(doc)) + doc
+                   + array("Q", [0x4000_0000, pack_meta(1)]).tobytes())
+        blob = _HEADER.pack(b"RTC2", len(payload),
+                            hashlib.sha256(payload).digest()) + payload
+        store = TraceStore(tmp_path)
+        digest = hashlib.sha256(
+            repr(("repro-traces-v2", key)).encode()).hexdigest()
+        v2_path = tmp_path / digest[:2] / f"{digest}.trace"
+        assert v2_path != store.path_for(key)
+        v2_path.parent.mkdir(parents=True)
+        v2_path.write_bytes(blob)
+        assert store.get(key) is None
+        assert store.stats.misses == 1 and store.stats.errors == 0
+
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(blob)
+        assert store.get(key) is None
+        assert store.stats.errors == 1 and not path.exists()
+        store.put(key, w)
+        assert _traces_equal(store.get(key), w)
+
+
 class TestCorruption:
     def _stored_path(self, tmp_path, key=("k", 1)):
         store = TraceStore(tmp_path)
@@ -159,14 +237,12 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         assert store.get(("k", 1)) is None
         assert store.stats.errors == 1
-        assert _MAGIC == b"RTC2"
+        assert _MAGIC == b"RTC3"
 
     def test_old_format_entry_is_clean_miss(self, tmp_path):
         """A v1 entry (``RTRC`` magic, pickled-arrays payload) at the
         right path is rejected at the header check — an error-counted
         miss, never a misparse — then unlinked and rebuilt."""
-        import hashlib
-        import pickle
         store, path = self._stored_path(tmp_path)
         payload = pickle.dumps({"version": "repro-traces-v1"})
         blob = _HEADER.pack(b"RTRC", len(payload),
@@ -184,7 +260,7 @@ class TestCorruption:
         column is detected, the entry unlinked, and a rebuild served."""
         store, path = self._stored_path(tmp_path)
         blob = bytearray(path.read_bytes())
-        blob[-5] ^= 0x01          # inside the last trace's meta column
+        blob[-5] ^= 0x01          # inside the last trace's event table
         path.write_bytes(bytes(blob))
         assert store.get(("k", 1)) is None
         assert store.stats.errors == 1
@@ -197,7 +273,6 @@ class TestCorruption:
         """An entry whose payload-length and checksum are valid but whose
         per-trace offsets point past the end (internal truncation) is
         caught by the column bounds check."""
-        import hashlib
         from repro.workloads.tracestore import _freeze
         store = TraceStore(tmp_path)
         payload = bytearray(_freeze(("k", 1), _tiny_workload()))
@@ -221,7 +296,6 @@ class TestCorruption:
         assert store.stats.errors == 1
 
     def test_garbage_payload_is_miss(self, tmp_path):
-        import hashlib
         store = TraceStore(tmp_path)
         payload = b"not a pickle"
         blob = _HEADER.pack(_MAGIC, len(payload),

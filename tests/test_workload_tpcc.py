@@ -54,7 +54,7 @@ class TestSchemaPopulation:
     def test_tables_present(self, tpcc):
         for t in ("warehouse", "district", "customer", "stock", "item",
                   "orders", "order_line", "new_order", "history"):
-            assert tpcc.db.catalog.table(t).schema.name == t
+            assert getattr(tpcc, t).schema.name == t
 
     def test_virtual_tables_sized(self, tpcc):
         assert tpcc.stock.n_rows == tpcc.cfg.n_stock
