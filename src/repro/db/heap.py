@@ -38,6 +38,13 @@ class HeapFile:
             ``(start, stop) -> list``, row-for-row identical to
             ``row_source``.
 
+    Pages are generated on demand: :meth:`page_rows` and
+    :meth:`scan_addr_block` build a page on every call and keep nothing,
+    so no mutation needs to invalidate them.  The only memo is the
+    per-rid ``_row_cache`` of generated virtual rows, filled by
+    :meth:`get` and by :meth:`page_rows` when there is no
+    ``row_block_source``.
+
     Neither generator may reference the table's owner (say, a bound
     method of the workload object whose database holds this file): the
     file keeps its generators for its whole life, so the owner would
@@ -75,17 +82,10 @@ class HeapFile:
         # (the same rows a materialized heap would hold outright); writes
         # land in the overlay, never the cache.
         self._row_cache: dict[int, tuple] = {}
-        # Materialized row blocks for the fused scan drains: one list per
-        # page, dropped wholesale when any mutation bumps the epoch.  The
-        # DSS windows are quantized, so the same few blocks are re-scanned
-        # many times.  An optional ``row_block_source(start, stop)``
-        # generates a whole page of virtual rows in one call (amortizing
-        # the per-row generator overhead).
+        # An optional ``row_block_source(start, stop)`` generates a whole
+        # page of virtual rows in one call (amortizing the per-row
+        # generator overhead) for the fused scan drains.
         self._row_block_source = row_block_source
-        self._block_cache: dict[int, list[tuple]] = {}
-        self._addr_cache: dict[int, list[int]] = {}
-        self._mut_epoch = 0
-        self._block_epoch = 0
         if n_virtual_rows:
             self._reserve_pages(self.n_pages)
 
@@ -163,7 +163,6 @@ class HeapFile:
             )
         rid = len(self._rows)
         self._rows.append(tuple(row))
-        self._mut_epoch += 1
         self._reserve_pages(self.n_pages)
         return rid
 
@@ -195,75 +194,56 @@ class HeapFile:
             self._overlay[rid] = new
         else:
             self._rows[rid] = new
-        self._mut_epoch += 1
         return new
 
     def page_rows(self, page_no: int) -> list[tuple]:
-        """All rows of one page as a (cached) list.
+        """All rows of one page as a fresh list, built on every call.
 
         The rows are value-equal to what :meth:`get` yields (and the very
         same tuple objects unless a ``row_block_source`` regenerates the
-        page wholesale).  Any mutation (:meth:`append`, :meth:`set_field`)
-        invalidates all cached pages.  Callers must not mutate the list.
+        page wholesale), so every :meth:`append` and :meth:`set_field`
+        shows up in the next call.
         """
-        if self._block_epoch != self._mut_epoch:
-            self._block_cache.clear()
-            self._addr_cache.clear()
-            self._block_epoch = self._mut_epoch
-        block = self._block_cache.get(page_no)
-        if block is None:
-            start = page_no * self.format.capacity
-            stop = min(start + self.format.capacity, self.n_rows)
-            if self._virtual_rows and not self._overlay:
-                src = self._row_block_source
-                if src is not None:
-                    block = src(start, stop)
-                else:
-                    # No per-rid bounds checks or overlay lookups.
-                    cache = self._row_cache
-                    cget = cache.get
-                    gen = self._row_source
-                    block = []
-                    app = block.append
-                    for rid in range(start, stop):
-                        row = cget(rid)
-                        if row is None:
-                            row = cache[rid] = gen(rid)
-                        app(row)
-            else:
-                get = self.get
-                block = [get(rid) for rid in range(start, stop)]
-            self._block_cache[page_no] = block
-        return block
+        start = page_no * self.format.capacity
+        stop = min(start + self.format.capacity, self.n_rows)
+        if self._virtual_rows and not self._overlay:
+            src = self._row_block_source
+            if src is not None:
+                return src(start, stop)
+            # No per-rid bounds checks or overlay lookups.
+            cache = self._row_cache
+            cget = cache.get
+            gen = self._row_source
+            block = []
+            app = block.append
+            for rid in range(start, stop):
+                row = cget(rid)
+                if row is None:
+                    row = cache[rid] = gen(rid)
+                app(row)
+            return block
+        get = self.get
+        return [get(rid) for rid in range(start, stop)]
 
     def scan_addr_block(self, page_no: int) -> list[int]:
         """The NSM scan reference addresses of one page, in row order.
 
         One record address per row — plus the second-line address for a
         record spanning two cache lines — exactly the per-row reference
-        sequence ``SeqScan`` emits.  Cached per page; fused scan loops
+        sequence ``SeqScan`` emits.  Built on every call; fused scan loops
         extend the trace's address column with the block wholesale.
         """
-        if self._block_epoch != self._mut_epoch:
-            self._block_cache.clear()
-            self._addr_cache.clear()
-            self._block_epoch = self._mut_epoch
-        block = self._addr_cache.get(page_no)
-        if block is None:
-            fmt = self.format
-            start = page_no * fmt.capacity
-            n = min(fmt.capacity, self.n_rows - start)
-            addr = fmt.record_addr(self.page_base(page_no), 0)
-            width = self.schema.row_width
-            if width > 64:
-                block = []
-                ext = block.extend
-                for _ in range(max(0, n)):
-                    ext((addr, addr + 64))
-                    addr += width
-            else:
-                block = list(range(addr, addr + max(0, n) * width, width))
-            self._addr_cache[page_no] = block
+        fmt = self.format
+        start = page_no * fmt.capacity
+        n = max(0, min(fmt.capacity, self.n_rows - start))
+        addr = fmt.record_addr(self.page_base(page_no), 0)
+        width = self.schema.row_width
+        heads = range(addr, addr + n * width, width)
+        if width <= 64:
+            return list(heads)
+        block = [0] * (2 * n)
+        block[::2] = heads
+        block[1::2] = range(addr + 64, addr + 64 + n * width, width)
         return block
 
     def scan(self, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, tuple]]:

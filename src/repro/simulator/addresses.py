@@ -84,7 +84,6 @@ class AddressSpace:
 
     def __init__(self, base: int = 0x1000_0000):
         self._next = base
-        self._regions: list[Region] = []
 
     def alloc(self, name: str, size: int, align: int = PAGE_SIZE) -> Region:
         """Allocate ``size`` bytes aligned to ``align`` and return the Region.
@@ -104,14 +103,8 @@ class AddressSpace:
         base = (self._next + align - 1) & ~(align - 1)
         region = Region(name=name, base=base, size=size)
         self._next = base + size
-        self._regions.append(region)
         return region
 
     def alloc_pages(self, name: str, npages: int) -> Region:
         """Allocate ``npages`` database pages as one region."""
         return self.alloc(name, npages * PAGE_SIZE)
-
-    @property
-    def regions(self) -> list[Region]:
-        """All regions allocated so far, in allocation order."""
-        return list(self._regions)

@@ -223,7 +223,7 @@ class SharedL2Hierarchy:
         self._pf_conf = [0] * n
         #: When set (a list), warm_block appends every L2 access it makes,
         #: so the warm machinery can capture a replayable warm state.
-        self._warm_log: list[tuple[int, int]] | None = None
+        self._warm_log: list[int] | None = None
         # Hardware islands (DESIGN.md section 15).  An inactive topology
         # (None or 1 socket) leaves every hot path on its pre-island
         # code; the single `self._topo is None` test is the only cost.
@@ -515,16 +515,20 @@ class SharedL2Hierarchy:
     def capture_warm_state(self):
         """Snapshot (L1 sets, owner map, L2 access log) after a warm-up.
 
-        The log is frozen to one flat ``array('Q')`` column of packed
-        ``line << 1 | write`` words: a third the memory of a tuple list
-        and a branch-free decode on replay.
+        The log is frozen to one flat column of packed ``line << 1 |
+        write`` words, ``array('I')`` when every word fits in 32 bits and
+        ``array('Q')`` otherwise: a branch-free decode on replay.
         """
-        log = self._warm_log
+        log = self._warm_log or []
         self._warm_log = None
+        try:
+            frozen = array("I", log)
+        except OverflowError:
+            frozen = array("Q", log)
         return (
             [cache.snapshot_sets() for cache in self._l1d],
             dict(self._l1_owners),
-            array("Q", log) if log is not None else array("Q"),
+            frozen,
         )
 
     def restore_warm_state(self, state) -> None:

@@ -119,9 +119,8 @@ class Trace:
     """An immutable per-context event sequence plus workload metadata.
 
     The physical representation is an address column, an event-kind
-    column and the event table the kinds index (DESIGN.md §11); the
-    decoded ``icounts``/``flags``/``regions`` views are the public
-    accessor API.  A trace keeps no per-event derived state: the cores
+    column and the event table the kinds index (DESIGN.md §11).  A trace
+    keeps no per-event derived state: the cores, and every analysis,
     derive what they need from the event table where they use it
     (DESIGN.md §14).
 
@@ -209,26 +208,6 @@ class Trace:
     def distinct_lines(self) -> int:
         """Number of distinct cache lines referenced (data only)."""
         return len({a >> 6 for a in self.addrs})
-
-    # -- decoded column views ------------------------------------------ #
-
-    @property
-    def icounts(self) -> array:
-        """Decoded per-event icount column (fresh copy; analysis only)."""
-        events = self.events
-        return array("I", (events[k][0] for k in self.kinds))
-
-    @property
-    def flags(self) -> array:
-        """Decoded per-event flags column (fresh copy; analysis only)."""
-        events = self.events
-        return array("B", (events[k][1] for k in self.kinds))
-
-    @property
-    def regions(self) -> array:
-        """Decoded per-event region column (fresh copy; analysis only)."""
-        events = self.events
-        return array("H", (events[k][2] for k in self.kinds))
 
 
 class TraceBuilder:

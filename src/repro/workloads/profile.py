@@ -50,22 +50,27 @@ class TraceProfile:
 
 
 def profile_trace(trace: Trace) -> TraceProfile:
-    """Compute a :class:`TraceProfile` for one trace."""
+    """Compute a :class:`TraceProfile` for one trace.
+
+    Counts each event kind once and weighs its decoded triple by that
+    count: a loop over the trace's event table, never over its events.
+    """
     n = len(trace)
     flag_counts = Counter()
     module_instr: Counter = Counter()
     footprints = trace.footprints
-    for icount, flags, region in zip(trace.icounts, trace.flags,
-                                     trace.regions):
+    events = trace.events
+    for k, count in Counter(trace.kinds).items():
+        icount, flags, region = events[k]
         if flags & FLAG_DEPENDENT:
-            flag_counts["dep"] += 1
+            flag_counts["dep"] += count
         if flags & FLAG_WRITE:
-            flag_counts["write"] += 1
+            flag_counts["write"] += count
         if flags & FLAG_STREAM:
-            flag_counts["stream"] += 1
+            flag_counts["stream"] += count
         if flags & FLAG_KERNEL:
-            flag_counts["kernel"] += 1
-        module_instr[footprints[region].name] += icount
+            flag_counts["kernel"] += count
+        module_instr[footprints[region].name] += icount * count
     return TraceProfile(
         name=trace.name,
         references=n,

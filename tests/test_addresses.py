@@ -34,9 +34,10 @@ class TestAllocator:
 
     def test_allocated_bytes(self):
         sp = AddressSpace()
-        sp.alloc("a", 100)
-        sp.alloc("b", 200)
-        assert sum(r.size for r in sp.regions) == 300
+        a = sp.alloc("a", 100)
+        b = sp.alloc("b", 200)
+        assert a.size + b.size == 300
+        assert a.base + a.size <= b.base
 
 
 class TestRegion:

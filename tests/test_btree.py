@@ -10,6 +10,7 @@ from repro.db.btree import BTreeIndex
 from repro.db.tracer import NullTracer
 from repro.simulator.addresses import AddressSpace
 from tests.btree_invariants import check_invariants
+from tests.trace_events import flags
 
 
 def make_tree(order=8):
@@ -104,7 +105,7 @@ class TestTracing:
         tracer = MemoryTracer(CodeRegistry(space), "c")
         t.search(100, tracer)
         trace = tracer.finish()
-        dep = sum(1 for f in trace.flags if f & FLAG_DEPENDENT)
+        dep = sum(1 for f in flags(trace) if f & FLAG_DEPENDENT)
         assert dep >= t.height  # one per level at least
 
     def test_nodes_have_distinct_addresses(self):

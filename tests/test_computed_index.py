@@ -6,6 +6,7 @@ from repro.db.computed_index import ComputedDenseIndex
 from repro.db.tracer import CodeRegistry, MemoryTracer
 from repro.simulator.addresses import PAGE_SIZE, AddressSpace
 from repro.simulator.trace import FLAG_DEPENDENT
+from tests.trace_events import flags
 
 
 def make(n_keys=100_000, fanout=256):
@@ -85,7 +86,7 @@ class TestDescent:
         tracer = MemoryTracer(CodeRegistry(space), "c")
         idx.search(5, tracer)
         trace = tracer.finish()
-        deps = [f & FLAG_DEPENDENT for f in trace.flags]
+        deps = [f & FLAG_DEPENDENT for f in flags(trace)]
         assert sum(bool(d) for d in deps) >= 2 * idx.height
 
     def test_range_yields_dense_keys(self):

@@ -11,9 +11,14 @@ cyclic collector a reason to reclaim.
 
 Each case runs with automatic collection disabled, so any such cycle
 keeps its ``Database`` alive and the test names the builder that leaked.
+
+The build itself must stay lean too: the TPC-H tables are virtual and
+their pages are generated on demand, so a DSS build's traced peak is a
+small multiple of the trace columns it yields.
 """
 
 import gc
+import tracemalloc
 
 import pytest
 
@@ -68,3 +73,26 @@ def test_build_frees_its_database(monkeypatch, label, builder, kwargs):
         f"{label}: {len(leaked)} Database(s) outlived the build "
         f"({', '.join(db.name for db in leaked)}); something the engine "
         "owns refers back to it")
+
+
+#: Largest traced build peak, as a multiple of the bundle's column bytes.
+#: Generating each page on demand holds a scale-0.05 DSS build at about
+#: 2.5x; a memo of every generated page raises it to about 10x.
+BUILD_PEAK_RATIO = 4
+
+
+def test_dss_build_peak_is_bounded_by_its_columns(monkeypatch):
+    monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+    driver.dss_workload.cache_clear()
+    tracemalloc.start()
+    try:
+        built = driver.dss_workload(scale=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    columns = sum(len(t.addrs) * t.addrs.itemsize
+                  + len(t.kinds) * t.kinds.itemsize for t in built.traces)
+    assert peak < BUILD_PEAK_RATIO * columns, (
+        f"dss build peaked at {peak / 1e6:.2f} MB for "
+        f"{columns / 1e6:.2f} MB of trace columns "
+        f"({peak / columns:.1f}x > {BUILD_PEAK_RATIO}x)")

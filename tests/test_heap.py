@@ -108,6 +108,78 @@ class TestVirtual:
         assert large.n_pages > 50 * small.n_pages
 
 
+#: A narrow row (46 bytes, one scan reference) and a wide one (126
+#: bytes, a second reference one line on).
+NARROW = Schema("n", [int64("id"), float64("v"), char("pad", 30)])
+WIDE = Schema("w", [int64("id"), float64("v"), char("pad", 110)])
+
+
+def _row(rid):
+    return (rid, rid * 2.0, "v")
+
+
+def _scan_refs(h, rid):
+    """The references a scan of row ``rid`` makes, from ``record_addr``."""
+    addr = h.record_addr(rid)
+    return [addr, addr + 64] if h.schema.row_width > 64 else [addr]
+
+
+@pytest.mark.parametrize("sch", [NARROW, WIDE], ids=["narrow", "wide"])
+class TestUncachedPages:
+    """Pages are built on every call, so each mutation shows up in the
+    next ``page_rows``/``scan_addr_block`` with no invalidation step."""
+
+    def _check_page(self, h, page_no):
+        cap = h.format.capacity
+        rids = range(page_no * cap, min((page_no + 1) * cap, h.n_rows))
+        assert h.page_rows(page_no) == [h.get(r) for r in rids]
+        block = h.scan_addr_block(page_no)
+        assert block == [a for r in rids for a in _scan_refs(h, r)]
+        for r in rids:
+            lines = h.record_lines(r)
+            assert all(a & ~63 in lines for a in _scan_refs(h, r))
+
+    def test_materialized_append_shows(self, sch):
+        h = HeapFile(AddressSpace(), sch, "t")
+        for i in range(3):
+            h.append(_row(i))
+        self._check_page(h, 0)
+        h.append(_row(3))
+        assert len(h.page_rows(0)) == 4
+        self._check_page(h, 0)
+        cap = h.format.capacity
+        for i in range(4, cap + 2):
+            h.append(_row(i))
+        self._check_page(h, 0)
+        self._check_page(h, 1)
+        assert len(h.page_rows(1)) == 2
+
+    def test_materialized_set_field_shows(self, sch):
+        h = HeapFile(AddressSpace(), sch, "t")
+        for i in range(5):
+            h.append(_row(i))
+        h.page_rows(0)
+        h.set_field(2, 1, -1.0)
+        assert h.page_rows(0)[2] == (2, -1.0, "v")
+        self._check_page(h, 0)
+
+    @pytest.mark.parametrize("blocks", [False, True],
+                             ids=["row-source", "block-source"])
+    def test_virtual_set_field_shows(self, sch, blocks):
+        block_source = None
+        if blocks:
+            def block_source(start, stop):
+                return [_row(r) for r in range(start, stop)]
+        h = HeapFile(AddressSpace(), sch, "t", n_virtual_rows=200,
+                     row_source=_row,
+                     row_block_source=block_source)
+        self._check_page(h, 0)
+        h.set_field(1, 1, -1.0)
+        assert h.page_rows(0)[1] == (1, -1.0, "v")
+        self._check_page(h, 0)
+        self._check_page(h, h.n_pages - 1)
+
+
 class TestAddressing:
     def test_locate_inverse_of_append_order(self):
         h = make_heap()

@@ -12,7 +12,8 @@ from repro.simulator.hierarchy import (
     SharedL2Hierarchy,
     _CodePressure,
 )
-from tests.trace_events import warm_columns
+from repro.simulator.trace import FLAG_WRITE
+from tests.trace_events import trace_from_events, warm_columns
 
 COLD = 0x4000_0000
 
@@ -272,9 +273,12 @@ def _warm_data(h, core, addr, write):
     h.l2.access(line, write)
 
 
-def _warm_blocks(h, pattern):
-    """Feed ``warm_block`` per-core runs exactly as Machine._warm does."""
-    columns = warm_columns(pattern)
+def _warm_blocks(h, pattern, columns=None):
+    """Feed ``warm_block`` per-core runs exactly as Machine._warm does,
+    from ``columns`` (``(addrs, kinds, writes)``; by default a built
+    trace's)."""
+    if columns is None:
+        columns = warm_columns(pattern)
     i = 0
     while i < len(pattern):
         j = i
@@ -333,6 +337,35 @@ class TestWarm:
         assert _l1_state(a) == _l1_state(b)
         assert _l2_state(a) == _l2_state(b)
         assert a._l1_owners == b._l1_owners
+
+    @pytest.mark.parametrize("high,typecode", [(0, "I"), (1 << 40, "Q")],
+                             ids=["study", "64-bit"])
+    def test_log_width_follows_lines(self, high, typecode):
+        """The log is frozen as ``array('I')`` when every packed line fits
+        in 32 bits (every study trace, built through TraceBuilder) and as
+        ``array('Q')`` for 64-bit addresses (a ``trace_from_events``
+        trace); either restores to the state a fresh warm walk leaves."""
+        pattern = [(c, high + a, w) for c, a, w in _random_pattern(15)]
+        columns = None
+        if high:
+            tr = trace_from_events(
+                "wide", [(1, a, FLAG_WRITE if w else 0, 0)
+                         for _, a, w in pattern], [])
+            columns = (tr.addrs, tr.kinds,
+                       bytes(f & FLAG_WRITE for _, f, _ in tr.events))
+        a = make()
+        a.begin_warm_log()
+        _warm_blocks(a, pattern, columns)
+        state = a.capture_warm_state()
+        assert state[2].typecode == typecode
+        fresh = make()
+        for core, addr, wr in pattern:
+            _warm_data(fresh, core, addr, wr)
+        b = make()
+        b.restore_warm_state(state)
+        assert _l1_state(b) == _l1_state(fresh)
+        assert _l2_state(b) == _l2_state(fresh)
+        assert b._l1_owners == fresh._l1_owners
 
     def test_restore_does_not_alias_captured_state(self):
         """Mutating a restored hierarchy must not corrupt the memo entry."""

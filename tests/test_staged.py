@@ -12,6 +12,7 @@ from repro.staged import (
 from repro.simulator.addresses import AddressSpace
 from repro.simulator.trace import FLAG_WRITE
 from repro.workloads.tpch import TpchDatabase
+from tests.trace_events import flags
 
 
 class TestBatchBuffer:
@@ -96,7 +97,7 @@ class TestScheduler:
             0, 800, cutoff=2600)
         producer_trace, consumer_trace = spread.traces
         written = {
-            a >> 6 for a, f in zip(producer_trace.addrs, producer_trace.flags)
+            a >> 6 for a, f in zip(producer_trace.addrs, flags(producer_trace))
             if f & FLAG_WRITE
         }
         consumer_reads = {a >> 6 for a in consumer_trace.addrs}

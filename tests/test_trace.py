@@ -11,7 +11,7 @@ from repro.simulator.trace import (
     TraceBuilder,
     Workload,
 )
-from tests.trace_events import trace_events
+from tests.trace_events import flags, icounts, regions, trace_events
 
 
 def build_trace(events, **kw):
@@ -26,7 +26,7 @@ class TestBuilder:
     def test_basic_roundtrip(self):
         tr = build_trace([(10, 0x100, 0), (20, 0x200, FLAG_WRITE)])
         assert len(tr) == 2
-        assert list(tr.icounts) == [10, 20]
+        assert icounts(tr) == [10, 20]
         assert list(tr.addrs) == [0x100, 0x200]
         assert tr.total_instructions == 30
 
@@ -44,7 +44,7 @@ class TestBuilder:
         tr = build_trace([(10, 0x100, 0), (20, 0x240, FLAG_WRITE)])
         assert trace_events(tr) == [(10, 0x100, 0, 0),
                                     (20, 0x240, FLAG_WRITE, 0)]
-        assert list(tr.regions) == [0, 0]
+        assert regions(tr) == [0, 0]
 
     def test_negative_icount_rejected(self):
         tb = TraceBuilder("t")
@@ -79,11 +79,11 @@ class TestBuilder:
 
     def test_stream_flag_stored(self):
         tr = build_trace([(1, 0x100, FLAG_STREAM)])
-        assert tr.flags[0] & FLAG_STREAM
+        assert flags(tr)[0] & FLAG_STREAM
 
     def test_icount_clamped_to_storage(self):
         tr = build_trace([(2**40, 0x100, 0)])
-        assert tr.icounts[0] == 0xFFFF_FFFF
+        assert icounts(tr)[0] == 0xFFFF_FFFF
 
 
 class TestLayout:
@@ -107,7 +107,7 @@ class TestLayout:
         tr = build_trace([(i, 64 * i, 0) for i in range(n_words)])
         assert len(tr.events) == n_words
         assert tr.kinds.typecode == typecode
-        assert list(tr.icounts) == list(range(n_words))
+        assert icounts(tr) == list(range(n_words))
 
     def test_event_table_is_ordered_by_packed_word(self):
         """Equal event streams intern the same way, whatever order their
@@ -150,7 +150,7 @@ class TestWorkload:
 def test_trace_roundtrip_property(events):
     """Property: every event survives the builder byte-for-byte."""
     tr = build_trace(events)
-    assert list(tr.icounts) == [min(e[0], 0xFFFF_FFFF) for e in events]
+    assert icounts(tr) == [min(e[0], 0xFFFF_FFFF) for e in events]
     assert list(tr.addrs) == [e[1] for e in events]
-    assert list(tr.flags) == [e[2] for e in events]
+    assert flags(tr) == [e[2] for e in events]
     assert tr.total_instructions == sum(e[0] for e in events)

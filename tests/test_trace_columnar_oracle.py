@@ -36,7 +36,13 @@ from repro.simulator.trace import (
     TraceBuilder,
     Workload,
 )
-from tests.trace_events import trace_events, trace_from_events
+from tests.trace_events import (
+    flags,
+    icounts,
+    regions,
+    trace_events,
+    trace_from_events,
+)
 
 #: Shared with the determinism suites so machine geometry builds once.
 SCALE = 0.02
@@ -179,9 +185,9 @@ def test_access_for_access_equality(kind, regime):
         assert len(tr) == len(ref)
         total += len(tr)
         assert trace_events(tr) == ref.events
-        assert list(tr.icounts) == [e[0] for e in ref.events]
-        assert list(tr.flags) == [e[2] for e in ref.events]
-        assert list(tr.regions) == [e[3] for e in ref.events]
+        assert icounts(tr) == [e[0] for e in ref.events]
+        assert flags(tr) == [e[2] for e in ref.events]
+        assert regions(tr) == [e[3] for e in ref.events]
         rng = random.Random(len(ref))
         for i in rng.sample(range(len(ref)), 200):
             assert access_at(tr, i) == ref.events[i]

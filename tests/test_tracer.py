@@ -8,6 +8,7 @@ from repro.db.tracer import CodeRegistry, MemoryTracer, NullTracer
 from repro.db.util import stable_hash
 from repro.simulator.addresses import AddressSpace
 from repro.simulator.trace import FLAG_KERNEL, FLAG_STREAM, FLAG_WRITE
+from tests.trace_events import flags, icounts, regions
 
 
 class TestCodeRegistry:
@@ -27,11 +28,19 @@ class TestCodeRegistry:
 
     def test_total_bytes(self):
         space = AddressSpace()
+        allocated = []
+        alloc = space.alloc
+
+        def recording_alloc(*args, **kw):
+            allocated.append(alloc(*args, **kw))
+            return allocated[-1]
+
+        space.alloc = recording_alloc
         reg = CodeRegistry(space)
         reg.region("exec.hashjoin")
         reg.region("exec.filter")
         reg.region("exec.hashjoin")
-        assert sum(r.size for r in space.regions) == \
+        assert sum(r.size for r in allocated) == \
             reg.region("exec.hashjoin").size + reg.region("exec.filter").size
 
 
@@ -47,15 +56,15 @@ class TestMemoryTracer:
         tr.compute(5)
         tr.data(0x100)
         trace = tr.finish()
-        assert trace.icounts[0] == 16  # 15 + 1 for the access itself
+        assert icounts(trace)[0] == 16  # 15 + 1 for the access itself
 
     def test_flags_recorded(self):
         tr = self.make()
         tr.data(0x100, write=True, stream=True)
         tr.data(0x200, kernel=True)
         trace = tr.finish()
-        assert trace.flags[0] & FLAG_WRITE and trace.flags[0] & FLAG_STREAM
-        assert trace.flags[1] & FLAG_KERNEL
+        assert flags(trace)[0] & FLAG_WRITE and flags(trace)[0] & FLAG_STREAM
+        assert flags(trace)[1] & FLAG_KERNEL
 
     def test_enter_switches_region(self):
         tr = self.make()
@@ -64,8 +73,8 @@ class TestMemoryTracer:
         tr.enter("exec.hashjoin")
         tr.data(0x200)
         trace = tr.finish()
-        assert trace.regions[0] != trace.regions[1]
-        names = [trace.footprints[r].name for r in trace.regions[:2]]
+        assert regions(trace)[0] != regions(trace)[1]
+        names = [trace.footprints[r].name for r in regions(trace)[:2]]
         assert names == ["exec.seqscan", "exec.hashjoin"]
 
     def test_trailing_compute_flushed_on_finish(self):
@@ -74,7 +83,7 @@ class TestMemoryTracer:
         tr.compute(42)
         trace = tr.finish()
         assert len(trace) == 2
-        assert trace.icounts[1] == 43
+        assert icounts(trace)[1] == 43
 
     def test_finish_twice_rejected(self):
         tr = self.make()

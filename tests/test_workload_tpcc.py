@@ -7,6 +7,7 @@ import pytest
 from repro.simulator.trace import FLAG_DEPENDENT, FLAG_WRITE
 from repro.workloads.tpcc import TpccConfig, TpccDatabase, _nurand
 from tests.btree_invariants import check_invariants
+from tests.trace_events import flags, icounts
 
 SCALE = 0.05
 
@@ -164,8 +165,8 @@ class TestTraces:
         tpcc = TpccDatabase(scale=SCALE, seed=1)
         tr = tpcc.run_client(0, 15)
         assert len(tr) > 500
-        dep = sum(1 for f in tr.flags if f & FLAG_DEPENDENT) / len(tr)
-        wr = sum(1 for f in tr.flags if f & FLAG_WRITE) / len(tr)
+        dep = sum(1 for f in flags(tr) if f & FLAG_DEPENDENT) / len(tr)
+        wr = sum(1 for f in flags(tr) if f & FLAG_WRITE) / len(tr)
         assert 0.35 <= dep <= 0.8   # index/lock-heavy pointer chasing
         assert 0.15 <= wr <= 0.6    # update-heavy
         assert len(tr.footprints) >= 8  # many code modules (big I-footprint)
@@ -174,8 +175,8 @@ class TestTraces:
         a = TpccDatabase(scale=SCALE, seed=2).run_client(3, 10)
         b = TpccDatabase(scale=SCALE, seed=2).run_client(3, 10)
         assert list(a.addrs) == list(b.addrs)
-        assert list(a.icounts) == list(b.icounts)
-        assert list(a.flags) == list(b.flags)
+        assert icounts(a) == icounts(b)
+        assert flags(a) == flags(b)
 
     def test_clients_differ(self):
         tpcc = TpccDatabase(scale=SCALE, seed=2)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.workloads.tpch import QUERIES, TpchDatabase
+from tests.trace_events import icounts, regions
 
 SCALE = 0.02
 
@@ -179,7 +180,7 @@ class TestTraces:
         t0 = tpch.run_client(0, 4)
         t1 = tpch.run_client(1, 4)
         # Different rotations: first code regions differ between clients.
-        assert list(t0.regions[:50]) != list(t1.regions[:50])
+        assert regions(t0)[:50] != regions(t1)[:50]
 
     def test_trace_covers_all_queries(self):
         tpch = TpchDatabase(scale=SCALE, seed=14)
@@ -198,4 +199,4 @@ class TestTraces:
         a = TpchDatabase(scale=SCALE, seed=15).run_client(1, 4)
         b = TpchDatabase(scale=SCALE, seed=15).run_client(1, 4)
         assert list(a.addrs) == list(b.addrs)
-        assert list(a.icounts) == list(b.icounts)
+        assert icounts(a) == icounts(b)

@@ -2,7 +2,8 @@
 build traces and warm-walk columns from them.
 
 The simulator reads the columns directly; tests compare traces event by
-event, so the decoder lives here.
+event, so the decoders (whole events, or one decoded field per event)
+live here.
 """
 
 from array import array
@@ -20,6 +21,24 @@ def trace_events(trace) -> list[tuple[int, int, int, int]]:
     events = trace.events
     return [(events[k][0], a, events[k][1], events[k][2])
             for a, k in zip(trace.addrs, trace.kinds)]
+
+
+def icounts(trace) -> list[int]:
+    """The trace's decoded per-event icounts."""
+    events = trace.events
+    return [events[k][0] for k in trace.kinds]
+
+
+def flags(trace) -> list[int]:
+    """The trace's decoded per-event flags."""
+    events = trace.events
+    return [events[k][1] for k in trace.kinds]
+
+
+def regions(trace) -> list[int]:
+    """The trace's decoded per-event code-region ids."""
+    events = trace.events
+    return [events[k][2] for k in trace.kinds]
 
 
 def trace_from_events(name, events, footprints, **kw) -> Trace:
