@@ -169,7 +169,7 @@ class MemoryTracer(NullTracer):
         return self._meta_append, self._addr_append
 
     def columns(self):
-        """The raw ``(meta, addr)`` column lists, for bulk extends.
+        """The raw ``(meta, addr)`` ``array('Q')`` columns, for bulk extends.
 
         Fused loops whose per-page address sequence is deterministic
         (a pure NSM scan) extend the address column with one precomputed

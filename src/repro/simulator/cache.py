@@ -48,14 +48,16 @@ class CacheStats:
 class SetAssocCache:
     """A set-associative cache over line indexes.
 
-    Each set is a single insertion-ordered dict mapping tag -> state:
-    Python dicts preserve insertion order, so the first key is the LRU
-    line and the last the MRU.  Moving a line to MRU is a pop + reinsert
-    and evicting the LRU is ``next(iter(set))`` — every operation is O(1)
-    instead of the O(assoc) ``list.remove`` of a parallel-list design.
-    The observable behaviour (hit/miss/eviction/victim sequences) is
-    identical; ``tests/test_cache_oracle.py`` drives both models through
-    randomized op streams to prove it.
+    Each set is a plain list of the resident line indexes in LRU..MRU
+    order: a hit moves its line to the end (skipped when it already is
+    the MRU line) and a fill evicts ``set[0]``.  Line states live apart
+    from the sets, in one dict per cache that holds only the resident
+    lines whose state is not ``CLEAN``; a resident line absent from it is
+    clean.  A 16-way set is at most a 184-byte list, where an
+    insertion-ordered dict churned by hit reinserts grows to a 64-slot
+    table (DESIGN.md §9).  ``tests/test_cache_oracle.py`` drives this
+    class and a naive per-set model through randomized op streams and
+    checks the state map's invariant after every op.
 
     Args:
         name: Debug label ("L1D-0", "L2", ...).
@@ -65,7 +67,7 @@ class SetAssocCache:
     """
 
     __slots__ = ("name", "size_bytes", "assoc", "line_size", "n_sets",
-                 "_sets", "stats")
+                 "_sets", "_states", "stats")
 
     def __init__(self, name: str, size_bytes: int, assoc: int, line_size: int = 64):
         if size_bytes <= 0 or assoc <= 0:
@@ -84,7 +86,9 @@ class SetAssocCache:
         self.assoc = assoc
         self.line_size = line_size
         self.n_sets = n_sets
-        self._sets: list[dict[int, int]] = [{} for _ in range(n_sets)]
+        self._sets: list[list[int]] = [[] for _ in range(n_sets)]
+        #: line -> state for resident lines whose state is not CLEAN.
+        self._states: dict[int, int] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------ #
@@ -103,24 +107,28 @@ class SetAssocCache:
             evicted line, or None.  A dirty victim also bumps the writeback
             counter.
         """
-        sdict = self._sets[line % self.n_sets]
+        lines = self._sets[line % self.n_sets]
         stats = self.stats
-        state = sdict.pop(line, -1)
-        if state >= 0:
+        if line in lines:
             stats.hits += 1
-            # Reinsert at the MRU (insertion-order) end.
-            sdict[line] = DIRTY if write else state
+            if lines[-1] != line:
+                lines.remove(line)
+                lines.append(line)
+            if write:
+                self._states[line] = DIRTY
             return True, None
         stats.misses += 1
         victim = None
-        if len(sdict) >= self.assoc:
-            vline = next(iter(sdict))
-            vstate = sdict.pop(vline)
+        if len(lines) >= self.assoc:
+            vline = lines.pop(0)
+            vstate = self._states.pop(vline, CLEAN)
             stats.evictions += 1
             if vstate == DIRTY:
                 stats.writebacks += 1
             victim = (vline, vstate)
-        sdict[line] = DIRTY if write else CLEAN
+        lines.append(line)
+        if write:
+            self._states[line] = DIRTY
         return False, victim
 
     # ------------------------------------------------------------------ #
@@ -129,14 +137,16 @@ class SetAssocCache:
 
     def lookup(self, line: int) -> int | None:
         """Return the line's state without updating LRU, or None if absent."""
-        return self._sets[line % self.n_sets].get(line)
+        if line in self._sets[line % self.n_sets]:
+            return self._states.get(line, CLEAN)
+        return None
 
     def touch(self, line: int) -> None:
         """Move a resident line to MRU position.  No-op if absent."""
-        sdict = self._sets[line % self.n_sets]
-        state = sdict.pop(line, None)
-        if state is not None:
-            sdict[line] = state
+        lines = self._sets[line % self.n_sets]
+        if line in lines and lines[-1] != line:
+            lines.remove(line)
+            lines.append(line)
 
     def set_state(self, line: int, new_state: int) -> None:
         """Overwrite a resident line's state.
@@ -144,54 +154,65 @@ class SetAssocCache:
         Raises:
             KeyError: if the line is not resident.
         """
-        sdict = self._sets[line % self.n_sets]
-        if line not in sdict:
+        if line not in self._sets[line % self.n_sets]:
             raise KeyError(f"{self.name}: line {line:#x} not resident")
-        sdict[line] = new_state
+        self._set(line, new_state)
+
+    def _set(self, line: int, state: int) -> None:
+        """Record a resident line's state (a clean line has no entry)."""
+        if state == CLEAN:
+            self._states.pop(line, None)
+        else:
+            self._states[line] = state
 
     def insert(self, line: int, state: int) -> tuple[int, int] | None:
-        """Insert a line (assumed absent) with ``state``; return any victim.
+        """Insert a line with ``state`` (refreshing a resident one); return
+        any victim.
 
         Unlike :meth:`access` this does not count a hit or miss — the caller
         (the coherence protocol) does its own accounting.
         """
-        sdict = self._sets[line % self.n_sets]
-        if line in sdict:
-            # Resident: refresh state and recency.
-            del sdict[line]
-            sdict[line] = state
-            return None
+        lines = self._sets[line % self.n_sets]
         victim = None
-        if len(sdict) >= self.assoc:
-            vline = next(iter(sdict))
-            vstate = sdict.pop(vline)
+        if line in lines:
+            # Resident: refresh state and recency.
+            lines.remove(line)
+        elif len(lines) >= self.assoc:
+            vline = lines.pop(0)
             self.stats.evictions += 1
-            victim = (vline, vstate)
-        sdict[line] = state
+            victim = (vline, self._states.pop(vline, CLEAN))
+        lines.append(line)
+        self._set(line, state)
         return victim
 
     def invalidate(self, line: int) -> int | None:
         """Remove a line; return its state, or None if it was absent."""
-        return self._sets[line % self.n_sets].pop(line, None)
+        lines = self._sets[line % self.n_sets]
+        if line not in lines:
+            return None
+        lines.remove(line)
+        return self._states.pop(line, CLEAN)
 
     # ------------------------------------------------------------------ #
     # State snapshot/restore (warm memo)                                  #
     # ------------------------------------------------------------------ #
 
-    def snapshot_sets(self) -> list[dict[int, int]]:
-        """Copies of the per-set dicts (insertion order = LRU..MRU)."""
-        return [s.copy() for s in self._sets]
+    def snapshot_sets(self) -> tuple[list[list[int]], dict[int, int]]:
+        """Copies of the per-set lists (LRU..MRU) and of the state map."""
+        return [s.copy() for s in self._sets], self._states.copy()
 
-    def load_sets(self, sets: list[dict[int, int]]) -> None:
-        """Install copies of set dicts from :meth:`snapshot_sets`.
+    def load_sets(self, snapshot: tuple[list[list[int]], dict[int, int]]) -> None:
+        """Install copies of a :meth:`snapshot_sets` snapshot.
 
         Stats are untouched.
         """
+        sets, states = snapshot
         if len(sets) != self.n_sets:
             raise ValueError(
                 f"{self.name}: snapshot has {len(sets)} sets, "
                 f"cache has {self.n_sets}")
         self._sets = [s.copy() for s in sets]
+        self._states = states.copy()
 
     # ------------------------------------------------------------------ #
     # Introspection                                                       #

@@ -22,7 +22,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import MISSING, dataclass, field, fields
 
-from .cache import CLEAN, DIRTY, SetAssocCache
+from .cache import DIRTY, SetAssocCache
 from . import cacti
 from .topology import (
     HOME_INTERLEAVE_SHIFT,
@@ -221,9 +221,10 @@ class SharedL2Hierarchy:
         self._pf_last = [0] * n
         self._pf_stride = [0] * n
         self._pf_conf = [0] * n
-        #: When set (a list), warm_block appends every L2 access it makes,
-        #: so the warm machinery can capture a replayable warm state.
-        self._warm_log: list[int] | None = None
+        #: When set (an ``array('Q')`` of packed ``line << 1 | write``
+        #: words), warm_block appends every L2 access it makes, so the
+        #: warm machinery can capture a replayable warm state.
+        self._warm_log: array | None = None
         # Hardware islands (DESIGN.md section 15).  An inactive topology
         # (None or 1 socket) leaves every hot path on its pre-island
         # code; the single `self._topo is None` test is the only cost.
@@ -442,15 +443,16 @@ class SharedL2Hierarchy:
 
         ``addrs``/``kinds`` are a trace's columns and ``writes[k]`` is the
         ``FLAG_WRITE`` bit (0 or 1) of event kind ``k``, so the write test
-        is one extra subscript and no decode.  The L1
-        LRU update is inlined (dict pop + reinsert on the cache's own
-        sets) with *no* stat counting: the warm/measure boundary resets
-        every counter this loop would have bumped, so skipping them is
-        unobservable.  ``tests/test_hierarchy.py`` checks the state it
+        is one extra subscript and no decode.  The L1 LRU update is
+        inlined (list move-to-end on the cache's own sets, the dirty bit
+        in its state map) with *no* stat counting: the warm/measure
+        boundary resets every counter this loop would have bumped, so
+        skipping them is unobservable.  ``tests/test_hierarchy.py`` checks the state it
         leaves against a per-reference walk.
         """
         l1 = self._l1d[core]
         sets = l1._sets
+        states = l1._states
         n_sets = l1.n_sets
         assoc = l1.assoc
         l2_access = self.l2.access
@@ -468,14 +470,18 @@ class SharedL2Hierarchy:
         for i in range(lo, hi):
             write = writes[kinds[i]]
             line = addrs[i] >> 6 | tag
-            sdict = sets[line % n_sets]
-            state = sdict.pop(line, -1)
-            if state >= 0:
-                sdict[line] = DIRTY if write else state
+            lines = sets[line % n_sets]
+            if line in lines:
+                if lines[-1] != line:
+                    lines.remove(line)
+                    lines.append(line)
+                if write:
+                    states[line] = DIRTY
                 continue
-            if len(sdict) >= assoc:
-                vline = next(iter(sdict))
-                del sdict[vline]
+            if len(lines) >= assoc:
+                vline = lines.pop(0)
+                if vline in states:
+                    del states[vline]
                 vmask = owners_get(vline)
                 if vmask is not None:
                     vmask &= nbit
@@ -483,7 +489,9 @@ class SharedL2Hierarchy:
                         owners[vline] = vmask
                     else:
                         del owners[vline]
-            sdict[line] = DIRTY if write else CLEAN
+            lines.append(line)
+            if write:
+                states[line] = DIRTY
             sibling_mask = owners_get(line, 0) & nbit
             if write and sibling_mask:
                 for other in range(n_cores):
@@ -510,21 +518,21 @@ class SharedL2Hierarchy:
 
     def begin_warm_log(self) -> None:
         """Start recording L2 warm accesses for later capture."""
-        self._warm_log = []
+        self._warm_log = array("Q")
 
     def capture_warm_state(self):
         """Snapshot (L1 sets, owner map, L2 access log) after a warm-up.
 
-        The log is frozen to one flat column of packed ``line << 1 |
-        write`` words, ``array('I')`` when every word fits in 32 bits and
-        ``array('Q')`` otherwise: a branch-free decode on replay.
+        The log is one flat column of packed ``line << 1 | write``
+        words, recorded as ``array('Q')`` and narrowed to ``array('I')``
+        when every word fits in 32 bits: a branch-free decode on replay.
         """
-        log = self._warm_log or []
+        log = self._warm_log if self._warm_log is not None else array("Q")
         self._warm_log = None
         try:
             frozen = array("I", log)
         except OverflowError:
-            frozen = array("Q", log)
+            frozen = log
         return (
             [cache.snapshot_sets() for cache in self._l1d],
             dict(self._l1_owners),
@@ -547,20 +555,24 @@ class SharedL2Hierarchy:
         self._l1_owners = dict(owners)
         l2 = self.l2
         sets = l2._sets
+        states = l2._states
         n_sets = l2.n_sets
         assoc = l2.assoc
         for packed in l2_log:
             line = packed >> 1
-            sdict = sets[line % n_sets]
-            state0 = sdict.pop(line, None)
-            if state0 is None:
-                if len(sdict) >= assoc:
-                    del sdict[next(iter(sdict))]
-                sdict[line] = packed & 1
+            lines = sets[line % n_sets]
+            if line in lines:
+                if lines[-1] != line:
+                    lines.remove(line)
+                    lines.append(line)
             else:
-                # CLEAN is 0 and DIRTY is 1, so a hit's next state is a
-                # plain OR of the write bit.
-                sdict[line] = state0 | (packed & 1)
+                if len(lines) >= assoc:
+                    vline = lines.pop(0)
+                    if vline in states:
+                        del states[vline]
+                lines.append(line)
+            if packed & 1:
+                states[line] = DIRTY
 
     # ------------------------------------------------------------------ #
     # Instruction path                                                    #

@@ -17,9 +17,9 @@ study bundles, where two packed 64-bit columns took sixteen.
 
 The builders still append one packed word per event
 (``icount << 24 | region << 8 | flags``, :func:`pack_meta`) — one integer
-op plus one ``list.append`` — and :meth:`TraceBuilder.build` interns them
-into the table once.  The hot replay loops decode an event with one
-``events[kinds[i]]`` unpack.
+op plus one ``array('Q').append`` — and :meth:`TraceBuilder.build`
+interns them into the table once.  The hot replay loops decode an event
+with one ``events[kinds[i]]`` unpack.
 
 Traces are cyclic: steady-state workloads (a client submitting transactions
 forever) are represented by a finite trace replayed in a loop, mirroring
@@ -81,7 +81,7 @@ def unpack_meta(word: int) -> tuple[int, int, int]:
             word >> META_REGION_SHIFT & META_REGION_MASK)
 
 
-def _kind_column(index: dict[int, int], words: list[int]) -> array:
+def _kind_column(index: dict[int, int], words: array) -> array:
     """``words`` mapped through ``index``, in the narrowest ``array`` that
     holds the largest kind: ``'B'``, ``'H'`` or ``'I'``."""
     kinds = map(index.__getitem__, words)
@@ -91,9 +91,9 @@ def _kind_column(index: dict[int, int], words: list[int]) -> array:
     return array("H" if len(index) <= 0x1_0000 else "I", list(kinds))
 
 
-def _address_column(addrs: list[int]) -> array:
-    """``addrs`` as an ``array('I')`` when every address fits in 32 bits,
-    else as an ``array('Q')``."""
+def _address_column(addrs: array) -> array:
+    """An ``array('Q')`` of addresses narrowed to ``array('I')`` when
+    every address fits in 32 bits, else a copy of it."""
     try:
         return array("I", addrs)
     except OverflowError:
@@ -214,12 +214,13 @@ class TraceBuilder:
     """Accumulates events for one hardware context.
 
     The engine-side tracer calls :meth:`event` (or appends packed words to
-    the public ``addr_column``/``meta_column`` lists directly — the fused
+    the public ``addr_column``/``meta_column`` columns directly — the fused
     builder loops do) once per modeled data reference; :meth:`build`
-    freezes the result into flat columns.  Plain Python lists take appends
-    faster than ``array`` objects; the one-shot conversion at
-    :meth:`build` is cheaper than per-event array appends, and it is
-    where the packed words are interned into the event table.
+    freezes the result into flat columns.  Both columns are
+    ``array('Q')``: eight bytes per event each, where a list holds an
+    eight-byte pointer to a separate int object per event.  :meth:`build`
+    narrows the addresses and interns the packed words into the event
+    table.
     """
 
     def __init__(self, name: str, ilp: float = 1.5, branch_mpki: float = 5.0,
@@ -228,8 +229,8 @@ class TraceBuilder:
         self.ilp = ilp
         self.ilp_inorder = ilp_inorder
         self.branch_mpki = branch_mpki
-        self.addr_column: list[int] = []
-        self.meta_column: list[int] = []
+        self.addr_column = array("Q")
+        self.meta_column = array("Q")
         self._footprints: list[CodeFootprint] = []
         self._footprint_ids: dict[str, int] = {}
 

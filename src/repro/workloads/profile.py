@@ -49,11 +49,13 @@ class TraceProfile:
     module_instructions: dict[str, int] = field(default_factory=dict)
 
 
-def profile_trace(trace: Trace) -> TraceProfile:
+def profile_trace(trace: Trace, lines: set[int] | None = None) -> TraceProfile:
     """Compute a :class:`TraceProfile` for one trace.
 
     Counts each event kind once and weighs its decoded triple by that
     count: a loop over the trace's event table, never over its events.
+    ``lines`` is the trace's set of distinct data lines when the caller
+    has already built it (:func:`profile_workload` does).
     """
     n = len(trace)
     flag_counts = Counter()
@@ -75,7 +77,8 @@ def profile_trace(trace: Trace) -> TraceProfile:
         name=trace.name,
         references=n,
         instructions=trace.total_instructions,
-        distinct_lines=trace.distinct_lines(),
+        distinct_lines=(trace.distinct_lines() if lines is None
+                        else len(lines)),
         dependent=flag_counts["dep"] / n,
         write=flag_counts["write"] / n,
         stream=flag_counts["stream"] / n,
@@ -124,12 +127,17 @@ class WorkloadProfile:
 
 
 def profile_workload(workload: Workload) -> WorkloadProfile:
-    """Profile every client and the cross-client sharing structure."""
-    clients = [profile_trace(t) for t in workload.traces]
+    """Profile every client and the cross-client sharing structure.
+
+    Each trace's line set is built once and serves both its distinct-line
+    count and the cross-client count.
+    """
+    clients = []
     seen: Counter = Counter()
     for trace in workload.traces:
-        for line in {a >> 6 for a in trace.addrs}:
-            seen[line] += 1
+        lines = {a >> 6 for a in trace.addrs}
+        clients.append(profile_trace(trace, lines))
+        seen.update(lines)
     union = len(seen)
     shared = sum(1 for c in seen.values() if c >= 2)
     return WorkloadProfile(

@@ -91,7 +91,8 @@ class TestAccess:
         c = make_cache(size=4 * 1024, assoc=4)
         for line in range(1000):
             c.access(line, line % 3 == 0)
-        assert sum(map(len, c.snapshot_sets())) <= c.n_sets * c.assoc
+        sets, _ = c.snapshot_sets()
+        assert sum(map(len, sets)) <= c.n_sets * c.assoc
 
     def test_distinct_sets_do_not_interfere(self):
         c = make_cache(size=2 * 64 * 4, assoc=2)

@@ -1,18 +1,24 @@
-"""Oracle test for the O(1) LRU rewrite of :class:`SetAssocCache`.
+"""Oracle tests for :class:`SetAssocCache`.
 
-PR 4 replaced the per-set ``(state dict, LRU list)`` pair with a single
-insertion-ordered dict.  This suite pins the rewrite to the old semantics:
-``NaiveCache`` below *is* the pre-change reference model (O(assoc)
-``list.remove`` / ``list.pop(0)``), and both models are driven through
-50k randomized access / insert / invalidate / touch / lookup / set_state
-operations asserting identical per-op return values, identical stats
-(hits / misses / evictions / writebacks), and identical final contents
-*in LRU order*.
+The cache keeps each set as a list of line indexes in LRU..MRU order
+and the states of its non-clean resident lines in one per-cache dict.
+``NaiveCache`` below is the reference model: a state dict and an LRU
+list per set, updated with plain ``list.remove`` / ``list.pop(0)``.
+Both models are driven through 50k randomized access / insert /
+invalidate / touch / lookup / set_state operations, asserting identical
+per-op return values, identical stats (hits / misses / evictions /
+writebacks) and identical final contents *in LRU order*.  A hypothesis
+test runs the same comparison op by op and checks after every op that
+the state map holds only resident lines and no ``CLEAN`` value (a stale
+entry left by an eviction or invalidation would leak its state into the
+line's next fill).
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulator.cache import CLEAN, DIRTY, SetAssocCache
 
@@ -106,7 +112,9 @@ class NaiveCache:
 
 
 def _optimized_contents(cache: SetAssocCache):
-    return [list(s.items()) for s in cache._sets]
+    """Per-set ``(line, state)`` pairs in LRU-to-MRU order."""
+    states = cache._states
+    return [[(ln, states.get(ln, CLEAN)) for ln in s] for s in cache._sets]
 
 
 #: Operation mix: the access fast path dominates, with enough of the
@@ -179,6 +187,53 @@ def test_oracle_odd_geometry():
         write = rng.random() < 0.5
         assert opt.access(line, write) == ref.access(line, write)
     assert _optimized_contents(opt) == ref.contents()
+    assert (opt.stats.hits, opt.stats.misses, opt.stats.evictions,
+            opt.stats.writebacks) == (ref.hits, ref.misses, ref.evictions,
+                                      ref.writebacks)
+
+
+#: States an op may write: plain clean/dirty and the MESI E (2) and M (3)
+#: values the SMP private L2s store.
+_STATES = st.sampled_from((CLEAN, DIRTY, 2, 3))
+_LINES = st.integers(0, 47)
+_OP = st.one_of(
+    st.tuples(st.just("access"), _LINES, st.booleans()),
+    st.tuples(st.just("insert"), _LINES, _STATES),
+    st.tuples(st.just("invalidate"), _LINES, st.none()),
+    st.tuples(st.just("touch"), _LINES, st.none()),
+    st.tuples(st.just("lookup"), _LINES, st.none()),
+    st.tuples(st.just("set_state"), _LINES, _STATES),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(4 * 4 * 64, 4), (3 * 2 * 64, 2), (2 * 16 * 64, 16)]),
+       st.lists(_OP, max_size=200))
+def test_state_map_holds_only_resident_non_clean_lines(geometry, ops):
+    size, assoc = geometry
+    opt = SetAssocCache("inv", size, assoc)
+    ref = NaiveCache(size, assoc)
+    for op, line, arg in ops:
+        if op == "access":
+            assert opt.access(line, arg) == ref.access(line, arg)
+        elif op == "insert":
+            assert opt.insert(line, arg) == ref.insert(line, arg)
+        elif op == "set_state":
+            if ref.lookup(line) is None:
+                with pytest.raises(KeyError):
+                    opt.set_state(line, arg)
+            else:
+                opt.set_state(line, arg)
+                ref.set_state(line, arg)
+        elif op == "touch":
+            opt.touch(line)
+            ref.touch(line)
+        else:
+            assert getattr(opt, op)(line) == getattr(ref, op)(line)
+        resident = {ln for s in opt._sets for ln in s}
+        assert opt._states.keys() <= resident, f"{op}({line}) left a stale state"
+        assert CLEAN not in opt._states.values(), f"{op}({line}) stored CLEAN"
+        assert _optimized_contents(opt) == ref.contents()
     assert (opt.stats.hits, opt.stats.misses, opt.stats.evictions,
             opt.stats.writebacks) == (ref.hits, ref.misses, ref.evictions,
                                       ref.writebacks)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simulator.cache import CLEAN
 from repro.simulator.cacti import l2_hit_latency
 from repro.simulator.hierarchy import (
     L1,
@@ -237,13 +238,21 @@ def _random_pattern(seed, n=600, cores=2):
              rng.random() < 0.4) for _ in range(n)]
 
 
+def _set_pairs(snapshot):
+    """Per-set ``(line, state)`` pairs in LRU order from a cache's
+    ``(sets, states)`` pair (a resident line missing from ``states`` is
+    clean)."""
+    sets, states = snapshot
+    return [[(line, states.get(line, CLEAN)) for line in s] for s in sets]
+
+
 def _l1_state(h):
-    """Full L1 state including LRU order (dicts are insertion-ordered)."""
-    return [[list(s.items()) for s in cache._sets] for cache in h._l1d]
+    """Full L1 state including LRU order."""
+    return [_set_pairs((cache._sets, cache._states)) for cache in h._l1d]
 
 
 def _l2_state(h):
-    return [list(s.items()) for s in h.l2._sets]
+    return _set_pairs((h.l2._sets, h.l2._states))
 
 
 def _warm_data(h, core, addr, write):
@@ -310,7 +319,7 @@ class TestWarm:
         """The batched warm loop lands byte-for-byte where the
         per-reference reference walk does.
 
-        Compares full per-set dict contents *in insertion (LRU) order*,
+        Compares full per-set contents *in LRU order*,
         the owner map, and the L2 — not just membership — because the
         measured phase's victim choices depend on that order.
         """
@@ -376,7 +385,7 @@ class TestWarm:
         state = a.capture_warm_state()
         b = make()
         b.restore_warm_state(state)
-        before = [list(s.items()) for s in state[0][0]]
+        before = _set_pairs(state[0][0])
         for core, addr, wr in _random_pattern(14, n=200):
             b.data_access(core, addr, wr, 0.0)
-        assert [list(s.items()) for s in state[0][0]] == before
+        assert _set_pairs(state[0][0]) == before
