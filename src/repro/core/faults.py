@@ -15,7 +15,7 @@ Grammar (directives separated by ``;``)::
     crash@I[xN]       worker process dies (os._exit) running batch index I
     hang@I[xN][:S]    worker sleeps S seconds (default 3600) at index I
     exec@I[xN]        transient InjectedFault raised executing index I
-    corrupt@I[xN]     the cache entry written for index I is garbage bytes
+    corrupt@I[xN]     the cache entry written for index I holds garbage
     SITE~P[:S]        probabilistic form: fire with probability P at any
                       index (deterministic per (seed, site, index, attempt))
     seed=N            seed for the probabilistic form (default 0)
@@ -62,8 +62,9 @@ CRASH_EXIT_CODE = 13
 #: enough that only a timeout (or the test harness) ends it.
 DEFAULT_HANG_SECONDS = 3600.0
 
-#: Marker payload written by ``corrupt`` faults — deliberately not a valid
-#: pickle, so readers take the corrupt-entry recovery path.
+#: Marker payload stored by ``corrupt`` faults — deliberately not a valid
+#: pickle, so the result decoder rejects it and the reader takes the
+#: corrupt-entry recovery path.
 CORRUPT_PAYLOAD = b"repro-fault-injector: corrupted cache entry\n"
 
 _SITES = ("crash", "hang", "exec", "corrupt")
@@ -241,8 +242,11 @@ def maybe_raise(index: int, attempt: int = 0) -> None:
 
 
 def corrupt_bytes(index: int | None, payload: bytes) -> bytes:
-    """The bytes a cache write should store: ``payload`` untouched, or a
-    non-pickle marker when a ``corrupt`` rule fires for ``index``."""
+    """The payload a result-cache write should frame: ``payload``
+    untouched, or :data:`CORRUPT_PAYLOAD` when a ``corrupt`` rule fires
+    for ``index``.  The store frames and checksums the marker like any
+    payload; the result decoder rejects it, so the next reader counts an
+    error and a miss, unlinks the entry and re-simulates."""
     plan = active_plan()
     if plan is not None and plan.rule_for("corrupt", index, 0):
         return CORRUPT_PAYLOAD

@@ -20,10 +20,11 @@ the scaling substrate the rest of the study runs on:
   finishes, so an interrupted sweep rerun on the same cache simulates
   only the unfinished specs.  A graceful single-process fallback covers
   platforms without multiprocessing.
-- :class:`ResultCache` — a content-addressed on-disk cache keyed by the
-  normalized machine-config identity, the workload coordinates, and a
-  code-version salt, so repeated benchmark runs recall results instead of
-  re-simulating.  Corrupt or stale entries fall back to simulation.
+- :class:`ResultCache` — the :class:`~repro.store.Store` codec for
+  results, keyed by the normalized machine-config identity, the workload
+  coordinates, and a code-version salt, so repeated benchmark runs recall
+  results instead of re-simulating.  Corrupt or stale entries fall back
+  to simulation.
 
 Failure semantics (see DESIGN.md §6): a worker exception or injected
 fault costs one *attempt*; a spec retries up to ``retries`` times with
@@ -47,11 +48,9 @@ state across specs — must not enter :func:`execute`.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import pickle
-import tempfile
 import time
 import multiprocessing
 from collections import deque
@@ -73,6 +72,7 @@ from ..simulator.topology import (
     as_topology,
     validate_placement,
 )
+from ..store import Store
 from ..workloads import driver as _driver
 from ..workloads.contention import SkewSpec, as_skew
 from ..workloads.driver import workload_for
@@ -826,180 +826,41 @@ def run_specs(
 # Persistent result cache                                                 #
 # ---------------------------------------------------------------------- #
 
-class ResultCache:
+def _unpickle_result(payload) -> MachineResult:
+    result = pickle.loads(payload)
+    if not isinstance(result, MachineResult):
+        raise TypeError(f"cached {type(result).__name__}, not a MachineResult")
+    return result
+
+
+class ResultCache(Store):
     """Content-addressed on-disk store of :class:`MachineResult` pickles.
 
-    Entries are addressed by SHA-256 of the full measurement identity
-    (normalized config key + workload kind/regime/clients/mode/cycles/scale)
-    plus a code-version ``salt``: changing the simulator bumps
-    :data:`CODE_VERSION`, which re-addresses every entry and so invalidates
-    the stale ones without any scanning or manifest.
-
-    The cache is tolerant by construction: unreadable, corrupt, or
-    wrong-type entries count as misses (and are recorded in ``errors``),
-    and no store failure — disk, permissions, or pickling — ever
-    propagates; a damaged cache can only cost re-simulation.  Concurrent
-    writers are safe: each store lands via an atomic rename of a private
-    temp file, so two processes racing on one key just write the same
-    bytes twice.
-
-    With a ``budget_bytes`` limit (the ``REPRO_CACHE_BUDGET`` knob) the
-    cache is an LRU: every hit refreshes its entry's mtime, and a store
-    that pushes the on-disk total past the budget evicts oldest-mtime
-    entries until it fits again.  Eviction is unlink-based and therefore
-    safe against concurrent readers — a reader that already opened the
-    file keeps its data (POSIX), and one that loses the race simply
-    takes a miss and re-simulates; no path can observe a torn entry.
-
-    Attributes:
-        hits/misses/stores/errors/evictions: Lifetime accounting for
-            tests and reporting (see :meth:`stats`).
+    A codec over :class:`~repro.store.Store`, which frames, checksums,
+    writes, evicts and counts (DESIGN.md §5, §9).  Entries are addressed
+    by the full measurement identity (normalized config key + workload
+    kind/regime/clients/mode/cycles/scale) plus a code-version ``salt``:
+    changing the simulator bumps :data:`CODE_VERSION`, which re-addresses
+    every entry.  A damaged, stale or wrong-type entry is a counted miss
+    and no store failure propagates, so a damaged cache can only cost
+    re-simulation.  ``budget_bytes`` (the ``REPRO_CACHE_BUDGET`` knob)
+    makes the root an LRU.
     """
 
     def __init__(self, root: str, salt: str = CODE_VERSION,
                  budget_bytes: int | None = None):
-        self.root = str(root)
-        self.salt = salt
-        self.budget_bytes = (int(budget_bytes)
-                             if budget_bytes is not None and budget_bytes > 0
-                             else None)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.errors = 0
-        self.evictions = 0
-
-    # -- addressing ---------------------------------------------------- #
-
-    def path_for(self, key: tuple) -> str:
-        digest = hashlib.sha256(
-            repr((self.salt, key)).encode("utf-8")).hexdigest()
-        return os.path.join(self.root, digest[:2], digest + ".pkl")
-
-    # -- access -------------------------------------------------------- #
+        super().__init__(root, salt, ".pkl", budget_bytes)
 
     def get(self, key: tuple) -> MachineResult | None:
         """The cached result for ``key``, or None (miss/corrupt/stale)."""
-        path = self.path_for(key)
-        try:
-            with open(path, "rb") as fh:
-                result = pickle.load(fh)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except Exception:
-            # Truncated pickle, partial write, permissions, wrong format:
-            # all are recoverable by re-simulating.
-            self.errors += 1
-            self.misses += 1
-            return None
-        if not isinstance(result, MachineResult):
-            self.errors += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        if self.budget_bytes is not None:
-            try:
-                os.utime(path)  # refresh LRU recency
-            except OSError:
-                pass
-        return result
+        return self.load(key, _unpickle_result)
 
     def put(self, key: tuple, result: MachineResult,
             index: int | None = None) -> None:
-        """Store ``result`` atomically (rename over a temp file).
+        """Store ``result``; best-effort (failures count in ``errors``).
 
-        Strictly best-effort: any failure — unwritable volume, full disk,
-        or an unpicklable payload — increments ``errors`` and returns.
         ``index`` is the spec's batch position, used only by the fault
         injector's cache-corruption site.
         """
-        try:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            self.errors += 1
-            return
-        payload = faults.corrupt_bytes(index, payload)
-        path = self.path_for(key)
-        tmp = None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except Exception:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            self.errors += 1
-            return
-        self.stores += 1
-        if self.budget_bytes is not None:
-            self._evict_to_budget(keep=path)
-
-    def _entries(self) -> list[tuple[float, int, str]]:
-        """Every stored entry as ``(mtime, size, path)`` (best-effort)."""
-        entries: list[tuple[float, int, str]] = []
-        try:
-            shards = os.scandir(self.root)
-        except OSError:
-            return entries
-        with shards:
-            for shard in shards:
-                if not shard.is_dir():
-                    continue
-                try:
-                    files = os.scandir(shard.path)
-                except OSError:
-                    continue
-                with files:
-                    for entry in files:
-                        if not entry.name.endswith(".pkl"):
-                            continue
-                        try:
-                            st = entry.stat()
-                        except OSError:
-                            continue  # raced with another evictor
-                        entries.append((st.st_mtime, st.st_size,
-                                        entry.path))
-        return entries
-
-    def _evict_to_budget(self, keep: str | None = None) -> int:
-        """Unlink oldest-mtime entries until the total fits the budget.
-
-        ``keep`` (the entry just stored) is exempt so a single store can
-        never evict its own payload even under a pathologically small
-        budget.  Returns the number of entries evicted.  Purely
-        best-effort: a stat/unlink that loses a race with a concurrent
-        evictor or reader is skipped, never raised.
-        """
-        if self.budget_bytes is None:
-            return 0
-        entries = self._entries()
-        total = sum(size for _, size, _ in entries)
-        if total <= self.budget_bytes:
-            return 0
-        evicted = 0
-        for _, size, path in sorted(entries):
-            if total <= self.budget_bytes:
-                break
-            if path == keep:
-                continue
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        self.evictions += evicted
-        return evicted
-
-    def stats(self) -> dict:
-        """Lifetime accounting: hits, misses, stores, errors, evictions."""
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "errors": self.errors,
-                "evictions": self.evictions}
+        self.save(key, result, lambda r: faults.corrupt_bytes(
+            index, pickle.dumps(r, protocol=pickle.HIGHEST_PROTOCOL)))

@@ -156,8 +156,9 @@ class Settings:
         jobs: Worker processes for sweep fan-out (``REPRO_JOBS``).
         cache_dir: Persistent result-cache root, or None for no disk
             cache (``REPRO_CACHE_DIR``).
-        cache_budget: Result-cache LRU budget in bytes, or None for no
-            eviction (``REPRO_CACHE_BUDGET``).
+        cache_budget: LRU budget in bytes of each store root (the
+            result cache and the trace store, separately), or None for
+            no eviction (``REPRO_CACHE_BUDGET``).
         timeout: Per-spec wall-clock limit in seconds, or None for no
             limit (``REPRO_TIMEOUT``).
         retries: Failed attempts each spec may retry (``REPRO_RETRIES``).

@@ -11,7 +11,9 @@ Building traces is the expensive step (the engine actually executes every
 query and transaction), so bundles are memoized twice: per parameter set
 within a process (``functools.lru_cache``), and — when ``REPRO_TRACE_DIR``
 is set — across processes via :mod:`repro.workloads.tracestore`, which
-serves frozen trace bytes instead of re-running the engine.
+serves frozen trace bytes instead of re-running the engine.  A damaged
+store entry is a counted miss, so the bundle is rebuilt, and
+``REPRO_CACHE_BUDGET`` bounds the store root.
 """
 
 from __future__ import annotations

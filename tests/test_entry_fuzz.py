@@ -1,7 +1,8 @@
 """Entry-point fuzzing: invalid input fails eagerly, with a typed error.
 
 Each entry point below takes user-facing values (CLI flags, ``REPRO_*``
-variables, ``RunSpec`` fields).  Hypothesis draws arbitrary values for
+variables, ``RunSpec`` fields), or reads files from outside the program
+(the on-disk store entries).  Hypothesis draws arbitrary values for
 every argument: NaN, infinities, bools, negatives, zeros, huge numbers
 (including ints no float can hold), strings and None.  Every draw must
 either build an object that is usable downstream or raise the entry
@@ -13,15 +14,19 @@ a value accepted here cannot fail later for want of range checking.
 """
 
 import math
+import tempfile
 import threading
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.faults import FaultPlan
+from repro.core.parallel import ResultCache
 from repro.settings import Settings, SettingsError
+from repro.store import MAGIC
 from repro.simulator.topology import IslandTopology
 from repro.workloads.contention import SkewSpec, ZipfGenerator
+from repro.workloads.tracestore import TraceStore
 
 #: Awkward numbers every numeric argument should survive.
 EDGES = st.sampled_from([
@@ -129,3 +134,23 @@ def test_settings_from_env_is_valid_or_settings_error(environ):
         waits += [rule.arg for rule in FaultPlan.parse(parsed.faults).rules]
     for seconds in waits:
         assert seconds is None or 0 <= seconds <= threading.TIMEOUT_MAX
+
+
+@settings(max_examples=300, deadline=None)
+@given(layer=st.sampled_from([ResultCache, TraceStore]),
+       blob=st.one_of(st.binary(max_size=600),
+                      st.binary(max_size=600).map(MAGIC.__add__)))
+@example(layer=ResultCache, blob=b"")
+@example(layer=TraceStore, blob=MAGIC + bytes(44))
+def test_arbitrary_bytes_at_an_entry_path_are_a_counted_miss(layer, blob):
+    """Whatever sits at an entry's path, ``get`` returns None, counts one
+    error and one miss, unlinks the file, and raises nothing."""
+    key = ("fuzz", 1)
+    with tempfile.TemporaryDirectory() as root:
+        store = layer(root)
+        path = store.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_bytes(blob)
+        assert store.get(key) is None
+        assert (store.errors, store.misses, store.hits) == (1, 1, 0)
+        assert not path.exists()

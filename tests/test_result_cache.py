@@ -4,7 +4,9 @@ The cache must be strictly an accelerator: a damaged or stale cache may
 only cost re-simulation, never change results or crash, and a warm cache
 must satisfy repeated runs with zero ``Machine.run`` calls.  That holds
 under concurrency (two processes racing on one key) and under the fault
-injector's cache-corruption site (``REPRO_FAULTS=corrupt@i``).
+injector's cache-corruption site (``REPRO_FAULTS=corrupt@i``).  The
+LRU cases run on the result cache and, through the same store, on a
+trace-store root.
 """
 
 import os
@@ -20,6 +22,8 @@ from repro.core.experiment import Experiment
 from repro.core.parallel import ResultCache, RunSpec, config_key, execute
 from repro.settings import Settings, SettingsError
 from repro.simulator.configs import fc_cmp
+from repro.workloads.tracestore import TraceStore, active_store
+from tests.trace_events import tiny_workload
 
 SCALE = 0.02
 CYCLES = 40_000
@@ -40,9 +44,10 @@ def _cache_files(root) -> list:
             for name in names if name.endswith(".pkl")]
 
 
-def _disk_bytes(cache) -> int:
-    """Payload bytes a cache holds on disk, as its budget counts them."""
-    return sum(os.path.getsize(path) for path in _cache_files(cache.root))
+def _disk_bytes(store) -> int:
+    """Entry bytes a store root holds on disk, as its budget counts them."""
+    return sum(path.stat().st_size
+               for path in store.root.glob("*/*" + store.suffix))
 
 
 @pytest.mark.slow
@@ -112,15 +117,22 @@ class TestCacheRobustness:
         assert e3.sim_runs == 0
 
     def test_wrong_payload_type_is_a_miss(self, tmp_path):
+        """A well-framed entry that does not decode to a MachineResult,
+        and a raw result pickle in the format stored before entries were
+        framed, are each an error-counted miss and are unlinked."""
         cache = ResultCache(str(tmp_path))
         key = ("k",)
         path = cache.path_for(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        import pickle
-        with open(path, "wb") as fh:
-            pickle.dump({"not": "a MachineResult"}, fh)
+        result = execute(RunSpec(_config(), "dss"), SCALE, CYCLES)
+        cache.save(key, {"not": "a MachineResult"}, pickle.dumps)
         assert cache.get(key) is None
-        assert cache.errors == 1
+        assert (cache.errors, cache.misses) == (1, 1)
+        assert not path.exists()
+        path.write_bytes(pickle.dumps(result,
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+        assert cache.get(key) is None
+        assert (cache.errors, cache.misses) == (2, 2)
+        assert not path.exists()
 
     def test_salt_change_invalidates_stale_entries(self, tmp_path):
         e1 = _experiment(tmp_path)
@@ -313,101 +325,133 @@ class TestBudgetParsing:
                            budget_bytes=512).budget_bytes == 512
 
 
-@pytest.mark.slow
-class TestLRUEviction:
-    """The size-budgeted cache is an LRU over entry mtimes."""
+class _LRUCases:
+    """The size-budgeted store is an LRU over entry mtimes.
 
-    @pytest.fixture(scope="class")
-    def result(self):
-        return execute(RunSpec(_config(), "dss"), SCALE, CYCLES)
+    Each layer's class supplies a class-scoped ``layer`` fixture:
+    ``(make(root, budget_bytes), value)``.
+    """
 
     def _key(self, i: int) -> tuple:
         return ("budget-test", i)
 
-    def _fill(self, cache, result, n: int) -> list:
+    def _fill(self, store, value, n: int) -> list:
         """Store n entries under distinct keys with ascending mtimes."""
         paths = []
         for i in range(n):
-            cache.put(self._key(i), result)
-            path = cache.path_for(self._key(i))
+            store.put(self._key(i), value)
+            path = store.path_for(self._key(i))
             os.utime(path, (1000.0 * (i + 1), 1000.0 * (i + 1)))
             paths.append(path)
         return paths
 
-    def _entry_size(self, tmp_path, result) -> int:
-        probe = ResultCache(str(tmp_path / "probe"))
-        probe.put(("probe",), result)
+    def _entry_size(self, tmp_path, layer) -> int:
+        make, value = layer
+        probe = make(tmp_path / "probe", None)
+        probe.put(("probe",), value)
         return _disk_bytes(probe)
 
-    def test_store_evicts_oldest_until_within_budget(self, tmp_path,
-                                                     result):
-        size = self._entry_size(tmp_path, result)
-        cache = ResultCache(str(tmp_path / "c"),
-                            budget_bytes=int(size * 2.5))
-        self._fill(cache, result, 2)
-        assert cache.evictions == 0
-        cache.put(self._key(2), result)  # 3 entries > budget: evict oldest
-        assert cache.evictions == 1
-        assert _disk_bytes(cache) <= cache.budget_bytes
-        assert cache.get(self._key(0)) is None          # oldest: gone
-        assert cache.get(self._key(1)) is not None
-        assert cache.get(self._key(2)) is not None
-        assert cache.stats()["evictions"] == 1
+    def test_store_evicts_oldest_until_within_budget(self, tmp_path, layer):
+        make, value = layer
+        size = self._entry_size(tmp_path, layer)
+        store = make(tmp_path / "c", int(size * 2.5))
+        self._fill(store, value, 2)
+        assert store.evictions == 0
+        store.put(self._key(2), value)  # 3 entries > budget: evict oldest
+        assert store.evictions == 1
+        assert _disk_bytes(store) <= store.budget_bytes
+        assert store.get(self._key(0)) is None          # oldest: gone
+        assert store.get(self._key(1)) is not None
+        assert store.get(self._key(2)) is not None
+        assert store.stats()["evictions"] == 1
 
-    def test_hit_refreshes_recency(self, tmp_path, result):
-        size = self._entry_size(tmp_path, result)
-        cache = ResultCache(str(tmp_path / "c"),
-                            budget_bytes=int(size * 2.5))
-        self._fill(cache, result, 2)
+    def test_hit_refreshes_recency(self, tmp_path, layer):
+        make, value = layer
+        size = self._entry_size(tmp_path, layer)
+        store = make(tmp_path / "c", int(size * 2.5))
+        self._fill(store, value, 2)
         # Touch entry 0: its mtime refreshes to now, making entry 1 the
         # LRU victim when the next store breaches the budget.
-        assert cache.get(self._key(0)) is not None
-        cache.put(self._key(2), result)
-        assert cache.get(self._key(0)) is not None
-        assert cache.get(self._key(1)) is None
-        assert cache.get(self._key(2)) is not None
+        assert store.get(self._key(0)) is not None
+        store.put(self._key(2), value)
+        assert store.get(self._key(0)) is not None
+        assert store.get(self._key(1)) is None
+        assert store.get(self._key(2)) is not None
 
-    def test_a_store_never_evicts_its_own_payload(self, tmp_path, result):
-        size = self._entry_size(tmp_path, result)
-        cache = ResultCache(str(tmp_path / "c"),
-                            budget_bytes=max(1, size // 2))
-        cache.put(self._key(0), result)
-        assert cache.get(self._key(0)) is not None  # kept despite budget
-        cache.put(self._key(1), result)
+    def test_a_store_never_evicts_its_own_payload(self, tmp_path, layer):
+        make, value = layer
+        size = self._entry_size(tmp_path, layer)
+        store = make(tmp_path / "c", max(1, size // 2))
+        store.put(self._key(0), value)
+        assert store.get(self._key(0)) is not None  # kept despite budget
+        store.put(self._key(1), value)
         # The older entry paid for the new one.
-        assert cache.get(self._key(0)) is None
-        assert cache.get(self._key(1)) is not None
+        assert store.get(self._key(0)) is None
+        assert store.get(self._key(1)) is not None
 
     def test_eviction_is_safe_against_concurrent_readers(self, tmp_path,
-                                                         result):
-        size = self._entry_size(tmp_path, result)
-        cache = ResultCache(str(tmp_path / "c"),
-                            budget_bytes=int(size * 1.5))
-        self._fill(cache, result, 1)
-        victim = cache.path_for(self._key(0))
+                                                         layer):
+        make, value = layer
+        size = self._entry_size(tmp_path, layer)
+        store = make(tmp_path / "c", int(size * 1.5))
+        self._fill(store, value, 1)
+        victim = store.path_for(self._key(0))
+        entry = victim.read_bytes()
         with open(victim, "rb") as fh:
-            cache.put(self._key(1), result)  # evicts the open victim
-            assert cache.evictions == 1
+            store.put(self._key(1), value)  # evicts the open victim
+            assert store.evictions == 1
             # POSIX: the already-open handle still reads the full entry.
-            recovered = pickle.load(fh)
-            assert recovered == result
+            assert fh.read() == entry
         # A late reader takes a clean miss, never an error.
-        assert cache.get(self._key(0)) is None
-        assert cache.errors == 0
+        assert store.get(self._key(0)) is None
+        assert store.errors == 0
 
-    def test_no_budget_means_no_eviction(self, tmp_path, result,
+    def test_no_budget_means_no_eviction(self, tmp_path, layer,
                                          monkeypatch):
+        make, value = layer
         monkeypatch.delenv("REPRO_CACHE_BUDGET", raising=False)
-        cache = ResultCache(str(tmp_path / "c"))
-        self._fill(cache, result, 4)
-        assert cache.evictions == 0
-        assert len(_cache_files(tmp_path / "c")) == 4
+        store = make(tmp_path / "c", None)
+        self._fill(store, value, 4)
+        assert store.evictions == 0
+        assert len(list(store.root.glob("*/*" + store.suffix))) == 4
 
-    def test_experiment_surfaces_eviction_stats(self, tmp_path, result,
+
+@pytest.mark.slow
+class TestLRUEviction(_LRUCases):
+    """The LRU cases on the result cache."""
+
+    @pytest.fixture(scope="class")
+    def layer(self):
+        return (lambda root, budget: ResultCache(str(root),
+                                                 budget_bytes=budget),
+                execute(RunSpec(_config(), "dss"), SCALE, CYCLES))
+
+    def test_experiment_surfaces_eviction_stats(self, tmp_path, layer,
                                                 monkeypatch):
-        size = self._entry_size(tmp_path, result)
+        _, value = layer
+        size = self._entry_size(tmp_path, layer)
         monkeypatch.setenv("REPRO_CACHE_BUDGET", str(int(size * 1.5)))
         exp = _experiment(tmp_path / "c")
-        exp.cache.put(self._key(0), result)
-        exp.cache.put(self._key(1), result)
+        exp.cache.put(self._key(0), value)
+        exp.cache.put(self._key(1), value)
         assert exp.cache_stats()["evictions"] == 1
+
+
+class TestTraceStoreLRUEviction(_LRUCases):
+    """The same LRU cases on a trace-store root."""
+
+    @pytest.fixture(scope="class")
+    def layer(self):
+        def make(root, budget):
+            store = TraceStore(root)
+            store.budget_bytes = budget
+            return store
+        return make, tiny_workload()
+
+    def test_active_store_takes_the_cache_budget(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "t"))
+        monkeypatch.setenv("REPRO_CACHE_BUDGET", "2k")
+        assert active_store().budget_bytes == 2048
+        monkeypatch.delenv("REPRO_CACHE_BUDGET")
+        assert active_store().budget_bytes is None

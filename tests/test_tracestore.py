@@ -18,15 +18,15 @@ from repro.core.parallel import WARM_FRACTIONS
 from repro.simulator.configs import fc_cmp
 from repro.simulator.machine import Machine
 from repro.simulator.trace import FLAG_WRITE, TraceBuilder, Workload, pack_meta
+from repro.store import MAGIC
 from repro.workloads import driver
 from repro.workloads.tracestore import (
     ENV_TRACE_DIR,
-    _HEADER,
-    _MAGIC,
     TraceStore,
+    _freeze,
     store_for,
 )
-from tests.trace_events import trace_events
+from tests.trace_events import tiny_workload, traces_equal
 
 #: Matches the determinism/golden suites so the process-level lru_cache
 #: shares the (expensive) builds with them in a full test run.
@@ -50,33 +50,51 @@ def _clear_driver_caches():
     driver.clear_workload_caches()
 
 
-def _tiny_workload(name="tiny"):
-    """A hand-built two-trace workload (no engine run needed)."""
-    traces = []
-    for i in range(2):
-        tb = TraceBuilder(f"{name}-client-{i}", ilp=2.0, branch_mpki=5.0,
-                          ilp_inorder=1.0)
-        rid = tb.register_code("code", 0x1000, 8)
-        for j in range(50 + i):
-            tb.event(j + 1, 0x4000_0000 + 64 * j, j % 8, rid)
-        traces.append(tb.build())
-    return Workload(name=name, traces=traces, kind="dss", saturated=False,
-                    metadata={"scale": 1.0})
+#: The header of trace entries before the shared store framing
+#: (``repro-traces-v1`` to ``v3``): magic, u64 payload length, SHA-256.
+_OLD_HEADER = struct.Struct("<4sQ32s")
 
 
-def _traces_equal(a: Workload, b: Workload) -> bool:
-    if len(a.traces) != len(b.traces):
-        return False
-    for ta, tb in zip(a.traces, b.traces):
-        if (ta.name, ta.ilp, ta.ilp_inorder, ta.branch_mpki) != \
-                (tb.name, tb.ilp, tb.ilp_inorder, tb.branch_mpki):
-            return False
-        if trace_events(ta) != trace_events(tb):
-            return False
-        if [(f.name, f.base, f.n_lines) for f in ta.footprints] != \
-                [(f.name, f.base, f.n_lines) for f in tb.footprints]:
-            return False
-    return True
+def _old_entry(magic: bytes, payload: bytes) -> bytes:
+    """A trace entry in the pre-store layout."""
+    return _OLD_HEADER.pack(magic, len(payload),
+                            hashlib.sha256(payload).digest()) + payload
+
+
+def _v2_payload(key) -> bytes:
+    """A ``repro-traces-v2`` payload: two ``'Q'`` columns."""
+    w = tiny_workload()
+    doc = pickle.dumps({
+        "version": "repro-traces-v2", "key": key, "name": w.name,
+        "kind": w.kind, "saturated": w.saturated,
+        "metadata": w.metadata,
+        "traces": [{"name": "c", "ilp": 2.0, "ilp_inorder": 1.0,
+                    "branch_mpki": 5.0, "footprints": [],
+                    "n_events": 1, "offset": 0}],
+    })
+    return (struct.pack("<Q", len(doc)) + doc
+            + array("Q", [0x4000_0000, pack_meta(1)]).tobytes())
+
+
+def _v3_payload(key) -> bytes:
+    """A ``repro-traces-v3`` payload: raw address, event-kind and event
+    table columns after a document that echoes the version and key."""
+    w = tiny_workload()
+    tr = w.traces[0]
+    table = array("Q", (pack_meta(*e) for e in tr.events))
+    doc = pickle.dumps({
+        "version": "repro-traces-v3", "key": key, "name": w.name,
+        "kind": w.kind, "saturated": w.saturated,
+        "metadata": w.metadata,
+        "traces": [{"name": tr.name, "ilp": tr.ilp,
+                    "ilp_inorder": tr.ilp_inorder,
+                    "branch_mpki": tr.branch_mpki, "footprints": [],
+                    "n_events": len(tr), "n_kinds": len(table),
+                    "typecodes": (tr.addrs.typecode, tr.kinds.typecode),
+                    "offset": 0}],
+    })
+    return (struct.pack("<Q", len(doc)) + doc + tr.addrs.tobytes()
+            + tr.kinds.tobytes() + table.tobytes())
 
 
 def _simulate(workload: Workload, kind: str, regime: str):
@@ -92,15 +110,15 @@ def _simulate(workload: Workload, kind: str, regime: str):
 class TestRoundTrip:
     def test_tiny_workload_survives_byte_for_byte(self, tmp_path):
         store = TraceStore(tmp_path)
-        w = _tiny_workload()
+        w = tiny_workload()
         store.put(("k", 1), w)
-        assert store.stats.stores == 1
+        assert store.stores == 1
         got = store.get(("k", 1))
         assert got is not None and got is not w
-        assert _traces_equal(w, got)
+        assert traces_equal(w, got)
         assert (got.name, got.kind, got.saturated, got.metadata) == \
             (w.name, w.kind, w.saturated, w.metadata)
-        assert store.stats.hits == 1 and store.stats.errors == 0
+        assert store.hits == 1 and store.errors == 0
 
     @pytest.mark.slow
     @pytest.mark.parametrize("kind,regime", BUNDLES)
@@ -115,7 +133,7 @@ class TestRoundTrip:
         store.put(key, fresh)
         thawed = store.get(key)
         assert thawed is not None and thawed is not fresh
-        assert _traces_equal(fresh, thawed)
+        assert traces_equal(fresh, thawed)
         r_fresh = _simulate(fresh, kind, regime)
         r_thawed = _simulate(thawed, kind, regime)
         assert dataclasses.asdict(r_fresh) == dataclasses.asdict(r_thawed)
@@ -148,7 +166,7 @@ class TestLayouts:
             (addr_type, kind_type)
         assert got.addrs == tr.addrs and got.kinds == tr.kinds
         assert got.events == tr.events
-        assert _traces_equal(w, store.get(("wide",)))
+        assert traces_equal(w, store.get(("wide",)))
 
     def test_64_bit_trace_simulates_identically_after_store(self, tmp_path):
         w = _wide_workload(0x2_c588_0000, 20)
@@ -164,46 +182,39 @@ class TestLayouts:
         assert results[0] == results[1]
 
     def test_v2_entry_is_clean_miss(self, tmp_path):
-        """A ``repro-traces-v2`` entry (two ``'Q'`` columns, ``RTC2``
-        magic) is never served: at its own path the v3 store does not
-        look, and misfiled at the v3 path it fails the header check."""
+        """An entry of an older format (v2: two ``'Q'`` columns and
+        ``RTC2`` magic; v3: raw columns and ``RTC3`` magic) is never
+        served: at its own path the current store does not look, and
+        misfiled at the current path it fails the magic check."""
         key = ("k", 1)
-        w = _tiny_workload()
-        doc = pickle.dumps({
-            "version": "repro-traces-v2", "key": key, "name": w.name,
-            "kind": w.kind, "saturated": w.saturated,
-            "metadata": w.metadata,
-            "traces": [{"name": "c", "ilp": 2.0, "ilp_inorder": 1.0,
-                        "branch_mpki": 5.0, "footprints": [],
-                        "n_events": 1, "offset": 0}],
-        })
-        payload = (struct.pack("<Q", len(doc)) + doc
-                   + array("Q", [0x4000_0000, pack_meta(1)]).tobytes())
-        blob = _HEADER.pack(b"RTC2", len(payload),
-                            hashlib.sha256(payload).digest()) + payload
-        store = TraceStore(tmp_path)
-        digest = hashlib.sha256(
-            repr(("repro-traces-v2", key)).encode()).hexdigest()
-        v2_path = tmp_path / digest[:2] / f"{digest}.trace"
-        assert v2_path != store.path_for(key)
-        v2_path.parent.mkdir(parents=True)
-        v2_path.write_bytes(blob)
-        assert store.get(key) is None
-        assert store.stats.misses == 1 and store.stats.errors == 0
+        for version, magic, payload in [
+                ("repro-traces-v2", b"RTC2", _v2_payload(key)),
+                ("repro-traces-v3", b"RTC3", _v3_payload(key))]:
+            blob = _old_entry(magic, payload)
+            root = tmp_path / version
+            store = TraceStore(root)
+            digest = hashlib.sha256(
+                repr((version, key)).encode()).hexdigest()
+            old_path = root / digest[:2] / f"{digest}.trace"
+            assert old_path != store.path_for(key)
+            old_path.parent.mkdir(parents=True)
+            old_path.write_bytes(blob)
+            assert store.get(key) is None
+            assert store.misses == 1 and store.errors == 0
 
-        path = store.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(blob)
-        assert store.get(key) is None
-        assert store.stats.errors == 1 and not path.exists()
-        store.put(key, w)
-        assert _traces_equal(store.get(key), w)
+            path = store.path_for(key)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(blob)
+            assert store.get(key) is None
+            assert store.errors == 1 and not path.exists()
+            store.put(key, tiny_workload())
+            assert traces_equal(store.get(key), tiny_workload())
 
 
 class TestCorruption:
     def _stored_path(self, tmp_path, key=("k", 1)):
         store = TraceStore(tmp_path)
-        store.put(key, _tiny_workload())
+        store.put(key, tiny_workload())
         return store, store.path_for(key)
 
     def test_truncated_entry_is_miss_then_rebuilt(self, tmp_path):
@@ -211,48 +222,52 @@ class TestCorruption:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 10])
         assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1 and store.stats.misses == 1
+        assert store.errors == 1 and store.misses == 1
         assert not path.exists()          # bad entry removed...
-        store.put(("k", 1), _tiny_workload())
+        store.put(("k", 1), tiny_workload())
         assert store.get(("k", 1)) is not None   # ...and rebuilt cleanly
 
     def test_truncated_header_is_miss(self, tmp_path):
         store, path = self._stored_path(tmp_path)
         path.write_bytes(b"RT")
         assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1
+        assert store.errors == 1
 
     def test_flipped_payload_byte_fails_checksum(self, tmp_path):
         store, path = self._stored_path(tmp_path)
         blob = bytearray(path.read_bytes())
-        blob[_HEADER.size + 7] ^= 0xFF
+        payload_start = len(blob) - len(_freeze(tiny_workload()))
+        blob[payload_start + 7] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1
+        assert store.errors == 1
 
     def test_bad_magic_is_miss(self, tmp_path):
         store, path = self._stored_path(tmp_path)
         blob = bytearray(path.read_bytes())
+        assert blob[:4] == MAGIC
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1
-        assert _MAGIC == b"RTC3"
+        assert store.errors == 1
 
     def test_old_format_entry_is_clean_miss(self, tmp_path):
-        """A v1 entry (``RTRC`` magic, pickled-arrays payload) at the
-        right path is rejected at the header check — an error-counted
-        miss, never a misparse — then unlinked and rebuilt."""
+        """A v1 entry (``RTRC`` magic, pickled-arrays payload) or a v3
+        entry (``RTC3`` magic, raw columns) at the right path is
+        rejected at the magic check — an error-counted miss, never a
+        misparse — then unlinked and rebuilt."""
         store, path = self._stored_path(tmp_path)
-        payload = pickle.dumps({"version": "repro-traces-v1"})
-        blob = _HEADER.pack(b"RTRC", len(payload),
-                            hashlib.sha256(payload).digest()) + payload
-        path.write_bytes(blob)
-        assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1 and store.stats.misses == 1
-        assert not path.exists()
-        store.put(("k", 1), _tiny_workload())
-        assert store.get(("k", 1)) is not None
+        for blob in (
+                _old_entry(b"RTRC",
+                           pickle.dumps({"version": "repro-traces-v1"})),
+                _old_entry(b"RTC3", _v3_payload(("k", 1)))):
+            errors, misses = store.errors, store.misses
+            path.write_bytes(blob)
+            assert store.get(("k", 1)) is None
+            assert (store.errors, store.misses) == (errors + 1, misses + 1)
+            assert not path.exists()
+            store.put(("k", 1), tiny_workload())
+            assert store.get(("k", 1)) is not None
 
     def test_flipped_column_byte_detected_and_rebuilt(self, tmp_path):
         """The header SHA covers the raw column blobs, not just the
@@ -263,27 +278,21 @@ class TestCorruption:
         blob[-5] ^= 0x01          # inside the last trace's event table
         path.write_bytes(bytes(blob))
         assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1
+        assert store.errors == 1
         assert not path.exists()
-        store.put(("k", 1), _tiny_workload())
+        store.put(("k", 1), tiny_workload())
         got = store.get(("k", 1))
-        assert got is not None and _traces_equal(got, _tiny_workload())
+        assert got is not None and traces_equal(got, tiny_workload())
 
     def test_truncated_column_data_is_miss(self, tmp_path):
         """An entry whose payload-length and checksum are valid but whose
         per-trace offsets point past the end (internal truncation) is
         caught by the column bounds check."""
-        from repro.workloads.tracestore import _freeze
         store = TraceStore(tmp_path)
-        payload = bytearray(_freeze(("k", 1), _tiny_workload()))
-        payload = bytes(payload[:-16])     # drop the final column words
-        blob = _HEADER.pack(_MAGIC, len(payload),
-                            hashlib.sha256(payload).digest()) + payload
-        path = store.path_for(("k", 1))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(blob)
+        payload = _freeze(tiny_workload())[:-16]  # drop the final words
+        store.save(("k", 1), payload, bytes)
         assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1
+        assert store.errors == 1
 
     def test_key_echo_rejects_misfiled_entry(self, tmp_path):
         """An entry sitting at the wrong path (hash collision, copied
@@ -293,23 +302,18 @@ class TestCorruption:
         other.parent.mkdir(parents=True, exist_ok=True)
         other.write_bytes(path.read_bytes())
         assert store.get(("k", 2)) is None
-        assert store.stats.errors == 1
+        assert store.errors == 1
 
     def test_garbage_payload_is_miss(self, tmp_path):
         store = TraceStore(tmp_path)
-        payload = b"not a pickle"
-        blob = _HEADER.pack(_MAGIC, len(payload),
-                            hashlib.sha256(payload).digest()) + payload
-        path = store.path_for(("k", 1))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(blob)
+        store.save(("k", 1), b"not a pickle", bytes)
         assert store.get(("k", 1)) is None
-        assert store.stats.errors == 1
+        assert store.errors == 1
 
     def test_missing_entry_is_plain_miss_not_error(self, tmp_path):
         store = TraceStore(tmp_path)
         assert store.get(("absent",)) is None
-        assert store.stats.misses == 1 and store.stats.errors == 0
+        assert store.misses == 1 and store.errors == 0
 
 
 class TestDriverWiring:
@@ -323,12 +327,12 @@ class TestDriverWiring:
         try:
             w1 = driver.dss_unsaturated(scale=SCALE)
             store = store_for(str(tmp_path))
-            assert store.stats.stores == 1
+            assert store.stores == 1
             _clear_driver_caches()
             w2 = driver.dss_unsaturated(scale=SCALE)
-            assert store.stats.hits == 1
+            assert store.hits == 1
             assert w2 is not w1
-            assert _traces_equal(w1, w2)
+            assert traces_equal(w1, w2)
         finally:
             # Leave no store-thawed workloads memoized for other tests.
             _clear_driver_caches()

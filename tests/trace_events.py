@@ -1,5 +1,5 @@
 """Decode a :class:`~repro.simulator.trace.Trace` into event tuples, and
-build traces and warm-walk columns from them.
+build traces, tiny workloads and warm-walk columns from them.
 
 The simulator reads the columns directly; tests compare traces event by
 event, so the decoders (whole events, or one decoded field per event)
@@ -13,6 +13,7 @@ from repro.simulator.trace import (
     MAX_EVENT_ICOUNT,
     Trace,
     TraceBuilder,
+    Workload,
 )
 
 
@@ -69,3 +70,33 @@ def warm_columns(pattern):
     tr = tb.build()
     writes = bytes(flags & FLAG_WRITE for _, flags, _ in tr.events)
     return tr.addrs, tr.kinds, writes
+
+
+def tiny_workload(name="tiny") -> Workload:
+    """A hand-built two-trace workload (no engine run needed)."""
+    traces = []
+    for i in range(2):
+        tb = TraceBuilder(f"{name}-client-{i}", ilp=2.0, branch_mpki=5.0,
+                          ilp_inorder=1.0)
+        rid = tb.register_code("code", 0x1000, 8)
+        for j in range(50 + i):
+            tb.event(j + 1, 0x4000_0000 + 64 * j, j % 8, rid)
+        traces.append(tb.build())
+    return Workload(name=name, traces=traces, kind="dss", saturated=False,
+                    metadata={"scale": 1.0})
+
+
+def traces_equal(a: Workload, b: Workload) -> bool:
+    """Whether two workloads carry the same traces, event for event."""
+    if len(a.traces) != len(b.traces):
+        return False
+    for ta, tb in zip(a.traces, b.traces):
+        if (ta.name, ta.ilp, ta.ilp_inorder, ta.branch_mpki) != \
+                (tb.name, tb.ilp, tb.ilp_inorder, tb.branch_mpki):
+            return False
+        if trace_events(ta) != trace_events(tb):
+            return False
+        if [(f.name, f.base, f.n_lines) for f in ta.footprints] != \
+                [(f.name, f.base, f.n_lines) for f in tb.footprints]:
+            return False
+    return True
