@@ -29,7 +29,7 @@ Analytical model + design-space explorer (see DESIGN.md §10)::
     python -m repro model fit --model-out model.json  # calibrate + save
     python -m repro model predict --camp lc --cores 8 --l2-mb 4
     python -m repro model validate                    # held-out error table
-    python -m repro explore                           # prune-then-confirm
+    python -m repro explore                           # screen-and-confirm
     python -m repro --jobs 4 explore --quick          # CI smoke budget
 
 Hardware islands (see DESIGN.md §15)::
@@ -76,7 +76,7 @@ from dataclasses import replace
 from .core import claims, figures, telemetry
 from .core.experiment import Experiment, SweepError
 from .settings import Settings
-from .simulator.topology import PLACEMENTS
+from .simulator.topology import DEFAULT_PLACEMENT, PLACEMENTS
 from .workloads.driver import workload_for
 from .workloads.profile import format_profile, profile_workload
 
@@ -228,41 +228,36 @@ def run_serve(args, exp: Experiment) -> int:
 
 
 def run_explore(args, exp: Experiment) -> int:
-    """The prune-then-confirm loop (``repro explore``).
+    """The screen-and-confirm loop (``repro explore``).
 
-    Exit code 0 only when the confirmed frontier is non-empty, the
-    paper's qualitative checks hold, and the held-out model error is
-    within the bound — so CI can smoke-test the whole subsystem with a
-    single invocation.
+    Exit code 0 only when the confirmed set is non-empty, the paper's
+    qualitative checks hold, and the held-out model error is within the
+    bound — so CI can smoke-test the whole subsystem with a single
+    invocation.  ``--islands`` adds the sockets x placement axis: 2
+    sockets with ``--quick``, else 2 and 4, under every placement.
     """
-    from .explore import explore, explore_islands, format_explore, \
-        format_islands
+    from .explore import explore, format_explore
 
     if args.islands:
-        kwargs = {} if args.placement is None else {
-            "placements": (args.placement,)}
-        report = explore_islands(
-            exp, budget_mm2=args.budget, quick=args.quick,
-            sockets=None if args.sockets is None else (args.sockets,),
-            **kwargs)
-        print(format_islands(report))
-        within_bound = report.within_bound
-        failure = ("island confirmation failed (no confirmed cells, a "
-                   "qualitative check, or the screening error bound)")
+        sockets = ((args.sockets,) if args.sockets is not None
+                   else (2,) if args.quick else (2, 4))
+        placements = (PLACEMENTS if args.placement is None
+                      else (args.placement,))
     else:
         stray = _given(args, "sockets", "placement")
         if stray:
             raise ValueError(f"{'/'.join(stray)} needs --islands")
-        report = explore(exp, budget_mm2=args.budget, quick=args.quick)
-        print(format_explore(report))
-        within_bound = (report.validation is None
-                        or report.validation.within_bound)
-        failure = ("confirmation failed (empty frontier, a qualitative "
-                   "check, or the model error bound)")
+        sockets, placements = (1,), (DEFAULT_PLACEMENT,)
+    report = explore(exp, budget_mm2=args.budget, quick=args.quick,
+                     sockets=sockets, placements=placements)
+    print(format_explore(report))
     _print_cache_stats(exp)
-    ok = bool(report.confirmed) and report.all_checks_pass and within_bound
+    ok = bool(report.confirmed) and report.all_checks_pass \
+        and report.within_bound
     if not ok:
-        print(f"explore: {failure}", file=sys.stderr)
+        print("explore: confirmation failed (nothing confirmed, a "
+              "qualitative check, or the model error bound)",
+              file=sys.stderr)
     return 0 if ok else 1
 
 

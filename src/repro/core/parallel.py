@@ -70,7 +70,8 @@ from ..simulator.topology import (
     DEFAULT_PLACEMENT,
     IslandTopology,
     as_topology,
-    validate_placement,
+    check_geometry,
+    check_placement,
 )
 from ..store import Store
 from ..workloads import driver as _driver
@@ -229,19 +230,14 @@ class RunSpec:
         # bad topologies/placements fail at construction.  as_topology
         # re-runs IslandTopology's range checks; the geometry checks
         # catch per-island core/bank counts that do not tile the chip.
-        validate_placement(self.placement)
         topo = self.resolved_topology
-        if topo is not None and topo.active:
-            if self.config.smp:
-                raise ValueError(
-                    "islands topologies apply to shared-L2 CMP machines, "
-                    "not smp")
-            topo.island_cores(self.config.hierarchy.n_cores)
-            topo.island_banks(self.config.hierarchy.l2_banks)
-        elif self.placement != DEFAULT_PLACEMENT:
+        check_placement(self.placement, topo)
+        if self.config.smp and topo is not None and topo.active:
             raise ValueError(
-                f"placement {self.placement!r} requires a multi-socket "
-                "topology")
+                "islands topologies apply to shared-L2 CMP machines, "
+                "not smp")
+        check_geometry(topo, self.config.hierarchy.n_cores,
+                       self.config.hierarchy.l2_banks)
 
     @property
     def resolved_topology(self) -> IslandTopology | None:

@@ -1,34 +1,32 @@
-"""Design-space explorer: prune with the model, confirm with the simulator.
+"""Design-space explorer: screen with the model, confirm with the simulator.
 
 The paper compares a handful of hand-picked configurations; this package
 walks the whole (camp, cores, L2 size, banks) space under an equal-area
-silicon budget (DESIGN.md §10.3):
+silicon budget, with sockets and placement as one more axis
+(DESIGN.md §10.3, §15.4):
 
 1. **Enumerate** every candidate whose :mod:`repro.simulator.area`
-   accounting fits the budget.
+   accounting fits the budget (and, on islands, whose cores and banks
+   carve into the sockets).
 2. **Screen** all of them with the calibrated :mod:`repro.model`
-   (microseconds per point) and keep the predicted Pareto frontier
-   (throughput vs. area) per workload kind.
-3. **Confirm** the frontier with real simulator runs through the
-   existing parallel/cache/telemetry machinery, report model-vs-
-   simulator screening error, and check the paper's qualitative claims
-   (lean camp wins saturated throughput at equal area; fat camp wins
-   unsaturated response time).
-
-:mod:`repro.explore.islands` adds a ``sockets x placement`` axis on
-top: the same grid re-screened on hardware-islands machines with an
-anchored correction per cell, re-checking both claims per socket count.
+   (microseconds per point), per (kind, sockets, placement, camp) cell.
+3. **Confirm** with real simulator runs through the existing
+   parallel/cache/telemetry machinery: each cell's predicted best chip,
+   the best measured one per camp in response mode too, and either the
+   top of the predicted Pareto frontier (one socket) or each winning
+   cell's runner-up against the anchored correction (islands).  The
+   report carries the model-vs-simulator screening error and checks the
+   paper's qualitative claims per socket count (lean camp wins
+   saturated throughput at equal area; fat camp wins unsaturated
+   response time).
 """
 
-from .explorer import ConfirmRow, ExploreReport, explore, format_explore
-from .islands import (
-    ISLAND_SOCKETS,
+from .explorer import (
+    ConfirmRow,
+    ExploreReport,
     IslandConfirmRow,
-    IslandsReport,
-    IslandWinner,
-    candidate_supports,
-    explore_islands,
-    format_islands,
+    explore,
+    format_explore,
 )
 from .space import (
     DEFAULT_L2_BANKS,
@@ -45,16 +43,10 @@ __all__ = [
     "DEFAULT_L2_BANKS",
     "DEFAULT_L2_SIZES_MB",
     "ExploreReport",
-    "ISLAND_SOCKETS",
     "IslandConfirmRow",
-    "IslandWinner",
-    "IslandsReport",
-    "candidate_supports",
     "default_budget_mm2",
     "enumerate_candidates",
     "explore",
-    "explore_islands",
     "format_explore",
-    "format_islands",
     "quick_budget_mm2",
 ]

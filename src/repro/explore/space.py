@@ -9,6 +9,7 @@ only by the budget; ranking is the model's job, not this module's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..simulator import cacti
@@ -110,8 +111,9 @@ def enumerate_candidates(
     banks) — the screening layer depends on stable ordering for
     reproducible tie-breaks.
     """
-    if not budget_mm2 > 0:  # NaN compares false, so it lands here too
-        raise ValueError(f"budget must be positive, got {budget_mm2}")
+    if not 0 < budget_mm2 < math.inf:  # NaN compares false: lands here
+        raise ValueError(
+            f"budget must be finite and positive, got {budget_mm2}")
     counts = DEFAULT_CORE_COUNTS if core_counts is None else core_counts
     out: list[Candidate] = []
     for camp in sorted(counts):

@@ -35,7 +35,7 @@ from ..simulator.machine import MachineConfig
 from ..simulator.topology import (
     DEFAULT_PLACEMENT,
     IslandTopology,
-    validate_placement,
+    check_placement,
 )
 
 #: Utilization clamp for the M/D/1 term.  The closed form diverges as
@@ -326,12 +326,9 @@ def predict(sig: Signature, config: MachineConfig,
     lat = float(hier.resolved_l2_latency())
     point = sig.at(hier.l2_nominal_mb)
     mem = float(hier.mem_latency)
-    validate_placement(placement)
     topo = getattr(config, "topology", None)
+    check_placement(placement, topo)
     islands = topo is not None and topo.active
-    if placement != DEFAULT_PLACEMENT and not islands:
-        raise ValueError(
-            f"placement {placement!r} requires a multi-socket topology")
     n_islands = topo.n_sockets if islands else 1
     if islands:
         x = cross_island_fraction(topo, placement)

@@ -21,7 +21,7 @@ from ..core.parallel import REGIMES, RunSpec, WARM_FRACTIONS
 from ..model.calibrate import config_for
 from ..simulator.machine import MachineConfig, MachineResult
 from ..simulator.topology import DEFAULT_PLACEMENT, IslandTopology, \
-    validate_placement
+    check_geometry, check_placement
 
 __all__ = [
     "Answer",
@@ -123,17 +123,12 @@ class DesignQuery:
         if not _is_int(self.sockets) or self.sockets < 1:
             raise ValueError(f"sockets must be a positive int, "
                              f"got {self.sockets!r}")
-        validate_placement(self.placement)
+        # Eager validation, same rules as MachineConfig and RunSpec: a
+        # bad placement or carving is rejected at the wire, not inside a
+        # worker.
         topo = self.topology()
-        if topo is not None:
-            # Eager geometry validation, same as MachineConfig: a bad
-            # carving is rejected at the wire, not inside a worker.
-            topo.island_cores(self.cores)
-            topo.island_banks(self.banks)
-        elif self.placement != DEFAULT_PLACEMENT:
-            raise ValueError(
-                f"placement {self.placement!r} needs a multi-socket "
-                f"query (got sockets={self.sockets})")
+        check_placement(self.placement, topo)
+        check_geometry(topo, self.cores, self.banks)
 
     def topology(self) -> IslandTopology | None:
         """The islands carving this query names (None at one socket)."""

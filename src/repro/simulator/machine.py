@@ -37,7 +37,8 @@ from . import replay
 from .topology import (
     DEFAULT_PLACEMENT,
     IslandTopology,
-    validate_placement,
+    check_geometry,
+    check_placement,
 )
 from .trace import Trace, Workload
 
@@ -95,14 +96,12 @@ class MachineConfig:
         if not isinstance(topo, IslandTopology):
             raise ValueError(
                 f"topology must be an IslandTopology or None, got {topo!r}")
-        if topo.active:
-            if self.smp:
-                raise ValueError(
-                    "islands topologies apply to the shared-L2 CMP "
-                    "hierarchy, not smp machines")
-            # Eager geometry checks: fail at construction, not mid-sweep.
-            topo.island_cores(self.hierarchy.n_cores)
-            topo.island_banks(self.hierarchy.l2_banks)
+        if topo.active and self.smp:
+            raise ValueError(
+                "islands topologies apply to the shared-L2 CMP "
+                "hierarchy, not smp machines")
+        # Eager geometry checks: fail at construction, not mid-sweep.
+        check_geometry(topo, self.hierarchy.n_cores, self.hierarchy.l2_banks)
 
     @property
     def islands(self) -> bool:
@@ -462,11 +461,7 @@ class Machine:
         """
         if mode not in ("throughput", "response"):
             raise ValueError(f"unknown mode {mode!r}")
-        validate_placement(placement)
-        if placement != DEFAULT_PLACEMENT and not self.config.islands:
-            raise ValueError(
-                f"placement {placement!r} requires a multi-socket "
-                "topology (single-socket machines are shared-everything)")
+        check_placement(placement, self.config.topology)
         if self.config.islands:
             self.hierarchy.set_placement(placement)
         total_contexts = self.config.n_hardware_contexts

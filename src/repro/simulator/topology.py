@@ -12,6 +12,9 @@ module is the spec layer for that dimension:
   more expensive the remote L2/memory paths are than the local ones.
 - :data:`PLACEMENTS` / :func:`validate_placement` — the deployment
   placement vocabulary (how client threads and data map onto islands).
+- :func:`check_placement` / :func:`check_geometry` — the two rules every
+  entry point (machine, run spec, model, wire query, explorer) applies
+  to a (topology, placement, chip) triple.
 
 The simulator charges remote latency whenever a request's *home island*
 differs from the requester's island.  Homes are assigned by address-range
@@ -77,6 +80,34 @@ def validate_placement(placement: str) -> str:
         raise ValueError(
             f"unknown placement {placement!r}; expected one of {PLACEMENTS}")
     return placement
+
+
+def check_placement(placement: str, topology: IslandTopology | None) -> str:
+    """Return ``placement`` if it is known and ``topology`` can host it.
+
+    Every placement but the default pins clients or data to islands, so
+    it needs an active topology; a ``None`` or one-socket topology is a
+    single chip, which is shared-everything.
+    """
+    validate_placement(placement)
+    if placement != DEFAULT_PLACEMENT \
+            and not (topology is not None and topology.active):
+        raise ValueError(
+            f"placement {placement!r} requires a multi-socket topology "
+            "(single-socket machines are shared-everything)")
+    return placement
+
+
+def check_geometry(topology: IslandTopology | None, n_cores: int,
+                   l2_banks: int) -> None:
+    """Raise ``ValueError`` unless an active ``topology`` carves a chip of
+    ``n_cores`` cores and ``l2_banks`` L2 banks into its islands.
+
+    ``None`` and one-socket topologies carve any chip.
+    """
+    if topology is not None and topology.active:
+        topology.island_cores(n_cores)
+        topology.island_banks(l2_banks)
 
 
 @dataclass(frozen=True)

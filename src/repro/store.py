@@ -27,7 +27,9 @@ Everything else lives here, once (DESIGN.md §9):
 - **LRU budget.**  With ``budget_bytes`` (the ``REPRO_CACHE_BUDGET``
   knob, applied to each root separately) every hit refreshes its entry's
   mtime, and a store that pushes the root past the budget unlinks
-  oldest-mtime entries until it fits, never the entry just stored.
+  oldest-mtime entries until it fits, never the entry just stored.  The
+  ``*.tmp`` file a writer killed before its ``os.replace`` leaves behind
+  counts against the budget and goes oldest-first with the entries.
   Unlinking is safe against concurrent readers: one that already opened
   the file keeps its data (POSIX); one that loses the race takes a miss.
 
@@ -166,17 +168,20 @@ class Store:
     def _evict_to_budget(self, keep: Path) -> None:
         """Unlink oldest-mtime entries until the root fits the budget.
 
-        ``keep`` (the entry just stored) is exempt, so a store never
-        evicts its own payload even under a tiny budget.  A stat or
-        unlink that loses a race with another evictor is skipped.
+        Left-over ``*.tmp`` files count and go like entries.  ``keep``
+        (the entry just stored) is exempt, so a store never evicts its
+        own payload even under a tiny budget.  A stat or unlink that
+        loses a race with another evictor is skipped; a live writer
+        whose temp file goes counts an error in :meth:`save`.
         """
         entries = []
-        for path in self.root.glob("*/*" + self.suffix):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            entries.append((st.st_mtime, st.st_size, path))
+        for pattern in ("*/*" + self.suffix, "*/*.tmp"):
+            for path in self.root.glob(pattern):
+                try:
+                    st = path.stat()
+                except OSError:
+                    continue
+                entries.append((st.st_mtime, st.st_size, path))
         total = sum(size for _, size, _ in entries)
         for _, size, path in sorted(entries):
             if total <= self.budget_bytes:

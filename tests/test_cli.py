@@ -256,6 +256,8 @@ REJECTED = [
     ["explore", "--budget", "1"],
     ["explore", "--islands", "--budget", "1"],
     ["explore", "--budget", "nan"],
+    ["explore", "--budget", "inf", "--quick"],
+    ["explore", "--islands", "--sockets", "1", "--quick"],
     ["explore", "--islands", "--skew-theta", "0.9"],
     ["sweep", "--quick"],
     ["sweep", "--islands"],

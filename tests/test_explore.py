@@ -13,6 +13,8 @@ from repro.explore.space import (
     enumerate_candidates,
     quick_budget_mm2,
 )
+from repro.model.calibrate import ERROR_BOUND, KINDS, fit
+from repro.simulator.topology import PLACEMENTS, IslandTopology
 
 SCALE = 0.01
 CYCLES = 5_000
@@ -59,6 +61,8 @@ class TestEnumeration:
             enumerate_candidates(-5.0)
         with pytest.raises(ValueError, match="budget"):
             enumerate_candidates(float("nan"))
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_candidates(float("inf"))
 
     def test_rejects_unknown_camp(self):
         with pytest.raises(ValueError, match="camp"):
@@ -144,3 +148,59 @@ class TestExploreEndToEnd:
         fat_core, l2 = candidate_area("fc", 1, 1.0)
         with pytest.raises(ValueError, match="fc"):
             explore(exp, budget_mm2=(fat_core + l2) * 0.9, validate=False)
+
+
+@pytest.mark.slow
+class TestIslandExploration:
+    """The sockets x placement axis: anchors, winners, corrected holdouts."""
+
+    SOCKETS = (2,)
+
+    @pytest.fixture(scope="class")
+    def exp(self):
+        return Experiment(scale=SCALE, measure_cycles=CYCLES, use_cache=False)
+
+    @pytest.fixture(scope="class")
+    def model(self, exp):
+        return fit(exp)
+
+    @pytest.fixture(scope="class")
+    def report(self, exp, model):
+        return explore(exp, quick=True, model=model, validate=False,
+                       sockets=self.SOCKETS, placements=PLACEMENTS)
+
+    def test_one_anchor_per_cell_and_one_winner_per_camp(self, report):
+        anchors = [(r.kind, r.sockets, r.placement, r.camp)
+                   for r in report.confirmed if r.role == "anchor"]
+        assert sorted(anchors) == sorted(
+            (kind, s, placement, camp) for kind in KINDS
+            for s in self.SOCKETS for placement in PLACEMENTS
+            for camp in ("fc", "lc"))
+        winners = [(w.kind, w.sockets, w.camp) for w in report.winners]
+        assert sorted(winners) == sorted(
+            (kind, s, camp) for kind in KINDS for s in self.SOCKETS
+            for camp in ("fc", "lc"))
+
+    def test_holdouts_carry_their_cell_correction(self, report, model):
+        labels = {c.label: c for c in enumerate_candidates(quick_budget_mm2())}
+        anchors = {(r.kind, r.sockets, r.placement, r.camp): r
+                   for r in report.confirmed if r.role == "anchor"}
+        holdouts = [r for r in report.confirmed if r.role == "holdout"]
+        assert holdouts
+        for row in holdouts:
+            anchor = anchors[(row.kind, row.sockets, row.placement, row.camp)]
+            config = labels[row.label].config(
+                SCALE, IslandTopology(n_sockets=row.sockets))
+            raw = model.predict(config, row.kind, "saturated",
+                                placement=row.placement).ipc
+            assert raw <= anchor.predicted  # the runner-up ranks below
+            assert row.predicted == raw * (anchor.measured / anchor.predicted)
+
+    def test_holdout_error_within_bound(self, report):
+        assert report.screening_mae <= ERROR_BOUND, (
+            f"holdout MAE {report.screening_mae:.1%}")
+        assert report.within_bound
+
+    def test_two_checks_per_kind_and_socket_count(self, report):
+        assert len(report.checks) == 2 * len(KINDS) * len(self.SOCKETS)
+        assert all(" @ 2s: " in name for name in report.checks)

@@ -406,6 +406,24 @@ class _LRUCases:
         assert store.get(self._key(0)) is None
         assert store.errors == 0
 
+    def test_stale_temp_file_is_evicted_before_an_entry(self, tmp_path,
+                                                        layer):
+        # A writer killed between mkstemp and os.replace leaves its
+        # temp file; it counts against the budget and, being oldest,
+        # goes first.
+        make, value = layer
+        size = self._entry_size(tmp_path, layer)
+        store = make(tmp_path / "c", int(size * 3.5))
+        paths = self._fill(store, value, 2)
+        stale = paths[0].parent / "killed-writer.tmp"
+        stale.write_bytes(b"\0" * size)
+        os.utime(stale, (500.0, 500.0))
+        store.put(self._key(2), value)  # 3 entries + the stale file
+        assert not stale.exists()
+        assert store.evictions == 1
+        for i in range(3):
+            assert store.get(self._key(i)) is not None
+
     def test_no_budget_means_no_eviction(self, tmp_path, layer,
                                          monkeypatch):
         make, value = layer
