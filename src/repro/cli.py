@@ -1,5 +1,10 @@
 """Command-line runner: regenerate the paper's figures without pytest.
 
+The figure targets (``table1``, ``fig1`` ... ``fig8``, ``all``) and
+``claims`` walk one registry, :data:`repro.core.claims.GROUPS`: each
+figure is measured once, rendered, and checked against its paper claims
+from the same values.
+
 Usage::
 
     python -m repro                           # the target list
@@ -73,26 +78,12 @@ import sys
 import time
 from dataclasses import replace
 
-from .core import claims, figures, telemetry
+from .core import claims, sweeps, telemetry
 from .core.experiment import Experiment, SweepError
 from .settings import Settings
 from .simulator.topology import DEFAULT_PLACEMENT, PLACEMENTS
 from .workloads.driver import workload_for
 from .workloads.profile import format_profile, profile_workload
-
-#: Figure name -> (callable, needs experiment).
-FIGURES = {
-    "table1": (figures.table1_text, False),
-    "fig1": (figures.figure1, False),
-    "fig2": (figures.figure2, True),
-    "fig3": (figures.figure3, True),
-    "fig4": (figures.figure4, True),
-    "fig5": (figures.figure5, True),
-    "fig6": (figures.figure6, True),
-    "fig7": (figures.figure7, True),
-    "fig8": (figures.figure8, True),
-}
-
 
 def _banner(title: str) -> str:
     line = "=" * 72
@@ -119,16 +110,20 @@ def _given(args, *dests: str) -> list[str]:
             if getattr(args, d) is not None]
 
 
+def _figures() -> list[str]:
+    """The registry groups that render a figure: the figure targets."""
+    return [name for name, group in claims.GROUPS.items() if group.render]
+
+
 def run_figures(args, exp: Experiment) -> int:
     """Regenerate ``args.figures`` plus any further ``args.more``."""
-    unknown = [name for name in args.more if name not in FIGURES]
+    unknown = [name for name in args.more if name not in _figures()]
     if unknown:
         raise ValueError(f"unknown figures {', '.join(unknown)} "
                          f"(try 'repro list')")
     for name in args.figures + args.more:
-        fn, needs_exp = FIGURES[name]
         start = time.time()
-        text = fn(exp) if needs_exp else fn()
+        text = claims.figure(name, exp)
         print(_banner(f"{name}  (scale {exp.scale:g}, "
                       f"{time.time() - start:.1f}s)"))
         print(text)
@@ -142,10 +137,11 @@ def run_claims(args, exp: Experiment) -> int:
     default): one markdown table per group plus the summary line, which
     at the study scale is EXPERIMENTS.md's generated block.  Exits 1
     when a claim's verdict ranks below its expected one."""
-    unknown = [g for g in args.groups if g not in claims.GROUPS]
+    groups = claims.claim_groups()
+    unknown = [g for g in args.groups if g not in groups]
     if unknown:
         raise ValueError(f"unknown claim groups {', '.join(unknown)} "
-                         f"(one of {', '.join(claims.GROUPS)})")
+                         f"(one of {', '.join(groups)})")
     rows = claims.claim_rows(exp, set(args.groups) or None)
     print(claims.format_markdown(rows, exp.scale))
     regressed = claims.regressions(rows)
@@ -183,9 +179,9 @@ def run_sweep(args, exp: Experiment) -> int:
 
     By default runs the (theta x cc_mode) contention grid — skewed
     traces through the simulator plus the logical CC executor per
-    point.  With ``--sockets`` (or ``--placement``) it runs the
-    hardware-islands placement study instead
-    (see ``repro.core.figures.islands``).
+    point (``repro.core.sweeps.contention_text``).  With ``--sockets``
+    (or ``--placement``) it runs the hardware-islands placement study
+    instead (``repro.core.sweeps.islands_text``).
     """
     islands = _given(args, "sockets", "placement")
     contention = _given(args, "skew_theta", "hot_warehouses", "cross_rate",
@@ -197,7 +193,7 @@ def run_sweep(args, exp: Experiment) -> int:
     start = time.time()
     if islands:
         title = "islands sweep"
-        text = figures.islands(
+        text = sweeps.islands_text(
             exp, sockets=2 if args.sockets is None else args.sockets,
             placements=(PLACEMENTS if args.placement is None
                         else (args.placement,)))
@@ -205,10 +201,11 @@ def run_sweep(args, exp: Experiment) -> int:
         title = "contention sweep"
         cc_modes = (("2pl", "partitioned")
                     if args.cc_mode in (None, "both") else (args.cc_mode,))
-        text = figures.contention(
-            exp, thetas=tuple(args.skew_theta or figures.CONTENTION_THETAS),
-            cc_modes=cc_modes, hot_warehouses=args.hot_warehouses,
-            cross_rate=args.cross_rate)
+        thetas = {"thetas": tuple(args.skew_theta)} if args.skew_theta \
+            else {}
+        text = sweeps.contention_text(
+            exp, cc_modes=cc_modes, hot_warehouses=args.hot_warehouses,
+            cross_rate=args.cross_rate, **thetas)
     print(_banner(f"{title}  (scale {exp.scale:g}, "
                   f"{time.time() - start:.1f}s)"))
     print(text)
@@ -386,20 +383,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler, prog=sub.prog, **defaults)
         return sub
 
-    for name, (fn, _) in FIGURES.items():
+    for name in _figures():
         fig = target(targets, name, run_figures,
-                     (fn.__doc__ or name).splitlines()[0], figures=[name])
+                     claims.GROUPS[name].summary, figures=[name])
         fig.add_argument("more", nargs="*", metavar="FIG",
                          help="further figures to regenerate")
     target(targets, "all", run_figures, "every figure above",
-           figures=list(FIGURES), more=[])
+           figures=_figures(), more=[])
     target(targets, "list", None, "this list")
 
     sub = target(targets, "claims", run_claims,
                  "check every paper claim; exit 1 when one regresses")
     sub.add_argument("groups", nargs="*", metavar="GROUP",
                      help="claim groups to check (default: all): "
-                          + ", ".join(claims.GROUPS))
+                          + ", ".join(claims.claim_groups()))
 
     sub = target(targets, "profile", run_profile,
                  "profile one saturated workload bundle")

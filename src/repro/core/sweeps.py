@@ -1,7 +1,11 @@
-"""Parameter sweeps behind Figures 2, 6 and 8.
+"""Parameter sweeps behind Figures 2, 6 and 8, and the two studies
+beyond the paper.
 
-Each sweep returns plain ``(x, MachineResult)`` pairs; the reporting layer
-and the benchmark harness turn them into the paper's series.
+The figure sweeps return plain ``(x, MachineResult)`` pairs; the
+registry (:mod:`repro.core.claims`) and the benchmark harness turn them
+into the paper's series.  The contention and hardware-islands sweeps
+return richer points, and :func:`contention_text` and
+:func:`islands_text` render them as ``repro sweep`` prints them.
 
 Sweeps are batch-submitted through :meth:`Experiment.run_many`, so with
 ``REPRO_JOBS > 1`` (or an explicit ``jobs`` argument) the points simulate
@@ -34,6 +38,7 @@ from ..workloads.contention import (
 )
 from .experiment import Experiment
 from .parallel import RunSpec
+from .reporting import format_table
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,42 @@ def contention_sweep(
     return points
 
 
+def contention_text(exp: Experiment, **sweep) -> str:
+    """Contention study: where time goes as skew rises, per CC camp.
+
+    The dimension the paper never measured (it fixed uniform TPC-C
+    traffic): as Zipfian skew concentrates the reference stream, the
+    lock-based camp loses time to lock waits and aborted-attempt rework
+    while the partitioned camp trades them for cross-partition idling —
+    and the cache-side components shift underneath both.  Runs
+    :func:`contention_sweep` with ``sweep``'s arguments and renders one
+    table per CC mode, rows over theta, showing the executor's
+    accounting next to the attributed busy-time view.
+    """
+    points = contention_sweep(exp, **sweep)
+    parts, trends = [], []
+    for cc_mode in dict.fromkeys(p.cc_mode for p in points):
+        series = [p for p in points if p.cc_mode == cc_mode]
+        views = [p.result.breakdown.contention_view() for p in series]
+        parts.append(format_table(
+            ["theta", "abort rate", "lock-wait", "D-stalls", "coherence",
+             "comp", "IPC"],
+            [[f"{p.theta:g}", f"{p.contention.abort_rate:.3f}",
+              f"{view['lock_wait']:.0%}", f"{view['d_stalls']:.0%}",
+              f"{view['coherence']:.0%}", f"{view['computation']:.0%}",
+              f"{p.result.ipc:.2f}"] for p, view in zip(series, views)],
+            title=f"Contention attribution — cc_mode={cc_mode} "
+                  "(busy-time shares)",
+        ))
+        trends.append(
+            f"{cc_mode}: lock-wait {views[0]['lock_wait']:.0%} -> "
+            f"{views[-1]['lock_wait']:.0%}, abort rate "
+            f"{series[0].contention.abort_rate:.3f} -> "
+            f"{series[-1].contention.abort_rate:.3f} "
+            f"across theta {series[0].theta:g}..{series[-1].theta:g}")
+    return "\n\n".join(parts + ["\n".join(trends)])
+
+
 @dataclass
 class IslandPoint:
     """One hardware-islands sample: a (camp, kind, placement) cell at a
@@ -318,3 +359,42 @@ def islands_sweep(
         points.append(point)
     return points
 
+
+def islands_text(exp: Experiment, sockets: int = 2,
+                 remote_l2_latency: float = 3.0,
+                 remote_mem_latency: float = 1.5, **sweep) -> str:
+    """Hardware-islands study: what each deployment placement costs.
+
+    Another dimension the paper never measured (it assumed one chip):
+    on a multi-socket machine whose cross-socket L2/memory paths cost a
+    multiple of the local ones, the placement of clients and data
+    decides how much of the single-chip throughput survives.  Runs
+    :func:`islands_sweep` and renders one table per workload kind, rows
+    over (camp, placement), showing throughput retained against the
+    same chip at one socket and the remote-traffic fractions each
+    placement paid (Porobic et al., PAPERS.md).
+    """
+    points = islands_sweep(exp, sockets=sockets,
+                           remote_l2_latency=remote_l2_latency,
+                           remote_mem_latency=remote_mem_latency, **sweep)
+    parts, trends = [], []
+    for kind in dict.fromkeys(p.kind for p in points):
+        series = [p for p in points if p.kind == kind]
+        parts.append(format_table(
+            ["camp", "placement", "IPC", "1s IPC", "retained", "remote",
+             "remote L1X"],
+            [[p.camp.upper(), p.placement, f"{p.result.ipc:.2f}",
+              f"{p.baseline.ipc:.2f}", f"{p.rel_ipc:.0%}",
+              f"{p.remote_fraction:.0%}", f"{p.result.hier_stats.remote_l1x}"]
+             for p in series],
+            title=f"Hardware islands — {kind} at {sockets} sockets "
+                  f"(remote L2 x{remote_l2_latency:g}, "
+                  f"mem x{remote_mem_latency:g})",
+        ))
+        best = max(series, key=lambda p: p.rel_ipc)
+        worst = min(series, key=lambda p: p.rel_ipc)
+        trends.append(
+            f"{kind}: best placement {best.placement} ({best.camp}) "
+            f"retains {best.rel_ipc:.0%}; worst {worst.placement} "
+            f"({worst.camp}) retains {worst.rel_ipc:.0%}")
+    return "\n\n".join(parts + ["\n".join(trends)])

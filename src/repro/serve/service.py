@@ -387,12 +387,12 @@ class DesignService:
     def health(self) -> dict:
         """Liveness summary (JSON-ready).
 
-        ``status`` is always ``"ok"`` for a service that answers: an
-        overloaded service sheds by design, and a failed simulation is
-        answered from the model.
+        A service that answers is live: an overloaded service sheds by
+        design, and a failed simulation is answered from the model, so
+        the reply's ``ok`` envelope is the liveness signal and this dict
+        carries only load and readiness.
         """
         return {
-            "status": "ok",
             "started": self._started,
             "pending": self._pending,
             "max_pending": MAX_PENDING,

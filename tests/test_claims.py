@@ -44,7 +44,7 @@ def _swap(monkeypatch, index: int, **changes) -> claims.Claim:
 class TestVerdicts:
     def test_ranks(self):
         claim = claims.Claim(
-            "fig1", "x", "p", lambda exp: {}, "v={v}",
+            "fig1", "x", "p", "v={v}",
             holds=lambda m: m.v > 0, near=lambda m: m.v > 10)
         assert claim.verdict({"v": 20}) == "match"
         assert claim.verdict({"v": 5}) == "direction"
@@ -53,8 +53,9 @@ class TestVerdicts:
         assert directional.verdict({"v": 5}) == "match"
 
     def test_registry_is_well_formed(self):
-        assert list(dict.fromkeys(c.group for c in claims.CLAIMS)) == \
-            list(claims.GROUPS)
+        # Every group but Table 1 carries claims, in registry order.
+        assert claims.claim_groups() == \
+            [name for name in claims.GROUPS if name != "table1"]
         for claim in claims.CLAIMS:
             assert claim.expected in claims.VERDICTS, claim.label
             if claim.expected != "match":
@@ -65,9 +66,11 @@ class TestVerdicts:
 
 class TestGate:
     def test_flipped_direction_fails(self, monkeypatch, capsys):
-        original = claims.CLAIMS[0]
-        flipped = _swap(monkeypatch, 0, measure=lambda exp: {
-            **original.measure(exp), "growth": 0.5})
+        flipped = claims.CLAIMS[0]
+        group = claims.GROUPS["fig1"]
+        monkeypatch.setitem(claims.GROUPS, "fig1", dataclasses.replace(
+            group, measure=lambda exp: {**group.measure(exp),
+                                        "growth": 0.5}))
         assert main(["claims", "fig1"]) == 1
         out, err = capsys.readouterr()
         assert f"| {flipped.label} |" in out
@@ -90,7 +93,8 @@ class TestGate:
             "repro claims: unknown claim groups fig9")
 
     def test_figure_block_reads_the_registry(self):
-        block = claims.paper_vs_measured("fig1", None)
+        block = claims.paper_vs_measured(
+            "fig1", claims.GROUPS["fig1"].measure(None))
         assert block.startswith("paper vs measured\nclaim")
         for claim in claims.CLAIMS[:3]:
             assert claim.label in block
@@ -100,7 +104,8 @@ class TestExperimentsBlock:
     def test_block_lists_the_registry_in_order(self):
         block = _block()
         headings = [line[4:] for line in block if line.startswith("### ")]
-        assert headings == list(claims.GROUPS.values())
+        assert headings == [claims.GROUPS[name].title
+                            for name in claims.claim_groups()]
         assert [row[0] for row in _table_rows(block)] == \
             [c.label for c in claims.CLAIMS]
 

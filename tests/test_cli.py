@@ -6,14 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import dataclasses
+
 import pytest
 
 from repro import cli
-from repro.cli import FIGURES, main
-from repro.core import experiment
+from repro.cli import main
+from repro.core import claims, experiment
 from repro.core.parallel import SweepError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: The figure targets: the registry groups that render a figure.
+FIGURES = ("table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
+           "fig7", "fig8")
 
 #: The knobs the CLI flags override.
 FLAG_VARS = ("REPRO_SCALE", "REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_TIMEOUT",
@@ -107,8 +113,9 @@ class TestCli:
                                                    capsys):
         monkeypatch.setenv("REPRO_FAULTS", "explode@0")
         ran = []
-        monkeypatch.setitem(FIGURES, "fig1",
-                            (lambda: ran.append("fig1") or "", False))
+        monkeypatch.setitem(claims.GROUPS, "fig1", dataclasses.replace(
+            claims.GROUPS["fig1"],
+            measure=lambda exp: ran.append("fig1") or {}))
         assert main(["--scale", "0.01", "fig1"]) == 2
         assert "REPRO_FAULTS" in capsys.readouterr().err
         assert not ran

@@ -117,6 +117,7 @@ class TestReporting:
         assert "d_stalls=75.0%" in out
 
     def test_paper_vs_measured_headers(self):
-        out = claims.paper_vs_measured("fig1", None)
+        out = claims.paper_vs_measured(
+            "fig1", claims.GROUPS["fig1"].measure(None))
         assert "claim" in out and "paper" in out and "measured" in out
         assert "verdict" in out

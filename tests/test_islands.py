@@ -6,8 +6,7 @@ import pytest
 
 from repro.core import telemetry as tel
 from repro.core.experiment import Experiment
-from repro.core.figures import islands as islands_figure
-from repro.core.sweeps import islands_sweep
+from repro.core.sweeps import islands_sweep, islands_text
 from repro.model.analytical import (
     Signature,
     StallPoint,
@@ -180,7 +179,7 @@ class TestIslandsSweep:
         assert "island_point" in text and "island-partitioned" in text
 
     def test_figure_smoke(self, exp):
-        text = islands_figure(exp, sockets=2, kinds=("oltp",))
+        text = islands_text(exp, sockets=2, kinds=("oltp",))
         assert "Hardware islands" in text
         assert "island-partitioned" in text
         assert "retained" in text

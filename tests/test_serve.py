@@ -223,7 +223,7 @@ class _StubService:
                       1, 0.0)
 
     def health(self):
-        return {"status": "ok"}
+        return {"pending": 0}
 
     def stats(self):
         return {"requests": 0}
@@ -325,7 +325,7 @@ class TestTiersAndProvenance:
                                      q.regime)
         assert answer.payload == model_payload(direct)
         assert svc.stats()["sim"]["failed"] == 1
-        assert svc.health()["status"] == "ok"
+        assert "status" not in svc.health()
         (fail,) = [e for e in telemetry.load_events(log)
                    if e["ev"] == "svc_sim_fail"]
         assert (fail["kind"], fail["message"]) == (
@@ -337,7 +337,7 @@ class TestTiersAndProvenance:
                 return svc.health()
 
         health = asyncio.run(go())
-        assert health["status"] == "ok"
+        assert "status" not in health
         assert health["model_fitted"]
 
 
