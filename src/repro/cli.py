@@ -90,18 +90,20 @@ def _banner(title: str) -> str:
     return f"{line}\n{title}\n{line}"
 
 
-def _print_cache_stats(exp: Experiment) -> None:
-    """Surface disk-cache accounting after a run (no cache: silent)."""
+def _print_cache_stats(exp: Experiment, file=None) -> None:
+    """Surface disk-cache accounting after a run (no cache: silent) on
+    ``file`` (default stdout)."""
     stats = exp.cache_stats()
     if stats is not None:
-        print("cache: " + " ".join(f"{k}={v}" for k, v in stats.items()))
+        print("cache: " + " ".join(f"{k}={v}" for k, v in stats.items()),
+              file=file)
     summary = exp.telemetry_summary()
     if summary is not None:
         print(f"telemetry: {summary['specs']} specs "
               f"(p50 {summary['spec_wall_p50']:.2f}s, "
               f"p95 {summary['spec_wall_p95']:.2f}s, "
               f"util {summary['worker_utilization']:.0%}) -> "
-              f"{exp.telemetry.path}")
+              f"{exp.telemetry.path}", file=file)
 
 
 def _given(args, *dests: str) -> list[str]:
@@ -135,8 +137,9 @@ def run_figures(args, exp: Experiment) -> int:
 def run_claims(args, exp: Experiment) -> int:
     """Measure and check the paper claims of ``args.groups`` (all by
     default): one markdown table per group plus the summary line, which
-    at the study scale is EXPERIMENTS.md's generated block.  Exits 1
-    when a claim's verdict ranks below its expected one."""
+    at the study scale is EXPERIMENTS.md's generated block.  The cache
+    and telemetry lines go to stderr, so stdout is that block alone.
+    Exits 1 when a claim's verdict ranks below its expected one."""
     groups = claims.claim_groups()
     unknown = [g for g in args.groups if g not in groups]
     if unknown:
@@ -148,6 +151,7 @@ def run_claims(args, exp: Experiment) -> int:
     for row in regressed:
         print(f"{args.prog}: {row.group} claim '{row.claim}' is "
               f"{row.verdict}, expected {row.expected}", file=sys.stderr)
+    _print_cache_stats(exp, file=sys.stderr)
     return 1 if regressed else 0
 
 

@@ -1,8 +1,8 @@
 """Experiment runner: bind workloads to machines, memoize everything.
 
-An :class:`Experiment` fixes the study-wide scale and seed, builds workload
-bundles on demand (trace generation is the expensive step), and runs
-machine configurations over them.  Results are memoized per
+An :class:`Experiment` fixes the study-wide scale and seed and runs
+machine configurations over the driver's workload bundles
+(:func:`repro.workloads.driver.workload_for`).  Results are memoized per
 (machine-config, workload, mode) so every figure and claim can ask for
 what it needs without re-simulating shared baselines.
 
@@ -31,8 +31,6 @@ from ..simulator.machine import (
     MachineConfig,
     MachineResult,
 )
-from ..simulator.trace import Workload
-from ..workloads.driver import workload_for
 from .parallel import (
     WARM_FRACTIONS,
     ResultCache,
@@ -107,15 +105,6 @@ class Experiment:
         self.telemetry = as_recorder(
             settings.telemetry if telemetry is None else telemetry)
         self.sim_runs = 0
-
-    # ------------------------------------------------------------------ #
-    # Workloads                                                           #
-    # ------------------------------------------------------------------ #
-
-    def workload(self, kind: str, regime: str,
-                 n_clients: int | None = None) -> Workload:
-        """The (memoized) trace bundle for a workload kind and regime."""
-        return workload_for(kind, regime, self.scale, n_clients=n_clients)
 
     # ------------------------------------------------------------------ #
     # Running                                                             #

@@ -66,6 +66,7 @@ from ..simulator.machine import (
     MachineResult,
 )
 from ..simulator.profiling import NULL_PROBE, RunProbe
+from ..simulator.trace import Workload
 from ..simulator.topology import (
     DEFAULT_PLACEMENT,
     IslandTopology,
@@ -76,7 +77,7 @@ from ..simulator.topology import (
 from ..store import Store
 from ..workloads import driver as _driver
 from ..workloads.contention import SkewSpec, as_skew
-from ..workloads.driver import workload_for
+from ..workloads.driver import SATURATED_CLIENTS, workload_for
 from . import faults
 from .telemetry import NULL_RECORDER, as_recorder, worker_recorder
 
@@ -161,8 +162,9 @@ class RunSpec:
         kind: ``"oltp"`` or ``"dss"``.
         regime: ``"saturated"`` or ``"unsaturated"``.
         n_clients: Client-count override (Fig. 2 sweeps), a positive
-            int on the saturated regime only; None uses the regime's
-            paper default.
+            int on the saturated regime only; None uses the paper
+            default (:data:`repro.workloads.driver.SATURATED_CLIENTS`),
+            and so does that default given explicitly.
         measure_cycles: Window override, finite and positive; None uses
             the experiment default.
         skew: Optional contention knobs
@@ -278,10 +280,13 @@ class RunSpec:
 
         Default (uniform, 2PL) specs keep the exact pre-contention key
         shape so existing on-disk cache entries still hit; opted-in
-        specs append a contention suffix.
+        specs append a contention suffix.  The paper-default client
+        count keys as None: it names the same bundle and result.
         """
+        clients = (None if self.n_clients == SATURATED_CLIENTS[self.kind]
+                   else self.n_clients)
         key = (config_key(self.resolved_config()), self.kind, self.regime,
-               self.n_clients, self.mode,
+               clients, self.mode,
                self.resolved_cycles(default_cycles), scale)
         if self.contended:
             key += (("contention", as_skew(self.skew).key(), self.cc_mode),)
@@ -306,12 +311,9 @@ def execute(spec: RunSpec, scale: float,
     counts); it reads simulation outputs but never feeds anything back,
     so results are identical with or without one.
     """
-    workload = workload_for(spec.kind, spec.regime, scale,
-                            n_clients=spec.n_clients, skew=spec.skew,
-                            cc_mode=spec.cc_mode, placement=spec.placement)
     machine = Machine(spec.resolved_config())
     return machine.run(
-        workload,
+        _workload(spec, scale),
         mode=spec.mode,
         measure_cycles=spec.resolved_cycles(default_cycles),
         warm_fraction=WARM_FRACTIONS[spec.kind],
@@ -320,7 +322,14 @@ def execute(spec: RunSpec, scale: float,
     )
 
 
-def prebuild_workloads(specs, scale: float, indices=None) -> int:
+def _workload(spec: RunSpec, scale: float) -> Workload:
+    """The driver's bundle for ``spec``'s workload coordinates."""
+    return workload_for(spec.kind, spec.regime, scale,
+                        n_clients=spec.n_clients, skew=spec.skew,
+                        cc_mode=spec.cc_mode)
+
+
+def prebuild_workloads(specs, scale: float, indices=None) -> list[Workload]:
     """Build each distinct workload bundle once, in the calling process.
 
     Called before a pool fan-out so no worker pays the engine-execution
@@ -338,25 +347,14 @@ def prebuild_workloads(specs, scale: float, indices=None) -> int:
         indices: Spec positions to consider (default: all).
 
     Returns:
-        The number of distinct bundles built (or found already built).
+        The distinct bundles, built (or found already built).
     """
-    seen = set()
     it = specs if indices is None else (specs[i] for i in indices)
+    bundles = {}
     for spec in it:
-        coord = _bundle_coord(spec, scale)
-        if coord in seen:
-            continue
-        seen.add(coord)
-        workload_for(spec.kind, spec.regime, scale,
-                     n_clients=spec.n_clients, skew=spec.skew,
-                     cc_mode=spec.cc_mode)
-    return len(seen)
-
-
-def _bundle_coord(spec: RunSpec, scale: float) -> tuple:
-    """The driver-registry coordinate of ``spec``'s workload bundle."""
-    return _driver.bundle_coord(spec.kind, spec.regime, scale,
-                                spec.n_clients, spec.skew, spec.cc_mode)
+        workload = _workload(spec, scale)
+        bundles[id(workload)] = workload
+    return list(bundles.values())
 
 
 def _adopt_worker_init(bundles: dict) -> None:
@@ -497,9 +495,9 @@ def _retry_delay(backoff: float, attempt: int) -> float:
     return min(backoff * 2 ** min(attempt - 1, 64), MAX_RETRY_DELAY)
 
 
-def _run_serial(specs, scale, default_cycles, indices, retries, backoff,
-                fail_fast, attempts, failures, finish,
-                telem=NULL_RECORDER, sweep: str | None = None) -> None:
+def _run_serial(specs, scale, default_cycles, indices, fail_fast, attempts,
+                finish, attempt_failed, telem=NULL_RECORDER,
+                sweep: str | None = None) -> None:
     """Retrying in-process executor (no timeouts: nothing can preempt a
     hung spec without a worker process to kill)."""
     for i in indices:
@@ -512,46 +510,37 @@ def _run_serial(specs, scale, default_cycles, indices, retries, backoff,
                 result = _guarded_execute(specs[i], scale, default_cycles,
                                           i, attempt, telem, sweep)
             except Exception as exc:
-                attempts[i] += 1
-                message = f"{type(exc).__name__}: {exc}"
-                if attempts[i] > retries:
-                    failures[i] = SpecFailure(
-                        i, specs[i], "error", attempts[i], message)
-                    telem.emit("spec_failed", sweep=sweep, index=i,
-                               kind="error", attempts=attempts[i],
-                               message=message)
-                    break
-                telem.emit("spec_retry", sweep=sweep, index=i,
-                           attempt=attempts[i], kind="error",
-                           message=message)
-                time.sleep(_retry_delay(backoff, attempts[i]))
+                if attempt_failed(i, "error", f"{type(exc).__name__}: {exc}"):
+                    continue
+                if fail_fast:
+                    return
             else:
                 finish(i, result, time.monotonic() - t0)
-                break
-        if i in failures and fail_fast:
-            return
+            break
 
 
-def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
-              backoff, fail_fast, attempts, failures, finish,
+def _run_pool(specs, scale, default_cycles, pending, jobs, timeout,
+              fail_fast, attempts, finish, attempt_failed,
               telem=NULL_RECORDER, sweep: str | None = None) -> None:
     """Fan ``pending`` spec indices across a process pool, resiliently.
 
-    Specs are submitted one future at a time into a window of at most
-    ``jobs`` in-flight futures, so a submitted spec starts (nearly)
-    immediately and its timeout clock measures actual runtime.  When the
-    start method is not ``fork``, every pool (including rebuilds after
-    crashes/timeouts) starts its workers with :func:`_adopt_worker_init`
-    over the parent's built bundles for ``pending``.  Raises
+    Every distinct workload is built in the parent first, so no worker
+    re-runs the engine: fork-started workers inherit the built bundles,
+    and when the start method is not ``fork``, every pool (including
+    rebuilds after crashes/timeouts) starts its workers with
+    :func:`_adopt_worker_init` over the parent's registry entries for
+    them.  Specs are submitted one future at a time into a window of at
+    most ``jobs`` in-flight futures, so a submitted spec starts (nearly)
+    immediately and its timeout clock measures actual runtime.  Raises
     :class:`_PoolUnavailable` if a pool cannot be created, or cannot
     spawn a worker while it is not broken.
     """
+    bundles = prebuild_workloads(specs, scale, pending)
     max_workers = min(jobs, len(pending))
     kwargs = {}
     if multiprocessing.get_start_method() != "fork":
-        bundles = _driver.built_bundles(
-            {_bundle_coord(specs[i], scale) for i in pending})
-        kwargs = dict(initializer=_adopt_worker_init, initargs=(bundles,))
+        kwargs = dict(initializer=_adopt_worker_init,
+                      initargs=(_driver.built_bundles(bundles),))
 
     def new_pool():
         try:
@@ -562,24 +551,13 @@ def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
 
     aborted = False
 
-    def attempt_failed(index: int, kind: str, message: str) -> None:
+    def charge(index: int, kind: str, message: str) -> None:
         """Charge one attempt; requeue the spec or register its failure."""
         nonlocal aborted
-        attempts[index] += 1
-        if attempts[index] > retries:
-            failures[index] = SpecFailure(index, specs[index], kind,
-                                          attempts[index], message)
-            telem.emit("spec_failed", sweep=sweep, index=index, kind=kind,
-                       attempts=attempts[index], message=message)
-            if fail_fast:
-                aborted = True
-        else:
-            telem.emit("spec_retry", sweep=sweep, index=index,
-                       attempt=attempts[index], kind=kind, message=message)
-            delay = _retry_delay(backoff, attempts[index])
-            if delay > 0:
-                time.sleep(delay)
+        if attempt_failed(index, kind, message):
             queue.append(index)
+        elif fail_fast:
+            aborted = True
 
     def collect(fut, entry: tuple) -> bool:
         """Absorb one completed future; True if the pool broke."""
@@ -591,15 +569,15 @@ def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
             # in-flight future fails this way at once — the guilty spec
             # cannot be singled out, so each lost spec is charged one
             # attempt and re-run on a fresh pool.
-            attempt_failed(index, "crash",
-                           str(exc) or "worker process died abruptly")
+            charge(index, "crash",
+                   str(exc) or "worker process died abruptly")
             return True
         except futures.CancelledError:
             # Collateral of a pool teardown — not this spec's fault.
             queue.append(index)
             return False
         except Exception as exc:
-            attempt_failed(index, "error", f"{type(exc).__name__}: {exc}")
+            charge(index, "error", f"{type(exc).__name__}: {exc}")
             return False
         finish(index, result, time.monotonic() - submitted_at)
         return False
@@ -646,8 +624,7 @@ def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
                     # submit() queued this spec before spawning, so it is
                     # lost with the pool and charged like any in-flight
                     # spec; uncharged, a crash on it could recur forever.
-                    attempt_failed(index, "crash",
-                                   f"{type(exc).__name__}: {exc}")
+                    charge(index, "crash", f"{type(exc).__name__}: {exc}")
                     rebuild = True
                     break
                 except RuntimeError as exc:
@@ -679,8 +656,8 @@ def _run_pool(specs, scale, default_cycles, pending, jobs, timeout, retries,
                     # charge the hung specs a timeout attempt and rebuild.
                     for fut in hung:
                         index, _ = inflight.pop(fut)
-                        attempt_failed(index, "timeout",
-                                       f"no result within {timeout:g}s")
+                        charge(index, "timeout",
+                               f"no result within {timeout:g}s")
                     rebuild = True
     finally:
         _terminate_pool(pool)
@@ -788,15 +765,29 @@ def run_specs(
                    attempts=attempts[i], source="simulated",
                    wall_s=round(wall, 6))
 
+    def attempt_failed(i: int, kind: str, message: str) -> bool:
+        """The one attempt rule: charge spec ``i`` a failed attempt.
+        Within ``retries`` it backs off and returns True (run it again);
+        past them it records the :class:`SpecFailure` and returns False."""
+        attempts[i] += 1
+        if attempts[i] > retries:
+            failures[i] = SpecFailure(i, specs[i], kind, attempts[i],
+                                      message)
+            telem.emit("spec_failed", sweep=sweep, index=i, kind=kind,
+                       attempts=attempts[i], message=message)
+            return False
+        telem.emit("spec_retry", sweep=sweep, index=i, attempt=attempts[i],
+                   kind=kind, message=message)
+        delay = _retry_delay(backoff, attempts[i])
+        if delay > 0:
+            time.sleep(delay)
+        return True
+
     if jobs > 1 and len(pending) > 1:
-        # Build every distinct workload in the parent first, so no worker
-        # re-runs the engine: fork-started workers inherit the built
-        # bundles, non-fork ones adopt them in the pool initializer.
-        prebuild_workloads(specs, scale, pending)
         try:
             _run_pool(specs, scale, default_cycles, pending, jobs, timeout,
-                      retries, backoff, fail_fast, attempts, failures,
-                      finish, telem, sweep)
+                      fail_fast, attempts, finish, attempt_failed, telem,
+                      sweep)
         except _PoolUnavailable:
             # No usable multiprocessing (sandboxed /dev/shm, fork
             # limits...): degrade to the serial path, retries intact.
@@ -804,12 +795,11 @@ def run_specs(
             # keep their outcome; only the remainder runs serially.
             remaining = [i for i in pending
                          if results[i] is None and i not in failures]
-            _run_serial(specs, scale, default_cycles, remaining, retries,
-                        backoff, fail_fast, attempts, failures, finish,
-                        telem, sweep)
+            _run_serial(specs, scale, default_cycles, remaining, fail_fast,
+                        attempts, finish, attempt_failed, telem, sweep)
     else:
-        _run_serial(specs, scale, default_cycles, pending, retries, backoff,
-                    fail_fast, attempts, failures, finish, telem, sweep)
+        _run_serial(specs, scale, default_cycles, pending, fail_fast,
+                    attempts, finish, attempt_failed, telem, sweep)
 
     sweep_end()
     if failures:

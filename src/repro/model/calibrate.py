@@ -30,7 +30,7 @@ from ..core.experiment import Experiment, RunSpec
 from ..core.validation import ModelErrorRow, ModelValidationReport
 from ..simulator.configs import fc_cmp, lc_cmp
 from ..simulator.machine import MachineConfig, MachineResult
-from ..workloads.driver import SATURATED_DSS_CLIENTS, SATURATED_OLTP_CLIENTS
+from ..workloads.driver import SATURATED_CLIENTS
 from .analytical import Prediction, Signature, StallPoint, predict
 
 #: Schema tag for persisted model JSON (``repro model fit --model-out``).
@@ -57,11 +57,6 @@ ERROR_BOUND = 0.15
 #: A measured component below this (cycles/instr) is treated as absent
 #: when inverting for exposure factors (avoids 0/0 noise amplification).
 _EPS_CPI = 1e-9
-
-#: Saturated client counts per workload kind (the paper's bundles).
-_SATURATED_CLIENTS = {"oltp": SATURATED_OLTP_CLIENTS,
-                      "dss": SATURATED_DSS_CLIENTS}
-
 
 def config_for(camp: str, l2_nominal_mb: float, scale: float,
                **overrides) -> MachineConfig:
@@ -158,7 +153,7 @@ def _fit_cell(kind: str, camp: str, regime: str,
         ipki_port=mean("instr_port_per_instr", "miss_ratios"),
         instructions=(docs[0]["retired"] if regime == "unsaturated" else 0),
         n_clients=(1 if regime == "unsaturated"
-                   else _SATURATED_CLIENTS.get(kind, 0)),
+                   else SATURATED_CLIENTS.get(kind, 0)),
         points=tuple(sorted(
             (_raw_point(camp, cfg, res) for cfg, res in runs),
             key=lambda p: p.l2_nominal_mb)),

@@ -2,8 +2,7 @@
 the client driver, and the workload profiler."""
 
 from .driver import (
-    SATURATED_DSS_CLIENTS,
-    SATURATED_OLTP_CLIENTS,
+    SATURATED_CLIENTS,
     dss_parallel_query,
     dss_unsaturated,
     dss_workload,
@@ -24,8 +23,7 @@ from .tpch import QUERIES, TpchDatabase
 
 __all__ = [
     "QUERIES",
-    "SATURATED_DSS_CLIENTS",
-    "SATURATED_OLTP_CLIENTS",
+    "SATURATED_CLIENTS",
     "MicroDatabase",
     "TraceProfile",
     "WorkloadProfile",

@@ -8,29 +8,28 @@ The paper's configurations (Section 3):
 - unsaturated: a single client, intra-query parallelism disabled.
 
 Building traces is the expensive step (the engine actually executes every
-query and transaction), so bundles are memoized twice: per parameter set
-within a process (``functools.lru_cache``), and — when ``REPRO_TRACE_DIR``
-is set — across processes via :mod:`repro.workloads.tracestore`, which
-serves frozen trace bytes instead of re-running the engine.  A damaged
-store entry is a counted miss, so the bundle is rebuilt, and
+query and transaction), so every bundle has one identity, its trace-store
+key ``(builder, sorted params)``, and is memoized under it twice: in this
+process's registry, and — when ``REPRO_TRACE_DIR`` is set — across
+processes via :mod:`repro.workloads.tracestore`, which serves frozen trace
+bytes instead of re-running the engine.  Omitted and explicit default
+arguments name the same key, so they share one bundle.  A damaged store
+entry is a counted miss, so the bundle is rebuilt, and
 ``REPRO_CACHE_BUDGET`` bounds the store root.
 """
 
 from __future__ import annotations
 
-import functools
-
 from ..db.txn import validate_cc_mode
-from ..simulator.topology import validate_placement
 from ..simulator.trace import Workload
 from . import tracestore
 from .contention import SkewSpec, as_skew
 from .tpcc import TpccDatabase
 from .tpch import TpchDatabase
 
-#: Paper client counts.
-SATURATED_OLTP_CLIENTS = 64
-SATURATED_DSS_CLIENTS = 16
+#: The paper's saturated client count per workload kind: the default of
+#: every saturated bundle and of :class:`repro.core.parallel.RunSpec`.
+SATURATED_CLIENTS = {"oltp": 64, "dss": 16}
 
 #: Transactions per OLTP client trace (the cyclic steady-state window).
 OLTP_TXNS_PER_CLIENT = 56
@@ -48,40 +47,25 @@ DSS_SATURATED_CHUNKS = 4
 DSS_UNSAT_CHUNKS = 16
 
 
-#: Bundles already materialized in this process, by :func:`bundle_coord`.
-#: A fork-started pool worker inherits these exact objects (columns
-#: shared copy-on-write, and the simulator's warm-state memo entries are
-#: keyed by their ids); a spawn- or forkserver-started worker inherits
-#: nothing, so its pool initializer adopts the parent's entries for the
-#: sweep's coordinates (:func:`adopt_bundles`).
+#: Bundles already materialized in this process, by trace-store key.  A
+#: fork-started pool worker inherits these exact objects (columns shared
+#: copy-on-write, and the simulator's warm-state memo entries are keyed by
+#: their ids); a spawn- or forkserver-started worker inherits nothing, so
+#: its pool initializer adopts the parent's entries for the sweep's
+#: bundles (:func:`adopt_bundles`).
 _BUILT: dict[tuple, Workload] = {}
 _BUILT_CAP = 32
 
 
 def clear_workload_caches() -> None:
-    """Forget every in-process bundle (lru memoizers + the registry)."""
-    for memo in (oltp_workload, oltp_unsaturated, dss_workload,
-                 dss_unsaturated, dss_parallel_query):
-        memo.cache_clear()
+    """Forget every in-process bundle."""
     _BUILT.clear()
 
 
-def bundle_coord(kind: str, regime: str, scale: float,
-                 n_clients: int | None = None, skew: SkewSpec | None = None,
-                 cc_mode: str = "2pl") -> tuple:
-    """The registry key of the bundle :func:`workload_for` returns;
-    contention knobs extend it only when non-default."""
-    skew_spec = as_skew(skew)
-    coord = (kind, regime, scale, n_clients)
-    if skew_spec.active or cc_mode != "2pl":
-        coord += (skew_spec.key(), cc_mode)
-    return coord
-
-
-def built_bundles(coords) -> dict[tuple, Workload]:
-    """This process's registry entries for ``coords`` (unbuilt ones are
-    skipped)."""
-    return {c: _BUILT[c] for c in coords if c in _BUILT}
+def built_bundles(workloads) -> dict[tuple, Workload]:
+    """This process's registry entries holding one of ``workloads``."""
+    wanted = {id(w) for w in workloads}
+    return {k: w for k, w in _BUILT.items() if id(w) in wanted}
 
 
 def adopt_bundles(bundles: dict[tuple, Workload]) -> None:
@@ -117,25 +101,30 @@ def _contention_params(params: dict, skew: SkewSpec, cc_mode: str) -> dict:
 
 
 def _stored(builder: str, params: dict, build) -> Workload:
-    """Consult the cross-process trace store before running ``build``.
+    """The bundle keyed (builder name, sorted params): this process's
+    registry first, then the cross-process trace store, and only then
+    ``build()``.
 
-    The store key is (builder name, sorted params); the engine-version
-    salt is mixed in by the store itself.  With no ``REPRO_TRACE_DIR``
-    configured this is exactly ``build()``.
+    The engine-version salt is mixed in by the store itself.  With no
+    ``REPRO_TRACE_DIR`` configured the store step is skipped.
     """
-    store = tracestore.active_store()
-    if store is None:
-        return build()
     key = (builder, tuple(sorted(params.items())))
-    workload = store.get(key)
+    workload = _BUILT.get(key)
+    if workload is not None:
+        return workload
+    store = tracestore.active_store()
+    workload = None if store is None else store.get(key)
     if workload is None:
         workload = build()
-        store.put(key, workload)
+        if store is not None:
+            store.put(key, workload)
+    if len(_BUILT) >= _BUILT_CAP:
+        _BUILT.pop(next(iter(_BUILT)))
+    _BUILT[key] = workload
     return workload
 
 
-@functools.lru_cache(maxsize=16)
-def oltp_workload(scale: float = 1.0, n_clients: int = SATURATED_OLTP_CLIENTS,
+def oltp_workload(scale: float = 1.0, n_clients: int = SATURATED_CLIENTS["oltp"],
                   txns_per_client: int = OLTP_TXNS_PER_CLIENT,
                   seed: int = 42, skew: SkewSpec | None = None,
                   cc_mode: str = "2pl") -> Workload:
@@ -169,7 +158,6 @@ def oltp_workload(scale: float = 1.0, n_clients: int = SATURATED_OLTP_CLIENTS,
                    build)
 
 
-@functools.lru_cache(maxsize=16)
 def oltp_unsaturated(scale: float = 1.0, seed: int = 42,
                      txns: int = OLTP_UNSAT_TXNS,
                      skew: SkewSpec | None = None,
@@ -197,8 +185,7 @@ def oltp_unsaturated(scale: float = 1.0, seed: int = 42,
                    build)
 
 
-@functools.lru_cache(maxsize=16)
-def dss_workload(scale: float = 1.0, n_clients: int = SATURATED_DSS_CLIENTS,
+def dss_workload(scale: float = 1.0, n_clients: int = SATURATED_CLIENTS["dss"],
                  seed: int = 7) -> Workload:
     """Saturated DSS bundle: ``n_clients`` four-query client traces.
 
@@ -225,7 +212,6 @@ def dss_workload(scale: float = 1.0, n_clients: int = SATURATED_DSS_CLIENTS,
                    build)
 
 
-@functools.lru_cache(maxsize=16)
 def dss_unsaturated(scale: float = 1.0, seed: int = 7) -> Workload:
     """Unsaturated DSS bundle: one client running the four-query mix."""
     def build() -> Workload:
@@ -241,7 +227,6 @@ def dss_unsaturated(scale: float = 1.0, seed: int = 7) -> Workload:
     return _stored("dss_unsaturated", {"scale": scale, "seed": seed}, build)
 
 
-@functools.lru_cache(maxsize=32)
 def dss_parallel_query(scale: float = 1.0, n_partitions: int = 1,
                        seed: int = 7,
                        rows_nominal: int = 60_000) -> Workload:
@@ -303,8 +288,7 @@ def dss_parallel_query(scale: float = 1.0, n_partitions: int = 1,
 
 def workload_for(kind: str, regime: str, scale: float,
                  n_clients: int | None = None, skew: SkewSpec | None = None,
-                 cc_mode: str = "2pl",
-                 placement: str = "shared-everything") -> Workload:
+                 cc_mode: str = "2pl") -> Workload:
     """Dispatch: (kind, regime) -> the matching bundle.
 
     Args:
@@ -314,43 +298,23 @@ def workload_for(kind: str, regime: str, scale: float,
         n_clients: Override the paper's client count (saturated only).
         skew: Optional contention knobs (OLTP only).
         cc_mode: Concurrency-control mode (OLTP only; default ``"2pl"``).
-        placement: Islands deployment placement.  Validated here for
-            eager-failure parity with the machine layer, but traces are
-            placement-invariant (placement decides where clients *run*
-            and where data is *homed*, not what they reference), so the
-            built bundle — and its cache coordinate — never depends on
-            it.
     """
-    if kind not in ("oltp", "dss"):
+    if kind not in SATURATED_CLIENTS:
         raise ValueError(f"unknown workload kind {kind!r}")
     if regime not in ("saturated", "unsaturated"):
         raise ValueError(f"unknown regime {regime!r}")
-    validate_placement(placement)
     skew_spec = as_skew(skew)
     validate_cc_mode(cc_mode)
-    contended = skew_spec.active or cc_mode != "2pl"
-    if contended and kind != "oltp":
+    if (skew_spec.active or cc_mode != "2pl") and kind != "oltp":
         raise ValueError(
             "skew/cc_mode apply to kind='oltp' only (DSS has no "
             "transaction contention model)")
-    coord = bundle_coord(kind, regime, scale, n_clients, skew_spec, cc_mode)
-    local = _BUILT.get(coord)
-    if local is not None:
-        return local
-    clients = {} if n_clients is None else {"n_clients": n_clients}
+    clients = SATURATED_CLIENTS[kind] if n_clients is None else n_clients
     if kind == "oltp":
-        contention_kwargs = (
-            {"skew": skew_spec, "cc_mode": cc_mode} if contended else {})
         if regime == "saturated":
-            workload = oltp_workload(scale=scale, **contention_kwargs,
-                                     **clients)
-        else:
-            workload = oltp_unsaturated(scale=scale, **contention_kwargs)
-    elif regime == "saturated":
-        workload = dss_workload(scale=scale, **clients)
-    else:
-        workload = dss_unsaturated(scale=scale)
-    if len(_BUILT) >= _BUILT_CAP:
-        _BUILT.pop(next(iter(_BUILT)))
-    _BUILT[coord] = workload
-    return workload
+            return oltp_workload(scale=scale, n_clients=clients,
+                                 skew=skew_spec, cc_mode=cc_mode)
+        return oltp_unsaturated(scale=scale, skew=skew_spec, cc_mode=cc_mode)
+    if regime == "saturated":
+        return dss_workload(scale=scale, n_clients=clients)
+    return dss_unsaturated(scale=scale)

@@ -2,12 +2,13 @@
 
 Building a workload means actually executing every TPC-C transaction and
 TPC-H query through the DB engine — by far the most expensive part of a
-cold sweep, and ``workloads/driver.py``'s ``functools.lru_cache`` only
-memoizes it *per process*.  This store freezes a built :class:`Workload`'s
-trace columns (``array.tobytes``) plus footprints and metadata to
-disk, keyed by (builder, params, engine version), so any later process —
-a spawn-started pool worker, the next CI step, the chaos job — loads the
-frozen bytes instead of re-running the engine.
+cold sweep, and ``workloads/driver.py``'s bundle registry only memoizes
+it *per process*.  This store freezes a built :class:`Workload`'s trace
+columns (``array.tobytes``) plus footprints and metadata to disk, keyed
+by (builder, sorted params) — the same key the registry uses — and the
+engine version, so any later process — a spawn-started pool worker, the
+next CI step, the chaos job — loads the frozen bytes instead of
+re-running the engine.
 
 :class:`TraceStore` is the workload codec over :class:`repro.store.Store`,
 which owns the addressing, framing (checksum and key echo), atomic

@@ -135,6 +135,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "cache: hits=0 misses=0 stores=0 errors=0" in out
 
+    def test_claims_cache_stats_on_stderr(self, monkeypatch, tmp_path,
+                                          capsys):
+        # stdout stays the claims block alone; the accounting goes to
+        # stderr.
+        monkeypatch.setenv("REPRO_CACHE_DIR", "")
+        assert main(["--cache-dir", str(tmp_path / "cache"), "claims",
+                     "fig1"]) == 0
+        captured = capsys.readouterr()
+        assert "cache:" not in captured.out
+        assert "cache: hits=0 misses=0 stores=0 errors=0" in captured.err
+
     def test_no_cache_stats_without_a_cache(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", "")
         assert main(["table1"]) == 0

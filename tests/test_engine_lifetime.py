@@ -54,9 +54,7 @@ def _live_databases() -> list[Database]:
 def test_build_frees_its_database(monkeypatch, label, builder, kwargs):
     # Build from the engine, not from a trace store.
     monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
-    cache_clear = getattr(builder, "cache_clear", None)
-    if cache_clear is not None:
-        cache_clear()
+    driver.clear_workload_caches()
     gc.collect()
     before = _live_databases()  # held, so no id below is reused
     seen = {id(db) for db in before}
@@ -83,7 +81,7 @@ BUILD_PEAK_RATIO = 4
 
 def test_dss_build_peak_is_bounded_by_its_columns(monkeypatch):
     monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
-    driver.dss_workload.cache_clear()
+    driver.clear_workload_caches()
     tracemalloc.start()
     try:
         built = driver.dss_workload(scale=0.05)

@@ -6,7 +6,7 @@ These run at a tiny scale so the whole file stays fast, and they check the
 
 import pytest
 
-from repro.core.experiment import Experiment
+from repro.core.experiment import Experiment, RunSpec
 from repro.core.sweeps import (
     cache_size_sweep,
     client_count_sweep,
@@ -35,6 +35,18 @@ class TestExperimentRunner:
         a = exp.run(fc_cmp(l2_nominal_mb=4, scale=SCALE), "oltp")
         b = exp.run(fc_cmp(l2_nominal_mb=8, scale=SCALE), "oltp")
         assert a is not b
+
+    def test_explicit_paper_clients_recall_the_default_run(self):
+        exp = Experiment(scale=SCALE, measure_cycles=20_000,
+                         use_cache=False)
+        cfg = fc_cmp(l2_nominal_mb=4, scale=SCALE)
+        default = exp.run(cfg, "dss")
+        assert RunSpec(cfg, "dss", n_clients=16).key(SCALE, WINDOW) \
+            == RunSpec(cfg, "dss").key(SCALE, WINDOW)
+        assert RunSpec(cfg, "dss", n_clients=8).key(SCALE, WINDOW) \
+            != RunSpec(cfg, "dss").key(SCALE, WINDOW)
+        assert exp.run(cfg, "dss", n_clients=16) is default
+        assert exp.sim_runs == 1
 
     def test_workload_dispatch_validates(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.core.experiment import Experiment
 from repro.simulator.configs import fc_cmp, lc_cmp
 from repro.simulator.machine import Machine, MachineResult
 from repro.simulator.topology import IslandTopology
+from repro.workloads.driver import workload_for
 
 SCALE = 0.02
 FIXTURE = os.path.join(os.path.dirname(__file__), "data",
@@ -39,7 +40,7 @@ class TestSingleSocketTransparency:
         topology at all, across all four (kind, regime) cells."""
         exp = Experiment(scale=SCALE, measure_cycles=20_000,
                          use_cache=False)
-        workload = exp.workload(kind, regime)
+        workload = workload_for(kind, regime, exp.scale)
         base = Machine(fc_cmp(n_cores=2, l2_nominal_mb=2.0,
                               scale=SCALE))
         topo = Machine(fc_cmp(n_cores=2, l2_nominal_mb=2.0, scale=SCALE,
@@ -53,7 +54,7 @@ class TestSingleSocketTransparency:
     def test_lean_camp_transparency(self):
         exp = Experiment(scale=SCALE, measure_cycles=20_000,
                          use_cache=False)
-        workload = exp.workload("oltp", "saturated")
+        workload = workload_for("oltp", "saturated", exp.scale)
         r_base = Machine(lc_cmp(n_cores=2, l2_nominal_mb=2.0,
                                 scale=SCALE)).run(
             workload, measure_cycles=20_000)
@@ -67,7 +68,7 @@ class TestSingleSocketTransparency:
         """shared-everything on an islands machine places clients in
         exactly the pre-island global round-robin slots."""
         exp = Experiment(scale=SCALE, use_cache=False)
-        traces = exp.workload("oltp", "saturated").traces
+        traces = workload_for("oltp", "saturated", exp.scale).traces
         plain = Machine(fc_cmp(n_cores=4, scale=SCALE))
         isl = Machine(fc_cmp(n_cores=4, scale=SCALE,
                              topology=IslandTopology(n_sockets=2)))

@@ -3,8 +3,8 @@
 A fork-started pool worker inherits the parent's bundle registry
 (``driver._BUILT``).  A spawn- or forkserver-started worker inherits
 nothing, so ``run_specs`` starts it with an initializer that adopts the
-parent's built bundles for the sweep's coordinates
-(``parallel._adopt_worker_init`` -> ``driver.adopt_bundles``).
+parent's registry entries, keyed by trace-store key, for the sweep's
+bundles (``parallel._adopt_worker_init`` -> ``driver.adopt_bundles``).
 
 The spawn tests run a real spawn-started pool in a fresh interpreter
 over a mixed batch (DSS, OLTP, one skewed TPC-C spec) and check that:
@@ -136,29 +136,33 @@ def test_spawn_pool_matches_serial(tmp_path, serial, faults):
         "a spawn worker rebuilt a bundle instead of adopting the parent's")
 
 
-def _coords(specs) -> set:
-    return {parallel._bundle_coord(s, SCALE) for s in specs}
-
-
 def test_adoption_round_trip_replays_bit_identical(clean_env, serial):
     """The initializer's path, in-process: bundles pickled as a spawn
     pool ships them, adopted into a cold registry, then replayed."""
     specs = _specs()
-    for s in specs:
-        driver.workload_for(s.kind, s.regime, SCALE, n_clients=s.n_clients,
-                            skew=s.skew, cc_mode=s.cc_mode)
-    coords = _coords(specs)
-    shipped = pickle.loads(pickle.dumps(driver.built_bundles(coords)))
-    assert set(shipped) == coords  # the contended bundle ships too
+    bundles = parallel.prebuild_workloads(specs, SCALE)
+    shipped = pickle.loads(pickle.dumps(driver.built_bundles(bundles)))
+    # dss, oltp and the contended oltp bundle all ship.
+    assert len(shipped) == len(bundles) == 3
     driver.clear_workload_caches()
+    engines = []
+
+    def counting(database):
+        def build(*args, **kwargs):
+            engines.append(database.__name__)
+            return database(*args, **kwargs)
+        return build
+
+    for name in ("TpccDatabase", "TpchDatabase"):
+        clean_env.setattr(driver, name, counting(getattr(driver, name)))
     try:
         parallel._adopt_worker_init(shipped)
-        adopted = driver.built_bundles(coords)
-        assert all(adopted[c] is shipped[c] for c in coords)
+        adopted = driver.built_bundles(shipped.values())
+        assert adopted == shipped
+        assert all(adopted[k] is shipped[k] for k in shipped)
         replayed = [parallel.execute(s, SCALE, CYCLES) for s in specs]
-        # Every run was served by an adopted bundle: no builder ran.
-        assert driver.oltp_workload.cache_info().misses == 0
-        assert driver.dss_workload.cache_info().misses == 0
+        # Every run was served by an adopted bundle: no engine ran.
+        assert engines == []
     finally:
         driver.clear_workload_caches()
     _assert_identical(serial, replayed)

@@ -13,7 +13,6 @@ from repro.simulator.topology import (
     as_topology,
     validate_placement,
 )
-from repro.workloads.driver import workload_for
 
 
 class TestIslandTopology:
@@ -88,15 +87,6 @@ class TestPlacementValidation:
     def test_unknown_placement_rejected(self):
         with pytest.raises(ValueError):
             validate_placement("numa-aware")
-
-    def test_workload_for_validates_placement(self):
-        with pytest.raises(ValueError):
-            workload_for("oltp", "saturated", 0.02, placement="bogus")
-
-    def test_workload_for_accepts_all_placements(self):
-        for p in PLACEMENTS:
-            w = workload_for("oltp", "saturated", 0.02, placement=p)
-            assert w.traces
 
 
 class TestConfigValidation:

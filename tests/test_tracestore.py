@@ -28,8 +28,8 @@ from repro.workloads.tracestore import (
 )
 from tests.trace_events import tiny_workload, traces_equal
 
-#: Matches the determinism/golden suites so the process-level lru_cache
-#: shares the (expensive) builds with them in a full test run.
+#: Matches the determinism/golden suites so the process-level bundle
+#: registry shares the (expensive) builds with them in a full test run.
 SCALE = 0.02
 
 BUNDLES = [
@@ -320,8 +320,9 @@ class TestDriverWiring:
     @pytest.mark.slow
     def test_second_process_equivalent_build_is_served_from_store(
             self, tmp_path, monkeypatch):
-        """Clearing the lru_cache stands in for a new process: the second
-        build must come from the store and carry identical arrays."""
+        """Clearing the bundle registry stands in for a new process: the
+        second build must come from the store and carry identical
+        arrays."""
         monkeypatch.setenv(ENV_TRACE_DIR, str(tmp_path))
         _clear_driver_caches()
         try:
@@ -341,3 +342,31 @@ class TestDriverWiring:
         monkeypatch.setenv(ENV_TRACE_DIR, "")
         from repro.workloads.tracestore import active_store
         assert active_store() is None
+
+
+class TestBundleIdentity:
+    """One key names a bundle: the trace-store key, which the in-process
+    registry shares, so every spelling of a bundle returns one object."""
+
+    @pytest.mark.parametrize("kind,clients", [("oltp", 64), ("dss", 16)])
+    def test_explicit_paper_clients_return_the_default_bundle(self, kind,
+                                                               clients):
+        assert (driver.workload_for(kind, "saturated", SCALE,
+                                    n_clients=clients)
+                is driver.workload_for(kind, "saturated", SCALE))
+
+    def test_builder_and_dispatch_share_the_bundle(self):
+        assert (driver.dss_workload(SCALE)
+                is driver.workload_for("dss", "saturated", SCALE))
+
+    def test_registry_is_keyed_by_the_store_key(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setenv(ENV_TRACE_DIR, str(tmp_path))
+        _clear_driver_caches()
+        try:
+            built = driver.dss_unsaturated(scale=SCALE)
+            key = ("dss_unsaturated", (("scale", SCALE), ("seed", 7)))
+            assert driver.built_bundles([built]) == {key: built}
+            assert traces_equal(store_for(str(tmp_path)).get(key), built)
+        finally:
+            _clear_driver_caches()
